@@ -19,8 +19,7 @@ from bmlab import curves, reporting
 from bmlab.config import CURVE_FAMILIES, _parse_triples
 from bmlab.engine import ExponentTriple, norm_probe
 from bmlab.symbols import (
-    SymbolSpec,
-    exponential_paraproduct_symbols,
+    exponential_paraproduct_sum,
     polygonal_epigraph_symbol,
     staircase_symbol,
 )
@@ -28,11 +27,7 @@ from bmlab.symbols import (
 
 def build_symbol(args):
     if args.symbol == "exponential_paraproduct":
-        m1, m2, m3 = exponential_paraproduct_symbols(args.J)
-        return SymbolSpec(
-            evaluator=lambda xi, eta: m1(xi, eta) + m2(xi, eta) + m3(xi, eta),
-            label="exp_paraproduct",
-        )
+        return exponential_paraproduct_sum(args.J)
     curve = CURVE_FAMILIES[args.family](args.c)
     seq = curves.build_dyadic_slope_sequence(curve, args.J)
     if args.symbol == "staircase":

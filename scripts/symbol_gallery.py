@@ -16,10 +16,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from bmlab import curves, reporting, whitney
 from bmlab.symbols import (
     FrequencyGrid,
-    SymbolSpec,
     bitmap_to_pgm,
     epigraph_symbol,
-    exponential_paraproduct_symbols,
+    exponential_paraproduct_sum,
     polygonal_epigraph_symbol,
     sample_symbol,
     staircase_symbol,
@@ -49,9 +48,8 @@ def main():
         (float(power.a[-1]), float(power.a[0]), 0.0, 1.05),
     ))
 
-    m1, m2, m3 = exponential_paraproduct_symbols(4)
-    par = SymbolSpec(evaluator=lambda xi, eta: m1(xi, eta) + m2(xi, eta) + m3(xi, eta))
-    renders.append(("exponential_paraproduct", par, (-6.0, 5.0, -1.0, 17.0)))
+    renders.append(("exponential_paraproduct", exponential_paraproduct_sum(4),
+                    (-6.0, 5.0, -1.0, 17.0)))
 
     for name, sym, window in renders:
         grid = FrequencyGrid(window=window, nx=args.n, ny=args.n)

@@ -54,7 +54,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
             "b": [float(v) for v in seq.b],
             "b_over_a": b_over_a,
             "direction": seq.direction,
-            "a_inf": seq.a_inf if seq.a_inf is None or math.isfinite(seq.a_inf) else "-inf",
+            "a_inf": seq.a_inf,
             "b_inf": seq.b_inf,
             "classification": {
                 "labels": cls.labels,
@@ -83,9 +83,7 @@ def _config_symbol(cfg: RunConfig):
     if cfg.symbol_kind == "constant":
         return symbols.constant_symbol(1.0)
     if cfg.symbol_kind == "exponential_paraproduct":
-        m1, m2, m3 = symbols.exponential_paraproduct_symbols(cfg.J)
-        ev = lambda xi, eta: m1(xi, eta) + m2(xi, eta) + m3(xi, eta)
-        return symbols.SymbolSpec(evaluator=ev, bbox=None, label="exp_paraproduct_sum")
+        return symbols.exponential_paraproduct_sum(cfg.J)
     seq = _build_sequence(cfg)
     if cfg.symbol_kind == "staircase":
         return symbols.staircase_symbol(seq)
@@ -165,7 +163,7 @@ def cmd_apply(cfg: RunConfig, f_file: str, g_file: str) -> int:
 def cmd_probe(cfg: RunConfig) -> int:
     rows = []
     summaries = []
-    worst = 0.0
+    growths = []
     sym = _config_symbol(cfg)
     for t in cfg.triples:
         e = engine.ExponentTriple(*t)
@@ -174,9 +172,17 @@ def cmd_probe(cfg: RunConfig) -> int:
         )
         rows.extend(rep.csv_rows())
         summaries.append(rep.as_dict())
-        worst = max(worst, rep.growth_factor)
+        growths.append(rep.growth_factor)
+        # NaN growth (the symbol measured zero at every resolution) fails too
+        if not rep.growth_factor < GROWTH_THRESHOLD:
+            print(
+                f"check failed: probe growth_factor {e.as_tuple()} = {rep.growth_factor!r}, "
+                f"bound < {GROWTH_THRESHOLD}",
+                file=sys.stderr,
+            )
         if rep.growth_factor >= GROWTH_THRESHOLD:
             _emit_witness(cfg, sym, rep)
+    worst = math.nan if any(math.isnan(v) for v in growths) else max(growths)
     reporting.write_csv(
         os.path.join(cfg.out_dir, "probe.csv"),
         ["p1", "p2", "p3", "N", "trial_family", "max_ratio"],
@@ -193,7 +199,7 @@ def _emit_witness(cfg: RunConfig, sym, rep):
     N = rep.resolutions[-1]
     best = max((r for r in rep.rows if r["N"] == N), key=lambda r: r["max_ratio"])
     ri = rep.resolutions.index(N)
-    fi = ["wave_packets", "sparse_spectrum", "random_sign"].index(best["family"])
+    fi = list(engine.PROBE_FAMILIES).index(best["family"])
     f, g = engine.make_trial_pair(best["family"], (rep.seed, ri, fi, best["argmax_trial"]), N, rep.L)
     tag = f"witness_{best['family']}_{N}"
     _write_function_csv(os.path.join(cfg.out_dir, tag + "_f.csv"), f)

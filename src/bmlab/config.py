@@ -78,6 +78,10 @@ class RunConfig:
             raise ConfigError("seed is required (no wall-clock defaults)")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not self.resolutions:
+            raise ConfigError("[probe] resolutions must list at least one resolution")
+        if not self.triples:
+            raise ConfigError("[probe] triples must list at least one exponent triple")
         for N in self.resolutions:
             if N < 2 or N & (N - 1):
                 raise ConfigError("every probe resolution must be a power of two")

@@ -118,21 +118,47 @@ class ExponentTriple:
         return (self.p1, self.p2, self.p3)
 
 
-def _symbol_table(sym: SymbolSpec, freqs: np.ndarray) -> np.ndarray:
-    M = sym(freqs[:, None], freqs[None, :])
-    if not np.all(np.isfinite(M)):
-        raise ValueError("symbol undefined (non-finite) on the sampling grid")
-    return M
+def _bilinear_action(sym: SymbolSpec, freqs: np.ndarray):
+    """The map (c, d) -> centered 2N output coefficients of ``sym`` applied on
+    the grid ``freqs``; build it once per grid and call it per input pair.
 
+    A symbol with a column profile is applied by rectangles: consecutive
+    columns with equal eta-index range [l0, l1) form a block [k0, k1) x
+    [l0, l1), which adds the linear convolution of c[k0:k1] and d[l0:l1] at
+    output slot k0 + l0.  Work is O(support), memory O(N).  A symbol without
+    a profile is tabulated densely on the N x N grid.
+    """
+    N = len(freqs)
+    if sym.eta_bounds is None:
+        M = sym(freqs[:, None], freqs[None, :])
+        if not np.all(np.isfinite(M)):
+            raise ValueError("symbol undefined (non-finite) on the sampling grid")
+        k = np.arange(N)
+        idx = (k[:, None] + k[None, :]).ravel()  # slot (k1 - N/2) + (k2 - N/2) + N in the 2N grid
 
-def _apply_with_table(M: np.ndarray, c: np.ndarray, d: np.ndarray, L: float) -> SampledFunction:
-    N = len(c)
-    P = M * np.outer(c, d)
-    k = np.arange(N)
-    idx = (k[:, None] + k[None, :]).ravel()  # slot (k1 - N/2) + (k2 - N/2) + N in the 2N grid
-    out = np.bincount(idx, weights=P.real.ravel(), minlength=2 * N).astype(complex)
-    out += 1j * np.bincount(idx, weights=P.imag.ravel(), minlength=2 * N)
-    return SampledFunction.from_coeffs(out, L)
+        def dense(c, d):
+            P = M * np.outer(c, d)
+            out = np.bincount(idx, weights=P.real.ravel(), minlength=2 * N).astype(complex)
+            out += 1j * np.bincount(idx, weights=P.imag.ravel(), minlength=2 * N)
+            return out
+
+        return dense
+
+    lo, hi = sym.columns(freqs, freqs)
+    cut = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
+    blocks = [
+        (k0, k1, lo[k0], hi[k0])
+        for k0, k1 in zip(np.r_[0, cut], np.r_[cut, N])
+        if hi[k0] > lo[k0]
+    ]
+
+    def by_blocks(c, d):
+        out = np.zeros(2 * N, dtype=complex)
+        for k0, k1, l0, l1 in blocks:
+            out[k0 + l0 : k1 + l1 - 1] += np.convolve(c[k0:k1], d[l0:l1])
+        return sym.value * out
+
+    return by_blocks
 
 
 def apply_bilinear(sym: SymbolSpec, f: SampledFunction, g: SampledFunction) -> SampledFunction:
@@ -143,9 +169,8 @@ def apply_bilinear(sym: SymbolSpec, f: SampledFunction, g: SampledFunction) -> S
     """
     if f.N != g.N or f.L != g.L:
         raise ValueError("mismatched grids: f and g must share N and L")
-    freqs = f.freqs()
-    M = _symbol_table(sym, freqs)
-    return _apply_with_table(M, f.coeffs(), g.coeffs(), f.L)
+    act = _bilinear_action(sym, f.freqs())
+    return SampledFunction.from_coeffs(act(f.coeffs(), g.coeffs()), f.L)
 
 
 def frequency_project(f: SampledFunction, interval: HalfOpenInterval) -> SampledFunction:
@@ -415,7 +440,7 @@ def norm_probe(
     resolutions: Sequence[int],
     seed: int,
     L: float = 32.0,
-    families: Sequence[str] = ("wave_packets", "sparse_spectrum", "random_sign"),
+    families: Sequence[str] = tuple(PROBE_FAMILIES),
 ) -> ProbeReport:
     """Empirical operator-ratio probe over randomized test families.
 
@@ -431,13 +456,12 @@ def norm_probe(
         triple=e, resolutions=list(resolutions), trials=trials, seed=seed, L=float(L)
     )
     for ri, N in enumerate(resolutions):
-        freqs = np.arange(-N // 2, N // 2) / L
-        M = _symbol_table(sym, freqs)
+        act = _bilinear_action(sym, np.arange(-N // 2, N // 2) / L)
         for fi, family in enumerate(families):
             best, best_trial = 0.0, -1
             for t in range(trials):
                 f, g = make_trial_pair(family, (seed, ri, fi, t), N, L)
-                out = _apply_with_table(M, f.coeffs(), g.coeffs(), L)
+                out = SampledFunction.from_coeffs(act(f.coeffs(), g.coeffs()), L)
                 denom = lp_norm(f, e.p1) * lp_norm(g, e.p2)
                 if denom == 0:
                     continue

@@ -7,6 +7,7 @@ fixed, so a rerun with identical inputs produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -41,19 +42,20 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, float) and obj != obj:  # NaN
-        return None
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        # strict JSON has no NaN or Infinity: NaN is null, +-inf a string
+        return None if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
 
 
 def json_dumps(payload) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=1) + "\n"
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
 def write_json(path: str, payload):

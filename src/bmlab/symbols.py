@@ -1,10 +1,12 @@
 """Frequency-plane symbol constructors and decomposition identities.
 
 Every symbol is a {0,1}-valued (or smoothly adapted [0,1]-valued) function
-on the (xi, eta) plane packaged with a bounding box.  Evaluators implement
-the half-open boundary conventions literally, so the staircase/boundary
-decomposition of an epigraph and the rectangle-minus-complement rewrite hold
-exactly at every grid point, not just almost everywhere.
+on the (xi, eta) plane packaged with a bounding box.  Each sharp symbol
+built here meets every xi-column in one eta-interval and is defined by those
+column bounds, which implement the half-open boundary conventions literally,
+so the staircase/boundary decomposition of an epigraph and the
+rectangle-minus-complement rewrite hold exactly at every grid point, not just
+almost everywhere.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bumps import adapted_bump
-from .curves import CurveSpec, SequencePair, piecewise_linear_curve
+from .curves import CurveSpec, SequencePair
 
 __all__ = [
     "SymbolSpec",
@@ -27,6 +28,7 @@ __all__ = [
     "epigraph_symbol",
     "polygonal_epigraph_symbol",
     "exponential_paraproduct_symbols",
+    "exponential_paraproduct_sum",
     "hyp2_rewrite_pair",
     "reflected_symbol",
     "constant_symbol",
@@ -38,32 +40,78 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """A multiplier symbol: vectorized evaluator plus support metadata.
+    """A multiplier symbol: one per-column definition or a black-box evaluator.
+
+    A sharp symbol whose every xi-column meets its support in one eta-interval
+    carries ``eta_bounds``: xi -> (lo, hi), the column's interval, closed at
+    ``lo`` when ``eta_lo_closed`` (open otherwise) and open at ``hi``; an empty
+    column has lo = +inf.  The symbol is ``value`` on that support and 0 off
+    it.  Pointwise evaluation (``__call__``) and the grid profile
+    (``columns``) both derive from ``eta_bounds`` with the same comparisons,
+    so they cannot disagree.  Any other symbol (a smooth one, or a black box)
+    carries a vectorized ``evaluator`` instead.
 
     ``bbox`` is (xi_lo, xi_hi, eta_lo, eta_hi) outside which the symbol
     vanishes, or None for unbounded support.
     """
 
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     kind: str = "sharp_indicator"
     bbox: Optional[tuple[float, float, float, float]] = None
     label: str = ""
+    eta_bounds: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
+    eta_lo_closed: bool = True
+    value: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("sharp_indicator", "smooth_adapted"):
             raise ValueError("kind must be sharp_indicator or smooth_adapted")
+        if (self.evaluator is None) == (self.eta_bounds is None):
+            raise ValueError("give exactly one of evaluator and eta_bounds")
+
+    def _bounds(self, xi):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return self.eta_bounds(xi)
 
     def __call__(self, xi, eta):
         xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.asarray(self.evaluator(xi, eta), dtype=float)
-        return out
+        if self.eta_bounds is None:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return np.asarray(self.evaluator(xi, eta), dtype=float)
+        lo, hi = self._bounds(xi)
+        above = eta >= lo if self.eta_lo_closed else eta > lo
+        return np.where(above & (eta < hi), self.value, 0.0)
+
+    def columns(self, xi, eta_sorted) -> tuple[np.ndarray, np.ndarray]:
+        """Grid profile on xi x eta_sorted (eta ascending): column i is
+        nonzero exactly at the eta indices lo_idx[i] <= k < hi_idx[i]."""
+        if self.eta_bounds is None:
+            raise ValueError(f"symbol {self.label!r} has no column profile")
+        lo, hi = self._bounds(np.asarray(xi, dtype=float))
+        lo_idx = np.searchsorted(eta_sorted, lo, side="left" if self.eta_lo_closed else "right")
+        return lo_idx, np.maximum(lo_idx, np.searchsorted(eta_sorted, hi, side="left"))
+
+
+def _column(inside, lo, hi):
+    """Column bounds (lo, hi) where ``inside``, the empty column elsewhere."""
+    return np.where(inside, lo, np.inf), np.where(inside, hi, np.inf)
+
+
+def _step_bounds(xi, edges, lo, hi):
+    """Column bounds of xi-disjoint steps: step i spans [edges[i], edges[i+1])
+    in xi (edges ascending) and has eta-bounds lo[i], hi[i]."""
+    m = len(edges) - 1
+    i = np.searchsorted(edges, xi, side="right") - 1
+    i = np.where((i >= 0) & (i < m), i, m)  # index m is the empty column
+    return (np.append(np.broadcast_to(lo, m), np.inf)[i],
+            np.append(np.broadcast_to(hi, m), np.inf)[i])
 
 
 def constant_symbol(value: float = 1.0) -> SymbolSpec:
     return SymbolSpec(
-        evaluator=lambda xi, eta: np.full(np.broadcast(xi, eta).shape, float(value)),
+        eta_bounds=lambda xi: (np.full_like(xi, -np.inf), np.full_like(xi, np.inf)),
+        value=float(value),
         bbox=None,
         label=f"const({value})",
     )
@@ -72,11 +120,11 @@ def constant_symbol(value: float = 1.0) -> SymbolSpec:
 def rectangle_symbol(xi_iv, eta_iv) -> SymbolSpec:
     """Indicator of [xi_lo, xi_hi) x [eta_lo, eta_hi)."""
     (xlo, xhi), (elo, ehi) = xi_iv, eta_iv
-
-    def ev(xi, eta):
-        return ((xi >= xlo) & (xi < xhi) & (eta >= elo) & (eta < ehi)).astype(float)
-
-    return SymbolSpec(evaluator=ev, bbox=(xlo, xhi, elo, ehi), label="rectangle")
+    return SymbolSpec(
+        eta_bounds=lambda xi: _column((xi >= xlo) & (xi < xhi), elo, ehi),
+        bbox=(xlo, xhi, elo, ehi),
+        label="rectangle",
+    )
 
 
 def staircase_symbol(seq: SequencePair) -> SymbolSpec:
@@ -87,20 +135,16 @@ def staircase_symbol(seq: SequencePair) -> SymbolSpec:
     """
     if seq.direction != "decreasing":
         raise ValueError("use increasing_staircase_symbol for increasing pairs")
-    first, last = seq.first_index(), seq.last_index()
     a = seq.a
     b = seq.b
     b_top = float(b[0])
-
-    def ev(xi, eta):
-        out = np.zeros(np.broadcast(xi, eta).shape)
-        for k in range(1, len(a) - 1):
-            step = (xi >= a[k + 1]) & (xi < a[k]) & (eta >= b[k]) & (eta < b_top)
-            out = np.maximum(out, step.astype(float))
-        return out
-
+    # stored step k = 1 .. len(a) - 2 is [a[k+1], a[k]) x [b[k], b_top); in
+    # ascending xi order the edges are a[-1] .. a[1] and the lower bounds b[-2] .. b[1]
+    edges, lows = a[:0:-1], b[-2:0:-1]
     bbox = (float(a[-1]), float(a[1]), float(b[-1]), b_top)
-    return SymbolSpec(evaluator=ev, bbox=bbox, label="staircase")
+    return SymbolSpec(
+        eta_bounds=lambda xi: _step_bounds(xi, edges, lows, b_top), bbox=bbox, label="staircase"
+    )
 
 
 def increasing_staircase_symbol(u: SequencePair, v: SequencePair) -> SymbolSpec:
@@ -112,16 +156,16 @@ def increasing_staircase_symbol(u: SequencePair, v: SequencePair) -> SymbolSpec:
     uu = u.a
     vv = v.a
     u0 = float(uu[0])
+    last = len(uu) - 1
 
-    def ev(xi, eta):
-        out = np.zeros(np.broadcast(xi, eta).shape)
-        for k in range(1, len(uu) - 1):
-            step = (xi > u0) & (xi <= uu[k]) & (eta >= vv[k]) & (eta < vv[k + 1])
-            out = np.maximum(out, step.astype(float))
-        return out
+    def bounds(xi):
+        # terms k = 1 .. last - 1 with xi <= u_k have contiguous eta-intervals,
+        # whose union is [v_kmin, v_last) for the first such k
+        kmin = np.searchsorted(uu[1:last], xi, side="left") + 1
+        return _column((xi > u0) & (kmin < last), vv[kmin], vv[last])
 
     bbox = (u0, float(uu[-2]), float(vv[1]), float(vv[-1]))
-    return SymbolSpec(evaluator=ev, bbox=bbox, label="increasing_staircase")
+    return SymbolSpec(eta_bounds=bounds, bbox=bbox, label="increasing_staircase")
 
 
 def boundary_piece_symbol(curve: CurveSpec, seq: SequencePair, j: int) -> SymbolSpec:
@@ -131,13 +175,12 @@ def boundary_piece_symbol(curve: CurveSpec, seq: SequencePair, j: int) -> Symbol
     alo, ahi = seq.a_at(j + 1), seq.a_at(j)
     btop = seq.b_at(j)
 
-    def ev(xi, eta):
+    def bounds(xi):
         strip = (xi >= alo) & (xi < ahi)
-        g = np.where(strip, curve.gamma(np.where(strip, xi, 0.5 * (alo + ahi))), 0.0)
-        return (strip & (eta >= g) & (eta < btop)).astype(float)
+        return _column(strip, curve.gamma(np.where(strip, xi, 0.5 * (alo + ahi))), btop)
 
     return SymbolSpec(
-        evaluator=ev,
+        eta_bounds=bounds,
         bbox=(alo, ahi, seq.b_at(j + 1), btop),
         label=f"boundary_piece[{j}]",
     )
@@ -151,13 +194,11 @@ def epigraph_symbol(curve: CurveSpec, restriction: tuple[float, float]) -> Symbo
 
     anchor = 0.5 * (lo + hi) if math.isfinite(lo) else hi - 1.0
 
-    def ev(xi, eta):
+    def bounds(xi):
         strip = (xi >= lo) & (xi < hi)
-        safe = np.where(strip, xi, anchor)
-        g = np.where(strip, curve.gamma(safe), np.inf)
-        return (strip & (eta >= g)).astype(float)
+        return _column(strip, curve.gamma(np.where(strip, xi, anchor)), np.inf)
 
-    return SymbolSpec(evaluator=ev, bbox=None, label="epigraph")
+    return SymbolSpec(eta_bounds=bounds, bbox=None, label="epigraph")
 
 
 def polygonal_epigraph_symbol(vertices) -> SymbolSpec:
@@ -180,13 +221,11 @@ def polygonal_epigraph_symbol(vertices) -> SymbolSpec:
     xs = a[::-1]
     ys = b[::-1]
 
-    def ev(xi, eta):
-        strip = (xi >= xs[0]) & (xi < xs[-1])
-        g = np.interp(np.asarray(xi, dtype=float), xs, ys)
-        return (strip & (eta >= g)).astype(float)
+    def bounds(xi):
+        return _column((xi >= xs[0]) & (xi < xs[-1]), np.interp(xi, xs, ys), np.inf)
 
     return SymbolSpec(
-        evaluator=ev,
+        eta_bounds=bounds,
         bbox=None,
         label="polygonal_epigraph",
     )
@@ -201,28 +240,43 @@ def exponential_paraproduct_symbols(J: int):
     """
     if J < 1:
         raise ValueError("J must be positive")
+    # m1 in ascending xi order: step i = J - j spans [-(J+1-i), -(J-i))
+    edges1 = -np.arange(J + 1.0, -1.0, -1.0)
+    lows1 = 2.0 ** -np.arange(J, -1.0, -1.0)
+    js = np.arange(1.0, J + 1.0)
 
-    def ev1(xi, eta):
-        out = np.zeros(np.broadcast(xi, eta).shape)
-        for j in range(0, J + 1):
-            step = (xi >= -(j + 1)) & (xi < -j) & (eta >= 2.0**-j) & (eta < 1.0)
-            out = np.maximum(out, step.astype(float))
-        return out
+    def bounds2(xi):
+        # the columns (0, j) containing xi are j = jmin .. J, whose
+        # eta-intervals join into [2^jmin, 2^(J+1))
+        i = np.searchsorted(js, xi, side="right")
+        return _column((xi > 0.0) & (i < J), 2.0 ** (i + 1.0), 2.0 ** (J + 1))
 
-    def ev2(xi, eta):
-        out = np.zeros(np.broadcast(xi, eta).shape)
-        for j in range(1, J + 1):
-            step = (xi > 0.0) & (xi < j) & (eta >= 2.0**j) & (eta < 2.0 ** (j + 1))
-            out = np.maximum(out, step.astype(float))
-        return out
-
-    def ev3(xi, eta):
-        return ((xi <= 0.0) & (eta >= 1.0)).astype(float)
-
-    m1 = SymbolSpec(evaluator=ev1, bbox=(-(J + 1.0), 0.0, 2.0**-J, 1.0), label="exp_m1")
-    m2 = SymbolSpec(evaluator=ev2, bbox=(0.0, float(J), 2.0, 2.0 ** (J + 1)), label="exp_m2")
-    m3 = SymbolSpec(evaluator=ev3, bbox=None, label="exp_m3")
+    m1 = SymbolSpec(
+        eta_bounds=lambda xi: _step_bounds(xi, edges1, lows1, 1.0),
+        bbox=(-(J + 1.0), 0.0, 2.0**-J, 1.0),
+        label="exp_m1",
+    )
+    m2 = SymbolSpec(eta_bounds=bounds2, bbox=(0.0, float(J), 2.0, 2.0 ** (J + 1)), label="exp_m2")
+    m3 = SymbolSpec(eta_bounds=lambda xi: _column(xi <= 0.0, 1.0, np.inf), bbox=None, label="exp_m3")
     return m1, m2, m3
+
+
+def exponential_paraproduct_sum(J: int) -> SymbolSpec:
+    """m1 + m2 + m3 as one symbol.
+
+    The pieces are disjoint: for xi <= 0 the steps of m1 sit right below the
+    quadrant m3, so the column is [2^-j, inf) on a step of m1 and [1, inf)
+    elsewhere; for xi > 0 only m2 is present.
+    """
+    m1, m2, m3 = exponential_paraproduct_symbols(J)
+
+    def bounds(xi):
+        lo1, _ = m1.eta_bounds(xi)
+        lo2, hi2 = m2.eta_bounds(xi)
+        left = xi <= 0.0
+        return np.where(left, np.minimum(lo1, 1.0), lo2), np.where(left, np.inf, hi2)
+
+    return SymbolSpec(eta_bounds=bounds, bbox=None, label="exp_paraproduct_sum")
 
 
 def hyp2_rewrite_pair(seq: SequencePair):
@@ -245,26 +299,23 @@ def hyp2_rewrite_pair(seq: SequencePair):
     tail_truncated = seq.a_inf is None or not math.isfinite(seq.a_inf)
     a_lo = float(a[-1]) if tail_truncated else float(seq.a_inf)
 
-    def ev_rect(xi, eta):
-        inside = (xi > a_lo) & (xi < a[0]) & (eta > b_inf) & (eta < b_top)
+    def rect_bounds(xi):
+        inside = (xi > a_lo) & (xi < a[0])
         if tail_truncated:
             inside = inside & (xi >= a[-1])
-        return inside.astype(float)
+        return _column(inside, b_inf, b_top)
 
-    def ev_comp(xi, eta):
-        out = np.zeros(np.broadcast(xi, eta).shape)
-        for k in range(0, len(a) - 1):
-            step = (xi >= a[k + 1]) & (xi < a[k]) & (eta > b_inf) & (eta < b[k])
-            out = np.maximum(out, step.astype(float))
-        return out
-
+    # complement step k = 0 .. len(a) - 2 is [a[k+1], a[k]) x (b_inf, b[k])
+    edges, highs = a[::-1], b[-2::-1]
     rect = SymbolSpec(
-        evaluator=ev_rect,
+        eta_bounds=rect_bounds,
+        eta_lo_closed=False,
         bbox=(a_lo, float(a[0]), b_inf, b_top),
         label="rewrite_rect" + ("_tail_truncated" if tail_truncated else ""),
     )
     comp = SymbolSpec(
-        evaluator=ev_comp,
+        eta_bounds=lambda xi: _step_bounds(xi, edges, b_inf, highs),
+        eta_lo_closed=False,
         bbox=(float(a[-1]), float(a[0]), b_inf, b_top),
         label="rewrite_complement",
     )
@@ -278,7 +329,7 @@ def reflected_symbol(sym: SymbolSpec) -> SymbolSpec:
         xlo, xhi, elo, ehi = sym.bbox
         bbox = (elo, ehi, xlo, xhi)
     return SymbolSpec(
-        evaluator=lambda xi, eta: sym.evaluator(eta, xi),
+        evaluator=lambda xi, eta: sym(eta, xi),
         kind=sym.kind,
         bbox=bbox,
         label=sym.label + "_reflected",

@@ -84,3 +84,121 @@ def whitney_conditions_by_sampling(square, C0, n=1000):
         return bool(np.any(inside))
 
     return misses(C0), meets(4 * C0)
+
+
+# --- naive symbol evaluators ---------------------------------------------------
+# Each evaluates a symbol from its defining sum or set, step by step, sharing
+# nothing with the column-bounds definitions in bmlab.symbols.
+
+
+def staircase_evaluator(seq):
+    a, b = seq.a, seq.b
+    b_top = float(b[0])
+
+    def ev(xi, eta):
+        out = np.zeros(np.broadcast(xi, eta).shape)
+        for k in range(1, len(a) - 1):
+            step = (xi >= a[k + 1]) & (xi < a[k]) & (eta >= b[k]) & (eta < b_top)
+            out = np.maximum(out, step.astype(float))
+        return out
+
+    return ev
+
+
+def increasing_staircase_evaluator(u, v):
+    uu, vv = u.a, v.a
+    u0 = float(uu[0])
+
+    def ev(xi, eta):
+        out = np.zeros(np.broadcast(xi, eta).shape)
+        for k in range(1, len(uu) - 1):
+            step = (xi > u0) & (xi <= uu[k]) & (eta >= vv[k]) & (eta < vv[k + 1])
+            out = np.maximum(out, step.astype(float))
+        return out
+
+    return ev
+
+
+def rectangle_evaluator(xi_iv, eta_iv):
+    (xlo, xhi), (elo, ehi) = xi_iv, eta_iv
+    return lambda xi, eta: ((xi >= xlo) & (xi < xhi) & (eta >= elo) & (eta < ehi)).astype(float)
+
+
+def constant_evaluator(value=1.0):
+    return lambda xi, eta: np.full(np.broadcast(xi, eta).shape, float(value))
+
+
+def boundary_piece_evaluator(curve, seq, j):
+    alo, ahi, btop = seq.a_at(j + 1), seq.a_at(j), seq.b_at(j)
+
+    def ev(xi, eta):
+        strip = (xi >= alo) & (xi < ahi)
+        g = np.where(strip, curve.gamma(np.where(strip, xi, 0.5 * (alo + ahi))), 0.0)
+        return (strip & (eta >= g) & (eta < btop)).astype(float)
+
+    return ev
+
+
+def epigraph_evaluator(curve, restriction):
+    lo, hi = restriction
+
+    def ev(xi, eta):
+        strip = (xi >= lo) & (xi < hi)
+        g = np.where(strip, curve.gamma(np.where(strip, xi, 0.5 * (lo + hi))), np.inf)
+        return (strip & (eta >= g)).astype(float)
+
+    return ev
+
+
+def polygonal_epigraph_evaluator(vertices):
+    pts = np.asarray(vertices, dtype=float)
+    xs, ys = pts[::-1, 0], pts[::-1, 1]
+
+    def ev(xi, eta):
+        strip = (xi >= xs[0]) & (xi < xs[-1])
+        return (strip & (eta >= np.interp(xi, xs, ys))).astype(float)
+
+    return ev
+
+
+def exponential_paraproduct_evaluators(J):
+    def ev1(xi, eta):
+        out = np.zeros(np.broadcast(xi, eta).shape)
+        for j in range(0, J + 1):
+            step = (xi >= -(j + 1)) & (xi < -j) & (eta >= 2.0**-j) & (eta < 1.0)
+            out = np.maximum(out, step.astype(float))
+        return out
+
+    def ev2(xi, eta):
+        out = np.zeros(np.broadcast(xi, eta).shape)
+        for j in range(1, J + 1):
+            step = (xi > 0.0) & (xi < j) & (eta >= 2.0**j) & (eta < 2.0 ** (j + 1))
+            out = np.maximum(out, step.astype(float))
+        return out
+
+    def ev3(xi, eta):
+        return ((xi <= 0.0) & (eta >= 1.0)).astype(float)
+
+    return ev1, ev2, ev3
+
+
+def hyp2_rewrite_evaluators(seq):
+    a, b = seq.a, seq.b
+    b_inf, b_top = float(seq.b_inf), float(b[0])
+    truncated = seq.a_inf is None or not np.isfinite(seq.a_inf)
+    a_lo = float(a[-1]) if truncated else float(seq.a_inf)
+
+    def ev_rect(xi, eta):
+        inside = (xi > a_lo) & (xi < a[0]) & (eta > b_inf) & (eta < b_top)
+        if truncated:
+            inside = inside & (xi >= a[-1])
+        return inside.astype(float)
+
+    def ev_comp(xi, eta):
+        out = np.zeros(np.broadcast(xi, eta).shape)
+        for k in range(0, len(a) - 1):
+            step = (xi >= a[k + 1]) & (xi < a[k]) & (eta > b_inf) & (eta < b[k])
+            out = np.maximum(out, step.astype(float))
+        return out
+
+    return ev_rect, ev_comp

@@ -185,3 +185,48 @@ def test_config_requires_seed(tmp_path):
     path.write_text("[sequence]\nJ = 6\n")
     with pytest.raises(ConfigError, match="seed"):
         RunConfig.from_file(str(path)).validate()
+
+
+def _edit_config(path, old, new):
+    text = open(path).read()
+    assert old in text
+    open(path, "w").write(text.replace(old, new))
+
+
+@pytest.mark.parametrize("line", ["resolutions = 64 128", "triples = 3,3,3"],
+                         ids=["resolutions", "triples"])
+def test_probe_empty_list_rejected(tmp_path, capsys, line):
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, line, line.split("=")[0] + "=")
+    assert main(["probe", "--config", cfg]) == 2
+    assert "at least one" in capsys.readouterr().err
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_probe_degenerate_symbol_fails(tmp_path, capsys):
+    # with L = 0.5 the grid frequencies are even integers: none falls in the
+    # staircase's xi-range, so every ratio is 0 and the growth factor is NaN
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "L = 16.0", "L = 0.5")
+    assert main(["probe", "--config", cfg]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "growth_factor" in err[0] and "nan" in err[0] and "1.5" in err[0]
+    rep = _strict_json(tmp_path / "out" / "probe.json")
+    assert rep["worst_growth"] is None and rep["reports"][0]["growth_factor"] is None
+
+
+def test_probe_json_strict_on_infinite_growth(tmp_path):
+    # with L = 40 the band at N = 64 stays below the staircase (eta >= 1) and
+    # the band at N = 128 reaches it: the growth factor is infinite
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "L = 16.0", "L = 40.0")
+    assert main(["probe", "--config", cfg]) == 4
+    rep = _strict_json(tmp_path / "out" / "probe.json")
+    assert rep["worst_growth"] == "inf" and rep["reports"][0]["growth_factor"] == "inf"
+    assert list((tmp_path / "out").glob("witness_*_128_f.csv"))

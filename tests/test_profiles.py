@@ -1,0 +1,134 @@
+"""Column profiles against the naive oracles.
+
+Every symbol kind that carries column bounds is checked bitwise against a
+step-by-step evaluator from ``oracles.py`` (pointwise, through its grid
+profile and through ``sample_symbol``), and its profile-based application is
+checked against the direct double sum.  The dyadic sequences put the step
+edges a_j, b_j on the frequency lattice 1/L, so grid frequencies land exactly
+on the boundaries where the closure conventions matter.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from bmlab import curves
+from bmlab.engine import SampledFunction, apply_bilinear
+from bmlab.symbols import (
+    FrequencyGrid,
+    SymbolSpec,
+    boundary_piece_symbol,
+    constant_symbol,
+    epigraph_symbol,
+    exponential_paraproduct_sum,
+    exponential_paraproduct_symbols,
+    hyp2_rewrite_pair,
+    increasing_staircase_symbol,
+    polygonal_epigraph_symbol,
+    rectangle_symbol,
+    sample_symbol,
+    staircase_symbol,
+)
+
+import oracles
+from oracles import bilinear_double_sum
+
+# a_j = -j/8, b_j = 3/8 + 2^-(j+2), j = 1..5: segment slopes 2^-j, all
+# values on the lattice 1/128
+_J = np.arange(1, 6)
+DYADIC = curves.SequencePair(
+    a=-_J / 8.0, b=3.0 / 8.0 + 2.0 ** -(_J + 2.0), j0=1, a_inf=-np.inf, b_inf=3.0 / 8.0
+)
+DYADIC_FINITE_TAIL = curves.SequencePair(
+    a=DYADIC.a, b=DYADIC.b, j0=1, a_inf=-1.0, b_inf=3.0 / 8.0
+)
+VERTS = np.column_stack([DYADIC.a, DYADIC.b])
+POLYGON = curves.piecewise_linear_curve(VERTS)
+RESTRICTION = (float(DYADIC.a[-1]), float(DYADIC.a[0]))
+HYPER = curves.build_dyadic_slope_sequence(curves.hyperboloid(), 8)
+UP_U = curves.SequencePair(a=np.arange(6) / 8.0, b=np.arange(1.0, 7.0), direction="increasing")
+UP_V = curves.SequencePair(a=(2 + np.arange(6)) / 16.0, b=np.arange(1.0, 7.0), direction="increasing")
+
+
+def _cases():
+    lattice = (256, 128.0)  # N, L: band [-1, 1), lattice 1/128
+    yield "staircase", staircase_symbol(DYADIC), oracles.staircase_evaluator(DYADIC), lattice
+    yield ("staircase_hyperboloid", staircase_symbol(HYPER), oracles.staircase_evaluator(HYPER),
+           (256, 48.0))
+    yield ("increasing_staircase", increasing_staircase_symbol(UP_U, UP_V),
+           oracles.increasing_staircase_evaluator(UP_U, UP_V), lattice)
+    yield ("rectangle", rectangle_symbol((-3 / 8, 1 / 4), (-1 / 8, 1 / 2)),
+           oracles.rectangle_evaluator((-3 / 8, 1 / 4), (-1 / 8, 1 / 2)), (64, 8.0))
+    yield "constant", constant_symbol(1.0), oracles.constant_evaluator(1.0), (64, 8.0)
+    for j in (1, 3, 4):
+        yield (f"boundary_piece{j}", boundary_piece_symbol(POLYGON, DYADIC, j),
+               oracles.boundary_piece_evaluator(POLYGON, DYADIC, j), lattice)
+    yield ("epigraph", epigraph_symbol(POLYGON, RESTRICTION),
+           oracles.epigraph_evaluator(POLYGON, RESTRICTION), lattice)
+    power = curves.power_law(1.0)
+    yield ("epigraph_unbounded_left", epigraph_symbol(power, (-np.inf, -1 / 8)),
+           oracles.epigraph_evaluator(power, (-np.inf, -1 / 8)), (256, 32.0))
+    yield ("polygonal", polygonal_epigraph_symbol(VERTS),
+           oracles.polygonal_epigraph_evaluator(VERTS), lattice)
+    for seq, tag in ((DYADIC, "truncated"), (DYADIC_FINITE_TAIL, "finite_tail")):
+        rect, comp = hyp2_rewrite_pair(seq)
+        ev_rect, ev_comp = oracles.hyp2_rewrite_evaluators(seq)
+        yield f"rewrite_rect_{tag}", rect, ev_rect, lattice
+        yield f"rewrite_complement_{tag}", comp, ev_comp, lattice
+    for name, sym, ev in zip(("exp_m1", "exp_m2", "exp_m3"), exponential_paraproduct_symbols(2),
+                             oracles.exponential_paraproduct_evaluators(2)):
+        yield name, sym, ev, (128, 8.0)  # band [-8, 8), lattice 1/8
+    ev1, ev2, ev3 = oracles.exponential_paraproduct_evaluators(2)
+    yield ("exp_sum", exponential_paraproduct_sum(2),
+           lambda xi, eta: ev1(xi, eta) + ev2(xi, eta) + ev3(xi, eta), (128, 8.0))
+
+
+CASES = list(_cases())
+IDS = [case[0] for case in CASES]
+
+
+@pytest.mark.parametrize("name,sym,ev,grid", CASES, ids=IDS)
+def test_profile_matches_oracle_bitwise(name, sym, ev, grid):
+    N, L = grid
+    freqs = np.arange(-N // 2, N // 2) / L
+    oracle = SymbolSpec(evaluator=ev)
+    want = oracle(freqs[:, None], freqs[None, :])
+    assert want.any()
+    assert np.array_equal(sym(freqs[:, None], freqs[None, :]), want)
+    lo, hi = sym.columns(freqs, freqs)
+    k = np.arange(N)
+    assert np.array_equal(((k >= lo[:, None]) & (k < hi[:, None])).astype(float), want)
+    window = FrequencyGrid(window=(-N / (2 * L), N / (2 * L), -N / (2 * L), N / (2 * L)),
+                           nx=N + 1, ny=N - 1)
+    cells = oracle(window.xi_values()[:, None], window.eta_values()[None, :])
+    assert np.array_equal(sample_symbol(sym, window), cells)
+
+
+@pytest.mark.parametrize("name,sym,ev,grid", CASES, ids=IDS)
+def test_profile_apply_matches_double_sum(name, sym, ev, grid):
+    N, L = grid
+    rng = np.random.default_rng(sum(map(ord, name)))
+    f, g = (SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L) for _ in range(2))
+    fast = apply_bilinear(sym, f, g).samples
+    slow = bilinear_double_sum(SymbolSpec(evaluator=ev), f, g)
+    assert np.max(np.abs(fast - slow)) <= 1e-10 * max(1.0, float(np.max(np.abs(slow))))
+
+
+@pytest.mark.parametrize("kind", ["staircase", "polygonal"])
+def test_profile_apply_memory_at_large_N(kind):
+    """At N = 8192 a dense N x N complex table alone would take 1 GiB."""
+    sym = (staircase_symbol(HYPER) if kind == "staircase"
+           else polygonal_epigraph_symbol(np.column_stack([HYPER.a, HYPER.b])))
+    assert sym.eta_bounds is not None  # never reach the dense table here
+    N, L = 8192, 48.0
+    rng = np.random.default_rng(5)
+    f, g = (SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L) for _ in range(2))
+    tracemalloc.start()
+    try:
+        out = apply_bilinear(sym, f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.N == 2 * N and np.any(out.samples != 0)
+    assert peak < 16 * 2**20

@@ -11,30 +11,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bmlab import curves, reporting
-from bmlab.config import CURVE_FAMILIES, _parse_triples
+from bmlab import reporting
+from bmlab.config import CURVE_FAMILIES, RunConfig, _parse_triples
 from bmlab.engine import ExponentTriple, norm_probe
-from bmlab.symbols import (
-    exponential_paraproduct_sum,
-    polygonal_epigraph_symbol,
-    staircase_symbol,
-)
-
-
-def build_symbol(args):
-    if args.symbol == "exponential_paraproduct":
-        return exponential_paraproduct_sum(args.J)
-    curve = CURVE_FAMILIES[args.family](args.c)
-    seq = curves.build_dyadic_slope_sequence(curve, args.J)
-    if args.symbol == "staircase":
-        return staircase_symbol(seq)
-    if args.symbol == "polygonal":
-        return polygonal_epigraph_symbol(np.column_stack([seq.a, seq.b]))
-    raise SystemExit(f"unknown symbol: {args.symbol}")
 
 
 def main():
@@ -52,11 +33,19 @@ def main():
     ap.add_argument("--out", default="probe_sweep.csv")
     args = ap.parse_args()
 
-    sym = build_symbol(args)
+    try:
+        cfg = RunConfig(
+            family=args.family, c=args.c, J=args.J, L=args.L,
+            triples=_parse_triples(args.triples), trials=args.trials, seed=args.seed,
+            resolutions=args.resolutions, symbol_kind=args.symbol,
+        ).validate()
+        sym = cfg.symbol()
+    except ValueError as exc:
+        raise SystemExit(f"config error: {exc}")
     rows = []
-    for t in _parse_triples(args.triples):
-        rep = norm_probe(sym, ExponentTriple(*t), trials=args.trials,
-                         resolutions=args.resolutions, seed=args.seed, L=args.L)
+    for t in cfg.triples:
+        rep = norm_probe(sym, ExponentTriple(*t), trials=cfg.trials,
+                         resolutions=cfg.resolutions, seed=cfg.seed, L=cfg.L)
         rows.extend(rep.csv_rows())
         print(f"{sym.label} {t}: growth {rep.growth_factor:.3f}")
     reporting.write_csv(args.out, ["p1", "p2", "p3", "N", "trial_family", "max_ratio"], rows)

@@ -18,7 +18,6 @@ __all__ = [
     "smooth_step",
     "adapted_bump",
     "soft_union",
-    "fejer_sq_kernel",
     "fejer_sq_spectrum",
     "fejer_sq_cdf",
 ]
@@ -89,17 +88,6 @@ def _sinc4_primitive(x):
     )
     # for tiny arguments the integrand is 1 + O(z^2), so the primitive is x
     return np.where(small, np.asarray(x, dtype=float), main / np.pi)
-
-
-def fejer_sq_kernel(x, spectral_radius):
-    """The kernel rho with frequency support [-spectral_radius, spectral_radius]."""
-    a = 0.5 * spectral_radius
-    x = np.asarray(x, dtype=float)
-    z = np.pi * a * x
-    small = np.abs(z) < 1e-8
-    zs = np.where(small, 1.0, z)
-    s = np.where(small, 1.0, np.sin(zs) / zs)
-    return 1.5 * a * s**4
 
 
 def fejer_sq_spectrum(xi, spectral_radius):

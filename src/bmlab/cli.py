@@ -29,12 +29,8 @@ def _envelope(cfg: RunConfig, payload: dict) -> dict:
     return {"artifact_version": __version__, "config_sha256": cfg.config_sha256, **payload}
 
 
-def _build_sequence(cfg: RunConfig, J=None):
-    return curves.build_dyadic_slope_sequence(cfg.curve(), J if J is not None else cfg.J)
-
-
 def cmd_analyze(cfg: RunConfig) -> int:
-    seq = _build_sequence(cfg)
+    seq = cfg.sequence()
     cls = curves.classify_sequence(seq)
     curve = cfg.curve()
     bands = []
@@ -72,26 +68,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def cmd_check_hyp(cfg: RunConfig) -> int:
-    seq = _build_sequence(cfg, J=2 * cfg.J)
+    seq = cfg.sequence(J=2 * cfg.J)
     rep = intervals.check_hypothesis(seq, cfg.hypothesis, cfg.J)
     payload = _envelope(cfg, rep.as_dict())
     reporting.write_json(os.path.join(cfg.out_dir, "hypothesis.json"), payload)
     return EXIT_OK if rep.stable else EXIT_CHECK
-
-
-def _config_symbol(cfg: RunConfig):
-    if cfg.symbol_kind == "constant":
-        return symbols.constant_symbol(1.0)
-    if cfg.symbol_kind == "exponential_paraproduct":
-        return symbols.exponential_paraproduct_sum(cfg.J)
-    seq = _build_sequence(cfg)
-    if cfg.symbol_kind == "staircase":
-        return symbols.staircase_symbol(seq)
-    if cfg.symbol_kind == "epigraph":
-        return symbols.epigraph_symbol(cfg.curve(), (float(seq.a[-1]), float(seq.a[0])))
-    if cfg.symbol_kind == "polygonal":
-        return symbols.polygonal_epigraph_symbol(np.column_stack([seq.a, seq.b]))
-    raise ConfigError(f"unknown symbol kind: {cfg.symbol_kind}")
 
 
 def _symbol_window(cfg: RunConfig, sym) -> tuple[float, float, float, float]:
@@ -103,7 +84,7 @@ def _symbol_window(cfg: RunConfig, sym) -> tuple[float, float, float, float]:
 
 
 def cmd_symbol(cfg: RunConfig) -> int:
-    sym = _config_symbol(cfg)
+    sym = cfg.symbol()
     window = _symbol_window(cfg, sym)
     grid = symbols.FrequencyGrid(window=window, nx=cfg.bitmap_nx, ny=cfg.bitmap_ny)
     bitmap = symbols.sample_symbol(sym, grid)
@@ -154,7 +135,7 @@ def _write_function_csv(path: str, f: engine.SampledFunction):
 def cmd_apply(cfg: RunConfig, f_file: str, g_file: str) -> int:
     f = _read_function_csv(f_file, cfg.L)
     g = _read_function_csv(g_file, cfg.L)
-    sym = _config_symbol(cfg)
+    sym = cfg.symbol()
     out = engine.apply_bilinear(sym, f, g)
     _write_function_csv(os.path.join(cfg.out_dir, "applied.csv"), out)
     return EXIT_OK
@@ -164,7 +145,7 @@ def cmd_probe(cfg: RunConfig) -> int:
     rows = []
     summaries = []
     growths = []
-    sym = _config_symbol(cfg)
+    sym = cfg.symbol()
     for t in cfg.triples:
         e = engine.ExponentTriple(*t)
         rep = engine.norm_probe(
@@ -207,7 +188,7 @@ def _emit_witness(cfg: RunConfig, sym, rep):
 
 
 def cmd_whitney(cfg: RunConfig) -> int:
-    seq = _build_sequence(cfg, J=cfg.J + 4)  # vertex margin beyond tested triangles
+    seq = cfg.sequence(J=cfg.J + 4)  # vertex margin beyond tested triangles
     poly = whitney.PolygonalGeometry.from_sequence(seq)
     segs = list(poly.segment_indices())[: cfg.whitney_segments]
     covers = []

@@ -13,7 +13,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import curves
+import numpy as np
+
+from . import curves, symbols
 
 __all__ = ["RunConfig", "ConfigError", "CURVE_FAMILIES"]
 
@@ -45,7 +47,6 @@ class RunConfig:
     c: Optional[float] = None
     renormalize: Optional[str] = None
     J: int = 8
-    N: int = 256
     L: float = 32.0
     triples: list[tuple[float, float, float]] = field(default_factory=lambda: [(3.0, 3.0, 3.0)])
     trials: int = 50
@@ -70,8 +71,6 @@ class RunConfig:
             raise ConfigError(f"unknown curve family: {self.family}")
         if self.J < 3:
             raise ConfigError("J >= 3 required")
-        if self.N < 2 or self.N & (self.N - 1):
-            raise ConfigError("N must be a power of two")
         if self.L <= 0:
             raise ConfigError("L must be positive")
         if self.seed is None:
@@ -112,6 +111,25 @@ class RunConfig:
             cur = curves.renormalize(cur, self.renormalize)
         return cur
 
+    def sequence(self, J: Optional[int] = None) -> curves.SequencePair:
+        """The dyadic-slope sequence of the curve, truncated at ``J`` (default: the config's)."""
+        return curves.build_dyadic_slope_sequence(self.curve(), J if J is not None else self.J)
+
+    def symbol(self) -> symbols.SymbolSpec:
+        """The ``[symbol] kind`` symbol built on the configured curve and truncation."""
+        if self.symbol_kind == "constant":
+            return symbols.constant_symbol(1.0)
+        if self.symbol_kind == "exponential_paraproduct":
+            return symbols.exponential_paraproduct_sum(self.J)
+        seq = self.sequence()
+        if self.symbol_kind == "staircase":
+            return symbols.staircase_symbol(seq)
+        if self.symbol_kind == "epigraph":
+            return symbols.epigraph_symbol(self.curve(), (float(seq.a[-1]), float(seq.a[0])))
+        if self.symbol_kind == "polygonal":
+            return symbols.polygonal_epigraph_symbol(np.column_stack([seq.a, seq.b]))
+        raise ConfigError(f"unknown symbol kind: {self.symbol_kind}")
+
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         with open(path, "rb") as fh:
@@ -137,7 +155,6 @@ class RunConfig:
         cfg.renormalize = get("curve", "renormalize", str, cfg.renormalize)
         cfg.J = get("sequence", "J", int, cfg.J)
         cfg.hypothesis = get("sequence", "hypothesis", str, cfg.hypothesis)
-        cfg.N = get("grid", "N", int, cfg.N)
         cfg.L = get("grid", "L", float, cfg.L)
         cfg.trials = get("probe", "trials", int, cfg.trials)
         cfg.seed = get("probe", "seed", int, cfg.seed)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bumps import adapted_bump, fejer_sq_cdf, fejer_sq_spectrum
+from .bumps import adapted_bump, fejer_sq_cdf, fejer_sq_spectrum, soft_union
 from .curves import SequencePair
 from .engine import SampledFunction, apply_bilinear
 from .intervals import HalfOpenInterval
@@ -73,17 +73,6 @@ class WhitneySquare:
         gap = abs(self.cx - self.cy)
         s = self.side
         return C0 * s < gap <= 4.0 * C0 * s
-
-    def corners(self) -> np.ndarray:
-        h = 0.5 * self.side
-        return np.array(
-            [
-                [self.cx - h, self.cy - h],
-                [self.cx + h, self.cy - h],
-                [self.cx + h, self.cy + h],
-                [self.cx - h, self.cy + h],
-            ]
-        )
 
 
 def enumerate_whitney_squares(
@@ -253,10 +242,6 @@ class TileRect:
         """-edge1 - edge2; equals K shifted by -(a_j + b_j)."""
         (xlo, xhi), (elo, ehi) = self.xi_range, self.eta_range
         return (-xhi - ehi, -xlo - elo)
-
-    def corners(self) -> np.ndarray:
-        (xlo, xhi), (elo, ehi) = self.xi_range, self.eta_range
-        return np.array([[xlo, elo], [xhi, elo], [xhi, ehi], [xlo, ehi]])
 
 
 def k_interval(rect: TileRect) -> HalfOpenInterval:
@@ -591,17 +576,32 @@ def omega3_partition_check(
     if not fam:
         raise ValueError("no admissible third-slot cubes for this rectangle")
     K = k_interval(rect)
-    plateau_wide = math.sqrt(alpha)
-    supp = _dilate((K.lo, K.hi), 1.0 / plateau_wide)
+    supp = _dilate((K.lo, K.hi), 1.0 / math.sqrt(alpha))
     pad = 0.5 * (supp[1] - supp[0])
     xs = np.linspace(supp[0] - pad, supp[1] + pad, n)
-    phi = adapted_bump(xs, supp[0], supp[1], plateau=plateau_wide)
-    raw = [adapted_bump(xs, lo, hi, plateau=alpha) for lo, hi in fam]
-    total = np.sum(raw, axis=0)
+    phi, weights = _omega3_weights(xs, rect, fam, alpha)
     pieces = np.zeros_like(xs)
-    for bval in raw:
-        pieces += np.where(total > 0.0, phi * bval / np.where(total > 0, total, 1.0), 0.0)
+    for w in weights:
+        pieces += w
     return float(np.max(np.abs(pieces - phi)))
+
+
+def _omega3_weights(x, rect: TileRect, fam, alpha: float):
+    """The wide output bump phi_K at ``x`` and its partition over ``fam``.
+
+    phi_K is 1 on K = I + s_j J and supported on its (1/sqrt(alpha))-dilation;
+    the weight of each omega3 in ``fam`` is phi_K times that interval's adapted
+    bump over the sum of all of them (0 where the sum vanishes).
+    """
+    K = k_interval(rect)
+    plateau_wide = math.sqrt(alpha)
+    supp = _dilate((K.lo, K.hi), 1.0 / plateau_wide)
+    phi_K = adapted_bump(x, supp[0], supp[1], plateau=plateau_wide)
+    raw = [adapted_bump(x, lo, hi, plateau=alpha) for lo, hi in fam]
+    total = np.sum(raw, axis=0)
+    safe = np.where(total > 0, total, 1.0)
+    weights = [np.where(total > 0.0, phi_K * b / safe, 0.0) for b in raw]
+    return phi_K, weights
 
 
 def _base_radius(exponent_base: int) -> float:
@@ -637,16 +637,19 @@ def partition_check(
     tail: float = 1e-8,
     max_tiles: int = 200_000,
 ) -> float:
-    """Max |1 - sum of same-scale tile mollifications| on the window interior.
+    """Max |1 - sum of the scale-j0 tile cutoffs ``chi_values``| on the window interior.
 
-    The scale relation ties the tile length to base^(-j0); tiles are summed
-    one by one out to a margin where the kernel mass beyond contributes less
-    than ``tail`` per side.  The kernel decays like the inverse cube of
-    distance, so scales whose kernel is much wider than the tile (j0 well
-    above 0) need astronomically many tiles and are rejected.
+    The tiles have length base^(-j0), the scale relation, and are taken out
+    to a margin where the kernel mass beyond contributes less than ``tail``
+    per side, with the kernel scale lam = base^(-j0) that ``chi_values`` uses.
+    The tiles are contiguous, so their chi values telescope to the chi of
+    their union: the sum is two kernel CDFs per point, in closed form.  The
+    kernel decays like the inverse cube of distance, so scales whose kernel
+    is much wider than the tile need more than ``max_tiles`` tiles of margin
+    and are rejected.
     """
     tile_len = float(exponent_base) ** (-j0)
-    lam = 1.0 / tile_len
+    lam = tile_len  # the kernel scale of chi_values, base^(-j0)
     r0 = _base_radius(exponent_base)
     lo_m, hi_m = tile_len, tile_len
     while fejer_sq_cdf(-lam * hi_m, r0) > tail and hi_m < 1e9 * tile_len:
@@ -667,11 +670,7 @@ def partition_check(
         )
     inset = tile_len
     xs = np.linspace(wlo + inset, whi - inset, n)
-    # per-tile chi = difference of edge CDFs; evaluate every edge in one
-    # batch and difference along the tile axis
-    edges = np.arange(m_lo, m_hi + 2) * tile_len
-    cdf = fejer_sq_cdf(lam * (xs[None, :] - edges[:, None]), r0)
-    total = np.sum(cdf[:-1] - cdf[1:], axis=0)
+    total = chi_values(xs, (m_lo * tile_len, (m_hi + 1) * tile_len), j0, exponent_base)
     return float(np.max(np.abs(1.0 - total)))
 
 
@@ -773,11 +772,9 @@ def model_sum_eval(
 
     def prefilter(c: np.ndarray, edges: list[tuple[float, float]]) -> np.ndarray:
         # support (1/alpha)-dilate of the edge, plateau its (1/sqrt(alpha))-dilate
-        acc = None
-        for lo, hi in edges:
-            b = adapted_bump(freqs_pad, *_dilate((lo, hi), 1.0 / alpha), plateau=plateau_wide)
-            acc = b if acc is None else 1.0 - (1.0 - acc) * (1.0 - b)
-        return c * acc
+        return c * soft_union(
+            adapted_bump(freqs_pad, *_dilate(e, 1.0 / alpha), plateau=plateau_wide) for e in edges
+        )
 
     def shifted(c: np.ndarray, shift_slots: int) -> np.ndarray:
         idx = np.arange(M) + shift_slots
@@ -806,14 +803,9 @@ def model_sum_eval(
 
         psi3: dict[tuple[int, tuple[float, float]], np.ndarray] = {}
         for key, fam in fam_by_key.items():
-            rect = rects_by_key[key]
-            K = k_interval(rect)
-            supp = _dilate((K.lo, K.hi), 1.0 / plateau_wide)
-            phi_K = adapted_bump(freqs_pad, supp[0], supp[1], plateau=plateau_wide)
-            raw = [adapted_bump(freqs_pad, lo, hi, plateau=alpha) for lo, hi in fam]
-            total = np.sum(raw, axis=0)
-            for om3, b in zip(fam, raw):
-                psi3[(key, om3)] = np.where(total > 0.0, phi_K * b / np.where(total > 0, total, 1.0), 0.0)
+            _, weights = _omega3_weights(freqs_pad, rects_by_key[key], fam, alpha)
+            for om3, w in zip(fam, weights):
+                psi3[(key, om3)] = w
 
         group_value = 0.0 + 0.0j
         uv_cache: dict[int, np.ndarray] = {}

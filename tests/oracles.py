@@ -5,7 +5,12 @@ coloring, point sampling) so the fast implementations are checked against
 code that shares none of their structure.
 """
 
+import math
+
 import numpy as np
+
+from bmlab.bumps import fejer_sq_cdf
+from bmlab.whitney import chi_values
 
 
 def bilinear_double_sum(sym, f, g):
@@ -202,3 +207,30 @@ def hyp2_rewrite_evaluators(seq):
         return out
 
     return ev_rect, ev_comp
+
+
+def partition_sum_by_tiles(j0, B, window, n=512, tail=1e-8):
+    """max |1 - sum of chi_values| over every scale-j0 tile, one tile at a time.
+
+    Same margin as ``whitney.partition_check``: tiles of length B^(-j0) out to
+    where the kernel CDF tail drops below ``tail`` on each side.
+    """
+    tile_len = float(B) ** (-j0)
+    lam, r0 = tile_len, 4.0 ** (-float(B))
+    lo_m, hi_m = tile_len, tile_len
+    while fejer_sq_cdf(-lam * hi_m, r0) > tail and hi_m < 1e9 * tile_len:
+        hi_m *= 2.0
+    while hi_m - lo_m > 1e-3 * tile_len:
+        mid = 0.5 * (lo_m + hi_m)
+        if fejer_sq_cdf(-lam * mid, r0) > tail:
+            lo_m = mid
+        else:
+            hi_m = mid
+    wlo, whi = window
+    m_lo = math.floor((wlo - hi_m) / tile_len)
+    m_hi = math.ceil((whi + hi_m) / tile_len)
+    xs = np.linspace(wlo + tile_len, whi - tile_len, n)
+    total = np.zeros(n)
+    for m in range(m_lo, m_hi + 1):
+        total += chi_values(xs, (m * tile_len, (m + 1) * tile_len), j0, B)
+    return float(np.max(np.abs(1.0 - total)))

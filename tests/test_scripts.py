@@ -1,0 +1,48 @@
+"""Smoke tests: the scripts under scripts/ run end to end on small inputs."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args, cwd):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        cwd=cwd, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_probe_sweep_writes_csv(tmp_path):
+    out = tmp_path / "sweep.csv"
+    res = run_script(
+        "probe_sweep.py", "--resolutions", "32", "64", "--trials", "2", "--seed", "1",
+        "--out", str(out), cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == "p1,p2,p3,N,trial_family,max_ratio"
+    assert {line.split(",")[3] for line in lines[1:]} == {"32", "64"}
+
+
+def test_probe_sweep_rejects_bad_triple(tmp_path):
+    res = run_script(
+        "probe_sweep.py", "--triples", "2,2,2", "--seed", "1",
+        "--out", str(tmp_path / "sweep.csv"), cwd=tmp_path,
+    )
+    assert res.returncode == 1
+    assert "config error" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_symbol_gallery_renders(tmp_path):
+    out = tmp_path / "gallery"
+    res = run_script("symbol_gallery.py", "--n", "16", "--out", str(out), cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    names = {
+        "hyperboloid_staircase.pgm", "hyperboloid_epigraph.pgm", "hyperboloid_polygon.pgm",
+        "power_law_staircase.pgm", "exponential_paraproduct.pgm", "whitney_cover.svg",
+    }
+    assert {p.name for p in out.iterdir()} == names
+    for name in names:
+        assert (out / name).stat().st_size > 0

@@ -24,7 +24,7 @@ from bmlab.whitney import (
     r2_samples,
 )
 
-from oracles import whitney_conditions_by_sampling
+from oracles import partition_sum_by_tiles, whitney_conditions_by_sampling
 
 
 def dyadic_seq(n=7):
@@ -229,10 +229,20 @@ def test_plane_variant_admits_no_covering_cubes():
         omega3_partition_check(rect, C0=2.0, alpha=0.9, variant="plane")
 
 
-@pytest.mark.parametrize("j0,B", [(-3, 2), (-2, 2), (-1, 2), (-1, 3)])
+PARTITION_CASES = [(-3, 2), (-2, 2), (-1, 2), (-1, 3)]
+
+
+@pytest.mark.parametrize("j0,B", PARTITION_CASES)
 def test_partition_of_unity(j0, B):
     width = 8.0 * float(B) ** (-j0)
     assert partition_check(j0, B, (0.0, width)) <= 1e-6
+
+
+@pytest.mark.parametrize("j0,B", PARTITION_CASES)
+def test_partition_check_sums_chi_values(j0, B):
+    # the closed form telescopes the per-tile sum of the same chi_values
+    window = (0.0, 8.0 * float(B) ** (-j0))
+    assert abs(partition_check(j0, B, window) - partition_sum_by_tiles(j0, B, window)) <= 1e-14
 
 
 def test_partition_rejects_wide_kernel_scales():

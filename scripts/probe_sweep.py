@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Sweep operator-ratio probes over exponent triples and resolutions.
 
+Exits 4 (after writing the CSV) when any triple's growth factor fails the
+probe check of ``bmlab probe``, NaN included.
+
 Example:
     python scripts/probe_sweep.py --symbol staircase --family hyperboloid \
         --triples "3,3,3;2,4,4;4,4,2" --resolutions 128 256 512 --trials 100 \
@@ -14,6 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bmlab import reporting
+from bmlab.cli import EXIT_CHECK, EXIT_OK, probe_growth_ok
 from bmlab.config import CURVE_FAMILIES, RunConfig, _parse_triples
 from bmlab.engine import ExponentTriple, norm_probe
 
@@ -43,14 +47,17 @@ def main():
     except ValueError as exc:
         raise SystemExit(f"config error: {exc}")
     rows = []
+    ok = True
     for t in cfg.triples:
         rep = norm_probe(sym, ExponentTriple(*t), trials=cfg.trials,
                          resolutions=cfg.resolutions, seed=cfg.seed, L=cfg.L)
         rows.extend(rep.csv_rows())
         print(f"{sym.label} {t}: growth {rep.growth_factor:.3f}")
+        ok = probe_growth_ok(rep) and ok
     reporting.write_csv(args.out, ["p1", "p2", "p3", "N", "trial_family", "max_ratio"], rows)
     print(f"wrote {args.out}")
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

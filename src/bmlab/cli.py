@@ -141,10 +141,21 @@ def cmd_apply(cfg: RunConfig, f_file: str, g_file: str) -> int:
     return EXIT_OK
 
 
+def probe_growth_ok(rep: engine.ProbeReport) -> bool:
+    """The probe check: growth factor below ``GROWTH_THRESHOLD``, NaN (nothing
+    measured at any resolution) failing too; a failure prints one stderr line."""
+    ok = rep.growth_factor < GROWTH_THRESHOLD
+    if not ok:
+        print(f"check failed: probe growth_factor {rep.triple.as_tuple()} = "
+              f"{rep.growth_factor!r}, bound < {GROWTH_THRESHOLD}", file=sys.stderr)
+    return ok
+
+
 def cmd_probe(cfg: RunConfig) -> int:
     rows = []
     summaries = []
     growths = []
+    ok = True
     sym = cfg.symbol()
     for t in cfg.triples:
         e = engine.ExponentTriple(*t)
@@ -154,15 +165,10 @@ def cmd_probe(cfg: RunConfig) -> int:
         rows.extend(rep.csv_rows())
         summaries.append(rep.as_dict())
         growths.append(rep.growth_factor)
-        # NaN growth (the symbol measured zero at every resolution) fails too
-        if not rep.growth_factor < GROWTH_THRESHOLD:
-            print(
-                f"check failed: probe growth_factor {e.as_tuple()} = {rep.growth_factor!r}, "
-                f"bound < {GROWTH_THRESHOLD}",
-                file=sys.stderr,
-            )
-        if rep.growth_factor >= GROWTH_THRESHOLD:
-            _emit_witness(cfg, sym, rep)
+        if not probe_growth_ok(rep):
+            ok = False
+            if not math.isnan(rep.growth_factor):
+                _emit_witness(cfg, sym, rep)
     worst = math.nan if any(math.isnan(v) for v in growths) else max(growths)
     reporting.write_csv(
         os.path.join(cfg.out_dir, "probe.csv"),
@@ -173,7 +179,7 @@ def cmd_probe(cfg: RunConfig) -> int:
         os.path.join(cfg.out_dir, "probe.json"),
         _envelope(cfg, {"symbol": sym.label, "reports": summaries, "worst_growth": worst}),
     )
-    return EXIT_OK if worst < GROWTH_THRESHOLD else EXIT_CHECK
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 def _emit_witness(cfg: RunConfig, sym, rep):
@@ -217,12 +223,17 @@ def cmd_whitney(cfg: RunConfig) -> int:
         rect_rows,
     )
 
-    partition = [
-        {"j0": j0, "B": cfg.exponent_base,
-         "deviation": whitney.partition_check(
-             j0, cfg.exponent_base, (0.0, 8.0 * float(cfg.exponent_base) ** (-j0)))}
-        for j0 in (-3, -2, -1)
-    ]
+    # the three largest scales j0 <= -1 whose kernel partition_check admits
+    B = cfg.exponent_base
+    partition = []
+    j0 = 0
+    while len(partition) < 3:
+        j0 -= 1
+        try:
+            dev = whitney.partition_check(j0, B, (0.0, 8.0 * float(B) ** (-j0)))
+        except ValueError:  # kernel much wider than the tiles at this scale
+            continue
+        partition.insert(0, {"j0": j0, "B": B, "deviation": dev})
     part_ok = all(p["deviation"] <= 1e-6 for p in partition)
 
     model = _demo_model_sum(cfg)

@@ -97,6 +97,8 @@ class RunConfig:
             "constant",
         ):
             raise ConfigError(f"unknown symbol kind: {self.symbol_kind}")
+        if self.exponent_base < 2:
+            raise ConfigError("[whitney] B must be at least 2 (tile lengths base^(-j))")
         if not 0.8 <= self.alpha < 0.999:
             raise ConfigError("alpha must lie in [0.8, 0.999)")
         if self.diag_variant not in ("line", "plane"):

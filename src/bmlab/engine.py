@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .intervals import HalfOpenInterval, IntervalCollection, neg_minkowski_sum
+from .intervals import HalfOpenInterval, IntervalCollection, neg_minkowski_sum, staircase_steps
 from .curves import SequencePair
 from .symbols import SymbolSpec, staircase_symbol
 
@@ -42,6 +42,56 @@ def _is_pow2(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
 
+# --- the centered layout ----------------------------------------------------------
+# Slot k of N centered coefficients holds frequency (k - N/2)/L.  A band of N
+# slots sits in an M-slot array at offset (M - N)/2, and in a period integral
+# slot s pairs with slot M - s.  These helpers are the package's only FFT calls.
+
+
+def _freq_grid(N: int, L: float) -> np.ndarray:
+    """The frequencies k/L, k = -N/2 .. N/2 - 1, of the N centered slots."""
+    return np.arange(-N // 2, N // 2) / L
+
+
+def _pad(c: np.ndarray, M: int) -> np.ndarray:
+    """Centered coefficients zero-padded to M slots on the last axis."""
+    N = c.shape[-1]
+    out = np.zeros(c.shape[:-1] + (M,), dtype=complex)
+    out[..., (M - N) // 2 : (M + N) // 2] = c
+    return out
+
+
+def _synthesize(c: np.ndarray) -> np.ndarray:
+    """Samples on the period grid of centered coefficients (last axis)."""
+    return np.fft.ifft(np.fft.ifftshift(c, axes=-1), axis=-1) * c.shape[-1]
+
+
+def _analyze(x: np.ndarray) -> np.ndarray:
+    """Centered coefficients of period-grid samples (last axis)."""
+    return np.fft.fftshift(np.fft.fft(x, axis=-1), axes=-1) / x.shape[-1]
+
+
+def _period_pairing(u_hat: np.ndarray, v_hat: np.ndarray, L: float) -> complex:
+    """Period integral of u*v from M centered coefficients each: L times the
+    sum of u_hat[s] v_hat[M - s], slot 0 pairing with itself (the M-point
+    Riemann sum of u*v).  Exact when slot 0 of either is empty, as after
+    zero-padding."""
+    return L * np.sum(u_hat * np.roll(v_hat[::-1], 1))
+
+
+def _project(f: "SampledFunction", intervals, M: int) -> np.ndarray:
+    """(len(intervals), M) samples of the sharp projections of f onto each
+    interval (closure respected), synthesized on the M-point grid, M >= N."""
+    freqs = f.freqs()
+    masks = np.stack([iv.contains(freqs) for iv in intervals])
+    return _synthesize(_pad(np.where(masks, f.coeffs(), 0.0), M))
+
+
+def _riemann_lp(pointwise: np.ndarray, p: float, L: float) -> float:
+    """L^p norm over the period of nonnegative samples, as a Riemann sum."""
+    return float(np.sum(pointwise**p) * (L / len(pointwise))) ** (1.0 / p)
+
+
 @dataclass(frozen=True)
 class SampledFunction:
     """N complex samples of one period of a band-limited function."""
@@ -65,18 +115,15 @@ class SampledFunction:
         return self.L * np.arange(self.N) / self.N
 
     def freqs(self) -> np.ndarray:
-        N = self.N
-        return np.arange(-N // 2, N // 2) / self.L
+        return _freq_grid(self.N, self.L)
 
     def coeffs(self) -> np.ndarray:
         """Centered coefficients c_k, k = -N/2 .. N/2 - 1."""
-        return np.fft.fftshift(np.fft.fft(self.samples)) / self.N
+        return _analyze(self.samples)
 
     @classmethod
     def from_coeffs(cls, coeffs: np.ndarray, L: float) -> "SampledFunction":
-        coeffs = np.asarray(coeffs, dtype=complex)
-        samples = np.fft.ifft(np.fft.ifftshift(coeffs)) * len(coeffs)
-        return cls(samples=samples, L=L)
+        return cls(samples=_synthesize(np.asarray(coeffs, dtype=complex)), L=L)
 
     def upsample(self, M: int) -> "SampledFunction":
         """Exact spectral upsampling to M >= N samples (M a power of two)."""
@@ -84,11 +131,7 @@ class SampledFunction:
             return self
         if M < self.N or not _is_pow2(M):
             raise ValueError("upsample target must be a power of two >= N")
-        c = self.coeffs()
-        out = np.zeros(M, dtype=complex)
-        off = (M - self.N) // 2
-        out[off : off + self.N] = c
-        return SampledFunction.from_coeffs(out, self.L)
+        return SampledFunction.from_coeffs(_pad(self.coeffs(), M), self.L)
 
 
 @dataclass(frozen=True)
@@ -175,9 +218,7 @@ def apply_bilinear(sym: SymbolSpec, f: SampledFunction, g: SampledFunction) -> S
 
 def frequency_project(f: SampledFunction, interval: HalfOpenInterval) -> SampledFunction:
     """Sharp cutoff of coefficients to the interval (closure respected)."""
-    c = f.coeffs()
-    keep = interval.contains(f.freqs())
-    return SampledFunction.from_coeffs(np.where(keep, c, 0.0), f.L)
+    return SampledFunction(_project(f, [interval], f.N)[0], f.L)
 
 
 def carleson_hunt_maximal(g: SampledFunction) -> np.ndarray:
@@ -224,19 +265,7 @@ def mixed_norm(fs: Sequence[SampledFunction], outer_p: float, inner="l2") -> flo
         if q < 1.0:
             raise ValueError("inner exponent must be >= 1")
         pointwise = np.sum(vals**q, axis=0) ** (1.0 / q)
-    return float(np.sum(pointwise**outer_p) * (L / N)) ** (1.0 / outer_p)
-
-
-def _staircase_projection_intervals(seq: SequencePair):
-    """Per-step projection intervals for the three slots of the trilinear form."""
-    first, last = seq.first_index(), seq.last_index()
-    b_top = seq.b_at(first)
-    rows = []
-    for j in range(first + 1, last):
-        A = HalfOpenInterval(seq.a_at(j + 1), seq.a_at(j), closure="right_open")
-        B = HalfOpenInterval(seq.b_at(j), b_top, closure="right_open")
-        rows.append((j, A, B, neg_minkowski_sum(A, B)))
-    return rows
+    return _riemann_lp(pointwise, outer_p, L)
 
 
 @dataclass
@@ -256,16 +285,16 @@ def holder_chain_check(
     g: SampledFunction,
     h: SampledFunction,
     e: ExponentTriple,
-    identity_tol: float = 1e-8,
 ) -> HolderChainReport:
     """Check the staircase trilinear form against its three-factor bound.
 
     h is normalized to unit L^{p3} norm.  The form integral is computed both
     through the bilinear application and as the sum over steps of triple
-    products of the slot projections; the two must agree (frequency support
-    bookkeeping).  The bound multiplies the L^{p1}(l2), L^{p2}(linf) and
-    L^{p3}(l2) norms of the projection families, with the middle family also
-    checked against twice the maximal partial-sum operator pointwise.
+    products of the slot projections; the two must agree to 1e-8 relative
+    (frequency support bookkeeping).  The bound multiplies the L^{p1}(l2),
+    L^{p2}(linf) and L^{p3}(l2) norms of the projection families, with the
+    middle family also checked against twice the maximal partial-sum operator
+    pointwise.
     """
     if not (f.N == g.N == h.N) or not (f.L == g.L == h.L):
         raise ValueError("common grid required")
@@ -274,57 +303,35 @@ def holder_chain_check(
         raise ValueError("h must be nonzero")
     h = SampledFunction(h.samples / nh, h.L)
 
-    rows = _staircase_projection_intervals(seq)
+    steps = staircase_steps(seq)
     N, L = f.N, f.L
     M = 2 * N  # triple products have bandwidth < 1.5 N, resolved at 2N
-    freqs = f.freqs()
+    fa = _project(f, [A for A, _ in steps], M)
+    gb = _project(g, [B for _, B in steps], M)
+    hc = _project(h, [neg_minkowski_sum(A, B) for A, B in steps], M)
+    lhs_sum = abs(np.sum(fa * gb * hc) * (L / M))
 
-    def batch_projections(func, slot):
-        c = func.coeffs()
-        masks = np.stack([row[slot].contains(freqs) for row in rows])
-        padded = np.zeros((len(rows), M), dtype=complex)
-        padded[:, (M - N) // 2 : (M + N) // 2] = np.where(masks, c, 0.0)
-        return np.fft.ifft(np.fft.ifftshift(padded, axes=1), axis=1) * M
-
-    fa = batch_projections(f, 1)
-    gb = batch_projections(g, 2)
-    hc = batch_projections(h, 3)
-
-    w = L / M
-    lhs_sum = abs(np.sum(fa * gb * hc) * w)
-
-    B = apply_bilinear(staircase_symbol(seq), f, g)
-    hc_pad = np.zeros(B.N, dtype=complex)
-    hc_pad[(B.N - N) // 2 : (B.N + N) // 2] = h.coeffs()
-    # period integral of a product = L * sum over opposite coefficient pairs;
-    # centered slot s pairs with slot M - s (slot 0 pairs with padding zeros)
-    b_hat = np.fft.fftshift(np.fft.fft(B.samples)) / B.N
-    lhs_direct = abs(L * np.sum(b_hat * np.roll(hc_pad[::-1], 1)))
+    b_hat = apply_bilinear(staircase_symbol(seq), f, g).coeffs()
+    lhs_direct = abs(_period_pairing(b_hat, _pad(h.coeffs(), M), L))
 
     scale = max(lhs_sum, lhs_direct, 1e-300)
     identity_gap = abs(lhs_sum - lhs_direct)
 
-    def riemann_lp(pointwise, p):
-        return float(np.sum(pointwise**p) * w) ** (1.0 / p)
-
-    n1 = riemann_lp(np.sqrt(np.sum(np.abs(fa) ** 2, axis=0)), e.p1)
-    n2 = riemann_lp(np.max(np.abs(gb), axis=0), e.p2)
-    n3 = riemann_lp(np.sqrt(np.sum(np.abs(hc) ** 2, axis=0)), e.p3)
+    n1 = _riemann_lp(np.sqrt(np.sum(np.abs(fa) ** 2, axis=0)), e.p1, L)
+    n2 = _riemann_lp(np.max(np.abs(gb), axis=0), e.p2, L)
+    n3 = _riemann_lp(np.sqrt(np.sum(np.abs(hc) ** 2, axis=0)), e.p3, L)
     rhs = n1 * n2 * n3
     satisfied = lhs_sum <= rhs * (1.0 + 1e-10) + 1e-12
 
+    # every other sample at 2N is the slot-2 projection on g's own grid
     maximal = carleson_hunt_maximal(g)
-    cg = g.coeffs()
-    margin = 0.0
-    for row in rows:
-        proj = np.fft.ifft(np.fft.ifftshift(np.where(row[2].contains(freqs), cg, 0.0))) * N
-        margin = max(margin, float(np.max(np.abs(proj) - 2.0 * maximal)))
+    margin = max(0.0, float(np.max(np.abs(gb[:, ::2]) - 2.0 * maximal)))
     carleson_ok = margin <= 1e-10 * max(1.0, float(np.max(maximal)))
 
     return HolderChainReport(
         lhs=float(lhs_sum),
         rhs_product=float(rhs),
-        satisfied=bool(satisfied and identity_gap <= identity_tol * max(scale, 1.0)),
+        satisfied=bool(satisfied and identity_gap <= 1e-8 * max(scale, 1.0)),
         identity_gap=float(identity_gap),
         carleson_margin=float(margin),
         carleson_ok=bool(carleson_ok),
@@ -343,8 +350,7 @@ def square_function_report(f: SampledFunction, coll: IntervalCollection | list, 
     if base == 0:
         raise ValueError("f must be nonzero")
     ivs = list(coll)
-    projections = [frequency_project(f, iv) for iv in ivs]
-    s = mixed_norm(projections, p, inner="l2")
+    s = mixed_norm([SampledFunction(u, f.L) for u in _project(f, ivs, f.N)], p, inner="l2")
     covered = np.zeros(f.N, dtype=bool)
     for iv in ivs:
         covered |= iv.contains(f.freqs())
@@ -377,12 +383,12 @@ def _trial_sparse_spectrum(rng: np.random.Generator, N: int, L: float) -> np.nda
     slots = rng.choice(N, size=m, replace=False)
     c = np.zeros(N, dtype=complex)
     c[slots] = rng.normal(size=m) + 1j * rng.normal(size=m)
-    return np.fft.ifft(np.fft.ifftshift(c)) * N
+    return _synthesize(c)
 
 
 def _trial_random_sign(rng: np.random.Generator, N: int, L: float) -> np.ndarray:
     c = rng.choice([-1.0, 1.0], size=N).astype(complex)
-    return np.fft.ifft(np.fft.ifftshift(c)) * N
+    return _synthesize(c)
 
 
 PROBE_FAMILIES = {
@@ -440,9 +446,8 @@ def norm_probe(
     resolutions: Sequence[int],
     seed: int,
     L: float = 32.0,
-    families: Sequence[str] = tuple(PROBE_FAMILIES),
 ) -> ProbeReport:
-    """Empirical operator-ratio probe over randomized test families.
+    """Empirical operator-ratio probe over the ``PROBE_FAMILIES`` test families.
 
     For each resolution and family the maximal ratio
     ||B(f,g)||_{p3'} / (||f||_{p1} ||g||_{p2}) over ``trials`` draws is
@@ -456,8 +461,8 @@ def norm_probe(
         triple=e, resolutions=list(resolutions), trials=trials, seed=seed, L=float(L)
     )
     for ri, N in enumerate(resolutions):
-        act = _bilinear_action(sym, np.arange(-N // 2, N // 2) / L)
-        for fi, family in enumerate(families):
+        act = _bilinear_action(sym, _freq_grid(N, L))
+        for fi, family in enumerate(PROBE_FAMILIES):
             best, best_trial = 0.0, -1
             for t in range(trials):
                 f, g = make_trial_pair(family, (seed, ri, fi, t), N, L)

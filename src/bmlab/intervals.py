@@ -11,8 +11,7 @@ point overlap).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +23,7 @@ __all__ = [
     "ColoringResult",
     "HypothesisReport",
     "neg_minkowski_sum",
+    "staircase_steps",
     "build_hyp_collection",
     "min_disjoint_split",
     "max_point_overlap",
@@ -111,6 +111,18 @@ class IntervalCollection:
         return self.first_index + k
 
 
+def staircase_steps(seq: SequencePair) -> list[tuple[HalfOpenInterval, HalfOpenInterval]]:
+    """The steps (A_j, B_j) = ([a_{j+1}, a_j), [b_j, b_0)) of a decreasing
+    pair's staircase, j = first + 1 .. last - 1; the j = first term pairs
+    with the empty column [b_0, b_0) and is skipped."""
+    first, last = seq.first_index(), seq.last_index()
+    b0 = seq.b_at(first)
+    return [
+        (HalfOpenInterval(seq.a_at(j + 1), seq.a_at(j)), HalfOpenInterval(seq.b_at(j), b0))
+        for j in range(first + 1, last)
+    ]
+
+
 def build_hyp_collection(seq: SequencePair, which: str) -> IntervalCollection:
     """The negated Minkowski-sum family attached to a sequence pair.
 
@@ -135,14 +147,8 @@ def build_hyp_collection(seq: SequencePair, which: str) -> IntervalCollection:
             items.append(neg_minkowski_sum(A, B))
         return IntervalCollection(items=tuple(items), origin="hyp1", first_index=first + 1)
     if which == "hyp1":
-        b0 = seq.b_at(first)
-        # the j = first term pairs with the empty column [b_0, b_0); skip it
-        start = first + 1
-        for j in range(start, last):
-            A = HalfOpenInterval(seq.a_at(j + 1), seq.a_at(j), closure="right_open")
-            B = HalfOpenInterval(seq.b_at(j), b0, closure="right_open")
-            items.append(neg_minkowski_sum(A, B))
-        return IntervalCollection(items=tuple(items), origin="hyp1", first_index=start)
+        items = [neg_minkowski_sum(A, B) for A, B in staircase_steps(seq)]
+        return IntervalCollection(items=tuple(items), origin="hyp1", first_index=first + 1)
     if seq.b_inf is None or not math.isfinite(seq.b_inf):
         raise ValueError("limit required: hyp2 needs a finite b_inf")
     for j in range(first, last):

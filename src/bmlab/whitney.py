@@ -17,14 +17,16 @@ every selected square; nothing is ever admitted unchecked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bumps import adapted_bump, fejer_sq_cdf, fejer_sq_spectrum, soft_union
 from .curves import SequencePair
-from .engine import SampledFunction, apply_bilinear
+from .engine import (
+    SampledFunction, _analyze, _freq_grid, _pad, _period_pairing, _synthesize, apply_bilinear,
+)
 from .intervals import HalfOpenInterval
 from .symbols import SymbolSpec
 
@@ -58,7 +60,6 @@ class WhitneySquare:
     cx: float
     cy: float
     k: int
-    lattice_exp: int = LATTICE_EXP
 
     @property
     def side(self) -> float:
@@ -117,7 +118,7 @@ def enumerate_whitney_squares(
                     py = px - sign * d
                     if py < pylo or py > pyhi:
                         continue
-                    sq = WhitneySquare(cx=px * delta, cy=py * delta, k=k, lattice_exp=lattice_exp)
+                    sq = WhitneySquare(cx=px * delta, cy=py * delta, k=k)
                     if sq.satisfies(C0):
                         out.append(sq)
     return out
@@ -290,7 +291,6 @@ def build_cover(
     alpha: float = 0.9,
     C0: float = 16.0,
     samples: int = 10_000,
-    lattice_exp: int = LATTICE_EXP,
 ) -> CoverReport:
     """Select Whitney squares whose alpha-shrunk rectangles cover T_j off its
     hypotenuse, and check that every rectangle stays inside the epigraph.
@@ -345,7 +345,7 @@ def build_cover(
     sel = np.flatnonzero(covered)
     for pos in first_pos[order]:
         i = sel[pos]
-        sq = WhitneySquare(cx=float(cx[i]), cy=float(cy[i]), k=int(k[i]), lattice_exp=lattice_exp)
+        sq = WhitneySquare(cx=float(cx[i]), cy=float(cy[i]), k=int(k[i]))
         rects.append(TileRect(j=j, square=sq, anchor=(a_j, b_j), s_j=s_j))
 
     containment_failures = []
@@ -467,26 +467,22 @@ class MultiTile:
 
 
 def _omega3_family(
-    rect: TileRect,
-    C0: float,
-    alpha: float,
-    variant: str,
-    lattice_exp: int,
-    stride_frac: float = 0.25,
+    rect: TileRect, C0: float, alpha: float, variant: str
 ) -> list[tuple[tuple[float, float], tuple[float, float, float]]]:
     """Third-coordinate cubes whose stretched images cover supp phi_K.
 
-    Returns (omega3, cube_center) pairs; omega3 = (1 + s_j) K'.  Coverage
-    target is the (1/sqrt(alpha))-dilation of K = I + s_j J, matching the
-    plateau of the wide third-slot prefilter.
+    Returns (omega3, cube_center) pairs; omega3 = (1 + s_j) K', with the
+    centers of K' a quarter side apart on the lattice.  Coverage target is
+    the (1/sqrt(alpha))-dilation of K = I + s_j J, matching the plateau of
+    the wide third-slot prefilter.
     """
     s = rect.square.side
     s_j = rect.s_j
     K = k_interval(rect)
     target = _dilate((K.lo, K.hi), 1.0 / math.sqrt(alpha))
     stretch = 1.0 + s_j
-    delta = 2.0 ** (rect.square.k - lattice_exp)
-    stride = max(1, int(round(stride_frac * s / delta)))
+    delta = 2.0 ** (rect.square.k - LATTICE_EXP)
+    stride = max(1, int(round(0.25 * s / delta)))
     c_pred = 0.5 * (K.lo + K.hi) / stretch
     base_slot = int(round(c_pred / delta))
     out = []
@@ -512,7 +508,6 @@ def enumerate_multitiles(
     window: Optional[tuple[float, float]] = None,
     variant: str = "line",
     alpha: float = 0.9,
-    lattice_exp: int = LATTICE_EXP,
 ) -> list[MultiTile]:
     """Multi-tiles for one segment: frequency cubes paired with space tiles.
 
@@ -530,7 +525,7 @@ def enumerate_multitiles(
     for key, rect in enumerate(rects):
         if rect.j != j:
             raise ValueError("rect segment index does not match j")
-        fam = _omega3_family(rect, C0, alpha, variant, lattice_exp)
+        fam = _omega3_family(rect, C0, alpha, variant)
         if window is not None:
             fam = [fc for fc in fam if window[0] <= fc[1][2] <= window[1]]
         for (om3, center) in fam:
@@ -565,14 +560,13 @@ def omega3_partition_check(
     alpha: float = 0.9,
     n: int = 10_000,
     variant: str = "line",
-    lattice_exp: int = LATTICE_EXP,
 ) -> float:
     """Max gap between the summed third-slot pieces and the wide output bump.
 
     The pieces are the output-interval bumps weighted to partition the bump
     that is 1 on K and supported on its (1/sqrt(alpha))-dilation.
     """
-    fam = [om for om, _ in _omega3_family(rect, C0, alpha, variant, lattice_exp)]
+    fam = [om for om, _ in _omega3_family(rect, C0, alpha, variant)]
     if not fam:
         raise ValueError("no admissible third-slot cubes for this rectangle")
     K = k_interval(rect)
@@ -677,15 +671,11 @@ def partition_check(
 # --- discretized model form ------------------------------------------------------
 
 
-def _pad_freqs(M: int, L: float):
-    return np.arange(-M // 2, M // 2) / L
-
-
 def _chi_coeffs(interval: tuple[float, float], j: int, exponent_base: int, M: int, L: float) -> np.ndarray:
     """Centered Fourier coefficients of the periodized mollified cutoff."""
     lam = float(exponent_base) ** (-j)
     r0 = _base_radius(exponent_base)
-    xi = _pad_freqs(M, L)
+    xi = _freq_grid(M, L)
     lo, hi = interval
     with np.errstate(divide="ignore", invalid="ignore"):
         box = np.where(
@@ -694,12 +684,6 @@ def _chi_coeffs(interval: tuple[float, float], j: int, exponent_base: int, M: in
             (np.exp(-2j * np.pi * xi * lo) - np.exp(-2j * np.pi * xi * hi)) / (2j * np.pi * xi),
         )
     return box * fejer_sq_spectrum(xi / lam, r0) / L
-
-
-def _product_integral(u_hat: np.ndarray, v_hat: np.ndarray, L: float) -> complex:
-    """Period integral of u*v from centered coefficient arrays (slot 0 pairs
-    with the absent +Nyquist slot and is dropped)."""
-    return L * np.sum(u_hat * np.roll(v_hat[::-1], 1))
 
 
 def _int_shift(value: float, L: float) -> int:
@@ -754,7 +738,7 @@ def model_sum_eval(
         raise ValueError("common grid required")
     N, L = f.N, f.L
     M = 4 * N
-    freqs_pad = _pad_freqs(M, L)
+    freqs_pad = _freq_grid(M, L)
     plateau_wide = math.sqrt(alpha)
 
     by_j: dict[int, list[MultiTile]] = {}
@@ -762,13 +746,7 @@ def model_sum_eval(
         by_j.setdefault(t.j, []).append(t)
     rects_by_key = {key: r for key, r in enumerate(rects)}
 
-    def pad_coeffs(fn: SampledFunction) -> np.ndarray:
-        out = np.zeros(M, dtype=complex)
-        c = fn.coeffs()
-        out[(M - N) // 2 : (M + N) // 2] = c
-        return out
-
-    cf, cg, ch = pad_coeffs(f), pad_coeffs(g), pad_coeffs(h)
+    cf, cg, ch = (_pad(fn.coeffs(), M) for fn in (f, g, h))
 
     def prefilter(c: np.ndarray, edges: list[tuple[float, float]]) -> np.ndarray:
         # support (1/alpha)-dilate of the edge, plateau its (1/sqrt(alpha))-dilate
@@ -815,18 +793,14 @@ def model_sum_eval(
             if key not in uv_cache:
                 u_hat = adapted_bump(freqs_pad, *t.omega1, plateau=alpha) * shifted(cfj, sa)
                 v_hat = adapted_bump(freqs_pad, *t.omega2, plateau=alpha) * shifted(cgj, sb)
-                u = np.fft.ifft(np.fft.ifftshift(u_hat)) * M
-                v = np.fft.ifft(np.fft.ifftshift(v_hat)) * M
-                uv_cache[key] = u * v
+                uv_cache[key] = _synthesize(u_hat) * _synthesize(v_hat)
             qkey = (key, t.omega3)
             if qkey not in q_cache:
                 w_hat = psi3[qkey] * shifted(chj, -sa - sb)
-                wv = np.fft.ifft(np.fft.ifftshift(w_hat)) * M
-                q = uv_cache[key] * wv
-                q_cache[qkey] = np.fft.fftshift(np.fft.fft(q)) / M
+                q_cache[qkey] = _analyze(uv_cache[key] * _synthesize(w_hat))
             q_hat = q_cache[qkey]
             chi_hat = _chi_coeffs(t.I_P, t.j, exponent_base, M, L)
-            group_value += _product_integral(chi_hat, q_hat, L)
+            group_value += _period_pairing(chi_hat, q_hat, L)
         model_value += group_value
         model_abs += abs(group_value)
 
@@ -835,10 +809,7 @@ def model_sum_eval(
         keys = sorted({t.rect_key for t in group})
         sym = build_adjoint_symbol([rects_by_key[k] for k in keys], alpha)
         B = apply_bilinear(sym, f, g)
-        b_hat = np.fft.fftshift(np.fft.fft(B.samples)) / B.N
-        h_pad = np.zeros(B.N, dtype=complex)
-        h_pad[(B.N - N) // 2 : (B.N + N) // 2] = h.coeffs()
-        adjoint_value += _product_integral(b_hat, h_pad, L)
+        adjoint_value += _period_pairing(B.coeffs(), _pad(h.coeffs(), B.N), L)
 
     deviation = abs(model_value - adjoint_value) / (abs(adjoint_value) + 1e-30)
     return {

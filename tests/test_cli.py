@@ -163,6 +163,25 @@ def test_whitney_report(tmp_path):
     assert len(rows) > 2
 
 
+def test_whitney_default_base(tmp_path):
+    # without [whitney] B the base is 8, whose kernel is too wide for the
+    # tiles at j0 = -1; the partition check moves to the next three scales
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "B = 2\n", "")
+    assert RunConfig.from_file(cfg).exponent_base == 8
+    assert main(["whitney", "--config", cfg]) == 0
+    rep = json.loads((tmp_path / "out" / "whitney.json").read_text())
+    assert [(p["j0"], p["B"]) for p in rep["partition"]] == [(-4, 8), (-3, 8), (-2, 8)]
+    assert all(p["deviation"] <= 1e-6 for p in rep["partition"])
+
+
+def test_whitney_rejects_base_below_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "B = 2\n", "B = 0\n")
+    assert main(["whitney", "--config", cfg]) == 2
+    assert "B must be at least 2" in capsys.readouterr().err
+
+
 def test_config_triples_parse(tmp_path):
     path = tmp_path / "t.ini"
     path.write_text(

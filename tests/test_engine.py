@@ -6,6 +6,11 @@ from bmlab import curves
 from bmlab.engine import (
     ExponentTriple,
     SampledFunction,
+    _analyze,
+    _pad,
+    _period_pairing,
+    _project,
+    _synthesize,
     apply_bilinear,
     carleson_hunt_maximal,
     frequency_project,
@@ -16,7 +21,7 @@ from bmlab.engine import (
     norm_probe,
     square_function_report,
 )
-from bmlab.intervals import HalfOpenInterval, build_hyp_collection
+from bmlab.intervals import HalfOpenInterval, build_hyp_collection, staircase_steps
 from bmlab.symbols import SymbolSpec, constant_symbol, rectangle_symbol, staircase_symbol
 
 from oracles import bilinear_double_sum
@@ -37,6 +42,43 @@ def test_roundtrip_precision(rng):
     f = random_function(rng, 256)
     back = SampledFunction.from_coeffs(f.coeffs(), f.L)
     assert np.max(np.abs(back.samples - f.samples)) < 1e-12 * np.max(np.abs(f.samples))
+
+
+# --- the centered layout ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("N", [64, 256, 1024])
+def test_analyze_inverts_synthesize(rng, N):
+    c = rng.normal(size=N) + 1j * rng.normal(size=N)
+    assert np.max(np.abs(_analyze(_synthesize(c)) - c)) <= 1e-15 * np.max(np.abs(c))
+
+
+def test_pad_then_synthesize_is_upsample(rng):
+    f = random_function(rng, 64, 16.0)
+    for M in (128, 512):
+        assert np.array_equal(_synthesize(_pad(f.coeffs(), M)), f.upsample(M).samples)
+
+
+@pytest.mark.parametrize("N", [64, 128, 256])
+def test_period_pairing_is_the_riemann_sum(rng, N):
+    L = 32.0
+    c = rng.normal(size=N) + 1j * rng.normal(size=N)
+    d = rng.normal(size=N) + 1j * rng.normal(size=N)
+    u, v = _synthesize(_pad(c, 2 * N)), _synthesize(_pad(d, 2 * N))
+    riemann = np.sum(u * v) * L / (2 * N)
+    got = _period_pairing(_pad(c, 2 * N), _pad(d, 2 * N), L)
+    assert abs(got - riemann) <= 1e-13 * abs(riemann)
+
+
+@pytest.mark.parametrize("N", [64, 128, 256])
+def test_projection_at_2n_subsamples_to_n(rng, hyperboloid_seq, N):
+    # the Carleson check of holder_chain_check reads the slot-2 projections
+    # at every other sample of the 2N grid
+    g = random_function(rng, N, 32.0)
+    ivs = [B for _, B in staircase_steps(hyperboloid_seq.truncate(8))]
+    at_n = _project(g, ivs, N)
+    assert at_n.shape == (len(ivs), N)
+    assert np.max(np.abs(_project(g, ivs, 2 * N)[:, ::2] - at_n)) <= 1e-14 * np.max(np.abs(at_n))
 
 
 def test_sample_count_validation():

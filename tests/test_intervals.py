@@ -14,7 +14,9 @@ from bmlab.intervals import (
     max_point_overlap,
     min_disjoint_split,
     neg_minkowski_sum,
+    staircase_steps,
 )
+from bmlab.symbols import staircase_symbol
 
 from oracles import exact_chromatic_number
 
@@ -227,3 +229,19 @@ def test_concave_chained_estimate(hyperboloid_seq):
         tail = 2.0**-seq.J * domain_len
         for j in list(seq.indices)[:-1]:
             assert abs(seq.b_at(j)) <= 2.0 * abs(seq.a_at(j) - seq.a_at(j + 1)) + tail
+
+
+@pytest.mark.parametrize("name", ["hyperboloid_seq", "power1_seq"])
+def test_staircase_steps_tile_the_staircase_symbol(request, name):
+    seq = request.getfixturevalue(name).truncate(8)
+    sym = staircase_symbol(seq)
+    xlo, xhi, ylo, yhi = sym.bbox
+    # a 256-point axis per side: the step edges themselves plus a uniform
+    # grid over the symbol box and a margin beyond it
+    xi = np.unique(np.r_[seq.a, np.linspace(xlo - 0.5, xhi + 0.5, 256 - len(seq.a))])
+    eta = np.unique(np.r_[seq.b, np.linspace(ylo - 0.5, yhi + 0.5, 256 - len(seq.b))])
+    assert len(xi) == len(eta) == 256
+    union = np.zeros((len(xi), len(eta)), dtype=bool)
+    for A, B in staircase_steps(seq):
+        union |= A.contains(xi)[:, None] & B.contains(eta)[None, :]
+    assert np.array_equal(union.astype(float), sym(xi[:, None], eta[None, :]))

@@ -15,15 +15,32 @@ def run_script(name, *args, cwd):
 
 
 def test_probe_sweep_writes_csv(tmp_path):
+    # at the default L = 48 no grid frequency of N = 32 or 64 meets the
+    # staircase, so every ratio is 0 and the growth factor is NaN: the sweep
+    # fails the probe check, and still writes what it measured
     out = tmp_path / "sweep.csv"
     res = run_script(
         "probe_sweep.py", "--resolutions", "32", "64", "--trials", "2", "--seed", "1",
         "--out", str(out), cwd=tmp_path,
     )
-    assert res.returncode == 0, res.stderr
+    assert res.returncode == 4, res.stderr
+    err = res.stderr.strip().splitlines()
+    assert err == ["check failed: probe growth_factor (3.0, 3.0, 3.0) = nan, bound < 1.5"]
     lines = out.read_text().splitlines()
     assert lines[0] == "p1,p2,p3,N,trial_family,max_ratio"
     assert {line.split(",")[3] for line in lines[1:]} == {"32", "64"}
+
+
+def test_probe_sweep_passes_on_bounded_growth(tmp_path):
+    out = tmp_path / "sweep.csv"
+    res = run_script(
+        "probe_sweep.py", "--L", "16", "--resolutions", "64", "128", "--trials", "2",
+        "--seed", "1", "--out", str(out), cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert "growth 0.470" in res.stdout and res.stderr == ""
+    lines = out.read_text().splitlines()
+    assert {line.split(",")[3] for line in lines[1:]} == {"64", "128"}
 
 
 def test_probe_sweep_rejects_bad_triple(tmp_path):

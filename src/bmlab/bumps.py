@@ -12,7 +12,6 @@ Two building blocks shared by the symbol constructors and the tile geometry:
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import sici
 
 __all__ = [
     "smooth_step",
@@ -74,6 +73,8 @@ def soft_union(values):
 
 def _sinc4_primitive(x):
     """Integral of sinc(t)^4 from 0 to x (exact, via the sine integral)."""
+    from scipy.special import sici  # only the Whitney layer needs scipy
+
     x = np.asarray(x, dtype=float)
     z = np.pi * x
     small = np.abs(z) < 1e-6

@@ -23,6 +23,15 @@ EXIT_IO = 3
 EXIT_CHECK = 4
 
 GROWTH_THRESHOLD = 1.5  # artifact default for probe growth alarms
+WHITNEY_TOL = 1e-6  # partition and model-form deviation bound
+
+
+def verdict(name: str, value, ok: bool, bound: str) -> bool:
+    """One verification verdict: a failure prints one stderr line naming the
+    check, the measured value and the bound it missed."""
+    if not ok:
+        print(f"check failed: {name} = {value!r}, bound {bound}", file=sys.stderr)
+    return ok
 
 
 def _envelope(cfg: RunConfig, payload: dict) -> dict:
@@ -72,7 +81,9 @@ def cmd_check_hyp(cfg: RunConfig) -> int:
     rep = intervals.check_hypothesis(seq, cfg.hypothesis, cfg.J)
     payload = _envelope(cfg, rep.as_dict())
     reporting.write_json(os.path.join(cfg.out_dir, "hypothesis.json"), payload)
-    return EXIT_OK if rep.stable else EXIT_CHECK
+    ok = verdict(f"check-hyp {rep.hypothesis} colors at J={rep.J}", rep.n, rep.stable,
+                 f"== {rep.n_doubled} (colors at 2J={2 * rep.J})")
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 def _symbol_window(cfg: RunConfig, sym) -> tuple[float, float, float, float]:
@@ -143,12 +154,9 @@ def cmd_apply(cfg: RunConfig, f_file: str, g_file: str) -> int:
 
 def probe_growth_ok(rep: engine.ProbeReport) -> bool:
     """The probe check: growth factor below ``GROWTH_THRESHOLD``, NaN (nothing
-    measured at any resolution) failing too; a failure prints one stderr line."""
-    ok = rep.growth_factor < GROWTH_THRESHOLD
-    if not ok:
-        print(f"check failed: probe growth_factor {rep.triple.as_tuple()} = "
-              f"{rep.growth_factor!r}, bound < {GROWTH_THRESHOLD}", file=sys.stderr)
-    return ok
+    measured at any resolution) failing too."""
+    return verdict(f"probe growth_factor {rep.triple.as_tuple()}", rep.growth_factor,
+                   rep.growth_factor < GROWTH_THRESHOLD, f"< {GROWTH_THRESHOLD}")
 
 
 def cmd_probe(cfg: RunConfig) -> int:
@@ -206,7 +214,11 @@ def cmd_whitney(cfg: RunConfig) -> int:
             poly, j, alpha=cfg.alpha, C0=cfg.C0, samples=cfg.whitney_samples
         )
         covers.append(rep.as_dict())
-        all_ok = all_ok and rep.cover_ok and rep.containment_ok
+        cover_ok = verdict(f"whitney cover j={j} uncovered samples", len(rep.witnesses),
+                           rep.cover_ok, "== 0")
+        inside_ok = verdict(f"whitney containment j={j} rectangles outside",
+                            len(rep.containment_failures), rep.containment_ok, "== 0")
+        all_ok = all_ok and cover_ok and inside_ok
         ov = whitney.edge_interval_collections(rep.rects, cfg.alpha)["max_overlap"]
         overlap_rows.append({"j": j, "overlap": {str(k): v for k, v in ov.items()}})
         for r in rep.rects:
@@ -234,10 +246,15 @@ def cmd_whitney(cfg: RunConfig) -> int:
         except ValueError:  # kernel much wider than the tiles at this scale
             continue
         partition.insert(0, {"j0": j0, "B": B, "deviation": dev})
-    part_ok = all(p["deviation"] <= 1e-6 for p in partition)
+    part_ok = all([
+        verdict(f"whitney partition j0={p['j0']} deviation", p["deviation"],
+                p["deviation"] <= WHITNEY_TOL, f"<= {WHITNEY_TOL}")
+        for p in partition
+    ])
 
     model = _demo_model_sum(cfg)
-    model_ok = model["deviation"] <= 1e-6
+    model_ok = verdict("whitney model_sum deviation", model["deviation"],
+                       model["deviation"] <= WHITNEY_TOL, f"<= {WHITNEY_TOL}")
 
     reporting.write_json(
         os.path.join(cfg.out_dir, "whitney.json"),

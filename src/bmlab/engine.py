@@ -10,6 +10,7 @@ for trigonometric polynomials resolved by the grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -53,6 +54,11 @@ def _freq_grid(N: int, L: float) -> np.ndarray:
     return np.arange(-N // 2, N // 2) / L
 
 
+def _x_grid(N: int, L: float) -> np.ndarray:
+    """The N sample points n L / N of the period grid."""
+    return L * np.arange(N) / N
+
+
 def _pad(c: np.ndarray, M: int) -> np.ndarray:
     """Centered coefficients zero-padded to M slots on the last axis."""
     N = c.shape[-1]
@@ -79,12 +85,22 @@ def _period_pairing(u_hat: np.ndarray, v_hat: np.ndarray, L: float) -> complex:
     return L * np.sum(u_hat * np.roll(v_hat[::-1], 1))
 
 
+def _masks(intervals, freqs: np.ndarray) -> np.ndarray:
+    """(len(intervals), N) membership of the grid frequencies in each interval
+    (closure respected)."""
+    return np.stack([iv.contains(freqs) for iv in intervals])
+
+
+def _masked_synthesis(c: np.ndarray, masks: np.ndarray, M: int) -> np.ndarray:
+    """(len(masks), M) samples of the coefficients c cut to each mask row,
+    synthesized on the M-point grid, M >= N."""
+    return _synthesize(_pad(np.where(masks, c, 0.0), M))
+
+
 def _project(f: "SampledFunction", intervals, M: int) -> np.ndarray:
     """(len(intervals), M) samples of the sharp projections of f onto each
-    interval (closure respected), synthesized on the M-point grid, M >= N."""
-    freqs = f.freqs()
-    masks = np.stack([iv.contains(freqs) for iv in intervals])
-    return _synthesize(_pad(np.where(masks, f.coeffs(), 0.0), M))
+    interval, synthesized on the M-point grid, M >= N."""
+    return _masked_synthesis(f.coeffs(), _masks(intervals, f.freqs()), M)
 
 
 def _riemann_lp(pointwise: np.ndarray, p: float, L: float) -> float:
@@ -112,7 +128,7 @@ class SampledFunction:
         return len(self.samples)
 
     def x_values(self) -> np.ndarray:
-        return self.L * np.arange(self.N) / self.N
+        return _x_grid(self.N, self.L)
 
     def freqs(self) -> np.ndarray:
         return _freq_grid(self.N, self.L)
@@ -221,18 +237,37 @@ def frequency_project(f: SampledFunction, interval: HalfOpenInterval) -> Sampled
     return SampledFunction(_project(f, [interval], f.N)[0], f.L)
 
 
+PHASE_BLOCK = 1 << 16  # elements of one Carleson phase block (1 MiB complex)
+
+
+@functools.lru_cache(maxsize=1)
+def _phase_block(N: int, L: float, n0: int, n1: int) -> np.ndarray:
+    """The read-only (N, n1 - n0) waves exp(2 pi i xi_k x_n) at the grid points
+    n0 <= n < n1.  When N * N <= PHASE_BLOCK the block is the whole table, so
+    repeated calls on one grid reuse it."""
+    x = _x_grid(N, L)
+    block = np.exp(2j * np.pi * _freq_grid(N, L)[:, None] * x[None, n0:n1])
+    block.flags.writeable = False
+    return block
+
+
 def carleson_hunt_maximal(g: SampledFunction) -> np.ndarray:
     """Pointwise sup over cutoffs of the partial frequency sums' modulus.
 
     On the discrete model partial sums only change when the cutoff crosses a
     grid frequency, so the sup over all real cutoffs is the max over prefix
-    sums in frequency order (including the empty prefix).
+    sums in frequency order (including the empty prefix).  The sums run down
+    each column of an x-chunk of at most ``PHASE_BLOCK`` elements, so memory
+    is O(N * chunk) and each column is summed as in the full N x N table.
     """
-    c = g.coeffs()
-    x = g.x_values()
-    waves = np.exp(2j * np.pi * g.freqs()[:, None] * x[None, :]) * c[:, None]
-    partial = np.cumsum(waves, axis=0)
-    return np.maximum(np.max(np.abs(partial), axis=0), 0.0)
+    N, c = g.N, g.coeffs()[:, None]
+    width = max(1, PHASE_BLOCK // N)
+    out = np.empty(N)
+    for n0 in range(0, N, width):
+        n1 = min(n0 + width, N)
+        partial = np.cumsum(_phase_block(N, g.L, n0, n1) * c, axis=0)
+        out[n0:n1] = np.max(np.abs(partial), axis=0)
+    return np.maximum(out, 0.0)
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:
@@ -279,6 +314,26 @@ class HolderChainReport:
     factors: tuple[float, float, float]
 
 
+@functools.lru_cache(maxsize=8)
+def _chain_plan(a: bytes, b: bytes, direction: str, N: int, L: float):
+    """What the Hölder chain needs of one staircase on one grid: read-only
+    (steps, N) frequency masks of A_j, B_j and -A_j - B_j, and the staircase
+    action.  Keyed on the sequence values, so an equal pair reuses the plan
+    and a changed one can never be served a stale one."""
+    seq = SequencePair(np.frombuffer(a), np.frombuffer(b), direction)
+    freqs = _freq_grid(N, L)
+    steps = staircase_steps(seq)
+    families = (
+        [A for A, _ in steps],
+        [B for _, B in steps],
+        [neg_minkowski_sum(A, B) for A, B in steps],
+    )
+    masks = tuple(_masks(ivs, freqs) for ivs in families)
+    for m in masks:
+        m.flags.writeable = False
+    return masks, _bilinear_action(staircase_symbol(seq), freqs)
+
+
 def holder_chain_check(
     seq: SequencePair,
     f: SampledFunction,
@@ -303,16 +358,17 @@ def holder_chain_check(
         raise ValueError("h must be nonzero")
     h = SampledFunction(h.samples / nh, h.L)
 
-    steps = staircase_steps(seq)
     N, L = f.N, f.L
+    (fm, gm, hm), act = _chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, L)
     M = 2 * N  # triple products have bandwidth < 1.5 N, resolved at 2N
-    fa = _project(f, [A for A, _ in steps], M)
-    gb = _project(g, [B for _, B in steps], M)
-    hc = _project(h, [neg_minkowski_sum(A, B) for A, B in steps], M)
+    cf, cg, ch = f.coeffs(), g.coeffs(), h.coeffs()
+    fa = _masked_synthesis(cf, fm, M)
+    gb = _masked_synthesis(cg, gm, M)
+    hc = _masked_synthesis(ch, hm, M)
     lhs_sum = abs(np.sum(fa * gb * hc) * (L / M))
 
-    b_hat = apply_bilinear(staircase_symbol(seq), f, g).coeffs()
-    lhs_direct = abs(_period_pairing(b_hat, _pad(h.coeffs(), M), L))
+    b_hat = SampledFunction.from_coeffs(act(cf, cg), L).coeffs()
+    lhs_direct = abs(_period_pairing(b_hat, _pad(ch, M), L))
 
     scale = max(lhs_sum, lhs_direct, 1e-300)
     identity_gap = abs(lhs_sum - lhs_direct)
@@ -349,16 +405,15 @@ def square_function_report(f: SampledFunction, coll: IntervalCollection | list, 
     base = lp_norm(f, p)
     if base == 0:
         raise ValueError("f must be nonzero")
-    ivs = list(coll)
-    s = mixed_norm([SampledFunction(u, f.L) for u in _project(f, ivs, f.N)], p, inner="l2")
-    covered = np.zeros(f.N, dtype=bool)
-    for iv in ivs:
-        covered |= iv.contains(f.freqs())
+    masks = _masks(list(coll), f.freqs())
+    projections = _masked_synthesis(f.coeffs(), masks, f.N)
+    s = mixed_norm([SampledFunction(u, f.L) for u in projections], p, inner="l2")
+    covers = bool(np.all(np.any(masks, axis=0)))
     upper = s / base
     return {
         "upper_ratio": float(upper),
-        "lower_ratio": float(upper) if bool(np.all(covered)) else None,
-        "covers_band": bool(np.all(covered)),
+        "lower_ratio": float(upper) if covers else None,
+        "covers_band": covers,
     }
 
 
@@ -366,7 +421,7 @@ def square_function_report(f: SampledFunction, coll: IntervalCollection | list, 
 
 
 def _trial_wave_packets(rng: np.random.Generator, N: int, L: float) -> np.ndarray:
-    x = L * np.arange(N) / N
+    x = _x_grid(N, L)
     out = np.zeros(N, dtype=complex)
     for _ in range(3):
         x0 = rng.uniform(0, L)

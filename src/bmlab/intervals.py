@@ -231,11 +231,15 @@ class HypothesisReport:
     hypothesis: str
     J: int
     n: int
-    stable: bool
+    n_doubled: int  # colors at truncation 2J
     per_color_lacunary: list[bool]
     per_color_min_ratio: list[float]
     coloring: ColoringResult
     intervals: IntervalCollection
+
+    @property
+    def stable(self) -> bool:
+        return self.n_doubled == self.n
 
     def as_dict(self):
         rows = []
@@ -292,7 +296,7 @@ def check_hypothesis(seq: SequencePair, which: str, J: int) -> HypothesisReport:
         hypothesis=which,
         J=J,
         n=coloring.num_colors,
-        stable=coloring2.num_colors == coloring.num_colors,
+        n_doubled=coloring2.num_colors,
         per_color_lacunary=flags,
         per_color_min_ratio=ratios,
         coloring=coloring,

@@ -32,6 +32,16 @@ def bilinear_double_sum(sym, f, g):
     return out
 
 
+def carleson_maximal_dense(g):
+    """Max over the prefix frequency sums' modulus from the full N x N table of
+    waves (N^2 memory), the empty prefix included."""
+    c = g.coeffs()
+    x = g.L * np.arange(g.N) / g.N
+    waves = np.exp(2j * np.pi * g.freqs()[:, None] * x[None, :]) * c[:, None]
+    partial = np.cumsum(waves, axis=0)
+    return np.maximum(np.max(np.abs(partial), axis=0), 0.0)
+
+
 def exact_chromatic_number(intervals):
     """Smallest number of colors by exhaustive search (use only for <= 8)."""
     n = len(intervals)

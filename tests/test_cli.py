@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bmlab import cli, intervals, whitney
 from bmlab.cli import main
 from bmlab.config import ConfigError, RunConfig
 
@@ -249,3 +250,70 @@ def test_probe_json_strict_on_infinite_growth(tmp_path):
     rep = _strict_json(tmp_path / "out" / "probe.json")
     assert rep["worst_growth"] == "inf" and rep["reports"][0]["growth_factor"] == "inf"
     assert list((tmp_path / "out").glob("witness_*_128_f.csv"))
+
+
+def _out_files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_whitney_names_failed_partition_and_model(tmp_path, capsys, monkeypatch):
+    # a zero bound fails every partition scale and the model form without
+    # changing what is measured: the files and stdout stay as they were
+    cfg = write_config(tmp_path)
+    assert main(["whitney", "--config", cfg]) == 0
+    passed_out = capsys.readouterr().out
+    passed = _out_files(tmp_path / "out")
+    monkeypatch.setattr(cli, "WHITNEY_TOL", 0.0)
+    assert main(["whitney", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == passed_out
+    assert _out_files(tmp_path / "out") == passed
+    rep = json.loads(passed["whitney.json"])
+    expected = [
+        f"check failed: whitney partition j0={p['j0']} deviation = {p['deviation']!r}, bound <= 0.0"
+        for p in rep["partition"]
+    ] + [f"check failed: whitney model_sum deviation = {rep['model_sum']['deviation']!r}, bound <= 0.0"]
+    assert captured.err.splitlines() == expected
+
+
+def test_whitney_names_failed_cover_and_containment(tmp_path, capsys, monkeypatch):
+    real = whitney.build_cover
+
+    def failing_cover(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.cover_ok, rep.witnesses = False, [(0.5, 0.5)] * 3
+        rep.containment_ok, rep.containment_failures = False, [0, 1]
+        return rep
+
+    monkeypatch.setattr(whitney, "build_cover", failing_cover)
+    cfg = write_config(tmp_path)
+    assert main(["whitney", "--config", cfg]) == 4
+    rep = json.loads((tmp_path / "out" / "whitney.json").read_text())
+    expected = []
+    for cover in rep["covers"]:
+        expected += [
+            f"check failed: whitney cover j={cover['j']} uncovered samples = 3, bound == 0",
+            f"check failed: whitney containment j={cover['j']} rectangles outside = 2, bound == 0",
+        ]
+    assert len(expected) == 4
+    assert capsys.readouterr().err.splitlines() == expected
+
+
+def test_check_hyp_names_unstable_coloring(tmp_path, capsys, monkeypatch):
+    real = intervals.check_hypothesis
+
+    def unstable(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.n_doubled = rep.n + 1
+        return rep
+
+    monkeypatch.setattr(intervals, "check_hypothesis", unstable)
+    cfg = write_config(tmp_path)
+    assert main(["check-hyp", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "check failed: check-hyp hyp2 colors at J=6 = 2, bound == 3 (colors at 2J=12)"
+    ]
+    rep = json.loads((tmp_path / "out" / "hypothesis.json").read_text())
+    assert rep["n"] == 2 and rep["stable"] is False

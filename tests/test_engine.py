@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmlab import curves
+from bmlab import curves, engine
 from bmlab.engine import (
     ExponentTriple,
     SampledFunction,
@@ -24,7 +26,7 @@ from bmlab.engine import (
 from bmlab.intervals import HalfOpenInterval, build_hyp_collection, staircase_steps
 from bmlab.symbols import SymbolSpec, constant_symbol, rectangle_symbol, staircase_symbol
 
-from oracles import bilinear_double_sum
+from oracles import bilinear_double_sum, carleson_maximal_dense
 
 
 def random_function(rng, N=64, L=16.0):
@@ -204,6 +206,59 @@ def test_carleson_dominates_projections(rng, hyperboloid_seq):
         for iv in coll:
             proj = frequency_project(g, iv)
             assert np.all(np.abs(proj.samples) <= 2.0 * C + 1e-12)
+
+
+@pytest.mark.parametrize("N", [64, 128, 1024, 2048])
+def test_carleson_matches_dense_oracle_bitwise(rng, N):
+    # 1024 and 2048 exceed one phase block, so they run over several x-chunks
+    assert (N * N > engine.PHASE_BLOCK) == (N >= 1024)
+    g = random_function(rng, N, 24.0)
+    assert carleson_hunt_maximal(g).tobytes() == carleson_maximal_dense(g).tobytes()
+
+
+def test_carleson_memory_is_chunked(rng):
+    g = random_function(rng, 8192, 64.0)
+    tracemalloc.start()
+    try:
+        C = carleson_hunt_maximal(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert C.shape == (8192,)
+    assert peak < 64 * 2**20  # the dense waves table alone is 1 GiB
+
+
+def test_chain_plan_cache_is_never_stale(rng, hyperboloid_seq, power1_seq):
+    # equal-valued but distinct sequence objects, different truncations, an
+    # equal-length pair with other values and two grids, interleaved; every
+    # report must equal the one computed from an empty cache, bitwise
+    e = ExponentTriple(3, 3, 3)
+    inputs = [tuple(random_function(rng, N, 16.0) for _ in range(3)) for N in (64, 128)]
+    seqs = [
+        lambda: hyperboloid_seq.truncate(6),
+        lambda: hyperboloid_seq.truncate(8),
+        lambda: power1_seq.truncate(8),
+    ]
+    cases = [(make, fgh) for _ in range(2) for fgh in inputs for make in seqs]
+    engine._chain_plan.cache_clear()
+    cached = [repr(holder_chain_check(make(), *fgh, e)) for make, fgh in cases]
+    assert engine._chain_plan.cache_info().hits == len(cases) - len(seqs) * len(inputs)
+    fresh = []
+    for make, fgh in cases:
+        engine._chain_plan.cache_clear()
+        fresh.append(repr(holder_chain_check(make(), *fgh, e)))
+    assert cached == fresh
+    assert all("lhs=0.0," not in r for r in cached)  # every case meets the staircase
+
+
+def test_cached_masks_and_phases_are_read_only(hyperboloid_seq):
+    seq = hyperboloid_seq.truncate(8)
+    masks, _ = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, 128, 32.0)
+    for m in masks:
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = not m[0, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        engine._phase_block(128, 32.0, 0, 128)[0, 0] = 0.0
 
 
 def test_mixed_norm_constants():

@@ -1,10 +1,12 @@
-"""Smoke tests: the scripts under scripts/ run end to end on small inputs."""
+"""Subprocess tests: the scripts under scripts/ run end to end on small
+inputs, and a bare ``import bmlab`` stays light."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *args, cwd):
@@ -63,3 +65,15 @@ def test_symbol_gallery_renders(tmp_path):
     assert {p.name for p in out.iterdir()} == names
     for name in names:
         assert (out / name).stat().st_size > 0
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # scipy loads only with the Whitney layer's sine integral
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import bmlab; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

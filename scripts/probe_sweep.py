@@ -54,7 +54,7 @@ def main():
         rows.extend(rep.csv_rows())
         print(f"{sym.label} {t}: growth {rep.growth_factor:.3f}")
         ok = probe_growth_ok(rep) and ok
-    reporting.write_csv(args.out, ["p1", "p2", "p3", "N", "trial_family", "max_ratio"], rows)
+    reporting.write_csv(args.out, ["p1", "p2", "p3", "N", "trial_family", "max_ratio"], list(zip(*rows)))
     print(f"wrote {args.out}")
     return EXIT_OK if ok else EXIT_CHECK
 

@@ -101,14 +101,11 @@ def cmd_symbol(cfg: RunConfig) -> int:
     bitmap = symbols.sample_symbol(sym, grid)
     base = os.path.join(cfg.out_dir, f"symbol_{cfg.symbol_kind}")
     reporting.write_pgm(base + ".pgm", symbols.bitmap_to_pgm(bitmap))
+    nx, ny = bitmap.shape
     reporting.write_csv(
         base + ".csv",
         ["xi", "eta", "amplitude"],
-        (
-            (x, e, bitmap[i, k])
-            for i, x in enumerate(grid.xi_values())
-            for k, e in enumerate(grid.eta_values())
-        ),
+        [np.repeat(grid.xi_values(), ny), np.tile(grid.eta_values(), nx), bitmap.ravel()],
     )
     reporting.write_json(
         base + ".json",
@@ -140,7 +137,7 @@ def _read_function_csv(path: str, L: float) -> engine.SampledFunction:
 
 
 def _write_function_csv(path: str, f: engine.SampledFunction):
-    reporting.write_csv(path, ["re", "im"], ((v.real, v.imag) for v in f.samples))
+    reporting.write_csv(path, ["re", "im"], [f.samples.real, f.samples.imag])
 
 
 def cmd_apply(cfg: RunConfig, f_file: str, g_file: str) -> int:
@@ -181,7 +178,7 @@ def cmd_probe(cfg: RunConfig) -> int:
     reporting.write_csv(
         os.path.join(cfg.out_dir, "probe.csv"),
         ["p1", "p2", "p3", "N", "trial_family", "max_ratio"],
-        rows,
+        list(zip(*rows)),
     )
     reporting.write_json(
         os.path.join(cfg.out_dir, "probe.json"),
@@ -207,12 +204,10 @@ def cmd_whitney(cfg: RunConfig) -> int:
     segs = list(poly.segment_indices())[: cfg.whitney_segments]
     covers = []
     all_ok = True
-    rect_rows = []
+    rect_columns = []
     overlap_rows = []
     for j in segs:
-        rep = whitney.build_cover(
-            poly, j, alpha=cfg.alpha, C0=cfg.C0, samples=cfg.whitney_samples
-        )
+        rep = whitney.build_cover(poly, j, alpha=cfg.alpha, C0=cfg.C0, samples=cfg.whitney_samples)
         covers.append(rep.as_dict())
         cover_ok = verdict(f"whitney cover j={j} uncovered samples", len(rep.witnesses),
                            rep.cover_ok, "== 0")
@@ -221,18 +216,16 @@ def cmd_whitney(cfg: RunConfig) -> int:
         all_ok = all_ok and cover_ok and inside_ok
         ov = whitney.edge_interval_collections(rep.rects, cfg.alpha)["max_overlap"]
         overlap_rows.append({"j": j, "overlap": {str(k): v for k, v in ov.items()}})
-        for r in rep.rects:
-            rect_rows.append(
-                (r.j, r.square.k, r.square.cx, r.square.cy,
-                 r.xi_range[0], r.xi_range[1], r.eta_range[0], r.eta_range[1])
-            )
+        (xlo, xhi), (elo, ehi), _ = rep.rects.edges()
+        rect_columns.append((np.full(len(xlo), j), rep.rects.k, rep.rects.cx, rep.rects.cy,
+                             xlo, xhi, elo, ehi))
         if j == segs[0]:
             svg = reporting.rects_to_svg(rep.rects, curve_points=poly.vertices)
             reporting.atomic_write_text(os.path.join(cfg.out_dir, "whitney_cover.svg"), svg)
     reporting.write_csv(
         os.path.join(cfg.out_dir, "whitney_rects.csv"),
         ["j", "scale_k", "cx", "cy", "xi_lo", "xi_hi", "eta_lo", "eta_hi"],
-        rect_rows,
+        [np.concatenate(column) for column in zip(*rect_columns)],
     )
 
     # the three largest scales j0 <= -1 whose kernel partition_check admits
@@ -256,18 +249,8 @@ def cmd_whitney(cfg: RunConfig) -> int:
     model_ok = verdict("whitney model_sum deviation", model["deviation"],
                        model["deviation"] <= WHITNEY_TOL, f"<= {WHITNEY_TOL}")
 
-    reporting.write_json(
-        os.path.join(cfg.out_dir, "whitney.json"),
-        _envelope(
-            cfg,
-            {
-                "covers": covers,
-                "edge_overlaps": overlap_rows,
-                "partition": partition,
-                "model_sum": model,
-            },
-        ),
-    )
+    payload = {"covers": covers, "edge_overlaps": overlap_rows, "partition": partition, "model_sum": model}
+    reporting.write_json(os.path.join(cfg.out_dir, "whitney.json"), _envelope(cfg, payload))
     ok = all_ok and part_ok and model_ok
     return EXIT_OK if ok else EXIT_CHECK
 
@@ -290,11 +273,9 @@ def _demo_model_sum(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 97)))
     N, L = 512, 64.0
     mk = lambda: engine.SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L)
-    res = whitney.model_sum_eval(mk(), mk(), mk(), tiles, [rect], seq, alpha=cfg.alpha,
-                                 exponent_base=2)
-    res["model_value"] = {"re": res["model_value"].real, "im": res["model_value"].imag}
-    res["adjoint_value"] = {"re": res["adjoint_value"].real, "im": res["adjoint_value"].imag}
-    return res
+    # the writer serializes the complex values as {"re": ..., "im": ...}
+    return whitney.model_sum_eval(mk(), mk(), mk(), tiles, [rect], seq, alpha=cfg.alpha,
+                                  exponent_base=2)
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -97,6 +98,13 @@ class RunConfig:
             "constant",
         ):
             raise ConfigError(f"unknown symbol kind: {self.symbol_kind}")
+        for key, value in (("[symbol] nx", self.bitmap_nx), ("[symbol] ny", self.bitmap_ny),
+                           ("[whitney] segments", self.whitney_segments),
+                           ("[whitney] samples", self.whitney_samples)):
+            if value < 1:
+                raise ConfigError(f"{key} must be at least 1")
+        if not (math.isfinite(self.C0) and self.C0 > 0):
+            raise ConfigError("[whitney] C0 must be finite and positive")
         if self.exponent_base < 2:
             raise ConfigError("[whitney] B must be at least 2 (tile lengths base^(-j))")
         if not 0.8 <= self.alpha < 0.999:

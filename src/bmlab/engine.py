@@ -127,9 +127,6 @@ class SampledFunction:
     def N(self) -> int:
         return len(self.samples)
 
-    def x_values(self) -> np.ndarray:
-        return _x_grid(self.N, self.L)
-
     def freqs(self) -> np.ndarray:
         return _freq_grid(self.N, self.L)
 

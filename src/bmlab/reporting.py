@@ -68,10 +68,26 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: str, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _column_text(col) -> list[str]:
+    """The cells of one column as text, as ``_fmt`` writes them.  A numeric
+    numpy column is formatted once per distinct value (compared by bit
+    pattern, so -0.0 and 0.0 stay apart)."""
+    if not isinstance(col, np.ndarray) or col.dtype.kind not in "buif":
+        return [_fmt(v) for v in col]
+    col = col.ravel()
+    _, first, inverse = np.unique(col.view(f"u{col.itemsize}"), return_index=True, return_inverse=True)
+    fmt = repr if col.dtype.kind == "f" else str
+    text = np.array([fmt(v) for v in col[first].tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def write_csv(path: str, header, columns):
+    """CSV with one column per entry of ``columns`` (arrays or sequences of
+    equal length), formatted column by column."""
+    cells = [_column_text(c) for c in columns]
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError("CSV columns differ in length")
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -80,14 +96,12 @@ def write_pgm(path: str, pgm_text: str):
 
 
 def rects_to_svg(rects, curve_points=None, pad_frac: float = 0.05) -> str:
-    """Simple SVG of tile rectangles, optionally with the curve polyline."""
-    boxes = [(r.xi_range[0], r.xi_range[1], r.eta_range[0], r.eta_range[1]) for r in rects]
-    if not boxes:
+    """Simple SVG of tile rectangles (a ``whitney.RectCover``), optionally
+    with the curve polyline."""
+    (bx0, bx1), (by0, by1), _ = rects.edges()
+    if not len(bx0):
         raise ValueError("no rectangles to draw")
-    xlo = min(b[0] for b in boxes)
-    xhi = max(b[1] for b in boxes)
-    ylo = min(b[2] for b in boxes)
-    yhi = max(b[3] for b in boxes)
+    xlo, xhi, ylo, yhi = bx0.min(), bx1.max(), by0.min(), by1.max()
     if curve_points is not None:
         pts = np.asarray(curve_points, dtype=float)
         xlo, xhi = min(xlo, pts[:, 0].min()), max(xhi, pts[:, 0].max())
@@ -108,11 +122,12 @@ def rects_to_svg(rects, curve_points=None, pad_frac: float = 0.05) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W:.0f}" height="{H:.0f}" '
         f'viewBox="0 0 {W:.0f} {H:.0f}">'
     ]
-    for b in boxes:
-        parts.append(
-            f'<rect x="{X(b[0]):.3f}" y="{Y(b[3]):.3f}" width="{(b[1]-b[0])*scale:.3f}" '
-            f'height="{(b[3]-b[2])*scale:.3f}" fill="none" stroke="black" stroke-width="0.4"/>'
-        )
+    columns = (X(bx0), Y(by1), (bx1 - bx0) * scale, (by1 - by0) * scale)
+    parts.extend(
+        f'<rect x="{x:.3f}" y="{y:.3f}" width="{w:.3f}" '
+        f'height="{h:.3f}" fill="none" stroke="black" stroke-width="0.4"/>'
+        for x, y, w, h in zip(*(c.tolist() for c in columns))
+    )
     if curve_points is not None:
         pts = np.asarray(curve_points, dtype=float)
         path = " ".join(f"{X(x):.3f},{Y(y):.3f}" for x, y in pts)

@@ -33,6 +33,7 @@ from .symbols import SymbolSpec
 __all__ = [
     "WhitneySquare",
     "TileRect",
+    "RectCover",
     "MultiTile",
     "PolygonalGeometry",
     "CoverReport",
@@ -190,6 +191,16 @@ class PolygonalGeometry:
         return np.asarray(eta, dtype=float) >= self.curve_height(xi) - tol
 
 
+def _edges(cx, cy, side, anchor, s_j):
+    """The three edges of the pushforwards of squares centered at (cx, cy):
+    the xi-extent a_j - I, the eta-extent b_j - s_j Jn and -edge1 - edge2
+    (K shifted by -(a_j + b_j)).  Scalars for a TileRect, arrays for a RectCover."""
+    h = 0.5 * side
+    a, b = anchor
+    xlo, xhi, elo, ehi = a - (cx + h), a - (cx - h), b - s_j * (cy + h), b - s_j * (cy - h)
+    return (xlo, xhi), (elo, ehi), (-xhi - ehi, -xlo - elo)
+
+
 @dataclass(frozen=True)
 class TileRect:
     """Pushforward of a Whitney square through a segment's anisotropic map.
@@ -214,35 +225,59 @@ class TileRect:
         h = 0.5 * self.square.side
         return (self.square.cy - h, self.square.cy + h)
 
+    def edges(self) -> tuple[tuple[float, float], ...]:
+        """xi-extent, eta-extent and -edge1 - edge2 (see ``_edges``)."""
+        sq = self.square
+        return _edges(sq.cx, sq.cy, sq.side, self.anchor, self.s_j)
+
     @property
     def xi_range(self) -> tuple[float, float]:
-        a, _ = self.anchor
-        ilo, ihi = self.I
-        return (a - ihi, a - ilo)
+        return self.edges()[0]
 
     @property
     def eta_range(self) -> tuple[float, float]:
-        _, b = self.anchor
-        jlo, jhi = self.Jn
-        return (b - self.s_j * jhi, b - self.s_j * jlo)
+        return self.edges()[1]
 
     @property
     def aspect(self) -> float:
         (xlo, xhi), (elo, ehi) = self.xi_range, self.eta_range
         return (ehi - elo) / (xhi - xlo)
 
-    def edge1(self) -> tuple[float, float]:
-        """xi-extent (edge parallel to the horizontal axis)."""
-        return self.xi_range
-
-    def edge2(self) -> tuple[float, float]:
-        """eta-extent (edge parallel to the vertical axis)."""
-        return self.eta_range
-
     def edge3(self) -> tuple[float, float]:
-        """-edge1 - edge2; equals K shifted by -(a_j + b_j)."""
-        (xlo, xhi), (elo, ehi) = self.xi_range, self.eta_range
-        return (-xhi - ehi, -xlo - elo)
+        return self.edges()[2]
+
+    def omegas(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """omega1 = -I and omega2 = -s_j Jn: the rectangle's sides about its anchor."""
+        (ilo, ihi), (jlo, jhi) = self.I, self.Jn
+        return (-ihi, -ilo), (-self.s_j * jhi, -self.s_j * jlo)
+
+
+@dataclass(frozen=True, eq=False)
+class RectCover:
+    """The rectangles of one segment's cover, as arrays: the scale ``k`` and
+    the square center (``cx``, ``cy``) of each, with the segment's index
+    ``j``, ``anchor`` (a_j, b_j) and slope ``s_j``.  Ranges and edges come
+    from the arrays with the TileRect formula; ``cover[i]`` builds the
+    TileRect of rectangle i on demand.
+    """
+
+    j: int
+    anchor: tuple[float, float]
+    s_j: float
+    k: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, i: int) -> TileRect:
+        sq = WhitneySquare(cx=float(self.cx[i]), cy=float(self.cy[i]), k=int(self.k[i]))
+        return TileRect(j=self.j, square=sq, anchor=self.anchor, s_j=self.s_j)
+
+    def edges(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The three edge families (see ``_edges``) as (lo, hi) array pairs."""
+        return _edges(self.cx, self.cy, 2.0**self.k, self.anchor, self.s_j)
 
 
 def k_interval(rect: TileRect) -> HalfOpenInterval:
@@ -262,7 +297,7 @@ def r2_samples(n: int) -> np.ndarray:
 @dataclass
 class CoverReport:
     j: int
-    rects: list[TileRect]
+    rects: RectCover
     cover_ok: bool
     containment_ok: bool
     witnesses: list[tuple[float, float]]
@@ -338,33 +373,24 @@ def build_cover(
     covered = cond_ok & in_shrink
     witnesses = [(float(a_j - xx), float(b_j - s_j * yy)) for xx, yy in zip(x[~covered], y[~covered])]
 
+    # one rectangle per distinct square, in order of first selection
     keys = np.column_stack([k, np.round(cx / delta), np.round(cy / delta)])[covered]
-    uniq, first_pos = np.unique(keys, axis=0, return_index=True)
-    order = np.argsort(first_pos)
-    rects = []
-    sel = np.flatnonzero(covered)
-    for pos in first_pos[order]:
-        i = sel[pos]
-        sq = WhitneySquare(cx=float(cx[i]), cy=float(cy[i]), k=int(k[i]))
-        rects.append(TileRect(j=j, square=sq, anchor=(a_j, b_j), s_j=s_j))
+    _, first_pos = np.unique(keys, axis=0, return_index=True)
+    pick = np.flatnonzero(covered)[np.sort(first_pos)]
+    rects = RectCover(j=j, anchor=(a_j, b_j), s_j=s_j, k=k[pick], cx=cx[pick], cy=cy[pick])
 
-    containment_failures = []
-    if rects:
-        ts = np.linspace(0.0, 1.0, 25)
-        xlo = np.array([r.xi_range[0] for r in rects])[:, None]
-        xhi = np.array([r.xi_range[1] for r in rects])[:, None]
-        elo = np.array([r.eta_range[0] for r in rects])[:, None]
-        ehi = np.array([r.eta_range[1] for r in rects])[:, None]
-        edge_x = np.concatenate(
-            [xlo + (xhi - xlo) * ts, xlo + (xhi - xlo) * ts,
-             np.repeat(xlo, 25, axis=1), np.repeat(xhi, 25, axis=1)], axis=1
-        )
-        edge_y = np.concatenate(
-            [np.repeat(elo, 25, axis=1), np.repeat(ehi, 25, axis=1),
-             elo + (ehi - elo) * ts, elo + (ehi - elo) * ts], axis=1
-        )
-        ok = np.all(polygon.epigraph_contains(edge_x, edge_y), axis=1)
-        containment_failures = [int(i) for i in np.flatnonzero(~ok)]
+    ts = np.linspace(0.0, 1.0, 25)
+    (xlo, xhi), (elo, ehi) = ((lo[:, None], hi[:, None]) for lo, hi in rects.edges()[:2])
+    edge_x = np.concatenate(
+        [xlo + (xhi - xlo) * ts, xlo + (xhi - xlo) * ts,
+         np.repeat(xlo, 25, axis=1), np.repeat(xhi, 25, axis=1)], axis=1
+    )
+    edge_y = np.concatenate(
+        [np.repeat(elo, 25, axis=1), np.repeat(ehi, 25, axis=1),
+         elo + (ehi - elo) * ts, elo + (ehi - elo) * ts], axis=1
+    )
+    ok = np.all(polygon.epigraph_contains(edge_x, edge_y), axis=1)
+    containment_failures = np.flatnonzero(~ok).tolist()
 
     return CoverReport(
         j=j,
@@ -379,47 +405,34 @@ def build_cover(
     )
 
 
-def _dilate(iv: tuple[float, float], factor: float) -> tuple[float, float]:
+def _dilate(iv, factor: float):
+    """Dilate (lo, hi) by ``factor`` about its center; scalars or arrays."""
     lo, hi = iv
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return (c - factor * h, c + factor * h)
 
 
-def _max_overlap_closed(intervals: Sequence[tuple[float, float]]) -> int:
-    """Sweep line; at a shared coordinate opens precede closes, so touching
-    closed intervals count as overlapping (conservative)."""
-    if not intervals:
-        return 0
-    events = sorted(
-        [(lo, 0) for lo, _ in intervals] + [(hi, 1) for _, hi in intervals]
-    )
-    best = cur = 0
-    for _, kind in events:
-        if kind == 0:
-            cur += 1
-            best = max(best, cur)
-        else:
-            cur -= 1
-    return best
+def _max_overlap(lo: np.ndarray, hi: np.ndarray) -> int:
+    """Most closed intervals [lo, hi] sharing a point: at each left end, the
+    left ends <= it minus the right ends < it, so touching intervals overlap."""
+    lo, hi = np.sort(lo), np.sort(hi)
+    return int(np.max(np.searchsorted(lo, lo, side="right") - np.searchsorted(hi, lo, side="left")))
 
 
-def edge_interval_collections(rects: Sequence[TileRect], alpha: float) -> dict:
+def edge_interval_collections(rects: RectCover, alpha: float) -> dict:
     """Dilated edge-interval families and their maximal overlap counts.
 
     For each rectangle the three edges are its xi-extent, its eta-extent and
     the negated sum of the two; each family is dilated by 1/alpha about
-    interval centers before the overlap count.
+    interval centers before the overlap count.  Family i is the (lo, hi)
+    pair of arrays ``["intervals"][i]``.
     """
-    if not rects:
+    if not len(rects):
         raise ValueError("nonempty rectangle list required")
-    fams = {1: [], 2: [], 3: []}
-    for r in rects:
-        fams[1].append(_dilate(r.edge1(), 1.0 / alpha))
-        fams[2].append(_dilate(r.edge2(), 1.0 / alpha))
-        fams[3].append(_dilate(r.edge3(), 1.0 / alpha))
+    fams = {i: _dilate(e, 1.0 / alpha) for i, e in enumerate(rects.edges(), start=1)}
     return {
         "intervals": fams,
-        "max_overlap": {i: _max_overlap_closed(fams[i]) for i in fams},
+        "max_overlap": {i: _max_overlap(*fams[i]) for i in fams},
     }
 
 
@@ -528,24 +541,13 @@ def enumerate_multitiles(
         fam = _omega3_family(rect, C0, alpha, variant)
         if window is not None:
             fam = [fc for fc in fam if window[0] <= fc[1][2] <= window[1]]
+        om1, om2 = rect.omegas()
         for (om3, center) in fam:
-            ilo, ihi = rect.I
-            jlo, jhi = rect.Jn
-            om1 = (-ihi, -ilo)
-            om2 = (-rect.s_j * jhi, -rect.s_j * jlo)
-            for m in range(count):
-                tiles.append(
-                    MultiTile(
-                        I_P=(m * tile_len, (m + 1) * tile_len),
-                        omega1=om1,
-                        omega2=om2,
-                        omega3=om3,
-                        j=j,
-                        scale_k=rect.square.k,
-                        cube_center=center,
-                        rect_key=key,
-                    )
-                )
+            tiles.extend(
+                MultiTile(I_P=(m * tile_len, (m + 1) * tile_len), omega1=om1, omega2=om2, omega3=om3,
+                          j=j, scale_k=rect.square.k, cube_center=center, rect_key=key)
+                for m in range(count)
+            )
     if window is not None and not tiles:
         raise ValueError("window too small to contain any cube")
     return tiles
@@ -671,19 +673,25 @@ def partition_check(
 # --- discretized model form ------------------------------------------------------
 
 
-def _chi_coeffs(interval: tuple[float, float], j: int, exponent_base: int, M: int, L: float) -> np.ndarray:
-    """Centered Fourier coefficients of the periodized mollified cutoff."""
-    lam = float(exponent_base) ** (-j)
-    r0 = _base_radius(exponent_base)
-    xi = _freq_grid(M, L)
+def _chi_coeffs(interval: tuple[float, float], xi: np.ndarray, spectrum: np.ndarray, L: float) -> np.ndarray:
+    """Centered Fourier coefficients of the periodized mollified cutoff.
+
+    ``spectrum`` is the scale-j kernel's transform on the frequencies ``xi``;
+    the box transform of ``interval`` is evaluated only where it is nonzero,
+    and the coefficients are exactly 0 elsewhere.
+    """
+    nz = np.flatnonzero(spectrum)
+    x = xi[nz]
     lo, hi = interval
     with np.errstate(divide="ignore", invalid="ignore"):
         box = np.where(
-            xi == 0.0,
+            x == 0.0,
             hi - lo,
-            (np.exp(-2j * np.pi * xi * lo) - np.exp(-2j * np.pi * xi * hi)) / (2j * np.pi * xi),
+            (np.exp(-2j * np.pi * x * lo) - np.exp(-2j * np.pi * x * hi)) / (2j * np.pi * x),
         )
-    return box * fejer_sq_spectrum(xi / lam, r0) / L
+    out = np.zeros(len(xi), dtype=complex)
+    out[nz] = box * spectrum[nz] / L
+    return out
 
 
 def _int_shift(value: float, L: float) -> int:
@@ -697,12 +705,7 @@ def _int_shift(value: float, L: float) -> int:
 
 def build_adjoint_symbol(rects: Sequence[TileRect], alpha: float) -> SymbolSpec:
     """Sum over rectangles of the tensor tile bumps, anchored per segment."""
-    data = []
-    for r in rects:
-        ilo, ihi = r.I
-        jlo, jhi = r.Jn
-        a, b = r.anchor
-        data.append((a, b, (-ihi, -ilo), (-r.s_j * jhi, -r.s_j * jlo)))
+    data = [(*r.anchor, *r.omegas()) for r in rects]
 
     def ev(xi, eta):
         out = np.zeros(np.broadcast(xi, eta).shape)
@@ -744,7 +747,6 @@ def model_sum_eval(
     by_j: dict[int, list[MultiTile]] = {}
     for t in tiles:
         by_j.setdefault(t.j, []).append(t)
-    rects_by_key = {key: r for key, r in enumerate(rects)}
 
     cf, cg, ch = (_pad(fn.coeffs(), M) for fn in (f, g, h))
 
@@ -764,24 +766,21 @@ def model_sum_eval(
     for j, group in sorted(by_j.items()):
         a_j, b_j = seq.a_at(j), seq.b_at(j)
         sa, sb = _int_shift(a_j, L), _int_shift(b_j, L)
+        spectrum = fejer_sq_spectrum(freqs_pad / float(exponent_base) ** (-j), _base_radius(exponent_base))
         keys = sorted({t.rect_key for t in group})
-        edges1 = [rects_by_key[k].edge1() for k in keys]
-        edges2 = [rects_by_key[k].edge2() for k in keys]
-        edges3 = [rects_by_key[k].edge3() for k in keys]
-        cfj = prefilter(cf, edges1)
-        cgj = prefilter(cg, edges2)
-        chj = prefilter(ch, edges3)
+        edges = [rects[k].edges() for k in keys]
+        cfj, cgj, chj = (prefilter(c, [e[i] for e in edges]) for i, c in enumerate((cf, cg, ch)))
 
         # third-slot partition weights per rectangle
         fam_by_key: dict[int, list[tuple[float, float]]] = {}
         for t in group:
-            fam_by_key.setdefault(t.rect_key, [])
-            if t.omega3 not in fam_by_key[t.rect_key]:
-                fam_by_key[t.rect_key].append(t.omega3)
+            fam = fam_by_key.setdefault(t.rect_key, [])
+            if t.omega3 not in fam:
+                fam.append(t.omega3)
 
         psi3: dict[tuple[int, tuple[float, float]], np.ndarray] = {}
         for key, fam in fam_by_key.items():
-            _, weights = _omega3_weights(freqs_pad, rects_by_key[key], fam, alpha)
+            _, weights = _omega3_weights(freqs_pad, rects[key], fam, alpha)
             for om3, w in zip(fam, weights):
                 psi3[(key, om3)] = w
 
@@ -799,7 +798,7 @@ def model_sum_eval(
                 w_hat = psi3[qkey] * shifted(chj, -sa - sb)
                 q_cache[qkey] = _analyze(uv_cache[key] * _synthesize(w_hat))
             q_hat = q_cache[qkey]
-            chi_hat = _chi_coeffs(t.I_P, t.j, exponent_base, M, L)
+            chi_hat = _chi_coeffs(t.I_P, freqs_pad, spectrum, L)
             group_value += _period_pairing(chi_hat, q_hat, L)
         model_value += group_value
         model_abs += abs(group_value)
@@ -807,7 +806,7 @@ def model_sum_eval(
     adjoint_value = 0.0 + 0.0j
     for j, group in sorted(by_j.items()):
         keys = sorted({t.rect_key for t in group})
-        sym = build_adjoint_symbol([rects_by_key[k] for k in keys], alpha)
+        sym = build_adjoint_symbol([rects[k] for k in keys], alpha)
         B = apply_bilinear(sym, f, g)
         adjoint_value += _period_pairing(B.coeffs(), _pad(h.coeffs(), B.N), L)
 

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from bmlab.bumps import fejer_sq_cdf
+from bmlab.bumps import fejer_sq_cdf, fejer_sq_spectrum
+from bmlab.engine import _freq_grid
 from bmlab.whitney import chi_values
 
 
@@ -244,3 +245,45 @@ def partition_sum_by_tiles(j0, B, window, n=512, tail=1e-8):
     for m in range(m_lo, m_hi + 1):
         total += chi_values(xs, (m * tile_len, (m + 1) * tile_len), j0, B)
     return float(np.max(np.abs(1.0 - total)))
+
+
+def max_overlap_sweep(intervals):
+    """Most closed intervals (lo, hi) sharing a point, by a sweep over the
+    sorted events: at a shared coordinate opens precede closes, so touching
+    closed intervals count as overlapping."""
+    if not intervals:
+        return 0
+    events = sorted([(lo, 0) for lo, _ in intervals] + [(hi, 1) for _, hi in intervals])
+    best = cur = 0
+    for _, kind in events:
+        if kind == 0:
+            cur += 1
+            best = max(best, cur)
+        else:
+            cur -= 1
+    return best
+
+
+def csv_text_by_rows(header, rows):
+    """CSV text formatted one cell at a time: repr of each float (numpy
+    floats included), str of anything else."""
+
+    def fmt(v):
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    return "\n".join([",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def chi_coeffs_dense(interval, j, B, M, L):
+    """Centered Fourier coefficients of the periodized mollified cutoff,
+    with the box transform and the kernel spectrum taken at every slot."""
+    lam, r0 = float(B) ** (-j), 4.0 ** (-float(B))
+    xi = _freq_grid(M, L)
+    lo, hi = interval
+    with np.errstate(divide="ignore", invalid="ignore"):
+        box = np.where(
+            xi == 0.0,
+            hi - lo,
+            (np.exp(-2j * np.pi * xi * lo) - np.exp(-2j * np.pi * xi * hi)) / (2j * np.pi * xi),
+        )
+    return box * fejer_sq_spectrum(xi / lam, r0) / L

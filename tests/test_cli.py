@@ -317,3 +317,58 @@ def test_check_hyp_names_unstable_coloring(tmp_path, capsys, monkeypatch):
     ]
     rep = json.loads((tmp_path / "out" / "hypothesis.json").read_text())
     assert rep["n"] == 2 and rep["stable"] is False
+
+
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ("segments = 2\n", "segments = 0\n", "[whitney] segments"),
+        ("samples = 1500\n", "samples = 0\n", "[whitney] samples"),
+        ("C0 = 16\n", "C0 = 0\n", "[whitney] C0"),
+        ("C0 = 16\n", "C0 = -4\n", "[whitney] C0"),
+        ("C0 = 16\n", "C0 = nan\n", "[whitney] C0"),
+    ],
+    ids=["segments=0", "samples=0", "C0=0", "C0=-4", "C0=nan"],
+)
+def test_whitney_rejects_degenerate_keys(tmp_path, capsys, old, new, key):
+    # segments = 0 used to exit 0 with a report that checked no cover
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, old, new)
+    assert main(["whitney", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["nx = 32", "ny = 32"])
+def test_symbol_rejects_empty_grid(tmp_path, capsys, line):
+    # nx = 0 used to exit 0 with a null ones_fraction
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, line, line.replace("32", "0"))
+    assert main(["symbol", "--config", cfg]) == 2
+    assert f"[symbol] {line[:2]} must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_whitney_builds_one_tile_rect(tmp_path, monkeypatch):
+    # the covers stay arrays; the only TileRect is the model form's demo one
+    built = []
+    init = whitney.TileRect.__init__
+    monkeypatch.setattr(whitney.TileRect, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    cfg = write_config(tmp_path)
+    assert main(["whitney", "--config", cfg]) == 0
+    rep = json.loads((tmp_path / "out" / "whitney.json").read_text())
+    assert sum(c["num_rects"] for c in rep["covers"]) > 1000
+    assert [(r.j, r.square) for r in built] == [(1, whitney.WhitneySquare(cx=0.75, cy=0.25, k=-3))]
+
+
+def test_cli_outputs_match_golden(tmp_path):
+    # every output file of the six subcommands, with exit codes, stdout and
+    # stderr, as recorded by tests/make_cli_golden.py
+    from make_cli_golden import GOLDEN_PATH, run_subcommands
+
+    golden = json.loads(GOLDEN_PATH.read_text())
+    got = run_subcommands(tmp_path)
+    assert got["runs"] == golden["runs"]
+    assert got["files_sha256"] == golden["files_sha256"]

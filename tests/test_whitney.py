@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bmlab import curves
-from bmlab.engine import SampledFunction
+from bmlab import curves, reporting, whitney
+from bmlab.bumps import fejer_sq_spectrum
+from bmlab.engine import SampledFunction, _freq_grid, _period_pairing
 from bmlab.whitney import (
     MultiTile,
     PolygonalGeometry,
+    RectCover,
     TileRect,
     WhitneySquare,
     build_cover,
@@ -24,7 +27,10 @@ from bmlab.whitney import (
     r2_samples,
 )
 
-from oracles import partition_sum_by_tiles, whitney_conditions_by_sampling
+from oracles import (
+    chi_coeffs_dense, csv_text_by_rows, max_overlap_sweep, partition_sum_by_tiles,
+    whitney_conditions_by_sampling,
+)
 
 
 def dyadic_seq(n=7):
@@ -112,7 +118,7 @@ def test_build_cover_hyperboloid_segments(hyperboloid_seq):
         assert rep.cover_ok, rep.witnesses[:3]
         assert rep.containment_ok
         assert rep.rects
-        for r in rep.rects[:50]:
+        for r in (rep.rects[i] for i in range(50)):
             assert r.square.satisfies(16.0)
             # exact in exact arithmetic; float cancellation at deep scales
             # leaves a relative error of order (b_j / eta-extent) * eps
@@ -160,15 +166,105 @@ def test_rect_geometry_identities():
     assert abs(e3[1] - (K.hi - a - b)) < 1e-12
 
 
+def cover_of(rects):
+    """The RectCover of TileRects that share a segment."""
+    r0 = rects[0]
+    return RectCover(
+        j=r0.j, anchor=r0.anchor, s_j=r0.s_j, k=np.array([r.square.k for r in rects]),
+        cx=np.array([r.square.cx for r in rects]), cy=np.array([r.square.cy for r in rects]),
+    )
+
+
 def test_edge_collections_single_and_adjacent():
     seq, poly, rect = demo_rect()
-    single = edge_interval_collections([rect], 0.9)
+    single = edge_interval_collections(cover_of([rect]), 0.9)
     assert single["max_overlap"] == {1: 1, 2: 1, 3: 1}
     sq2 = WhitneySquare(cx=0.875, cy=0.375, k=-3)  # abutting square, same scale
     rect2 = TileRect(j=1, square=sq2, anchor=rect.anchor, s_j=rect.s_j)
-    both = edge_interval_collections([rect, rect2], 0.9)
+    both = edge_interval_collections(cover_of([rect, rect2]), 0.9)
     assert all(1 <= v <= 2 for v in both["max_overlap"].values())
     assert both["max_overlap"][1] == 2  # dilated abutting edges overlap
+
+
+# endpoints from a small pool, so families share endpoints, repeat intervals
+# and hold zero-length ones
+_ENDPOINT = st.sampled_from([-1.5, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0])
+_LENGTH = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+
+
+@given(st.lists(st.tuples(_ENDPOINT, _LENGTH), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_max_overlap_matches_sweep(family):
+    intervals = [(lo, lo + length) for lo, length in family]
+    lo, hi = (np.array(v) for v in zip(*intervals))
+    assert whitney._max_overlap(lo, hi) == max_overlap_sweep(intervals)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_cover_arrays_match_tile_rects(hyperboloid_seq):
+    # every range and edge the arrays give equals, bit for bit, the one of a
+    # TileRect built from the same square with its own I and Jn
+    poly = PolygonalGeometry.from_sequence(hyperboloid_seq)
+    for j in list(poly.segment_indices())[:3]:
+        cover = build_cover(poly, j, alpha=0.9, C0=16.0, samples=3000).rects
+        a, b = poly.anchor(j)
+        s_j = poly.slope(j)
+        expect = {1: [], 2: [], 3: []}
+        for i in range(len(cover)):
+            sq = WhitneySquare(cx=float(cover.cx[i]), cy=float(cover.cy[i]), k=int(cover.k[i]))
+            r = TileRect(j=j, square=sq, anchor=(a, b), s_j=s_j)
+            (ilo, ihi), (jlo, jhi) = r.I, r.Jn
+            xi, eta = (a - ihi, a - ilo), (b - s_j * jhi, b - s_j * jlo)
+            assert cover[i] == r and (r.xi_range, r.eta_range) == (xi, eta)
+            expect[1].append(xi)
+            expect[2].append(eta)
+            expect[3].append((-xi[1] - eta[1], -xi[0] - eta[0]))
+        dilated = {i: [whitney._dilate(e, 1.0 / 0.9) for e in expect[i]] for i in (1, 2, 3)}
+        result = edge_interval_collections(cover, 0.9)
+        for i in (1, 2, 3):
+            assert np.array_equal(_bits(np.column_stack(cover.edges()[i - 1])), _bits(expect[i]))
+            assert np.array_equal(_bits(np.column_stack(result["intervals"][i])), _bits(dilated[i]))
+        assert result["max_overlap"] == {i: max_overlap_sweep(dilated[i]) for i in (1, 2, 3)}
+
+
+def test_build_cover_builds_no_tile_rects(hyperboloid_seq, monkeypatch):
+    built = []
+    init = TileRect.__init__
+    monkeypatch.setattr(TileRect, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    poly = PolygonalGeometry.from_sequence(hyperboloid_seq)
+    rep = build_cover(poly, poly.first_index, alpha=0.9, C0=16.0, samples=3000)
+    edge_interval_collections(rep.rects, 0.9)
+    reporting.rects_to_svg(rep.rects, curve_points=poly.vertices)
+    assert len(rep.rects) > 100 and built == []
+    assert rep.rects[7].square.k == rep.rects.k[7] and built == [1]
+
+
+def test_write_csv_matches_per_cell_rows(tmp_path):
+    floats = np.array([0.0, -0.0, 1e-300, 5e-324, -5e-324, 0.1, 1.0 / 3.0, 2.5e17, -0.0, 0.1,
+                       np.inf, -np.inf, np.nan])
+    n = len(floats)
+    columns = [
+        np.arange(n) - 4,  # int64 array
+        floats,
+        floats[::-1].copy(),
+        [np.float64(v) for v in floats],  # numpy float scalars in a list
+        [np.int64(v) for v in range(n)],
+        [float(v) for v in floats],
+        ["fam"] * n,
+        np.arange(n) % 3 == 0,  # bool array
+        np.repeat(np.array([-0.0, 0.0, 7.0]), [5, 5, n - 10]),
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path / "t.csv"
+    reporting.write_csv(str(path), header, columns)
+    assert path.read_text() == csv_text_by_rows(header, zip(*columns))
+    reporting.write_csv(str(path), header, [])
+    assert path.read_text() == csv_text_by_rows(header, [])
+    with pytest.raises(ValueError, match="differ in length"):
+        reporting.write_csv(str(path), ["a", "b"], [np.zeros(3), np.zeros(4)])
 
 
 def test_cube_condition_variants():
@@ -260,6 +356,23 @@ def test_chi_range_and_concentration():
     # at a much coarser tile scale the kernel dwarfs the tile
     spread_val = chi_values(np.array([0.5]), (0.0, 1.0), 1, B)[0]
     assert spread_val < 0.5
+
+
+def test_chi_coeffs_match_dense_spectrum(rng):
+    # zeros where the kernel spectrum vanishes, the dense values elsewhere,
+    # and a bitwise-equal period pairing against a random q_hat
+    seq, poly, rect = demo_rect()
+    tiles = enumerate_multitiles(C0=2.0, exponent_base=2, j=1, rects=[rect], space_len=64.0)[:128]
+    M, L = 2048, 64.0
+    xi = _freq_grid(M, L)
+    spectrum = fejer_sq_spectrum(xi / 2.0**-1, 4.0**-2)
+    assert 0 < np.count_nonzero(spectrum) < M // 10
+    for t in tiles:
+        fast = whitney._chi_coeffs(t.I_P, xi, spectrum, L)
+        dense = chi_coeffs_dense(t.I_P, t.j, 2, M, L)
+        assert np.array_equal(fast, dense)
+        q_hat = rng.normal(size=M) + 1j * rng.normal(size=M)
+        assert _period_pairing(fast, q_hat, L) == _period_pairing(dense, q_hat, L)
 
 
 def test_r2_samples_deterministic():

@@ -1,13 +1,14 @@
 """Command-line front end: config-driven, deterministic, atomic outputs.
 
 Subcommands: analyze, check-hyp, symbol, apply, probe, whitney.  Exit codes:
-0 success, 2 invalid configuration, 3 I/O failure, 4 a verification check
-failed (the report is still written).
+0 success, 2 invalid configuration or input file, 3 I/O failure, 4 a
+verification check failed (the report is still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import sys
@@ -125,14 +126,22 @@ def cmd_symbol(cfg: RunConfig) -> int:
 
 
 def _read_function_csv(path: str, L: float) -> engine.SampledFunction:
+    """Samples from ``re,im`` rows; a malformed or non-finite row is a
+    ConfigError naming the file and its 1-based line."""
     rows = []
     with open(path, "r") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("re"):
                 continue
-            re_s, im_s = line.split(",")
-            rows.append(complex(float(re_s), float(im_s)))
+            try:
+                re_s, im_s = line.split(",")
+                z = complex(float(re_s), float(im_s))
+                if not cmath.isfinite(z):
+                    raise ValueError
+            except ValueError:
+                raise ConfigError(f"{path} line {n}: need two finite numbers re,im, got {line!r}") from None
+            rows.append(z)
     return engine.SampledFunction(np.array(rows, dtype=complex), L)
 
 
@@ -265,16 +274,16 @@ def _demo_model_sum(cfg: RunConfig) -> dict:
         j0=1, a_inf=-math.inf, b_inf=0.0,
     )
     poly = whitney.PolygonalGeometry.from_sequence(seq)
-    sq = whitney.WhitneySquare(cx=0.75, cy=0.25, k=-3)
-    rect = whitney.TileRect(j=1, square=sq, anchor=poly.anchor(1), s_j=poly.slope(1))
+    rect = whitney.RectCover(j=1, anchor=poly.anchor(1), s_j=poly.slope(1),
+                             k=np.array([-3]), cx=np.array([0.75]), cy=np.array([0.25]))
     tiles = whitney.enumerate_multitiles(
-        C0=2.0, exponent_base=2, j=1, rects=[rect], space_len=64.0, variant=cfg.diag_variant
+        C0=2.0, exponent_base=2, j=1, rects=rect, space_len=64.0, variant=cfg.diag_variant
     )
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 97)))
     N, L = 512, 64.0
     mk = lambda: engine.SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L)
     # the writer serializes the complex values as {"re": ..., "im": ...}
-    return whitney.model_sum_eval(mk(), mk(), mk(), tiles, [rect], seq, alpha=cfg.alpha,
+    return whitney.model_sum_eval(mk(), mk(), mk(), tiles, rect, seq, alpha=cfg.alpha,
                                   exponent_base=2)
 
 

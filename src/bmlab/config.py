@@ -72,8 +72,12 @@ class RunConfig:
             raise ConfigError(f"unknown curve family: {self.family}")
         if self.J < 3:
             raise ConfigError("J >= 3 required")
-        if self.L <= 0:
-            raise ConfigError("L must be positive")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ConfigError("[grid] L must be finite and positive")
+        if self.c is not None and not math.isfinite(self.c):
+            raise ConfigError("[curve] c must be finite")
+        if self.window is not None and not all(math.isfinite(v) for v in self.window):
+            raise ConfigError("[symbol] window entries must be finite")
         if self.seed is None:
             raise ConfigError("seed is required (no wall-clock defaults)")
         if self.trials < 1:

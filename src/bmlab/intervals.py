@@ -233,7 +233,6 @@ class HypothesisReport:
     n: int
     n_doubled: int  # colors at truncation 2J
     per_color_lacunary: list[bool]
-    per_color_min_ratio: list[float]
     coloring: ColoringResult
     intervals: IntervalCollection
 
@@ -257,20 +256,14 @@ class HypothesisReport:
         }
 
 
-def _lacunary_flag(group: list[HalfOpenInterval], q_min: float = 1.01):
+def _lacunary_flag(group: list[HalfOpenInterval], q_min: float = 1.01) -> bool:
     """Heuristic: midpoint magnitudes grow geometrically within the class.
 
     Reported, not certified; a proper two-sided square-function measurement
     lives in the engine module.
     """
     mids = sorted(abs(0.5 * (iv.lo + iv.hi)) for iv in group)
-    if len(mids) < 2:
-        return True, math.inf
-    ratios = []
-    for a, b in zip(mids, mids[1:]):
-        ratios.append(math.inf if a == 0 else b / a)
-    worst = min(ratios)
-    return worst >= q_min, worst
+    return all(a == 0 or b / a >= q_min for a, b in zip(mids, mids[1:]))
 
 
 def check_hypothesis(seq: SequencePair, which: str, J: int) -> HypothesisReport:
@@ -286,19 +279,13 @@ def check_hypothesis(seq: SequencePair, which: str, J: int) -> HypothesisReport:
     coloring = min_disjoint_split(coll)
     coll2 = build_hyp_collection(seq.truncate(2 * J), which)
     coloring2 = min_disjoint_split(coll2)
-    flags, ratios = [], []
-    for color in range(coloring.num_colors):
-        group = coloring.certificate[color]
-        flag, ratio = _lacunary_flag(group)
-        flags.append(bool(flag))
-        ratios.append(float(ratio))
+    flags = [_lacunary_flag(coloring.certificate[color]) for color in range(coloring.num_colors)]
     return HypothesisReport(
         hypothesis=which,
         J=J,
         n=coloring.num_colors,
         n_doubled=coloring2.num_colors,
         per_color_lacunary=flags,
-        per_color_min_ratio=ratios,
         coloring=coloring,
         intervals=coll,
     )

@@ -27,24 +27,18 @@ from .curves import SequencePair
 from .engine import (
     SampledFunction, _analyze, _freq_grid, _pad, _period_pairing, _synthesize, apply_bilinear,
 )
-from .intervals import HalfOpenInterval
 from .symbols import SymbolSpec
 
 __all__ = [
-    "WhitneySquare",
-    "TileRect",
     "RectCover",
     "MultiTile",
     "PolygonalGeometry",
     "CoverReport",
-    "enumerate_whitney_squares",
     "build_cover",
     "edge_interval_collections",
     "cube_condition",
     "enumerate_multitiles",
-    "k_interval",
     "chi_values",
-    "mollified_partition",
     "partition_check",
     "build_adjoint_symbol",
     "model_sum_eval",
@@ -52,77 +46,6 @@ __all__ = [
 ]
 
 LATTICE_EXP = 10  # centers live on 2^(k - LATTICE_EXP) Z^2 for side 2^k
-
-
-@dataclass(frozen=True)
-class WhitneySquare:
-    """Axis-aligned square, side 2^k, center on the scale lattice."""
-
-    cx: float
-    cy: float
-    k: int
-
-    @property
-    def side(self) -> float:
-        return 2.0**self.k
-
-    def satisfies(self, C0: float) -> bool:
-        """Dilation by C0 misses the diagonal, dilation by 4 C0 meets it.
-
-        For an axis-aligned square both reduce to exact comparisons of the
-        center gap |cx - cy| against multiples of the side.
-        """
-        gap = abs(self.cx - self.cy)
-        s = self.side
-        return C0 * s < gap <= 4.0 * C0 * s
-
-
-def enumerate_whitney_squares(
-    C0: float,
-    window: tuple[float, float, float, float],
-    scale_range: tuple[int, int],
-    lattice_exp: int = LATTICE_EXP,
-    max_count: int = 2_000_000,
-) -> list[WhitneySquare]:
-    """Every lattice square meeting the window that passes both conditions.
-
-    ``scale_range`` is an inclusive pair (k_min, k_max).  The literal lattice
-    is extremely fine; the enumeration walks only the diagonal band allowed
-    by the conditions and refuses (with a hint) beyond ``max_count``
-    candidates.
-    """
-    k_min, k_max = scale_range
-    if k_min > k_max:
-        raise ValueError("empty scale range")
-    xlo, xhi, ylo, yhi = window
-    out = []
-    for k in range(k_min, k_max + 1):
-        s = 2.0**k
-        delta = 2.0 ** (k - lattice_exp)
-        # center ranges for squares meeting the window
-        pxlo = math.ceil((xlo - s / 2) / delta)
-        pxhi = math.floor((xhi + s / 2) / delta)
-        # the band C0*2^lattice_exp < |px - py| <= 4*C0*2^lattice_exp
-        dlo = math.floor(C0 * 2.0**lattice_exp)
-        dhi = math.floor(4.0 * C0 * 2.0**lattice_exp)
-        span = (pxhi - pxlo + 1) * 2 * max(0, dhi - dlo)
-        if span > max_count:
-            raise ValueError(
-                "lattice enumeration too large; shrink the window, coarsen "
-                "lattice_exp, or use build_cover for constructive selection"
-            )
-        pylo = math.ceil((ylo - s / 2) / delta)
-        pyhi = math.floor((yhi + s / 2) / delta)
-        for px in range(pxlo, pxhi + 1):
-            for sign in (1, -1):
-                for d in range(dlo + 1, dhi + 1):
-                    py = px - sign * d
-                    if py < pylo or py > pyhi:
-                        continue
-                    sq = WhitneySquare(cx=px * delta, cy=py * delta, k=k)
-                    if sq.satisfies(C0):
-                        out.append(sq)
-    return out
 
 
 # --- polygon geometry ----------------------------------------------------------
@@ -169,12 +92,6 @@ class PolygonalGeometry:
         (a0, b0), (a1, b1) = self.vertices[row], self.vertices[row + 1]
         return float((b0 - b1) / (a0 - a1))
 
-    def triangle(self, j: int) -> np.ndarray:
-        """Vertices (a_j, b_j), (a_{j+1}, b_j), (a_{j+1}, b_{j+1})."""
-        row = self._row(j)
-        (a0, b0), (a1, b1) = self.vertices[row], self.vertices[row + 1]
-        return np.array([[a0, b0], [a1, b0], [a1, b1]])
-
     def curve_height(self, xi) -> np.ndarray:
         """Piecewise-linear interpolant, end segments extended linearly."""
         xs = self.vertices[::-1, 0]
@@ -191,74 +108,16 @@ class PolygonalGeometry:
         return np.asarray(eta, dtype=float) >= self.curve_height(xi) - tol
 
 
-def _edges(cx, cy, side, anchor, s_j):
-    """The three edges of the pushforwards of squares centered at (cx, cy):
-    the xi-extent a_j - I, the eta-extent b_j - s_j Jn and -edge1 - edge2
-    (K shifted by -(a_j + b_j)).  Scalars for a TileRect, arrays for a RectCover."""
-    h = 0.5 * side
-    a, b = anchor
-    xlo, xhi, elo, ehi = a - (cx + h), a - (cx - h), b - s_j * (cy + h), b - s_j * (cy - h)
-    return (xlo, xhi), (elo, ehi), (-xhi - ehi, -xlo - elo)
-
-
-@dataclass(frozen=True)
-class TileRect:
-    """Pushforward of a Whitney square through a segment's anisotropic map.
-
-    The generating square S = I x J sits in normalized coordinates; the
-    rectangle is (a_j, b_j) + (-I) x (-s_j J), so its xi-side has the
-    square's length and its eta-side is shorter by the factor s_j.
-    """
-
-    j: int
-    square: WhitneySquare
-    anchor: tuple[float, float]
-    s_j: float
-
-    @property
-    def I(self) -> tuple[float, float]:
-        h = 0.5 * self.square.side
-        return (self.square.cx - h, self.square.cx + h)
-
-    @property
-    def Jn(self) -> tuple[float, float]:
-        h = 0.5 * self.square.side
-        return (self.square.cy - h, self.square.cy + h)
-
-    def edges(self) -> tuple[tuple[float, float], ...]:
-        """xi-extent, eta-extent and -edge1 - edge2 (see ``_edges``)."""
-        sq = self.square
-        return _edges(sq.cx, sq.cy, sq.side, self.anchor, self.s_j)
-
-    @property
-    def xi_range(self) -> tuple[float, float]:
-        return self.edges()[0]
-
-    @property
-    def eta_range(self) -> tuple[float, float]:
-        return self.edges()[1]
-
-    @property
-    def aspect(self) -> float:
-        (xlo, xhi), (elo, ehi) = self.xi_range, self.eta_range
-        return (ehi - elo) / (xhi - xlo)
-
-    def edge3(self) -> tuple[float, float]:
-        return self.edges()[2]
-
-    def omegas(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """omega1 = -I and omega2 = -s_j Jn: the rectangle's sides about its anchor."""
-        (ilo, ihi), (jlo, jhi) = self.I, self.Jn
-        return (-ihi, -ilo), (-self.s_j * jhi, -self.s_j * jlo)
-
-
 @dataclass(frozen=True, eq=False)
 class RectCover:
-    """The rectangles of one segment's cover, as arrays: the scale ``k`` and
-    the square center (``cx``, ``cy``) of each, with the segment's index
-    ``j``, ``anchor`` (a_j, b_j) and slope ``s_j``.  Ranges and edges come
-    from the arrays with the TileRect formula; ``cover[i]`` builds the
-    TileRect of rectangle i on demand.
+    """Whitney rectangles of one segment, one per row: the scale ``k`` and the
+    center (``cx``, ``cy``) of each generating square S = I x Jn, with the
+    segment's index ``j``, ``anchor`` (a_j, b_j) and slope ``s_j``.
+
+    Row i is the pushforward (a_j, b_j) + (-I) x (-s_j Jn) of its square, so
+    its xi-side has the square's length and its eta-side is shorter by the
+    factor s_j.  ``edges``, ``omegas`` and ``k_interval`` return (lo, hi) array
+    pairs over the rows.
     """
 
     j: int
@@ -271,20 +130,28 @@ class RectCover:
     def __len__(self) -> int:
         return len(self.k)
 
-    def __getitem__(self, i: int) -> TileRect:
-        sq = WhitneySquare(cx=float(self.cx[i]), cy=float(self.cy[i]), k=int(self.k[i]))
-        return TileRect(j=self.j, square=sq, anchor=self.anchor, s_j=self.s_j)
+    def _sides(self):
+        """The square sides I and Jn."""
+        h = 0.5 * 2.0**self.k
+        return (self.cx - h, self.cx + h), (self.cy - h, self.cy + h)
 
     def edges(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The three edge families (see ``_edges``) as (lo, hi) array pairs."""
-        return _edges(self.cx, self.cy, 2.0**self.k, self.anchor, self.s_j)
+        """The xi-extent a_j - I, the eta-extent b_j - s_j Jn and -edge1 - edge2
+        (K shifted by -(a_j + b_j))."""
+        (ilo, ihi), (jlo, jhi) = self._sides()
+        a, b = self.anchor
+        xlo, xhi, elo, ehi = a - ihi, a - ilo, b - self.s_j * jhi, b - self.s_j * jlo
+        return (xlo, xhi), (elo, ehi), (-xhi - ehi, -xlo - elo)
 
+    def omegas(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """omega1 = -I and omega2 = -s_j Jn: the rectangle's sides about its anchor."""
+        (ilo, ihi), (jlo, jhi) = self._sides()
+        return (-ihi, -ilo), (-self.s_j * jhi, -self.s_j * jlo)
 
-def k_interval(rect: TileRect) -> HalfOpenInterval:
-    """The output-frequency interval I + s_j J of the generating square."""
-    ilo, ihi = rect.I
-    jlo, jhi = rect.Jn
-    return HalfOpenInterval(ilo + rect.s_j * jlo, ihi + rect.s_j * jhi, closure="right_open")
+    def k_interval(self) -> tuple[np.ndarray, np.ndarray]:
+        """The output-frequency interval K = I + s_j Jn of the generating square."""
+        (ilo, ihi), (jlo, jhi) = self._sides()
+        return ilo + self.s_j * jlo, ihi + self.s_j * jhi
 
 
 def r2_samples(n: int) -> np.ndarray:
@@ -474,29 +341,34 @@ class MultiTile:
     cube_center: tuple[float, float, float]
     rect_key: int = 0
 
-    @property
-    def j_P(self) -> int:
-        return self.j
+
+def _rows(rects: RectCover):
+    """Per row: k, cx, cy, omega1, omega2 and K as Python scalars and pairs,
+    from the cover's arrays built once."""
+    (o1lo, o1hi), (o2lo, o2hi) = rects.omegas()
+    klo, khi = rects.k_interval()
+    pairs = lambda lo, hi: zip(lo.tolist(), hi.tolist())
+    return zip(rects.k.tolist(), rects.cx.tolist(), rects.cy.tolist(),
+               pairs(o1lo, o1hi), pairs(o2lo, o2hi), pairs(klo, khi))
 
 
 def _omega3_family(
-    rect: TileRect, C0: float, alpha: float, variant: str
+    k: int, cx: float, cy: float, s_j: float, K: tuple[float, float], C0: float, alpha: float,
+    variant: str,
 ) -> list[tuple[tuple[float, float], tuple[float, float, float]]]:
     """Third-coordinate cubes whose stretched images cover supp phi_K.
 
-    Returns (omega3, cube_center) pairs; omega3 = (1 + s_j) K', with the
-    centers of K' a quarter side apart on the lattice.  Coverage target is
-    the (1/sqrt(alpha))-dilation of K = I + s_j J, matching the plateau of
-    the wide third-slot prefilter.
+    Returns (omega3, cube_center) pairs for the square of side 2^k centered
+    at (cx, cy); omega3 = (1 + s_j) K', with the centers of K' a quarter side
+    apart on the lattice.  Coverage target is the (1/sqrt(alpha))-dilation of
+    K = I + s_j J, matching the plateau of the wide third-slot prefilter.
     """
-    s = rect.square.side
-    s_j = rect.s_j
-    K = k_interval(rect)
-    target = _dilate((K.lo, K.hi), 1.0 / math.sqrt(alpha))
+    s = 2.0**k
+    target = _dilate(K, 1.0 / math.sqrt(alpha))
     stretch = 1.0 + s_j
-    delta = 2.0 ** (rect.square.k - LATTICE_EXP)
+    delta = 2.0 ** (k - LATTICE_EXP)
     stride = max(1, int(round(0.25 * s / delta)))
-    c_pred = 0.5 * (K.lo + K.hi) / stretch
+    c_pred = 0.5 * (K[0] + K[1]) / stretch
     base_slot = int(round(c_pred / delta))
     out = []
     span = int(math.ceil((target[1] - target[0]) / (stretch * stride * delta))) + 4
@@ -506,7 +378,7 @@ def _omega3_family(
         hi3 = stretch * (cK + 0.5 * s)
         if hi3 < target[0] - 0.25 * stretch * s or lo3 > target[1] + 0.25 * stretch * s:
             continue
-        center = (rect.square.cx, rect.square.cy, cK)
+        center = (cx, cy, cK)
         if cube_condition(center, s, C0, variant):
             out.append(((lo3, hi3), center))
     return out
@@ -516,7 +388,7 @@ def enumerate_multitiles(
     C0: float,
     exponent_base: int,
     j: int,
-    rects: Sequence[TileRect],
+    rects: RectCover,
     space_len: float,
     window: Optional[tuple[float, float]] = None,
     variant: str = "line",
@@ -527,25 +399,24 @@ def enumerate_multitiles(
     The space tiles partition [0, space_len) dyadically with length
     base^(-j) per the scale relation; ``space_len`` must be an integer
     multiple of that length.  ``window``, when given, restricts the third
-    cube coordinate.
+    cube coordinate.  A tile's ``rect_key`` is its rectangle's row in ``rects``.
     """
     tile_len = float(exponent_base) ** (-j)
     count = space_len / tile_len
     if abs(count - round(count)) > 1e-9 or round(count) < 1:
         raise ValueError("space_len must be a positive integer multiple of base^(-j)")
     count = int(round(count))
+    if rects.j != j:
+        raise ValueError("rect segment index does not match j")
     tiles = []
-    for key, rect in enumerate(rects):
-        if rect.j != j:
-            raise ValueError("rect segment index does not match j")
-        fam = _omega3_family(rect, C0, alpha, variant)
+    for key, (k, cx, cy, om1, om2, K) in enumerate(_rows(rects)):
+        fam = _omega3_family(k, cx, cy, rects.s_j, K, C0, alpha, variant)
         if window is not None:
             fam = [fc for fc in fam if window[0] <= fc[1][2] <= window[1]]
-        om1, om2 = rect.omegas()
         for (om3, center) in fam:
             tiles.extend(
                 MultiTile(I_P=(m * tile_len, (m + 1) * tile_len), omega1=om1, omega2=om2, omega3=om3,
-                          j=j, scale_k=rect.square.k, cube_center=center, rect_key=key)
+                          j=j, scale_k=k, cube_center=center, rect_key=key)
                 for m in range(count)
             )
     if window is not None and not tiles:
@@ -557,41 +428,43 @@ def enumerate_multitiles(
 
 
 def omega3_partition_check(
-    rect: TileRect,
+    rects: RectCover,
     C0: float,
     alpha: float = 0.9,
     n: int = 10_000,
     variant: str = "line",
 ) -> float:
-    """Max gap between the summed third-slot pieces and the wide output bump.
+    """Max gap, over the rectangles, between the summed third-slot pieces and
+    the wide output bump.
 
     The pieces are the output-interval bumps weighted to partition the bump
     that is 1 on K and supported on its (1/sqrt(alpha))-dilation.
     """
-    fam = [om for om, _ in _omega3_family(rect, C0, alpha, variant)]
-    if not fam:
-        raise ValueError("no admissible third-slot cubes for this rectangle")
-    K = k_interval(rect)
-    supp = _dilate((K.lo, K.hi), 1.0 / math.sqrt(alpha))
-    pad = 0.5 * (supp[1] - supp[0])
-    xs = np.linspace(supp[0] - pad, supp[1] + pad, n)
-    phi, weights = _omega3_weights(xs, rect, fam, alpha)
-    pieces = np.zeros_like(xs)
-    for w in weights:
-        pieces += w
-    return float(np.max(np.abs(pieces - phi)))
+    gaps = []
+    for k, cx, cy, _, _, K in _rows(rects):
+        fam = [om for om, _ in _omega3_family(k, cx, cy, rects.s_j, K, C0, alpha, variant)]
+        if not fam:
+            raise ValueError("no admissible third-slot cubes for this rectangle")
+        supp = _dilate(K, 1.0 / math.sqrt(alpha))
+        pad = 0.5 * (supp[1] - supp[0])
+        xs = np.linspace(supp[0] - pad, supp[1] + pad, n)
+        phi, weights = _omega3_weights(xs, K, fam, alpha)
+        pieces = np.zeros_like(xs)
+        for w in weights:
+            pieces += w
+        gaps.append(float(np.max(np.abs(pieces - phi))))
+    return max(gaps)
 
 
-def _omega3_weights(x, rect: TileRect, fam, alpha: float):
+def _omega3_weights(x, K: tuple[float, float], fam, alpha: float):
     """The wide output bump phi_K at ``x`` and its partition over ``fam``.
 
     phi_K is 1 on K = I + s_j J and supported on its (1/sqrt(alpha))-dilation;
     the weight of each omega3 in ``fam`` is phi_K times that interval's adapted
     bump over the sum of all of them (0 where the sum vanishes).
     """
-    K = k_interval(rect)
     plateau_wide = math.sqrt(alpha)
-    supp = _dilate((K.lo, K.hi), 1.0 / plateau_wide)
+    supp = _dilate(K, 1.0 / plateau_wide)
     phi_K = adapted_bump(x, supp[0], supp[1], plateau=plateau_wide)
     raw = [adapted_bump(x, lo, hi, plateau=alpha) for lo, hi in fam]
     total = np.sum(raw, axis=0)
@@ -615,14 +488,6 @@ def chi_values(x, interval: tuple[float, float], j: int, exponent_base: int) -> 
     lo, hi = interval
     x = np.asarray(x, dtype=float)
     return fejer_sq_cdf(lam * (x - lo), r0) - fejer_sq_cdf(lam * (x - hi), r0)
-
-
-def mollified_partition(interval: tuple[float, float], j0: int, exponent_base: int, n: int = 2048):
-    """Sampled chi for one interval: (x grid over 3 widths, chi values)."""
-    lo, hi = interval
-    pad = hi - lo
-    xs = np.linspace(lo - pad, hi + pad, n)
-    return xs, chi_values(xs, interval, j0, exponent_base)
 
 
 def partition_check(
@@ -703,16 +568,16 @@ def _int_shift(value: float, L: float) -> int:
     return int(round(slots))
 
 
-def build_adjoint_symbol(rects: Sequence[TileRect], alpha: float) -> SymbolSpec:
-    """Sum over rectangles of the tensor tile bumps, anchored per segment."""
-    data = [(*r.anchor, *r.omegas()) for r in rects]
+def build_adjoint_symbol(rects: RectCover, rows: Sequence[int], alpha: float) -> SymbolSpec:
+    """Sum over the cover's ``rows`` of the tensor tile bumps about the segment's anchor."""
+    a, b = rects.anchor
+    (o1lo, o1hi), (o2lo, o2hi) = rects.omegas()
+    data = [(o1lo[i], o1hi[i], o2lo[i], o2hi[i]) for i in rows]
 
     def ev(xi, eta):
         out = np.zeros(np.broadcast(xi, eta).shape)
-        for a, b, om1, om2 in data:
-            out = out + adapted_bump(xi - a, om1[0], om1[1], alpha) * adapted_bump(
-                eta - b, om2[0], om2[1], alpha
-            )
+        for lo1, hi1, lo2, hi2 in data:
+            out = out + adapted_bump(xi - a, lo1, hi1, alpha) * adapted_bump(eta - b, lo2, hi2, alpha)
         return out
 
     return SymbolSpec(evaluator=ev, kind="smooth_adapted", bbox=None, label="tile_bump_sum")
@@ -723,13 +588,14 @@ def model_sum_eval(
     g: SampledFunction,
     h: SampledFunction,
     tiles: Sequence[MultiTile],
-    rects: Sequence[TileRect],
+    rects: RectCover,
     seq: SequencePair,
     alpha: float,
     exponent_base: int,
 ) -> dict:
     """Evaluate the discretized trilinear model form and its direct counterpart.
 
+    ``tiles`` come from ``enumerate_multitiles`` on ``rects``, one segment.
     Model side: sum over multi-tiles of the integral of the mollified space
     cutoff times the three tile projections of the modulated, prefiltered
     inputs.  Direct side: the tile-bump symbol applied as a bilinear
@@ -739,15 +605,15 @@ def model_sum_eval(
     """
     if not (f.N == g.N == h.N) or not (f.L == g.L == h.L):
         raise ValueError("common grid required")
+    if not tiles:
+        raise ValueError("nonempty tile list required")
+    j = rects.j
+    if any(t.j != j for t in tiles):
+        raise ValueError("tile segment index does not match the cover's j")
     N, L = f.N, f.L
     M = 4 * N
     freqs_pad = _freq_grid(M, L)
     plateau_wide = math.sqrt(alpha)
-
-    by_j: dict[int, list[MultiTile]] = {}
-    for t in tiles:
-        by_j.setdefault(t.j, []).append(t)
-
     cf, cg, ch = (_pad(fn.coeffs(), M) for fn in (f, g, h))
 
     def prefilter(c: np.ndarray, edges: list[tuple[float, float]]) -> np.ndarray:
@@ -761,60 +627,50 @@ def model_sum_eval(
         ok = (idx >= 0) & (idx < M)
         return np.where(ok, c[np.clip(idx, 0, M - 1)], 0.0)
 
+    sa, sb = _int_shift(seq.a_at(j), L), _int_shift(seq.b_at(j), L)
+    spectrum = fejer_sq_spectrum(freqs_pad / float(exponent_base) ** (-j), _base_radius(exponent_base))
+    keys = sorted({t.rect_key for t in tiles})
+    cfj, cgj, chj = (prefilter(c, list(zip(lo[keys], hi[keys])))
+                     for c, (lo, hi) in zip((cf, cg, ch), rects.edges()))
+
+    # third-slot partition weights per rectangle
+    fam_by_key: dict[int, list[tuple[float, float]]] = {}
+    for t in tiles:
+        fam = fam_by_key.setdefault(t.rect_key, [])
+        if t.omega3 not in fam:
+            fam.append(t.omega3)
+
+    klo, khi = rects.k_interval()
+    psi3: dict[tuple[int, tuple[float, float]], np.ndarray] = {}
+    for key, fam in fam_by_key.items():
+        _, weights = _omega3_weights(freqs_pad, (klo[key], khi[key]), fam, alpha)
+        for om3, w in zip(fam, weights):
+            psi3[(key, om3)] = w
+
     model_value = 0.0 + 0.0j
-    model_abs = 0.0
-    for j, group in sorted(by_j.items()):
-        a_j, b_j = seq.a_at(j), seq.b_at(j)
-        sa, sb = _int_shift(a_j, L), _int_shift(b_j, L)
-        spectrum = fejer_sq_spectrum(freqs_pad / float(exponent_base) ** (-j), _base_radius(exponent_base))
-        keys = sorted({t.rect_key for t in group})
-        edges = [rects[k].edges() for k in keys]
-        cfj, cgj, chj = (prefilter(c, [e[i] for e in edges]) for i, c in enumerate((cf, cg, ch)))
+    uv_cache: dict[int, np.ndarray] = {}
+    q_cache: dict[tuple[int, tuple[float, float]], np.ndarray] = {}
+    for t in tiles:
+        key = t.rect_key
+        if key not in uv_cache:
+            u_hat = adapted_bump(freqs_pad, *t.omega1, plateau=alpha) * shifted(cfj, sa)
+            v_hat = adapted_bump(freqs_pad, *t.omega2, plateau=alpha) * shifted(cgj, sb)
+            uv_cache[key] = _synthesize(u_hat) * _synthesize(v_hat)
+        qkey = (key, t.omega3)
+        if qkey not in q_cache:
+            w_hat = psi3[qkey] * shifted(chj, -sa - sb)
+            q_cache[qkey] = _analyze(uv_cache[key] * _synthesize(w_hat))
+        chi_hat = _chi_coeffs(t.I_P, freqs_pad, spectrum, L)
+        model_value += _period_pairing(chi_hat, q_cache[qkey], L)
 
-        # third-slot partition weights per rectangle
-        fam_by_key: dict[int, list[tuple[float, float]]] = {}
-        for t in group:
-            fam = fam_by_key.setdefault(t.rect_key, [])
-            if t.omega3 not in fam:
-                fam.append(t.omega3)
-
-        psi3: dict[tuple[int, tuple[float, float]], np.ndarray] = {}
-        for key, fam in fam_by_key.items():
-            _, weights = _omega3_weights(freqs_pad, rects[key], fam, alpha)
-            for om3, w in zip(fam, weights):
-                psi3[(key, om3)] = w
-
-        group_value = 0.0 + 0.0j
-        uv_cache: dict[int, np.ndarray] = {}
-        q_cache: dict[tuple[int, tuple[float, float]], np.ndarray] = {}
-        for t in group:
-            key = t.rect_key
-            if key not in uv_cache:
-                u_hat = adapted_bump(freqs_pad, *t.omega1, plateau=alpha) * shifted(cfj, sa)
-                v_hat = adapted_bump(freqs_pad, *t.omega2, plateau=alpha) * shifted(cgj, sb)
-                uv_cache[key] = _synthesize(u_hat) * _synthesize(v_hat)
-            qkey = (key, t.omega3)
-            if qkey not in q_cache:
-                w_hat = psi3[qkey] * shifted(chj, -sa - sb)
-                q_cache[qkey] = _analyze(uv_cache[key] * _synthesize(w_hat))
-            q_hat = q_cache[qkey]
-            chi_hat = _chi_coeffs(t.I_P, freqs_pad, spectrum, L)
-            group_value += _period_pairing(chi_hat, q_hat, L)
-        model_value += group_value
-        model_abs += abs(group_value)
-
-    adjoint_value = 0.0 + 0.0j
-    for j, group in sorted(by_j.items()):
-        keys = sorted({t.rect_key for t in group})
-        sym = build_adjoint_symbol([rects[k] for k in keys], alpha)
-        B = apply_bilinear(sym, f, g)
-        adjoint_value += _period_pairing(B.coeffs(), _pad(h.coeffs(), B.N), L)
+    B = apply_bilinear(build_adjoint_symbol(rects, keys, alpha), f, g)
+    adjoint_value = _period_pairing(B.coeffs(), _pad(h.coeffs(), B.N), L)
 
     deviation = abs(model_value - adjoint_value) / (abs(adjoint_value) + 1e-30)
     return {
         "model_value": complex(model_value),
         "adjoint_value": complex(adjoint_value),
         "deviation": float(deviation),
-        "model_abs": float(model_abs),
+        "model_abs": float(abs(model_value)),
         "num_tiles": len(tiles),
     }

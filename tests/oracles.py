@@ -6,12 +6,13 @@ code that shares none of their structure.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from bmlab.bumps import fejer_sq_cdf, fejer_sq_spectrum
 from bmlab.engine import _freq_grid
-from bmlab.whitney import chi_values
+from bmlab.whitney import LATTICE_EXP, chi_values
 
 
 def bilinear_double_sum(sym, f, g):
@@ -69,6 +70,77 @@ def exact_chromatic_number(intervals):
         if feasible(k):
             return k
     return n
+
+
+@dataclass(frozen=True)
+class WhitneySquare:
+    """Axis-aligned square, side 2^k, center on the scale lattice."""
+
+    cx: float
+    cy: float
+    k: int
+
+    @property
+    def side(self) -> float:
+        return 2.0**self.k
+
+    def satisfies(self, C0: float) -> bool:
+        """Dilation by C0 misses the diagonal, dilation by 4 C0 meets it.
+
+        For an axis-aligned square both reduce to exact comparisons of the
+        center gap |cx - cy| against multiples of the side.
+        """
+        gap = abs(self.cx - self.cy)
+        s = self.side
+        return C0 * s < gap <= 4.0 * C0 * s
+
+
+def enumerate_whitney_squares(
+    C0: float,
+    window: tuple[float, float, float, float],
+    scale_range: tuple[int, int],
+    lattice_exp: int = LATTICE_EXP,
+    max_count: int = 2_000_000,
+) -> list[WhitneySquare]:
+    """Every lattice square meeting the window that passes both conditions.
+
+    ``scale_range`` is an inclusive pair (k_min, k_max).  The literal lattice
+    is extremely fine; the enumeration walks only the diagonal band allowed
+    by the conditions and refuses (with a hint) beyond ``max_count``
+    candidates.
+    """
+    k_min, k_max = scale_range
+    if k_min > k_max:
+        raise ValueError("empty scale range")
+    xlo, xhi, ylo, yhi = window
+    out = []
+    for k in range(k_min, k_max + 1):
+        s = 2.0**k
+        delta = 2.0 ** (k - lattice_exp)
+        # center ranges for squares meeting the window
+        pxlo = math.ceil((xlo - s / 2) / delta)
+        pxhi = math.floor((xhi + s / 2) / delta)
+        # the band C0*2^lattice_exp < |px - py| <= 4*C0*2^lattice_exp
+        dlo = math.floor(C0 * 2.0**lattice_exp)
+        dhi = math.floor(4.0 * C0 * 2.0**lattice_exp)
+        span = (pxhi - pxlo + 1) * 2 * max(0, dhi - dlo)
+        if span > max_count:
+            raise ValueError(
+                "lattice enumeration too large; shrink the window, coarsen "
+                "lattice_exp, or use build_cover for constructive selection"
+            )
+        pylo = math.ceil((ylo - s / 2) / delta)
+        pyhi = math.floor((yhi + s / 2) / delta)
+        for px in range(pxlo, pxhi + 1):
+            for sign in (1, -1):
+                for d in range(dlo + 1, dhi + 1):
+                    py = px - sign * d
+                    if py < pylo or py > pyhi:
+                        continue
+                    sq = WhitneySquare(cx=px * delta, cy=py * delta, k=k)
+                    if sq.satisfies(C0):
+                        out.append(sq)
+    return out
 
 
 def whitney_conditions_by_sampling(square, C0, n=1000):

@@ -350,17 +350,44 @@ def test_symbol_rejects_empty_grid(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
-def test_whitney_builds_one_tile_rect(tmp_path, monkeypatch):
-    # the covers stay arrays; the only TileRect is the model form's demo one
-    built = []
-    init = whitney.TileRect.__init__
-    monkeypatch.setattr(whitney.TileRect, "__init__",
-                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ("L = 16.0\n", "L = nan\n", "[grid] L"),
+        ("L = 16.0\n", "L = inf\n", "[grid] L"),
+        ("family = hyperboloid\n", "family = hyperboloid\nc = nan\n", "[curve] c"),
+        ("ny = 32\n", "ny = 32\nwindow = 0 nan 0 1\n", "[symbol] window"),
+    ],
+    ids=["L=nan", "L=inf", "c=nan", "window-nan"],
+)
+@pytest.mark.parametrize("command", ["analyze", "symbol", "probe"])
+def test_rejects_non_finite_config_floats(tmp_path, capsys, old, new, key, command):
+    # L = nan/inf used to end in an OverflowError traceback, a nan window
+    # entry in a meaningless bitmap, c = nan in an unrelated sequence error
     cfg = write_config(tmp_path)
-    assert main(["whitney", "--config", cfg]) == 0
-    rep = json.loads((tmp_path / "out" / "whitney.json").read_text())
-    assert sum(c["num_rects"] for c in rep["covers"]) > 1000
-    assert [(r.j, r.square) for r in built] == [(1, whitney.WhitneySquare(cx=0.75, cy=0.25, k=-3))]
+    _edit_config(cfg, old, new)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "row", ["nan,0.5", "0.5,1e400", "1,2,3", "0.5", "x,1"],
+    ids=["nan", "overflow", "three-fields", "one-field", "not-a-number"],
+)
+def test_apply_rejects_bad_sample_rows(tmp_path, capsys, row):
+    # a non-finite row used to exit 0 with NaN/inf in applied.csv, a
+    # three-field row to name neither the file nor the line
+    cfg = write_config(tmp_path, symbol="constant")
+    good = tmp_path / "g.csv"
+    good.write_text("re,im\n" + "0.5,0.25\n" * 128)
+    bad = tmp_path / "f.csv"
+    bad.write_text("re,im\n" + "0.5,0.25\n" * 3 + row + "\n" + "0.5,0.25\n" * 124)
+    assert main(["apply", "--config", cfg, str(bad), str(good)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{bad} line 5" in err and repr(row) in err
+    assert not (tmp_path / "out" / "applied.csv").exists()
 
 
 def test_cli_outputs_match_golden(tmp_path):

@@ -11,25 +11,20 @@ from bmlab.whitney import (
     MultiTile,
     PolygonalGeometry,
     RectCover,
-    TileRect,
-    WhitneySquare,
     build_cover,
     chi_values,
     cube_condition,
     edge_interval_collections,
     enumerate_multitiles,
-    enumerate_whitney_squares,
-    k_interval,
     model_sum_eval,
-    mollified_partition,
     omega3_partition_check,
     partition_check,
     r2_samples,
 )
 
 from oracles import (
-    chi_coeffs_dense, csv_text_by_rows, max_overlap_sweep, partition_sum_by_tiles,
-    whitney_conditions_by_sampling,
+    WhitneySquare, chi_coeffs_dense, csv_text_by_rows, enumerate_whitney_squares, max_overlap_sweep,
+    partition_sum_by_tiles, whitney_conditions_by_sampling,
 )
 
 
@@ -41,11 +36,16 @@ def dyadic_seq(n=7):
     )
 
 
+def segment_cover(poly, squares, j=1):
+    """The RectCover on segment j with one row per (cx, cy, k) square."""
+    cx, cy, k = (np.array(v) for v in zip(*squares))
+    return RectCover(j=j, anchor=poly.anchor(j), s_j=poly.slope(j), k=k, cx=cx, cy=cy)
+
+
 def demo_rect():
     seq = dyadic_seq()
     poly = PolygonalGeometry.from_sequence(seq)
-    sq = WhitneySquare(cx=0.75, cy=0.25, k=-3)
-    return seq, poly, TileRect(j=1, square=sq, anchor=poly.anchor(1), s_j=poly.slope(1))
+    return seq, poly, segment_cover(poly, [(0.75, 0.25, -3)])
 
 
 @pytest.mark.parametrize(
@@ -101,10 +101,9 @@ def test_enumeration_guards():
 def test_polygon_geometry(hyperboloid_seq):
     poly = PolygonalGeometry.from_sequence(hyperboloid_seq)
     j = poly.first_index
-    tri = poly.triangle(j)
     a_j, b_j = poly.anchor(j)
-    assert tuple(tri[0]) == (a_j, b_j)
-    assert tri[1][1] == b_j and tri[1][0] == tri[2][0]
+    assert (a_j, b_j) == tuple(poly.vertices[0])
+    assert poly.width(j) == a_j - poly.vertices[1][0]
     assert 0.0 < poly.slope(j) < 1.0
     # curve height extends the end segments linearly
     left = poly.vertices[-1]
@@ -117,12 +116,15 @@ def test_build_cover_hyperboloid_segments(hyperboloid_seq):
         rep = build_cover(poly, j, alpha=0.9, C0=16.0, samples=3000)
         assert rep.cover_ok, rep.witnesses[:3]
         assert rep.containment_ok
-        assert rep.rects
-        for r in (rep.rects[i] for i in range(50)):
-            assert r.square.satisfies(16.0)
-            # exact in exact arithmetic; float cancellation at deep scales
-            # leaves a relative error of order (b_j / eta-extent) * eps
-            assert abs(r.aspect - r.s_j) < 1e-9 * r.s_j
+        rects = rep.rects
+        assert len(rects)
+        for k, cx, cy in zip(rects.k.tolist(), rects.cx.tolist(), rects.cy.tolist()):
+            assert WhitneySquare(cx=cx, cy=cy, k=k).satisfies(16.0)
+        # the aspect of the first 50 rows is exact in exact arithmetic; float
+        # cancellation at deep scales leaves a relative error of order
+        # (b_j / eta-extent) * eps
+        (xlo, xhi), (elo, ehi) = ((lo[:50], hi[:50]) for lo, hi in rects.edges()[:2])
+        assert np.all(np.abs((ehi - elo) / (xhi - xlo) - rects.s_j) < 1e-9 * rects.s_j)
 
 
 def test_build_cover_steep_segment():
@@ -143,45 +145,35 @@ def test_build_cover_validation(hyperboloid_seq):
 
 def test_rect_geometry_identities():
     seq, poly, rect = demo_rect()
-    (xlo, xhi) = rect.xi_range
-    (elo, ehi) = rect.eta_range
-    assert (xhi - xlo) == rect.square.side
-    assert abs((ehi - elo) - rect.s_j * rect.square.side) < 1e-15
-    K = k_interval(rect)
-    assert abs(K.length - (1.0 + rect.s_j) * rect.square.side) < 1e-15
+    (xlo, xhi), (elo, ehi), e3 = ((lo[0], hi[0]) for lo, hi in rect.edges())
+    side = 2.0 ** rect.k[0]
+    assert (xhi - xlo) == side
+    assert abs((ehi - elo) - rect.s_j * side) < 1e-15
+    klo, khi = (v[0] for v in rect.k_interval())
+    assert abs((khi - klo) - (1.0 + rect.s_j) * side) < 1e-15
     # membership: points of the mapped square have -xi-eta in K
     rng = np.random.default_rng(0)
-    ilo, ihi = rect.I
-    jlo, jhi = rect.Jn
+    h = 0.5 * side
+    ilo, ihi = rect.cx[0] - h, rect.cx[0] + h
+    jlo, jhi = rect.cy[0] - h, rect.cy[0] + h
     for _ in range(1000):
         u = rng.uniform(ilo, ihi)
         v = rng.uniform(jlo, jhi)
         xi, eta = -u, -rect.s_j * v
         val = -xi - eta
-        assert K.lo - 1e-12 <= val <= K.hi + 1e-12
+        assert klo - 1e-12 <= val <= khi + 1e-12
     # edge3 is K shifted by the negated anchor sum
     a, b = rect.anchor
-    e3 = rect.edge3()
-    assert abs(e3[0] - (K.lo - a - b)) < 1e-12
-    assert abs(e3[1] - (K.hi - a - b)) < 1e-12
-
-
-def cover_of(rects):
-    """The RectCover of TileRects that share a segment."""
-    r0 = rects[0]
-    return RectCover(
-        j=r0.j, anchor=r0.anchor, s_j=r0.s_j, k=np.array([r.square.k for r in rects]),
-        cx=np.array([r.square.cx for r in rects]), cy=np.array([r.square.cy for r in rects]),
-    )
+    assert abs(e3[0] - (klo - a - b)) < 1e-12
+    assert abs(e3[1] - (khi - a - b)) < 1e-12
 
 
 def test_edge_collections_single_and_adjacent():
     seq, poly, rect = demo_rect()
-    single = edge_interval_collections(cover_of([rect]), 0.9)
+    single = edge_interval_collections(rect, 0.9)
     assert single["max_overlap"] == {1: 1, 2: 1, 3: 1}
-    sq2 = WhitneySquare(cx=0.875, cy=0.375, k=-3)  # abutting square, same scale
-    rect2 = TileRect(j=1, square=sq2, anchor=rect.anchor, s_j=rect.s_j)
-    both = edge_interval_collections(cover_of([rect, rect2]), 0.9)
+    # the demo square and an abutting square of the same scale
+    both = edge_interval_collections(segment_cover(poly, [(0.75, 0.25, -3), (0.875, 0.375, -3)]), 0.9)
     assert all(1 <= v <= 2 for v in both["max_overlap"].values())
     assert both["max_overlap"][1] == 2  # dilated abutting edges overlap
 
@@ -205,41 +197,35 @@ def _bits(values):
 
 
 def test_cover_arrays_match_tile_rects(hyperboloid_seq):
-    # every range and edge the arrays give equals, bit for bit, the one of a
-    # TileRect built from the same square with its own I and Jn
+    # every range, edge, omega and K the arrays give equals, bit for bit, the
+    # one derived per row in scalars from the square's own I and Jn
     poly = PolygonalGeometry.from_sequence(hyperboloid_seq)
     for j in list(poly.segment_indices())[:3]:
         cover = build_cover(poly, j, alpha=0.9, C0=16.0, samples=3000).rects
         a, b = poly.anchor(j)
         s_j = poly.slope(j)
-        expect = {1: [], 2: [], 3: []}
+        expect = {i: [] for i in ("xi", "eta", "e3", "om1", "om2", "K")}
         for i in range(len(cover)):
-            sq = WhitneySquare(cx=float(cover.cx[i]), cy=float(cover.cy[i]), k=int(cover.k[i]))
-            r = TileRect(j=j, square=sq, anchor=(a, b), s_j=s_j)
-            (ilo, ihi), (jlo, jhi) = r.I, r.Jn
+            cx, cy, k = float(cover.cx[i]), float(cover.cy[i]), int(cover.k[i])
+            h = 0.5 * 2.0**k
+            (ilo, ihi), (jlo, jhi) = (cx - h, cx + h), (cy - h, cy + h)
             xi, eta = (a - ihi, a - ilo), (b - s_j * jhi, b - s_j * jlo)
-            assert cover[i] == r and (r.xi_range, r.eta_range) == (xi, eta)
-            expect[1].append(xi)
-            expect[2].append(eta)
-            expect[3].append((-xi[1] - eta[1], -xi[0] - eta[0]))
-        dilated = {i: [whitney._dilate(e, 1.0 / 0.9) for e in expect[i]] for i in (1, 2, 3)}
+            expect["xi"].append(xi)
+            expect["eta"].append(eta)
+            expect["e3"].append((-xi[1] - eta[1], -xi[0] - eta[0]))
+            expect["om1"].append((-ihi, -ilo))
+            expect["om2"].append((-s_j * jhi, -s_j * jlo))
+            expect["K"].append((ilo + s_j * jlo, ihi + s_j * jhi))
+        got = dict(zip(("xi", "eta", "e3"), cover.edges()))
+        got.update(zip(("om1", "om2"), cover.omegas()), K=cover.k_interval())
+        for name, pairs in expect.items():
+            assert np.array_equal(_bits(np.column_stack(got[name])), _bits(pairs)), name
+        fams = [expect[name] for name in ("xi", "eta", "e3")]
+        dilated = {i: [whitney._dilate(e, 1.0 / 0.9) for e in fams[i - 1]] for i in (1, 2, 3)}
         result = edge_interval_collections(cover, 0.9)
         for i in (1, 2, 3):
-            assert np.array_equal(_bits(np.column_stack(cover.edges()[i - 1])), _bits(expect[i]))
             assert np.array_equal(_bits(np.column_stack(result["intervals"][i])), _bits(dilated[i]))
         assert result["max_overlap"] == {i: max_overlap_sweep(dilated[i]) for i in (1, 2, 3)}
-
-
-def test_build_cover_builds_no_tile_rects(hyperboloid_seq, monkeypatch):
-    built = []
-    init = TileRect.__init__
-    monkeypatch.setattr(TileRect, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
-    poly = PolygonalGeometry.from_sequence(hyperboloid_seq)
-    rep = build_cover(poly, poly.first_index, alpha=0.9, C0=16.0, samples=3000)
-    edge_interval_collections(rep.rects, 0.9)
-    reporting.rects_to_svg(rep.rects, curve_points=poly.vertices)
-    assert len(rep.rects) > 100 and built == []
-    assert rep.rects[7].square.k == rep.rects.k[7] and built == [1]
 
 
 def test_write_csv_matches_per_cell_rows(tmp_path):
@@ -279,32 +265,34 @@ def test_cube_condition_variants():
 def test_multitiles_structure():
     seq, poly, rect = demo_rect()
     tiles = enumerate_multitiles(
-        C0=2.0, exponent_base=2, j=1, rects=[rect], space_len=16.0
+        C0=2.0, exponent_base=2, j=1, rects=rect, space_len=16.0
     )
     assert tiles
     tile_len = 2.0**-1
     per_cube = int(16.0 / tile_len)
     omegas = {t.omega3 for t in tiles}
     assert len(tiles) == len(omegas) * per_cube
+    h = 0.5 * 2.0 ** rect.k[0]
+    ilo, ihi = rect.cx[0] - h, rect.cx[0] + h
     for t in tiles[:40]:
         assert abs((t.I_P[1] - t.I_P[0]) - tile_len) < 1e-15
-        assert t.j_P == 1
+        assert t.j == 1 and t.rect_key == 0
         assert cube_condition(t.cube_center, 2.0**t.scale_k, 2.0, "line")
         # omega3 is the stretched third interval
         stretch = 1.0 + rect.s_j
         assert abs((t.omega3[1] - t.omega3[0]) - stretch * 2.0**t.scale_k) < 1e-12
         # omega1/omega2 are the negated square faces
-        assert abs(t.omega1[0] + rect.I[1]) < 1e-15 and abs(t.omega1[1] + rect.I[0]) < 1e-15
+        assert abs(t.omega1[0] + ihi) < 1e-15 and abs(t.omega1[1] + ilo) < 1e-15
 
 
 def test_multitiles_validation():
     seq, poly, rect = demo_rect()
     with pytest.raises(ValueError, match="integer multiple"):
-        enumerate_multitiles(2.0, 2, 1, [rect], space_len=16.3)
+        enumerate_multitiles(2.0, 2, 1, rect, space_len=16.3)
     with pytest.raises(ValueError, match="window too small"):
-        enumerate_multitiles(2.0, 2, 1, [rect], space_len=16.0, window=(100.0, 101.0))
+        enumerate_multitiles(2.0, 2, 1, rect, space_len=16.0, window=(100.0, 101.0))
     with pytest.raises(ValueError, match="does not match"):
-        enumerate_multitiles(2.0, 2, 2, [rect], space_len=16.0)
+        enumerate_multitiles(2.0, 2, 2, rect, space_len=16.0)
 
 
 def test_omega3_partition_reconstructs_wide_bump():
@@ -312,14 +300,20 @@ def test_omega3_partition_reconstructs_wide_bump():
     assert omega3_partition_check(rect, C0=2.0, alpha=0.9, n=10_000) <= 1e-8
 
 
+def test_omega3_partition_check_is_max_over_rows():
+    seq, poly, _ = demo_rect()
+    squares = [(0.75, 0.25, -3), (0.375, 0.125, -4), (0.75, 0.7265625, -8)]
+    rows = [omega3_partition_check(segment_cover(poly, [sq]), C0=2.0, n=2000) for sq in squares]
+    assert omega3_partition_check(segment_cover(poly, squares), C0=2.0, n=2000) == max(rows)
+
+
 def test_plane_variant_admits_no_covering_cubes():
     # a square deep along the diagonal: every cube able to cover the output
     # interval has a center sum far above the plane-variant band, while the
     # line variant still works; this is why the line diagonal is the default
     seq, poly, _ = demo_rect()
-    sq = WhitneySquare(cx=0.75, cy=0.7265625, k=-8)
-    assert sq.satisfies(2.0)
-    rect = TileRect(j=1, square=sq, anchor=poly.anchor(1), s_j=poly.slope(1))
+    assert WhitneySquare(cx=0.75, cy=0.7265625, k=-8).satisfies(2.0)
+    rect = segment_cover(poly, [(0.75, 0.7265625, -8)])
     assert omega3_partition_check(rect, C0=2.0, alpha=0.9, variant="line") <= 1e-8
     with pytest.raises(ValueError, match="no admissible"):
         omega3_partition_check(rect, C0=2.0, alpha=0.9, variant="plane")
@@ -349,7 +343,8 @@ def test_partition_rejects_wide_kernel_scales():
 def test_chi_range_and_concentration():
     B, j0 = 2, -3
     tile = float(B) ** (-j0)
-    xs, chi = mollified_partition((0.0, tile), j0, B)
+    xs = np.linspace(-tile, 2.0 * tile, 2048)
+    chi = chi_values(xs, (0.0, tile), j0, B)
     assert np.all(chi >= -1e-12) and np.all(chi <= 1.0 + 1e-12)
     center_val = chi_values(np.array([tile / 2]), (0.0, tile), j0, B)[0]
     assert center_val >= 0.5  # kernel mass concentrates inside a long tile
@@ -362,7 +357,7 @@ def test_chi_coeffs_match_dense_spectrum(rng):
     # zeros where the kernel spectrum vanishes, the dense values elsewhere,
     # and a bitwise-equal period pairing against a random q_hat
     seq, poly, rect = demo_rect()
-    tiles = enumerate_multitiles(C0=2.0, exponent_base=2, j=1, rects=[rect], space_len=64.0)[:128]
+    tiles = enumerate_multitiles(C0=2.0, exponent_base=2, j=1, rects=rect, space_len=64.0)[:128]
     M, L = 2048, 64.0
     xi = _freq_grid(M, L)
     spectrum = fejer_sq_spectrum(xi / 2.0**-1, 4.0**-2)
@@ -385,7 +380,7 @@ class TestModelSum:
     def setup_method(self):
         self.seq, self.poly, self.rect = demo_rect()
         self.tiles = enumerate_multitiles(
-            C0=2.0, exponent_base=2, j=1, rects=[self.rect], space_len=64.0
+            C0=2.0, exponent_base=2, j=1, rects=self.rect, space_len=64.0
         )
         self.L, self.N = 64.0, 512
 
@@ -397,14 +392,14 @@ class TestModelSum:
     def test_zero_input_gives_zero(self, rng):
         z = SampledFunction(np.zeros(self.N, dtype=complex), self.L)
         res = model_sum_eval(
-            z, self.mk(rng), self.mk(rng), self.tiles, [self.rect], self.seq,
+            z, self.mk(rng), self.mk(rng), self.tiles, self.rect, self.seq,
             alpha=0.9, exponent_base=2,
         )
         assert res["model_value"] == 0.0 and res["adjoint_value"] == 0.0
 
     def test_identity_random_inputs(self, rng):
         res = model_sum_eval(
-            self.mk(rng), self.mk(rng), self.mk(rng), self.tiles, [self.rect],
+            self.mk(rng), self.mk(rng), self.mk(rng), self.tiles, self.rect,
             self.seq, alpha=0.9, exponent_base=2,
         )
         assert res["deviation"] <= 1e-6
@@ -416,8 +411,8 @@ class TestModelSum:
         # piece is the wide bump itself, equal to 1 there.  All tile weights
         # are then exactly 1 at grid frequencies near the cube centers, and
         # the model term is a plain quadrature of chi * f * g * h.
-        K = k_interval(self.rect)
-        k_mid = 0.5 * (K.lo + K.hi)
+        klo, khi = self.rect.k_interval()
+        k_mid = 0.5 * (klo[0] + khi[0])
         t = min(self.tiles, key=lambda t: abs(0.5 * (t.omega3[0] + t.omega3[1]) - k_mid))
         x = self.L * np.arange(self.N) / self.N
 
@@ -430,7 +425,7 @@ class TestModelSum:
         _, g = grid_exp(0.5 * (t.omega2[0] + t.omega2[1]) + b1)
         _, h = grid_exp(k_mid - a1 - b1)
         res = model_sum_eval(
-            f, g, h, [t], [self.rect], self.seq, alpha=0.9, exponent_base=2
+            f, g, h, [t], self.rect, self.seq, alpha=0.9, exponent_base=2
         )
         # direct quadrature against the periodized space cutoff
         M = 8 * self.N
@@ -446,10 +441,8 @@ class TestModelSum:
         # two rectangles with disjoint output intervals: the model form over
         # the union of their tiles splits into the per-rectangle sums
         f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
-        sq2 = WhitneySquare(cx=0.375, cy=0.125, k=-4)
-        assert sq2.satisfies(2.0)
-        rect2 = TileRect(j=1, square=sq2, anchor=self.rect.anchor, s_j=self.rect.s_j)
-        rects = [self.rect, rect2]
+        assert WhitneySquare(cx=0.375, cy=0.125, k=-4).satisfies(2.0)
+        rects = segment_cover(self.poly, [(0.75, 0.25, -3), (0.375, 0.125, -4)])
         tiles = enumerate_multitiles(C0=2.0, exponent_base=2, j=1, rects=rects, space_len=64.0)
         g1 = [t for t in tiles if t.rect_key == 0]
         g2 = [t for t in tiles if t.rect_key == 1]
@@ -468,6 +461,14 @@ class TestModelSum:
         )
         with pytest.raises(ValueError, match="parameter mismatch"):
             model_sum_eval(
-                self.mk(rng), self.mk(rng), self.mk(rng), self.tiles, [self.rect],
+                self.mk(rng), self.mk(rng), self.mk(rng), self.tiles, self.rect,
                 seq, alpha=0.9, exponent_base=2,
             )
+
+    def test_tiles_must_come_from_the_cover(self, rng):
+        f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
+        with pytest.raises(ValueError, match="nonempty tile list"):
+            model_sum_eval(f, g, h, [], self.rect, self.seq, 0.9, 2)
+        other = segment_cover(self.poly, [(0.75, 0.25, -3)], j=2)
+        with pytest.raises(ValueError, match="does not match the cover"):
+            model_sum_eval(f, g, h, self.tiles[:3], other, self.seq, 0.9, 2)

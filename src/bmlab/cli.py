@@ -113,7 +113,7 @@ def cmd_symbol(cfg: RunConfig) -> int:
         _envelope(
             cfg,
             {
-                "kind": sym.kind,
+                "kind": "sharp_indicator",
                 "label": sym.label,
                 "window": list(window),
                 "nx": cfg.bitmap_nx,
@@ -127,7 +127,8 @@ def cmd_symbol(cfg: RunConfig) -> int:
 
 def _read_function_csv(path: str, L: float) -> engine.SampledFunction:
     """Samples from ``re,im`` rows; a malformed or non-finite row is a
-    ConfigError naming the file and its 1-based line."""
+    ConfigError naming the file and its 1-based line, a row count that is not
+    a power of two one naming the file and the count."""
     rows = []
     with open(path, "r") as fh:
         for n, line in enumerate(fh, start=1):
@@ -142,6 +143,8 @@ def _read_function_csv(path: str, L: float) -> engine.SampledFunction:
             except ValueError:
                 raise ConfigError(f"{path} line {n}: need two finite numbers re,im, got {line!r}") from None
             rows.append(z)
+    if len(rows) < 2 or len(rows) & (len(rows) - 1):
+        raise ConfigError(f"{path}: {len(rows)} sample rows, need a power of two (at least 2)")
     return engine.SampledFunction(np.array(rows, dtype=complex), L)
 
 
@@ -152,6 +155,8 @@ def _write_function_csv(path: str, f: engine.SampledFunction):
 def cmd_apply(cfg: RunConfig, f_file: str, g_file: str) -> int:
     f = _read_function_csv(f_file, cfg.L)
     g = _read_function_csv(g_file, cfg.L)
+    if f.N != g.N:
+        raise ConfigError(f"{f_file} has {f.N} sample rows and {g_file} has {g.N}; they must match")
     sym = cfg.symbol()
     out = engine.apply_bilinear(sym, f, g)
     _write_function_csv(os.path.join(cfg.out_dir, "applied.csv"), out)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import curves, symbols
+from . import curves, engine, symbols
 
 __all__ = ["RunConfig", "ConfigError", "CURVE_FAMILIES"]
 
@@ -90,8 +90,10 @@ class RunConfig:
             if N < 2 or N & (N - 1):
                 raise ConfigError("every probe resolution must be a power of two")
         for t in self.triples:
-            if abs(1.0 / t[0] + 1.0 / t[1] + 1.0 / t[2] - 1.0) > 1e-12:
-                raise ConfigError(f"exponent triple {t} violates the scaling relation")
+            try:
+                engine.ExponentTriple(*t)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(f"[probe] triples entry {t}: {exc}") from None
         if self.hypothesis not in ("hyp1", "hyp2"):
             raise ConfigError("hypothesis must be hyp1 or hyp2")
         if self.symbol_kind not in (

@@ -26,13 +26,10 @@ __all__ = [
     "circle_arc",
     "rational",
     "arctan_curve",
-    "custom_curve",
-    "piecewise_linear_curve",
     "renormalize",
     "build_dyadic_slope_sequence",
     "classify_sequence",
     "slope_band_check",
-    "derivative_consistency",
 ]
 
 BISECT_MAX_ITER = 200
@@ -163,53 +160,6 @@ def arctan_curve() -> CurveSpec:
         domain=(-math.inf, 0.0),
         a_limit=-math.inf,
         b_limit=-math.pi / 2.0,
-    )
-
-
-def custom_curve(gamma, dgamma, domain, a_limit=None, b_limit=None) -> CurveSpec:
-    return CurveSpec(
-        family="custom",
-        gamma=gamma,
-        dgamma=dgamma,
-        domain=(float(domain[0]), float(domain[1])),
-        a_limit=a_limit,
-        b_limit=b_limit,
-    )
-
-
-def piecewise_linear_curve(vertices) -> CurveSpec:
-    """Curve interpolating vertices (a_j, b_j), a decreasing; slope is a step.
-
-    Used to compare a vertex polygon against the generic epigraph machinery.
-    The derivative is only weakly monotone, so this curve is not suitable for
-    dyadic slope solving.
-    """
-    pts = np.asarray(vertices, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise ValueError("need at least two vertices")
-    a = pts[:, 0]
-    b = pts[:, 1]
-    if not (np.all(np.diff(a) < 0) and np.all(np.diff(b) < 0)):
-        raise ValueError("vertices must be strictly decreasing in both coordinates")
-    xs = a[::-1]
-    ys = b[::-1]
-    slopes = np.diff(ys) / np.diff(xs)
-
-    def gamma(x):
-        return np.interp(np.asarray(x, dtype=float), xs, ys)
-
-    def dgamma(x):
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
-        return slopes[idx]
-
-    return CurveSpec(
-        family="piecewise_linear",
-        gamma=gamma,
-        dgamma=dgamma,
-        domain=(float(xs[0]), float(xs[-1])),
-        a_limit=float(xs[0]),
-        b_limit=float(ys[0]),
     )
 
 
@@ -497,12 +447,3 @@ def slope_band_check(curve: CurveSpec, lo: float, hi: float, samples: int = 10_0
     sup_slope = float(np.max(vals))
     band_ok = bool(inf_slope > 0.0 and sup_slope <= 2.0 * inf_slope)
     return inf_slope, sup_slope, band_ok
-
-
-def derivative_consistency(curve: CurveSpec, points, rel_step: float = 1e-6) -> float:
-    """Max relative gap between dgamma and a central difference of gamma."""
-    pts = np.asarray(points, dtype=float)
-    h = rel_step * np.maximum(1.0, np.abs(pts))
-    approx = (curve.gamma(pts + h) - curve.gamma(pts - h)) / (2.0 * h)
-    exact = np.asarray(curve.dgamma(pts), dtype=float)
-    return float(np.max(np.abs(approx - exact) / np.maximum(np.abs(exact), 1e-300)))

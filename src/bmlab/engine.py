@@ -160,15 +160,11 @@ class ExponentTriple:
             if not (1.0 < p < math.inf):
                 raise ValueError("exponents must lie in (1, inf)")
         if abs(1.0 / self.p1 + 1.0 / self.p2 + 1.0 / self.p3 - 1.0) > 1e-12:
-            raise ValueError("reciprocals must sum to 1")
+            raise ValueError("reciprocals must sum to 1 (the scaling relation)")
 
     @property
     def p3_dual(self) -> float:
         return self.p3 / (self.p3 - 1.0)
-
-    @property
-    def local_L2(self) -> bool:
-        return min(self.p1, self.p2, self.p3) >= 2.0
 
     def as_tuple(self):
         return (self.p1, self.p2, self.p3)

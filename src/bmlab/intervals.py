@@ -106,10 +106,6 @@ class IntervalCollection:
     def __iter__(self):
         return iter(self.items)
 
-    def index_of(self, k: int) -> int:
-        """Sequence index j of the k-th item."""
-        return self.first_index + k
-
 
 def staircase_steps(seq: SequencePair) -> list[tuple[HalfOpenInterval, HalfOpenInterval]]:
     """The steps (A_j, B_j) = ([a_{j+1}, a_j), [b_j, b_0)) of a decreasing

@@ -1,12 +1,11 @@
 """Frequency-plane symbol constructors and decomposition identities.
 
-Every symbol is a {0,1}-valued (or smoothly adapted [0,1]-valued) function
-on the (xi, eta) plane packaged with a bounding box.  Each sharp symbol
-built here meets every xi-column in one eta-interval and is defined by those
-column bounds, which implement the half-open boundary conventions literally,
-so the staircase/boundary decomposition of an epigraph and the
-rectangle-minus-complement rewrite hold exactly at every grid point, not just
-almost everywhere.
+Every symbol built here is an indicator on the (xi, eta) plane, times a
+constant, packaged with a bounding box.  It meets every xi-column in one
+eta-interval and is defined by those column bounds, which implement the
+half-open boundary conventions literally, so the staircase/boundary
+decomposition of an epigraph and the rectangle-minus-complement rewrite hold
+exactly at every grid point, not just almost everywhere.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "exponential_paraproduct_symbols",
     "exponential_paraproduct_sum",
     "hyp2_rewrite_pair",
-    "reflected_symbol",
     "constant_symbol",
     "rectangle_symbol",
     "sample_symbol",
@@ -48,15 +46,15 @@ class SymbolSpec:
     column has lo = +inf.  The symbol is ``value`` on that support and 0 off
     it.  Pointwise evaluation (``__call__``) and the grid profile
     (``columns``) both derive from ``eta_bounds`` with the same comparisons,
-    so they cannot disagree.  Any other symbol (a smooth one, or a black box)
-    carries a vectorized ``evaluator`` instead.
+    so they cannot disagree.  Every symbol built here has one; a black-box
+    symbol (a lambda written in a test, say) carries a vectorized
+    ``evaluator`` instead and is tabulated densely.
 
     ``bbox`` is (xi_lo, xi_hi, eta_lo, eta_hi) outside which the symbol
     vanishes, or None for unbounded support.
     """
 
     evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    kind: str = "sharp_indicator"
     bbox: Optional[tuple[float, float, float, float]] = None
     label: str = ""
     eta_bounds: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
@@ -64,8 +62,6 @@ class SymbolSpec:
     value: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("sharp_indicator", "smooth_adapted"):
-            raise ValueError("kind must be sharp_indicator or smooth_adapted")
         if (self.evaluator is None) == (self.eta_bounds is None):
             raise ValueError("give exactly one of evaluator and eta_bounds")
 
@@ -320,20 +316,6 @@ def hyp2_rewrite_pair(seq: SequencePair):
         label="rewrite_complement",
     )
     return rect, comp
-
-
-def reflected_symbol(sym: SymbolSpec) -> SymbolSpec:
-    """Swap the roles of xi and eta."""
-    bbox = None
-    if sym.bbox is not None:
-        xlo, xhi, elo, ehi = sym.bbox
-        bbox = (elo, ehi, xlo, xhi)
-    return SymbolSpec(
-        evaluator=lambda xi, eta: sym(eta, xi),
-        kind=sym.kind,
-        bbox=bbox,
-        label=sym.label + "_reflected",
-    )
 
 
 # --- sampling -----------------------------------------------------------------

@@ -24,10 +24,7 @@ import numpy as np
 
 from .bumps import adapted_bump, fejer_sq_cdf, fejer_sq_spectrum, soft_union
 from .curves import SequencePair
-from .engine import (
-    SampledFunction, _analyze, _freq_grid, _pad, _period_pairing, _synthesize, apply_bilinear,
-)
-from .symbols import SymbolSpec
+from .engine import SampledFunction, _analyze, _freq_grid, _pad, _period_pairing, _synthesize
 
 __all__ = [
     "RectCover",
@@ -40,7 +37,6 @@ __all__ = [
     "enumerate_multitiles",
     "chi_values",
     "partition_check",
-    "build_adjoint_symbol",
     "model_sum_eval",
     "r2_samples",
 ]
@@ -53,7 +49,9 @@ LATTICE_EXP = 10  # centers live on 2^(k - LATTICE_EXP) Z^2 for side 2^k
 
 @dataclass(frozen=True)
 class PolygonalGeometry:
-    """Vertices (a_j, b_j), j = first .. first + n, decreasing in both coords."""
+    """Vertices (a_j, b_j), j = first .. first + n, decreasing in both coords,
+    with strictly decreasing segment slopes: a convex polygonal curve, so its
+    epigraph is convex."""
 
     vertices: np.ndarray
     first_index: int = 0
@@ -65,6 +63,12 @@ class PolygonalGeometry:
             raise ValueError("need at least two vertices")
         if not (np.all(np.diff(pts[:, 0]) < 0) and np.all(np.diff(pts[:, 1]) < 0)):
             raise ValueError("vertices must be strictly decreasing in both coordinates")
+        slopes = np.diff(pts[:, 1]) / np.diff(pts[:, 0])
+        bad = np.flatnonzero(slopes[1:] >= slopes[:-1]) + 1
+        if len(bad):
+            k = int(bad[0])
+            raise ValueError(f"segment {k} has slope {slopes[k]!r}, not below segment {k - 1}'s "
+                             f"{slopes[k - 1]!r}: the vertices are not convex")
 
     @classmethod
     def from_sequence(cls, seq: SequencePair) -> "PolygonalGeometry":
@@ -104,8 +108,8 @@ class PolygonalGeometry:
         out = np.where(xi > xs[-1], ys[-1] + s_hi * (xi - xs[-1]), out)
         return out
 
-    def epigraph_contains(self, xi, eta, tol: float = 0.0) -> np.ndarray:
-        return np.asarray(eta, dtype=float) >= self.curve_height(xi) - tol
+    def epigraph_contains(self, xi, eta) -> np.ndarray:
+        return np.asarray(eta, dtype=float) >= self.curve_height(xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +199,9 @@ def build_cover(
     samples: int = 10_000,
 ) -> CoverReport:
     """Select Whitney squares whose alpha-shrunk rectangles cover T_j off its
-    hypotenuse, and check that every rectangle stays inside the epigraph.
+    hypotenuse, and check that every rectangle stays inside the epigraph
+    (exactly: the epigraph is convex, so a rectangle's two bottom corners
+    decide).
 
     Selection is constructive: each quasi-random sample of the normalized
     triangle picks the dyadic scale whose condition band brackets its
@@ -246,17 +252,8 @@ def build_cover(
     pick = np.flatnonzero(covered)[np.sort(first_pos)]
     rects = RectCover(j=j, anchor=(a_j, b_j), s_j=s_j, k=k[pick], cx=cx[pick], cy=cy[pick])
 
-    ts = np.linspace(0.0, 1.0, 25)
-    (xlo, xhi), (elo, ehi) = ((lo[:, None], hi[:, None]) for lo, hi in rects.edges()[:2])
-    edge_x = np.concatenate(
-        [xlo + (xhi - xlo) * ts, xlo + (xhi - xlo) * ts,
-         np.repeat(xlo, 25, axis=1), np.repeat(xhi, 25, axis=1)], axis=1
-    )
-    edge_y = np.concatenate(
-        [np.repeat(elo, 25, axis=1), np.repeat(ehi, 25, axis=1),
-         elo + (ehi - elo) * ts, elo + (ehi - elo) * ts], axis=1
-    )
-    ok = np.all(polygon.epigraph_contains(edge_x, edge_y), axis=1)
+    (xlo, xhi), (elo, _) = rects.edges()[:2]
+    ok = polygon.epigraph_contains(xlo, elo) & polygon.epigraph_contains(xhi, elo)
     containment_failures = np.flatnonzero(~ok).tolist()
 
     return CoverReport(
@@ -568,21 +565,6 @@ def _int_shift(value: float, L: float) -> int:
     return int(round(slots))
 
 
-def build_adjoint_symbol(rects: RectCover, rows: Sequence[int], alpha: float) -> SymbolSpec:
-    """Sum over the cover's ``rows`` of the tensor tile bumps about the segment's anchor."""
-    a, b = rects.anchor
-    (o1lo, o1hi), (o2lo, o2hi) = rects.omegas()
-    data = [(o1lo[i], o1hi[i], o2lo[i], o2hi[i]) for i in rows]
-
-    def ev(xi, eta):
-        out = np.zeros(np.broadcast(xi, eta).shape)
-        for lo1, hi1, lo2, hi2 in data:
-            out = out + adapted_bump(xi - a, lo1, hi1, alpha) * adapted_bump(eta - b, lo2, hi2, alpha)
-        return out
-
-    return SymbolSpec(evaluator=ev, kind="smooth_adapted", bbox=None, label="tile_bump_sum")
-
-
 def model_sum_eval(
     f: SampledFunction,
     g: SampledFunction,
@@ -598,10 +580,12 @@ def model_sum_eval(
     ``tiles`` come from ``enumerate_multitiles`` on ``rects``, one segment.
     Model side: sum over multi-tiles of the integral of the mollified space
     cutoff times the three tile projections of the modulated, prefiltered
-    inputs.  Direct side: the tile-bump symbol applied as a bilinear
-    multiplier against raw f, g, paired with raw h.  With all bumps cut from
-    the shared profile the two agree exactly up to rounding; ``deviation``
-    is their relative gap.  Anchors must sit on the frequency lattice.
+    inputs.  Direct side: the tile-bump symbol sum_r phi_r(xi - a_j)
+    psi_r(eta - b_j) over the tiles' rows r, applied to raw f, g as the tensor
+    sum sum_r (phi_r-filtered f)(psi_r-filtered g) and paired with raw h.  With
+    all bumps cut from the shared profile the two agree exactly up to
+    rounding; ``deviation`` is their relative gap.  Anchors must sit on the
+    frequency lattice.
     """
     if not (f.N == g.N == h.N) or not (f.L == g.L == h.L):
         raise ValueError("common grid required")
@@ -663,8 +647,14 @@ def model_sum_eval(
         chi_hat = _chi_coeffs(t.I_P, freqs_pad, spectrum, L)
         model_value += _period_pairing(chi_hat, q_cache[qkey], L)
 
-    B = apply_bilinear(build_adjoint_symbol(rects, keys, alpha), f, g)
-    adjoint_value = _period_pairing(B.coeffs(), _pad(h.coeffs(), B.N), L)
+    # direct side on the 2N grid, which holds every pairwise frequency sum
+    (o1lo, o1hi), (o2lo, o2hi) = rects.omegas()
+    a, b = rects.anchor
+    freqs, c, d = f.freqs(), f.coeffs(), g.coeffs()
+    uv = sum(_synthesize(_pad(adapted_bump(freqs - a, o1lo[r], o1hi[r], alpha) * c, 2 * N))
+             * _synthesize(_pad(adapted_bump(freqs - b, o2lo[r], o2hi[r], alpha) * d, 2 * N))
+             for r in keys)
+    adjoint_value = _period_pairing(_analyze(uv), _pad(h.coeffs(), 2 * N), L)
 
     deviation = abs(model_value - adjoint_value) / (abs(adjoint_value) + 1e-30)
     return {

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bmlab.bumps import fejer_sq_cdf, fejer_sq_spectrum
+from bmlab.bumps import adapted_bump, fejer_sq_cdf, fejer_sq_spectrum
+from bmlab.curves import CurveSpec
 from bmlab.engine import _freq_grid
 from bmlab.whitney import LATTICE_EXP, chi_values
 
@@ -143,6 +144,40 @@ def enumerate_whitney_squares(
     return out
 
 
+def containment_failures_by_sampling(polygon, rects, n=25):
+    """Rows of ``rects`` with a point below the polygon's curve among ``n``
+    evenly spaced points on each of the rectangle's four edges, corners
+    included.  Exact containment needs a convex polygon; this check does not."""
+    ts = np.linspace(0.0, 1.0, n)
+    (xlo, xhi), (elo, ehi) = ((lo[:, None], hi[:, None]) for lo, hi in rects.edges()[:2])
+    edge_x = np.concatenate(
+        [xlo + (xhi - xlo) * ts, xlo + (xhi - xlo) * ts,
+         np.repeat(xlo, n, axis=1), np.repeat(xhi, n, axis=1)], axis=1
+    )
+    edge_y = np.concatenate(
+        [np.repeat(elo, n, axis=1), np.repeat(ehi, n, axis=1),
+         elo + (ehi - elo) * ts, elo + (ehi - elo) * ts], axis=1
+    )
+    ok = np.all(polygon.epigraph_contains(edge_x, edge_y), axis=1)
+    return np.flatnonzero(~ok).tolist()
+
+
+def tile_bump_evaluator(rects, rows, alpha):
+    """The tile-bump symbol sum over ``rows`` of phi_r(xi - a_j) psi_r(eta - b_j),
+    evaluated pointwise: the adapted bumps of the rows' omega1 and omega2."""
+    a, b = rects.anchor
+    (o1lo, o1hi), (o2lo, o2hi) = rects.omegas()
+    data = [(o1lo[i], o1hi[i], o2lo[i], o2hi[i]) for i in rows]
+
+    def ev(xi, eta):
+        out = np.zeros(np.broadcast(xi, eta).shape)
+        for lo1, hi1, lo2, hi2 in data:
+            out = out + adapted_bump(xi - a, lo1, hi1, alpha) * adapted_bump(eta - b, lo2, hi2, alpha)
+        return out
+
+    return ev
+
+
 def whitney_conditions_by_sampling(square, C0, n=1000):
     """(C0-dilate misses diagonal, 4C0-dilate meets it), by point sampling.
 
@@ -172,6 +207,54 @@ def whitney_conditions_by_sampling(square, C0, n=1000):
         return bool(np.any(inside))
 
     return misses(C0), meets(4 * C0)
+
+
+# --- curves --------------------------------------------------------------------
+
+
+def piecewise_linear_curve(vertices) -> CurveSpec:
+    """Curve interpolating vertices (a_j, b_j), a decreasing; slope is a step.
+
+    Used to compare a vertex polygon against the generic epigraph machinery.
+    The derivative is only weakly monotone, so this curve is not suitable for
+    dyadic slope solving.
+    """
+    pts = np.asarray(vertices, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
+        raise ValueError("need at least two vertices")
+    a = pts[:, 0]
+    b = pts[:, 1]
+    if not (np.all(np.diff(a) < 0) and np.all(np.diff(b) < 0)):
+        raise ValueError("vertices must be strictly decreasing in both coordinates")
+    xs = a[::-1]
+    ys = b[::-1]
+    slopes = np.diff(ys) / np.diff(xs)
+
+    def gamma(x):
+        return np.interp(np.asarray(x, dtype=float), xs, ys)
+
+    def dgamma(x):
+        x = np.asarray(x, dtype=float)
+        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
+        return slopes[idx]
+
+    return CurveSpec(
+        family="piecewise_linear",
+        gamma=gamma,
+        dgamma=dgamma,
+        domain=(float(xs[0]), float(xs[-1])),
+        a_limit=float(xs[0]),
+        b_limit=float(ys[0]),
+    )
+
+
+def derivative_consistency(curve: CurveSpec, points, rel_step: float = 1e-6) -> float:
+    """Max relative gap between dgamma and a central difference of gamma."""
+    pts = np.asarray(points, dtype=float)
+    h = rel_step * np.maximum(1.0, np.abs(pts))
+    approx = (curve.gamma(pts + h) - curve.gamma(pts - h)) / (2.0 * h)
+    exact = np.asarray(curve.dgamma(pts), dtype=float)
+    return float(np.max(np.abs(approx - exact) / np.maximum(np.abs(exact), 1e-300)))
 
 
 # --- naive symbol evaluators ---------------------------------------------------

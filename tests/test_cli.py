@@ -200,6 +200,16 @@ def test_config_rejects_bad_triple(tmp_path):
         RunConfig.from_file(str(path)).validate()
 
 
+def test_zero_triple_is_config_error(tmp_path, capsys):
+    # a zero exponent used to end in a ZeroDivisionError traceback
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "triples = 3,3,3", "triples = 0,0,0")
+    assert main(["probe", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [probe] triples") and "(0.0, 0.0, 0.0)" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_requires_seed(tmp_path):
     path = tmp_path / "t.ini"
     path.write_text("[sequence]\nJ = 6\n")
@@ -387,6 +397,23 @@ def test_apply_rejects_bad_sample_rows(tmp_path, capsys, row):
     assert main(["apply", "--config", cfg, str(bad), str(good)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"{bad} line 5" in err and repr(row) in err
+    assert not (tmp_path / "out" / "applied.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "f_rows,g_rows,message",
+    [(3, 4, "{f}: 3 sample rows"), (4, 2, "{f} has 4 sample rows and {g} has 2")],
+    ids=["non-power-of-two", "unequal-lengths"],
+)
+def test_apply_names_files_and_row_counts(tmp_path, capsys, f_rows, g_rows, message):
+    # both used to exit 2 naming neither the file nor the counts
+    cfg = write_config(tmp_path, symbol="constant")
+    f, g = tmp_path / "f.csv", tmp_path / "g.csv"
+    f.write_text("re,im\n" + "0.5,0.25\n" * f_rows)
+    g.write_text("re,im\n" + "0.5,0.25\n" * g_rows)
+    assert main(["apply", "--config", cfg, str(f), str(g)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message.format(f=f, g=g) in err
     assert not (tmp_path / "out" / "applied.csv").exists()
 
 

@@ -6,15 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from bmlab import curves
 from bmlab.curves import (
+    CurveSpec,
     SequencePair,
     TruncationError,
     build_dyadic_slope_sequence,
     classify_sequence,
-    custom_curve,
-    derivative_consistency,
     renormalize,
     slope_band_check,
 )
+
+from oracles import derivative_consistency
 
 ALL_FAMILIES = [
     curves.power_law(0.5),
@@ -107,7 +108,7 @@ def test_bisection_budget_invariance():
 
 def test_truncation_error_reports_feasible_j():
     # slope range [0.25, 1] only: 2^-3 is out of reach
-    curve = custom_curve(lambda x: x * x / 2, lambda x: x, (0.25, 1.0))
+    curve = CurveSpec("custom", lambda x: x * x / 2, lambda x: x, (0.25, 1.0))
     with pytest.raises(TruncationError) as err:
         build_dyadic_slope_sequence(curve, 8)
     assert err.value.max_feasible_j == 2
@@ -177,7 +178,7 @@ def test_slope_band_two_octaves_fails(power1_seq):
 
 
 def test_slope_band_linear_segment():
-    line = custom_curve(lambda x: 0.375 * x, lambda x: np.full(np.shape(x), 0.375), (0.0, 4.0))
+    line = CurveSpec("custom", lambda x: 0.375 * x, lambda x: np.full(np.shape(x), 0.375), (0.0, 4.0))
     inf_s, sup_s, ok = slope_band_check(line, 1.0, 3.0)
     assert (inf_s, sup_s, ok) == (0.375, 0.375, True)
 

@@ -291,9 +291,6 @@ def test_mixed_norm_validation(rng):
 def test_exponent_triple():
     e = ExponentTriple(3.0, 3.0, 3.0)
     assert abs(e.p3_dual - 1.5) < 1e-15
-    assert e.local_L2
-    assert ExponentTriple(2.0, 3.0, 6.0).local_L2
-    assert not ExponentTriple(6.0, 1.5, 6.0).local_L2
     with pytest.raises(ValueError):
         ExponentTriple(2.0, 2.0, 3.0)
     with pytest.raises(ValueError):

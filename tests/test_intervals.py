@@ -62,7 +62,7 @@ def test_power_law_hyp1_inclusion(c):
     b0 = c ** (-c / (c + 1.0))
     coll = build_hyp_collection(seq, "hyp1")
     for k, iv in enumerate(coll):
-        j = coll.index_of(k)
+        j = coll.first_index + k
         lo_bound = abs(seq.a_at(j)) - b0
         hi_bound = abs(seq.a_at(j + 1))
         assert iv.lo >= lo_bound - 1e-12
@@ -74,7 +74,7 @@ def test_hyperboloid_hyp2_items(hyperboloid_seq):
     coll = build_hyp_collection(seq, "hyp2")
     assert len(coll) == 6
     for k, iv in enumerate(coll):
-        j = coll.index_of(k)
+        j = coll.first_index + k
         assert iv.closure == "left_open"
         assert abs(iv.lo - (-seq.a_at(j) - seq.b_at(j))) < 1e-12
         assert abs(iv.hi - (-seq.a_at(j + 1) - 1.0)) < 1e-12
@@ -84,7 +84,7 @@ def test_power_law_hyp1_count_and_left_endpoints(power1_seq):
     coll = build_hyp_collection(power1_seq.truncate(6), "hyp1")
     assert len(coll) == 5
     for k, iv in enumerate(coll):
-        j = coll.index_of(k)
+        j = coll.first_index + k
         # with c = 1 the top value is 1, so left endpoints are |a_j| - 1
         assert abs(iv.lo - (abs(power1_seq.a_at(j)) - 1.0)) < 1e-12
 
@@ -104,7 +104,7 @@ def test_increasing_variant_items():
     coll = build_hyp_collection(seq, "hyp1")
     assert len(coll) == 6
     for k, iv in enumerate(coll):
-        j = coll.index_of(k)
+        j = coll.first_index + k
         assert abs(iv.lo - (-u[j] - v[j + 1])) < 1e-12
         assert abs(iv.hi - (-u[0] - v[j])) < 1e-12
 

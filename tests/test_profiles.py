@@ -44,7 +44,7 @@ DYADIC_FINITE_TAIL = curves.SequencePair(
     a=DYADIC.a, b=DYADIC.b, j0=1, a_inf=-1.0, b_inf=3.0 / 8.0
 )
 VERTS = np.column_stack([DYADIC.a, DYADIC.b])
-POLYGON = curves.piecewise_linear_curve(VERTS)
+POLYGON = oracles.piecewise_linear_curve(VERTS)
 RESTRICTION = (float(DYADIC.a[-1]), float(DYADIC.a[0]))
 HYPER = curves.build_dyadic_slope_sequence(curves.hyperboloid(), 8)
 UP_U = curves.SequencePair(a=np.arange(6) / 8.0, b=np.arange(1.0, 7.0), direction="increasing")

@@ -14,10 +14,11 @@ from bmlab.symbols import (
     hyp2_rewrite_pair,
     increasing_staircase_symbol,
     polygonal_epigraph_symbol,
-    reflected_symbol,
     sample_symbol,
     staircase_symbol,
 )
+
+from oracles import piecewise_linear_curve
 
 
 def test_staircase_boundary_conventions(power1_seq):
@@ -172,7 +173,7 @@ def test_polygonal_matches_piecewise_linear_curve(hyperboloid_seq):
     seq = curves.build_dyadic_slope_sequence(curves.hyperboloid(), 8)
     verts = np.column_stack([seq.a, seq.b])
     poly = polygonal_epigraph_symbol(verts)
-    curve = curves.piecewise_linear_curve(verts)
+    curve = piecewise_linear_curve(verts)
     epi = epigraph_symbol(curve, (float(seq.a[-1]), float(seq.a[0])))
     grid = FrequencyGrid(window=(float(seq.a[-1]), float(seq.a[0]), 0.9, 1.4), nx=512, ny=512)
     assert np.array_equal(sample_symbol(poly, grid), sample_symbol(epi, grid))
@@ -191,13 +192,6 @@ def test_polygon_between_curve_and_chord(hyperboloid_seq):
     assert curve_val < probe < chord
     assert poly(xm, probe) == 0.0
     assert epi(xm, probe) == 1.0
-
-
-def test_reflected_symbol(hyperboloid_seq):
-    epi = epigraph_symbol(curves.hyperboloid(), (0.1, 0.5))
-    ref = reflected_symbol(epi)
-    assert ref(1.2, 0.3) == epi(0.3, 1.2)
-    assert ref(0.3, 1.2) == epi(1.2, 0.3)
 
 
 def test_sample_symbol_pixel_count(power1_seq):

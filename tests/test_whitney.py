@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from bmlab import curves, reporting, whitney
 from bmlab.bumps import fejer_sq_spectrum
-from bmlab.engine import SampledFunction, _freq_grid, _period_pairing
+from bmlab.engine import SampledFunction, _freq_grid, _pad, _period_pairing, apply_bilinear
+from bmlab.symbols import SymbolSpec
 from bmlab.whitney import (
     MultiTile,
     PolygonalGeometry,
@@ -23,8 +24,9 @@ from bmlab.whitney import (
 )
 
 from oracles import (
-    WhitneySquare, chi_coeffs_dense, csv_text_by_rows, enumerate_whitney_squares, max_overlap_sweep,
-    partition_sum_by_tiles, whitney_conditions_by_sampling,
+    WhitneySquare, chi_coeffs_dense, containment_failures_by_sampling, csv_text_by_rows,
+    enumerate_whitney_squares, max_overlap_sweep, partition_sum_by_tiles, tile_bump_evaluator,
+    whitney_conditions_by_sampling,
 )
 
 
@@ -108,6 +110,40 @@ def test_polygon_geometry(hyperboloid_seq):
     # curve height extends the end segments linearly
     left = poly.vertices[-1]
     assert poly.curve_height(left[0] - 0.01) < left[1]
+
+
+@pytest.mark.parametrize(
+    "verts", [[(0.0, 0.0), (-1.0, -0.25), (-2.0, -1.0)], [(0.0, 0.0), (-1.0, -0.5), (-2.0, -1.0)]],
+    ids=["concave", "collinear"],
+)
+def test_polygon_rejects_non_convex_vertices(verts):
+    # the corner containment test of build_cover is exact only on a convex polygon
+    with pytest.raises(ValueError, match="segment 1 .* not convex"):
+        PolygonalGeometry(vertices=np.array(verts))
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [curves.hyperboloid(), curves.power_law(1.0), curves.exponential(), curves.circle_arc(),
+     curves.rational(1.0)],
+    ids=lambda c: c.family,
+)
+def test_corner_containment_matches_sampling_on_failing_covers(curve):
+    # at C0 = 0.5 some rectangles cross the next vertex and leave the epigraph
+    poly = PolygonalGeometry.from_sequence(curves.build_dyadic_slope_sequence(curve, 8))
+    rep = build_cover(poly, poly.first_index, alpha=0.9, C0=0.5, samples=2000)
+    expect = containment_failures_by_sampling(poly, rep.rects)
+    assert expect and not rep.containment_ok
+    assert rep.containment_failures == expect
+
+
+@pytest.mark.parametrize("J,segments", [(14, 7), (12, 4)], ids=["criterion-10", "cli-config"])
+def test_corner_containment_matches_sampling_on_proof_covers(J, segments):
+    # the covers of acceptance criterion 10 and of the benchmark's CLI config
+    poly = PolygonalGeometry.from_sequence(curves.build_dyadic_slope_sequence(curves.hyperboloid(), J))
+    for j in list(poly.segment_indices())[:segments]:
+        rep = build_cover(poly, j, alpha=0.9, C0=16.0, samples=10_000)
+        assert rep.containment_failures == containment_failures_by_sampling(poly, rep.rects) == []
 
 
 def test_build_cover_hyperboloid_segments(hyperboloid_seq):
@@ -452,6 +488,24 @@ class TestModelSum:
         got = p1["model_value"] + p2["model_value"]
         assert abs(got - whole["model_value"]) <= 1e-8 * max(1.0, abs(whole["model_value"]))
         assert whole["deviation"] <= 1e-6
+
+    @pytest.mark.parametrize(
+        "squares",
+        [[(0.75, 0.25, -3)], [(0.75, 0.25, -3), (0.375, 0.125, -4), (1.25, 0.5, -3)]],
+        ids=["one-row", "three-row"],
+    )
+    def test_adjoint_matches_dense_tile_bump_oracle(self, rng, squares):
+        # the tensor sum against the tile-bump symbol tabulated on the N x N grid
+        rects = segment_cover(self.poly, squares)
+        tiles = enumerate_multitiles(C0=2.0, exponent_base=2, j=1, rects=rects, space_len=64.0)
+        assert sorted({t.rect_key for t in tiles}) == list(range(len(squares)))
+        f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
+        res = model_sum_eval(f, g, h, tiles, rects, self.seq, 0.9, 2)
+        ev = tile_bump_evaluator(rects, range(len(squares)), 0.9)
+        B = apply_bilinear(SymbolSpec(evaluator=ev), f, g)
+        dense = _period_pairing(B.coeffs(), _pad(h.coeffs(), B.N), self.L)
+        assert abs(res["adjoint_value"] - dense) <= 1e-13 * abs(dense)
+        assert res["deviation"] <= 1e-6
 
     def test_lattice_misalignment_rejected(self, rng):
         seq = curves.SequencePair(

@@ -70,25 +70,21 @@ class RunConfig:
     def validate(self):
         if self.family not in CURVE_FAMILIES:
             raise ConfigError(f"unknown curve family: {self.family}")
-        if self.J < 3:
-            raise ConfigError("J >= 3 required")
-        if not (math.isfinite(self.L) and self.L > 0):
-            raise ConfigError("[grid] L must be finite and positive")
+        if not (math.isfinite(self.L) and 1e-100 <= self.L <= 1e100):
+            raise ConfigError("[grid] L must be finite and in [1e-100, 1e100] (the probe squares lengths)")
         if self.c is not None and not math.isfinite(self.c):
             raise ConfigError("[curve] c must be finite")
         if self.window is not None and not all(math.isfinite(v) for v in self.window):
             raise ConfigError("[symbol] window entries must be finite")
         if self.seed is None:
-            raise ConfigError("seed is required (no wall-clock defaults)")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+            raise ConfigError("[probe] seed is required (no wall-clock defaults)")
         if not self.resolutions:
             raise ConfigError("[probe] resolutions must list at least one resolution")
         if not self.triples:
             raise ConfigError("[probe] triples must list at least one exponent triple")
         for N in self.resolutions:
             if N < 2 or N & (N - 1):
-                raise ConfigError("every probe resolution must be a power of two")
+                raise ConfigError(f"[probe] resolutions entry {N} is not a power of two >= 2")
         for t in self.triples:
             try:
                 engine.ExponentTriple(*t)
@@ -104,15 +100,18 @@ class RunConfig:
             "constant",
         ):
             raise ConfigError(f"unknown symbol kind: {self.symbol_kind}")
-        for key, value in (("[symbol] nx", self.bitmap_nx), ("[symbol] ny", self.bitmap_ny),
-                           ("[whitney] segments", self.whitney_segments),
-                           ("[whitney] samples", self.whitney_samples)):
-            if value < 1:
-                raise ConfigError(f"{key} must be at least 1")
+        for key, value, least in (("[sequence] J", self.J, 3), ("[probe] seed", self.seed, 0),
+                                  ("[probe] trials", self.trials, 1), ("[symbol] nx", self.bitmap_nx, 1),
+                                  ("[symbol] ny", self.bitmap_ny, 1), ("[whitney] B", self.exponent_base, 2),
+                                  ("[whitney] segments", self.whitney_segments, 1),
+                                  ("[whitney] samples", self.whitney_samples, 1)):
+            if value < least:
+                raise ConfigError(f"{key} must be at least {least}")
         if not (math.isfinite(self.C0) and self.C0 > 0):
             raise ConfigError("[whitney] C0 must be finite and positive")
-        if self.exponent_base < 2:
-            raise ConfigError("[whitney] B must be at least 2 (tile lengths base^(-j))")
+        if self.exponent_base > 256:
+            raise ConfigError("[whitney] B must be at most 256, so the tile lengths B^(-j0) and "
+                              "the kernel radius 4^(-B) of the partition check stay in floating-point range")
         if not 0.8 <= self.alpha < 0.999:
             raise ConfigError("alpha must lie in [0.8, 0.999)")
         if self.diag_variant not in ("line", "plane"):

@@ -67,14 +67,20 @@ def _pad(c: np.ndarray, M: int) -> np.ndarray:
     return out
 
 
+def _swap_halves(a: np.ndarray) -> np.ndarray:
+    """Centered order to FFT order and back: the halves of the even last axis swapped."""
+    n = a.shape[-1] // 2
+    return np.concatenate((a[..., n:], a[..., :n]), axis=-1)
+
+
 def _synthesize(c: np.ndarray) -> np.ndarray:
     """Samples on the period grid of centered coefficients (last axis)."""
-    return np.fft.ifft(np.fft.ifftshift(c, axes=-1), axis=-1) * c.shape[-1]
+    return np.fft.ifft(_swap_halves(c), axis=-1) * c.shape[-1]
 
 
 def _analyze(x: np.ndarray) -> np.ndarray:
     """Centered coefficients of period-grid samples (last axis)."""
-    return np.fft.fftshift(np.fft.fft(x, axis=-1), axes=-1) / x.shape[-1]
+    return _swap_halves(np.fft.fft(x, axis=-1)) / x.shape[-1]
 
 
 def _period_pairing(u_hat: np.ndarray, v_hat: np.ndarray, L: float) -> complex:
@@ -82,7 +88,7 @@ def _period_pairing(u_hat: np.ndarray, v_hat: np.ndarray, L: float) -> complex:
     sum of u_hat[s] v_hat[M - s], slot 0 pairing with itself (the M-point
     Riemann sum of u*v).  Exact when slot 0 of either is empty, as after
     zero-padding."""
-    return L * np.sum(u_hat * np.roll(v_hat[::-1], 1))
+    return L * np.sum(u_hat * np.concatenate((v_hat[:1], v_hat[:0:-1])))
 
 
 def _masks(intervals, freqs: np.ndarray) -> np.ndarray:
@@ -93,8 +99,12 @@ def _masks(intervals, freqs: np.ndarray) -> np.ndarray:
 
 def _masked_synthesis(c: np.ndarray, masks: np.ndarray, M: int) -> np.ndarray:
     """(len(masks), M) samples of the coefficients c cut to each mask row,
-    synthesized on the M-point grid, M >= N."""
-    return _synthesize(_pad(np.where(masks, c, 0.0), M))
+    synthesized on the M-point grid, M >= N; the rows are filled in FFT order."""
+    n = len(c) // 2
+    out = np.zeros((len(masks), M), dtype=complex)
+    np.copyto(out[:, :n], c[n:], where=masks[:, n:])
+    np.copyto(out[:, M - n :], c[:n], where=masks[:, :n])
+    return np.fft.ifft(out, axis=-1) * M
 
 
 def _project(f: "SampledFunction", intervals, M: int) -> np.ndarray:
@@ -253,13 +263,19 @@ def carleson_hunt_maximal(g: SampledFunction) -> np.ndarray:
     each column of an x-chunk of at most ``PHASE_BLOCK`` elements, so memory
     is O(N * chunk) and each column is summed as in the full N x N table.
     """
-    N, c = g.N, g.coeffs()[:, None]
-    width = max(1, PHASE_BLOCK // N)
-    out = np.empty(N)
+    return _carleson_maximal(g.coeffs(), g.L)
+
+
+def _carleson_maximal(c: np.ndarray, L: float) -> np.ndarray:
+    """``carleson_hunt_maximal`` from the centered coefficients c.  The chunk
+    width divides N (both powers of two); one buffer takes each chunk's
+    products and then, in place, their prefix sums."""
+    N = len(c)
+    width = min(N, max(1, PHASE_BLOCK // N))
+    partial, out = np.empty((N, width), dtype=complex), np.empty(N)
     for n0 in range(0, N, width):
-        n1 = min(n0 + width, N)
-        partial = np.cumsum(_phase_block(N, g.L, n0, n1) * c, axis=0)
-        out[n0:n1] = np.max(np.abs(partial), axis=0)
+        np.multiply(_phase_block(N, L, n0, n0 + width), c[:, None], out=partial)
+        out[n0 : n0 + width] = np.max(np.abs(np.cumsum(partial, axis=0, out=partial)), axis=0)
     return np.maximum(out, 0.0)
 
 
@@ -349,18 +365,17 @@ def holder_chain_check(
     nh = lp_norm(h, e.p3)
     if nh == 0:
         raise ValueError("h must be nonzero")
-    h = SampledFunction(h.samples / nh, h.L)
 
     N, L = f.N, f.L
     (fm, gm, hm), act = _chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, L)
     M = 2 * N  # triple products have bandwidth < 1.5 N, resolved at 2N
-    cf, cg, ch = f.coeffs(), g.coeffs(), h.coeffs()
+    cf, cg, ch = _analyze(np.stack([f.samples, g.samples, h.samples / nh]))
     fa = _masked_synthesis(cf, fm, M)
     gb = _masked_synthesis(cg, gm, M)
     hc = _masked_synthesis(ch, hm, M)
     lhs_sum = abs(np.sum(fa * gb * hc) * (L / M))
 
-    b_hat = SampledFunction.from_coeffs(act(cf, cg), L).coeffs()
+    b_hat = _analyze(_synthesize(act(cf, cg)))
     lhs_direct = abs(_period_pairing(b_hat, _pad(ch, M), L))
 
     scale = max(lhs_sum, lhs_direct, 1e-300)
@@ -373,7 +388,7 @@ def holder_chain_check(
     satisfied = lhs_sum <= rhs * (1.0 + 1e-10) + 1e-12
 
     # every other sample at 2N is the slot-2 projection on g's own grid
-    maximal = carleson_hunt_maximal(g)
+    maximal = _carleson_maximal(cg, L)
     margin = max(0.0, float(np.max(np.abs(gb[:, ::2]) - 2.0 * maximal)))
     carleson_ok = margin <= 1e-10 * max(1.0, float(np.max(maximal)))
 

@@ -18,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -62,13 +63,20 @@ def run_subcommands(workdir: Path) -> dict:
     return {"runs": runs, "files_sha256": files}
 
 
+def source_commit() -> str:
+    """The checkout's commit, ``-dirty`` when tracked files differ from it."""
+    git = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=Path(__file__).parent,
+                         capture_output=True, text=True)
+    return git.stdout.strip() if git.returncode == 0 else "unknown"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = run_subcommands(Path(tmp))
     record["note"] = (
         "sha256 of every file the six subcommands write on the tests/test_cli.py staircase "
         "config, with exit codes, stdout and stderr; made by tests/make_cli_golden.py at "
-        f"commit e4c3317 with numpy {np.__version__} and scipy {scipy.__version__}"
+        f"commit {source_commit()} with numpy {np.__version__} and scipy {scipy.__version__}"
     )
     json.dump(record, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -35,6 +35,31 @@ def bilinear_double_sum(sym, f, g):
     return out
 
 
+# --- the centered layout through numpy's shift routines ----------------------------
+# The engine's layout helpers as first written, with np.fft.fftshift/ifftshift,
+# np.roll and a padded np.where; the engine swaps halves with slices instead.
+
+
+def synthesize_shifted(c):
+    return np.fft.ifft(np.fft.ifftshift(c, axes=-1), axis=-1) * c.shape[-1]
+
+
+def analyze_shifted(x):
+    return np.fft.fftshift(np.fft.fft(x, axis=-1), axes=-1) / x.shape[-1]
+
+
+def period_pairing_rolled(u_hat, v_hat, L):
+    return L * np.sum(u_hat * np.roll(v_hat[::-1], 1))
+
+
+def masked_synthesis_padded(c, masks, M):
+    N = c.shape[-1]
+    cut = np.where(masks, c, 0.0)
+    padded = np.zeros(cut.shape[:-1] + (M,), dtype=complex)
+    padded[..., (M - N) // 2 : (M + N) // 2] = cut
+    return synthesize_shifted(padded)
+
+
 def carleson_maximal_dense(g):
     """Max over the prefix frequency sums' modulus from the full N x N table of
     waves (N^2 memory), the empty prefix included."""

@@ -183,6 +183,88 @@ def test_whitney_rejects_base_below_two(tmp_path, capsys):
     assert "B must be at least 2" in capsys.readouterr().err
 
 
+def _check_failed_values(err: str) -> list[float]:
+    """The measured value of every ``check failed:`` stderr line."""
+    return [float(line.split(" = ", 1)[1].rsplit(", bound ", 1)[0])
+            for line in err.splitlines() if line.startswith("check failed:")]
+
+
+@pytest.mark.parametrize("B", [257, 1000000, 10**200], ids=["257", "1e6", "1e200"])
+def test_whitney_rejects_base_beyond_float_range(tmp_path, capsys, B):
+    # B = 1000000 used to exit 4 with three "deviation = nan" lines: the
+    # kernel radius 4^(-B) underflows to 0; B = 10**200 overflows the tile length
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "B = 2\n", f"B = {B}\n")
+    assert main(["whitney", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [whitney] B must be at most 256")
+    assert all(math.isfinite(v) for v in _check_failed_values(err))
+    assert not (tmp_path / "out").exists()
+
+
+def test_whitney_largest_base_measures_finite_deviations(tmp_path, capsys, monkeypatch):
+    # at the largest accepted B every partition scale is measured; with a zero
+    # bound each scale fails and its check line must carry a finite value
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "B = 2\n", "B = 256\n")
+    monkeypatch.setattr(cli, "WHITNEY_TOL", 0.0)
+    assert main(["whitney", "--config", cfg]) == 4
+    values = _check_failed_values(capsys.readouterr().err)
+    assert len(values) == 4 and all(math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize("L", ["1e300", "1e155", "1e101", "1e-101", "1e-300"])
+@pytest.mark.parametrize("command", ["analyze", "probe", "whitney"])
+def test_rejects_period_beyond_float_range(tmp_path, capsys, L, command):
+    # L = 1e300 used to end probe in an OverflowError traceback (the trial wave
+    # packets square their widths) and let analyze and whitney pass
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "L = 16.0\n", f"L = {L}\n")
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [grid] L") and "1e100" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("L", [1e-100, 1e100])
+def test_period_range_is_inclusive(tmp_path, L):
+    cfg = RunConfig.from_file(write_config(tmp_path))
+    cfg.L = L
+    cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("seed = 7", "seed = -1", "[probe] seed must be at least 0"),
+        ("J = 6", "J = -1", "[sequence] J must be at least 3"),
+        ("trials = 3", "trials = -1", "[probe] trials must be at least 1"),
+        ("resolutions = 64 128", "resolutions = -64 128",
+         "[probe] resolutions entry -64 is not a power of two >= 2"),
+        ("nx = 32", "nx = -1", "[symbol] nx must be at least 1"),
+        ("ny = 32", "ny = -1", "[symbol] ny must be at least 1"),
+        ("B = 2", "B = -1", "[whitney] B must be at least 2"),
+        ("segments = 2", "segments = -1", "[whitney] segments must be at least 1"),
+        ("samples = 1500", "samples = -1", "[whitney] samples must be at least 1"),
+    ],
+    ids=["seed", "J", "trials", "resolutions", "nx", "ny", "B", "segments", "samples"],
+)
+def test_negative_integer_keys_are_named(tmp_path, capsys, old, new, message):
+    # seed = -1 used to say only "expected non-negative integer" (numpy's
+    # SeedSequence); J, trials and resolutions named no key
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, old + "\n", new + "\n")
+    assert main(["probe", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_override_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["probe", "--config", cfg, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: [probe] seed must be at least 0\n"
+
+
 def test_config_triples_parse(tmp_path):
     path = tmp_path / "t.ini"
     path.write_text(

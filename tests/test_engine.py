@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from bmlab.engine import (
     ExponentTriple,
     SampledFunction,
     _analyze,
+    _masked_synthesis,
     _pad,
     _period_pairing,
     _project,
@@ -26,7 +28,14 @@ from bmlab.engine import (
 from bmlab.intervals import HalfOpenInterval, build_hyp_collection, staircase_steps
 from bmlab.symbols import SymbolSpec, constant_symbol, rectangle_symbol, staircase_symbol
 
-from oracles import bilinear_double_sum, carleson_maximal_dense
+from oracles import (
+    analyze_shifted,
+    bilinear_double_sum,
+    carleson_maximal_dense,
+    masked_synthesis_padded,
+    period_pairing_rolled,
+    synthesize_shifted,
+)
 
 
 def random_function(rng, N=64, L=16.0):
@@ -70,6 +79,31 @@ def test_period_pairing_is_the_riemann_sum(rng, N):
     riemann = np.sum(u * v) * L / (2 * N)
     got = _period_pairing(_pad(c, 2 * N), _pad(d, 2 * N), L)
     assert abs(got - riemann) <= 1e-13 * abs(riemann)
+
+
+# powers of two as the engine uses, and other even lengths the half swap also covers
+LAYOUT_LENGTHS = [2**k for k in range(1, 13)] + [6, 10, 96, 1000]
+
+
+@pytest.mark.parametrize("N", LAYOUT_LENGTHS)
+def test_half_swap_layout_equals_numpy_shifts_bitwise(rng, N):
+    for shape in [(N,), (7, N)]:
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert _synthesize(c).tobytes() == synthesize_shifted(c).tobytes()
+        assert _analyze(c).tobytes() == analyze_shifted(c).tobytes()
+    u, v = (rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(2))
+    assert _period_pairing(u, v, 24.0) == period_pairing_rolled(u, v, 24.0)
+    masks = rng.random((7, N)) < 0.4
+    for M in (N, 2 * N, 4 * N):
+        got = _masked_synthesis(u, masks, M)
+        assert got.shape == (7, M) and got.tobytes() == masked_synthesis_padded(u, masks, M).tobytes()
+
+
+def test_chain_reports_match_golden():
+    # repr-equal holder_chain_check reports, as recorded by tests/make_chain_golden.py
+    from make_chain_golden import GOLDEN_PATH, chain_hashes
+
+    assert chain_hashes() == json.loads(GOLDEN_PATH.read_text())["sha256"]
 
 
 @pytest.mark.parametrize("N", [64, 128, 256])

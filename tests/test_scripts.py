@@ -1,6 +1,7 @@
 """Subprocess tests: the scripts under scripts/ run end to end on small
 inputs, and a bare ``import bmlab`` stays light."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -77,3 +78,48 @@ def test_import_leaves_scipy_unloaded(tmp_path):
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def _bench_log(path, walls, sha):
+    fingerprint = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1",
+                   "git_sha": sha, "src_bmlab_sha256": sha * 8, "src_bmlab_lines": 3000}
+    lines = ["# proof_chain seed=1 ..."]
+    for wall in walls:
+        lines.append(json.dumps({
+            "workload": "proof_chain", "fingerprint": fingerprint,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"}},
+            "extra_metrics": {"fail_frac": {"value": 0.0, "unit": "ratio"}},
+        }))
+        lines.append(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {}}))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_bench_record_writes_medians_verdicts_and_tier1(tmp_path):
+    _bench_log(tmp_path / "base.log", [0.60, 0.62, 0.58, 0.61], "a")
+    _bench_log(tmp_path / "change.log", [0.44, 0.45, 0.43, 0.46], "b")
+    durations = "2.00s call     tests/t.py::slow\n0.50s setup    tests/t.py::slow\n1.00s call     tests/t.py::quick\n"
+    (tmp_path / "base_tests.log").write_text(durations + "==== 12 passed in 9.50s ====\n")
+    (tmp_path / "change_tests.log").write_text(durations + "12 passed in 8.25s (0:00:08)\n")
+    out = tmp_path / "BENCH.json"
+    res = run_script("bench_record.py", "base.log", "change.log", "--out", str(out),
+                     "--pytest", "base_tests.log", "change_tests.log", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    rec = json.loads(out.read_text())
+    assert rec["host"] == {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+    assert rec["base"]["git_sha"] == "a" and rec["change"]["src_bmlab_lines"] == 3000
+    wall = rec["metrics"]["proof_chain"]["wall_s"]
+    assert wall["pairs"] == 4 and wall["verdict"] == "better" and wall["bound"] == 0.2
+    assert wall["base"]["median"] == 0.605 and wall["change"]["median"] == 0.445
+    assert wall["base"]["q1"] <= wall["base"]["median"] <= wall["base"]["q3"]
+    assert "verdict" not in rec["metrics"]["proof_chain"]["fail_frac"]
+    assert rec["tier1"]["change"]["wall_s"] == 8.25 and rec["tier1"]["base"]["outcome"] == "12 passed"
+    assert [t["test"] for t in rec["tier1"]["base"]["slowest"]] == ["tests/t.py::slow", "tests/t.py::quick"]
+
+
+def test_bench_record_rejects_mixed_trees(tmp_path):
+    _bench_log(tmp_path / "base.log", [0.60], "a")
+    _bench_log(tmp_path / "other.log", [0.61], "c")
+    (tmp_path / "mixed.log").write_text((tmp_path / "base.log").read_text() + (tmp_path / "other.log").read_text())
+    res = run_script("bench_record.py", "mixed.log", "base.log", "--out", "x.json", cwd=tmp_path)
+    assert res.returncode == 1 and "2 fingerprints" in res.stderr
+    assert not (tmp_path / "x.json").exists()

@@ -6,9 +6,10 @@ any number of runs, the way ``perfbench/compare.py`` reads them.  For every
 workload and metric found in both files it writes each side's median,
 quartiles and spread and the number of runs; for the end-to-end metrics of
 BENCHMARK.json it adds the bound and compare.py's verdict.  The host (cores,
-Python, numpy, scipy) and each side's git sha, ``src/bmlab`` sha256 and line
-count come from the runs' fingerprints.  Given each side's pytest log run
-with ``--durations``, it adds the Tier-1 wall time and the slowest tests.
+Python, numpy, scipy), the seed and run length, and each side's git sha,
+``src/bmlab`` sha256 and line count come from the runs' records.  Given
+each side's pytest log run with ``--durations``, it adds the Tier-1 wall
+time and the slowest tests.
 
     python3 scripts/bench_record.py base.log change.log --out BENCH_<n>.json \
         --pytest base_tests.log change_tests.log
@@ -29,16 +30,20 @@ from compare import load, summary, verdict  # noqa: E402
 
 HOST_KEYS = ("nproc", "python", "numpy", "scipy")
 SOURCE_KEYS = ("git_sha", "src_bmlab_sha256", "src_bmlab_lines")
+RUN_KEYS = ("seed", "seconds")
 DURATION = re.compile(r"^([0-9.]+)s call\s+(\S+)")
 TOTAL = re.compile(r"^=*\s*(\d+ passed.*) in ([0-9.]+)s")
 
 
 def fingerprint(path: str) -> dict:
-    """The fingerprint shared by every run in a file; runs of different trees
-    or hosts in one file are an error."""
-    prints = {json.dumps({k: rec["fingerprint"][k] for k in HOST_KEYS + SOURCE_KEYS}, sort_keys=True)
-              for rec in map(json.loads, (ln for ln in Path(path).read_text().splitlines() if ln.startswith("{")))
-              if "workload" in rec}
+    """The fingerprint and run settings shared by every run in a file; runs of
+    different trees, hosts, seeds or lengths in one file are an error."""
+    prints = set()
+    for line in Path(path).read_text().splitlines():
+        rec = json.loads(line) if line.startswith("{") else {}
+        if "workload" in rec:
+            fp = {**rec["fingerprint"], "seconds": rec["seconds"]}
+            prints.add(json.dumps({k: fp[k] for k in HOST_KEYS + SOURCE_KEYS + RUN_KEYS}, sort_keys=True))
     if len(prints) != 1:
         raise SystemExit(f"{path}: expected runs of one tree on one host, found {len(prints)} fingerprints")
     return json.loads(prints.pop())
@@ -73,8 +78,8 @@ def main(argv=None) -> int:
     bounds = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     base, change = load(args.base), load(args.change)
     prints = {"base": fingerprint(args.base), "change": fingerprint(args.change)}
-    if any(prints["base"][k] != prints["change"][k] for k in HOST_KEYS):
-        raise SystemExit("the two sides ran on different hosts or library versions")
+    if any(prints["base"][k] != prints["change"][k] for k in HOST_KEYS + RUN_KEYS):
+        raise SystemExit("the two sides ran on different hosts, library versions, seeds or lengths")
     metrics: dict = {}
     for workload, metric in sorted(set(base) & set(change)):
         (unit, b), (_, c) = base[workload, metric], change[workload, metric]
@@ -86,6 +91,7 @@ def main(argv=None) -> int:
         metrics.setdefault(workload, {})[metric] = row
     record = {
         "host": {k: prints["change"][k] for k in HOST_KEYS},
+        "run": {k: prints["change"][k] for k in RUN_KEYS},
         "base": {k: prints["base"][k] for k in SOURCE_KEYS},
         "change": {k: prints["change"][k] for k in SOURCE_KEYS},
         "metrics": metrics,

@@ -81,12 +81,12 @@ def test_import_leaves_scipy_unloaded(tmp_path):
 
 
 def _bench_log(path, walls, sha):
-    fingerprint = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1",
+    fingerprint = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1", "seed": 1,
                    "git_sha": sha, "src_bmlab_sha256": sha * 8, "src_bmlab_lines": 3000}
     lines = ["# proof_chain seed=1 ..."]
     for wall in walls:
         lines.append(json.dumps({
-            "workload": "proof_chain", "fingerprint": fingerprint,
+            "workload": "proof_chain", "fingerprint": fingerprint, "seconds": 8.0,
             "metrics": {"wall_s": {"value": wall, "unit": "s"}},
             "extra_metrics": {"fail_frac": {"value": 0.0, "unit": "ratio"}},
         }))
@@ -106,6 +106,7 @@ def test_bench_record_writes_medians_verdicts_and_tier1(tmp_path):
     assert res.returncode == 0, res.stderr
     rec = json.loads(out.read_text())
     assert rec["host"] == {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+    assert rec["run"] == {"seed": 1, "seconds": 8.0}
     assert rec["base"]["git_sha"] == "a" and rec["change"]["src_bmlab_lines"] == 3000
     wall = rec["metrics"]["proof_chain"]["wall_s"]
     assert wall["pairs"] == 4 and wall["verdict"] == "better" and wall["bound"] == 0.2

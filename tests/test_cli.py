@@ -508,3 +508,14 @@ def test_cli_outputs_match_golden(tmp_path):
     got = run_subcommands(tmp_path)
     assert got["runs"] == golden["runs"]
     assert got["files_sha256"] == golden["files_sha256"]
+
+
+def test_cli_pipeline_outputs_match_golden(tmp_path):
+    # the same on the benchmark's cli_pipeline values: two triples, a 512x512
+    # bitmap, 4 Whitney segments
+    from make_cli_golden import GOLDENS, run_subcommands
+
+    golden = json.loads(GOLDENS["pipeline"][0].read_text())
+    got = run_subcommands(tmp_path, "pipeline")
+    assert got["runs"] == golden["runs"]
+    assert got["files_sha256"] == golden["files_sha256"]

@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from bmlab import reporting
 from bmlab.cli import EXIT_CHECK, EXIT_OK, probe_growth_ok
 from bmlab.config import CURVE_FAMILIES, RunConfig, _parse_triples
-from bmlab.engine import ExponentTriple, norm_probe
+from bmlab.engine import ExponentTriple, _probe_reports
 
 
 def main():
@@ -48,9 +48,9 @@ def main():
         raise SystemExit(f"config error: {exc}")
     rows = []
     ok = True
-    for t in cfg.triples:
-        rep = norm_probe(sym, ExponentTriple(*t), trials=cfg.trials,
-                         resolutions=cfg.resolutions, seed=cfg.seed, L=cfg.L)
+    triples = [ExponentTriple(*t) for t in cfg.triples]
+    reports = _probe_reports(sym, triples, cfg.trials, cfg.resolutions, cfg.seed, cfg.L)
+    for t, rep in zip(cfg.triples, reports):
         rows.extend(rep.csv_rows())
         print(f"{sym.label} {t}: growth {rep.growth_factor:.3f}")
         ok = probe_growth_ok(rep) and ok

@@ -171,33 +171,24 @@ def probe_growth_ok(rep: engine.ProbeReport) -> bool:
 
 
 def cmd_probe(cfg: RunConfig) -> int:
-    rows = []
-    summaries = []
-    growths = []
-    ok = True
     sym = cfg.symbol()
-    for t in cfg.triples:
-        e = engine.ExponentTriple(*t)
-        rep = engine.norm_probe(
-            sym, e, trials=cfg.trials, resolutions=cfg.resolutions, seed=cfg.seed, L=cfg.L
-        )
-        rows.extend(rep.csv_rows())
-        summaries.append(rep.as_dict())
-        growths.append(rep.growth_factor)
+    triples = [engine.ExponentTriple(*t) for t in cfg.triples]
+    reports = engine._probe_reports(sym, triples, cfg.trials, cfg.resolutions, cfg.seed, cfg.L)
+    ok = True
+    for rep in reports:
         if not probe_growth_ok(rep):
             ok = False
             if not math.isnan(rep.growth_factor):
                 _emit_witness(cfg, sym, rep)
+    growths = [rep.growth_factor for rep in reports]
     worst = math.nan if any(math.isnan(v) for v in growths) else max(growths)
     reporting.write_csv(
         os.path.join(cfg.out_dir, "probe.csv"),
         ["p1", "p2", "p3", "N", "trial_family", "max_ratio"],
-        list(zip(*rows)),
+        list(zip(*(row for rep in reports for row in rep.csv_rows()))),
     )
-    reporting.write_json(
-        os.path.join(cfg.out_dir, "probe.json"),
-        _envelope(cfg, {"symbol": sym.label, "reports": summaries, "worst_growth": worst}),
-    )
+    payload = {"symbol": sym.label, "reports": [rep.as_dict() for rep in reports], "worst_growth": worst}
+    reporting.write_json(os.path.join(cfg.out_dir, "probe.json"), _envelope(cfg, payload))
     return EXIT_OK if ok else EXIT_CHECK
 
 

@@ -128,7 +128,11 @@ class RunConfig:
 
     def sequence(self, J: Optional[int] = None) -> curves.SequencePair:
         """The dyadic-slope sequence of the curve, truncated at ``J`` (default: the config's)."""
-        return curves.build_dyadic_slope_sequence(self.curve(), J if J is not None else self.J)
+        J = J if J is not None else self.J
+        try:
+            return curves.build_dyadic_slope_sequence(self.curve(), J)
+        except curves.TruncationError as exc:
+            raise ConfigError(f"[sequence] J = {self.J} asks for a truncation at {J}: {exc}") from None
 
     def symbol(self) -> symbols.SymbolSpec:
         """The ``[symbol] kind`` symbol built on the configured curve and truncation."""

@@ -361,6 +361,11 @@ def build_dyadic_slope_sequence(curve: CurveSpec, J: int, max_iter: int = BISECT
     a = np.array(xs, dtype=float)
     b = np.asarray(curve.gamma(a), dtype=float)
     direction = "decreasing" if a[1] < a[0] else "increasing"
+    step = 1.0 if direction == "increasing" else -1.0
+    flat = np.flatnonzero(~((step * np.diff(a) > 0) & (step * np.diff(b) > 0)))
+    if len(flat):  # deep slopes landed on float64-equal points: a resolution limit
+        raise TruncationError(f"float64 cannot separate the points of slopes 2^-{j0 + flat[0]} and "
+                              f"2^-{j0 + flat[0] + 1}; largest feasible J is {flat[0]}", int(flat[0]))
     a_inf = curve.a_limit
     b_inf = curve.b_limit
     return SequencePair(a=a, b=b, direction=direction, j0=j0, a_inf=a_inf, b_inf=b_inf)

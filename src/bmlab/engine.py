@@ -517,34 +517,36 @@ def norm_probe(
     recorded; the growth factor compares the largest against the smallest
     resolution.  Fully deterministic for a fixed seed.
     """
+    return _probe_reports(sym, [e], trials, resolutions, seed, L)[0]
+
+
+def _probe_reports(sym: SymbolSpec, triples: Sequence[ExponentTriple], trials: int,
+                   resolutions: Sequence[int], seed: int, L: float = 32.0) -> list[ProbeReport]:
+    """``norm_probe`` for several triples, drawing and applying each trial pair once."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     resolutions = sorted(int(N) for N in resolutions)
-    report = ProbeReport(
-        triple=e, resolutions=list(resolutions), trials=trials, seed=seed, L=float(L)
-    )
+    reports = [ProbeReport(e, list(resolutions), trials, seed, float(L)) for e in triples]
     for ri, N in enumerate(resolutions):
         act = _bilinear_action(sym, _freq_grid(N, L))
         for fi, family in enumerate(PROBE_FAMILIES):
-            best, best_trial = 0.0, -1
+            best = [(0.0, -1)] * len(reports)
             for t in range(trials):
                 f, g = make_trial_pair(family, (seed, ri, fi, t), N, L)
                 out = SampledFunction.from_coeffs(act(f.coeffs(), g.coeffs()), L)
-                denom = lp_norm(f, e.p1) * lp_norm(g, e.p2)
-                if denom == 0:
-                    continue
-                ratio = lp_norm(out, e.p3_dual) / denom
-                if ratio > best:
-                    best, best_trial = ratio, t
-            report.rows.append(
-                {"family": family, "N": N, "max_ratio": float(best), "argmax_trial": best_trial}
-            )
+                for i, e in enumerate(triples):
+                    denom = lp_norm(f, e.p1) * lp_norm(g, e.p2)
+                    if denom == 0:
+                        continue
+                    ratio = lp_norm(out, e.p3_dual) / denom
+                    if ratio > best[i][0]:
+                        best[i] = (ratio, t)
+            for report, (ratio, t) in zip(reports, best):
+                report.rows.append({"family": family, "N": N, "max_ratio": float(ratio), "argmax_trial": t})
     lo, hi = resolutions[0], resolutions[-1]
-    base, top = report.max_ratio_at(lo), report.max_ratio_at(hi)
-    if base > 0:
-        report.growth_factor = top / base
-    else:
+    for report in reports:
+        base, top = report.max_ratio_at(lo), report.max_ratio_at(hi)
         # degenerate at the smallest resolution (symbol support outside the
-        # band, or annihilating trials); flag rather than divide
-        report.growth_factor = math.inf if top > 0 else math.nan
-    return report
+        # band, or annihilating trials): flag rather than divide
+        report.growth_factor = top / base if base > 0 else (math.inf if top > 0 else math.nan)
+    return reports

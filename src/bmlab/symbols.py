@@ -354,10 +354,14 @@ def sample_symbol(sym: SymbolSpec, grid: Optional[FrequencyGrid] = None, nx: int
 
 
 def bitmap_to_pgm(bitmap: np.ndarray) -> str:
-    """Plain PGM (P2) text; rows run from the top of the eta axis down."""
-    scaled = np.clip(np.rint(np.asarray(bitmap, dtype=float) * 255), 0, 255).astype(int)
-    rows = scaled.T[::-1]
-    lines = [f"P2", f"{rows.shape[1]} {rows.shape[0]}", "255"]
-    for row in rows:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """Plain PGM (P2) text; rows run from the top of the eta axis down.  Each
+    gray level is looked up as a NUL-padded "v " ("v\\n" at a row's end)."""
+    values = np.asarray(bitmap, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("bitmap has a non-finite pixel")
+    rows = np.ascontiguousarray(np.clip(np.rint(values * 255), 0, 255).astype(np.uint8).T[::-1])
+    table = np.array([[b"%d " % v, b"%d\n" % v] for v in range(256)], dtype="S4")
+    cells = table[rows, 0]
+    cells[:, -1:] = table[rows[:, -1:], 1]
+    body = cells.tobytes().replace(b"\0", b"").decode("ascii") if rows.shape[1] else "\n" * len(rows)
+    return f"P2\n{rows.shape[1]} {rows.shape[0]}\n255\n" + body

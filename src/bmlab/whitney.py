@@ -246,10 +246,13 @@ def build_cover(
     covered = cond_ok & in_shrink
     witnesses = [(float(a_j - xx), float(b_j - s_j * yy)) for xx, yy in zip(x[~covered], y[~covered])]
 
-    # one rectangle per distinct square, in order of first selection
-    keys = np.column_stack([k, np.round(cx / delta), np.round(cy / delta)])[covered]
-    _, first_pos = np.unique(keys, axis=0, return_index=True)
-    pick = np.flatnonzero(covered)[np.sort(first_pos)]
+    # one rectangle per distinct square, in order of first selection: a stable
+    # sort of the (k, cx/delta, cy/delta) rows puts each square's first sample first
+    hit = np.flatnonzero(covered)
+    keys = np.column_stack([k, np.round(cx / delta), np.round(cy / delta)])[hit]
+    order = np.lexsort(keys.T[::-1])
+    first = np.r_[True, np.any(np.diff(keys[order], axis=0) != 0, axis=1)]
+    pick = hit[np.sort(order[first])]
     rects = RectCover(j=j, anchor=(a_j, b_j), s_j=s_j, k=k[pick], cx=cx[pick], cy=cy[pick])
 
     (xlo, xhi), (elo, _) = rects.edges()[:2]

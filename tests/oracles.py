@@ -13,7 +13,7 @@ import numpy as np
 from bmlab.bumps import adapted_bump, fejer_sq_cdf, fejer_sq_spectrum
 from bmlab.curves import CurveSpec
 from bmlab.engine import _freq_grid
-from bmlab.whitney import LATTICE_EXP, chi_values
+from bmlab.whitney import LATTICE_EXP, chi_values, r2_samples
 
 
 def bilinear_double_sum(sym, f, g):
@@ -452,6 +452,42 @@ def csv_text_by_rows(header, rows):
         return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
     return "\n".join([",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def pgm_text_by_pixels(bitmap):
+    """Plain PGM (P2) text written one pixel at a time, rows from the top of
+    the eta axis down."""
+    scaled = np.clip(np.rint(np.asarray(bitmap, dtype=float) * 255), 0, 255).astype(int)
+    rows = scaled.T[::-1]
+    lines = ["P2", f"{rows.shape[1]} {rows.shape[0]}", "255"]
+    for row in rows:
+        lines.append(" ".join(str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def cover_squares_by_unique_rows(polygon, j, alpha, C0, samples):
+    """The (k, cx, cy) rows ``build_cover`` selects, found the first way it
+    was written: snap every sample as ``build_cover`` does, then keep the
+    first covered sample of each distinct (k, cx/delta, cy/delta) row by
+    ``np.unique(axis=0)``."""
+    w = polygon.width(j)
+    uv = r2_samples(samples)
+    x = w * np.maximum(uv[:, 0], uv[:, 1])
+    y = w * np.minimum(uv[:, 0], uv[:, 1])
+    keep = x - y > w * 1e-12
+    x, y = x[keep], y[keep]
+    k = np.floor(np.log2((x - y) / C0)).astype(int) - 1
+    s, delta = 2.0**k, 2.0 ** (k - 2)
+    cx, cy = np.round(x / delta) * delta, np.round(y / delta) * delta
+    for _ in range(3):
+        cg = cx - cy
+        cy = np.where(cg > 4.0 * C0 * s, cy + delta, np.where(cg <= C0 * s, cy - delta, cy))
+    covered = ((cx - cy > C0 * s) & (cx - cy <= 4.0 * C0 * s)
+               & (np.abs(x - cx) <= 0.5 * alpha * s) & (np.abs(y - cy) <= 0.5 * alpha * s))
+    keys = np.column_stack([k, np.round(cx / delta), np.round(cy / delta)])[covered]
+    _, first_pos = np.unique(keys, axis=0, return_index=True)
+    pick = np.flatnonzero(covered)[np.sort(first_pos)]
+    return k[pick], cx[pick], cy[pick]
 
 
 def chi_coeffs_dense(interval, j, B, M, L):

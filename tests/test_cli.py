@@ -259,6 +259,18 @@ def test_negative_integer_keys_are_named(tmp_path, capsys, old, new, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,J,depth", [("analyze", 60, 60), ("check-hyp", 20, 40), ("whitney", 24, 28)])
+def test_float64_depth_limit_names_sequence_J(tmp_path, capsys, command, J, depth):
+    # J = 60 used to exit 2 with "sequences are not strictly decreasing", a
+    # shape error for what is a float64 resolution limit; check-hyp builds
+    # the sequence to 2J and whitney to J + 4
+    cfg = write_config(tmp_path, J=J)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [sequence] J = {J} asks for a truncation at {depth}: float64 ")
+    assert "largest feasible J is 25" in err and err.count("\n") == 1
+
+
 def test_negative_seed_override_is_named(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["probe", "--config", cfg, "--seed", "-1"]) == 2

@@ -208,6 +208,17 @@ def test_renormalize_rejects_unattained_slope():
         renormalize(curves.hyperboloid(), "unit_slope_origin")
 
 
+def test_float64_depth_limit_is_a_truncation():
+    # past slope 2^-26 the hyperboloid's points repeat in float64
+    with pytest.raises(TruncationError, match="float64 cannot separate") as info:
+        build_dyadic_slope_sequence(curves.hyperboloid(), 60)
+    J = info.value.max_feasible_j
+    assert J == 25
+    assert build_dyadic_slope_sequence(curves.hyperboloid(), J).J == J
+    with pytest.raises(TruncationError):
+        build_dyadic_slope_sequence(curves.hyperboloid(), J + 1)
+
+
 def test_sequence_pair_validation():
     with pytest.raises(ValueError, match="strictly decreasing"):
         SequencePair(a=np.array([1.0, 1.0, 0.5]), b=np.array([3.0, 2.0, 1.0]))

@@ -422,6 +422,16 @@ def test_norm_probe_rank_one_cross_check():
         assert ratio <= bound + 1e-9
 
 
+def test_probe_reports_share_trials_across_triples():
+    # one pass over the trials for two triples reports what two separate probes report
+    sym = staircase_symbol(curves.build_dyadic_slope_sequence(curves.hyperboloid(), 6))
+    triples = [ExponentTriple(3, 3, 3), ExponentTriple(2, 4, 4)]
+    args = dict(trials=4, resolutions=[128, 64], seed=5, L=16.0)
+    shared = engine._probe_reports(sym, triples, args["trials"], args["resolutions"], args["seed"], args["L"])
+    assert repr(shared) == repr([norm_probe(sym, e, **args) for e in triples])
+    assert len({repr(r.rows) for r in shared}) == 2
+
+
 def test_norm_probe_trial_validation():
     with pytest.raises(ValueError):
         norm_probe(constant_symbol(1.0), ExponentTriple(3, 3, 3), trials=0,

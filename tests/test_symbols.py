@@ -18,7 +18,7 @@ from bmlab.symbols import (
     staircase_symbol,
 )
 
-from oracles import piecewise_linear_curve
+from oracles import pgm_text_by_pixels, piecewise_linear_curve
 
 
 def test_staircase_boundary_conventions(power1_seq):
@@ -232,3 +232,30 @@ def test_pgm_format():
     lines = text.strip().split("\n")
     assert lines[0] == "P2" and lines[1] == "2 2" and lines[2] == "255"
     assert lines[3].split() == ["255", "128"]
+
+
+def _bitmaps():
+    rng = np.random.default_rng(3)
+    return {
+        "1x1": np.ones((1, 1)),
+        "3x5": (rng.random((3, 5)) > 0.5).astype(float),
+        "non-contiguous": rng.random((9, 12))[::2, 1::3],
+        "fractional": np.array([[-0.3, 0.0, 0.5 / 255, 1.5 / 255, 2.5 / 255, 0.5, 1.0, 1.7, 1e300]]),
+        "zero-width": np.zeros((0, 3)),
+        "zero-height": np.zeros((4, 0)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_bitmaps()))
+def test_pgm_matches_per_pixel_writer(name):
+    bitmap = _bitmaps()[name]
+    assert bitmap_to_pgm(bitmap) == pgm_text_by_pixels(bitmap)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_rejects_non_finite_pixels(bad):
+    # a NaN pixel used to be written as -9223372036854775808
+    bitmap = np.zeros((3, 4))
+    bitmap[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        bitmap_to_pgm(bitmap)

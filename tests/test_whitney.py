@@ -24,8 +24,8 @@ from bmlab.whitney import (
 )
 
 from oracles import (
-    WhitneySquare, chi_coeffs_dense, containment_failures_by_sampling, csv_text_by_rows,
-    enumerate_whitney_squares, max_overlap_sweep, partition_sum_by_tiles, tile_bump_evaluator,
+    WhitneySquare, chi_coeffs_dense, containment_failures_by_sampling, cover_squares_by_unique_rows,
+    csv_text_by_rows, enumerate_whitney_squares, max_overlap_sweep, partition_sum_by_tiles, tile_bump_evaluator,
     whitney_conditions_by_sampling,
 )
 
@@ -144,6 +144,34 @@ def test_corner_containment_matches_sampling_on_proof_covers(J, segments):
     for j in list(poly.segment_indices())[:segments]:
         rep = build_cover(poly, j, alpha=0.9, C0=16.0, samples=10_000)
         assert rep.containment_failures == containment_failures_by_sampling(poly, rep.rects) == []
+
+
+def _assert_same_squares(poly, j, alpha, C0, samples):
+    rep = build_cover(poly, j, alpha=alpha, C0=C0, samples=samples)
+    want = cover_squares_by_unique_rows(poly, j, alpha, C0, samples)
+    got = (rep.rects.k, rep.rects.cx, rep.rects.cy)
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) if a.dtype.kind == "f"
+               else np.array_equal(a, b) for a, b in zip(got, want))
+    return len(rep.rects)
+
+
+@pytest.mark.parametrize("J,segments", [(14, 7), (12, 4)], ids=["criterion-10", "cli-config"])
+def test_cover_dedup_matches_unique_rows_on_proof_covers(J, segments):
+    # the 1-d dedup picks the squares np.unique(axis=0) picked, in the same order
+    poly = PolygonalGeometry.from_sequence(curves.build_dyadic_slope_sequence(curves.hyperboloid(), J))
+    for j in list(poly.segment_indices())[:segments]:
+        assert _assert_same_squares(poly, j, 0.9, 16.0, 10_000) > 1
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [curves.hyperboloid(), curves.power_law(1.0), curves.exponential(), curves.circle_arc(),
+     curves.rational(1.0)],
+    ids=lambda c: c.family,
+)
+def test_cover_dedup_matches_unique_rows_on_failing_covers(curve):
+    poly = PolygonalGeometry.from_sequence(curves.build_dyadic_slope_sequence(curve, 8))
+    assert _assert_same_squares(poly, poly.first_index, 0.9, 0.5, 2000) > 1
 
 
 def test_build_cover_hyperboloid_segments(hyperboloid_seq):
@@ -287,6 +315,40 @@ def test_write_csv_matches_per_cell_rows(tmp_path):
     assert path.read_text() == csv_text_by_rows(header, [])
     with pytest.raises(ValueError, match="differ in length"):
         reporting.write_csv(str(path), ["a", "b"], [np.zeros(3), np.zeros(4)])
+
+
+def test_write_csv_matches_per_cell_rows_on_edge_values(tmp_path):
+    floats = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, 1e16 + 2, 0.1, 1e22])
+    ints = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1], dtype=np.int64)
+    n = 44  # a multiple of both lengths
+    columns = [
+        np.resize(floats, n),
+        np.resize(ints, n),
+        np.resize(np.array([True, False, True]), n),
+        tuple(np.resize(floats, n).tolist()),  # a tuple of python floats, as probe.csv passes
+        tuple(range(n)),
+        tuple(["wave_packets", "random_sign"] * (n // 2)),
+        np.resize(np.array([-0.0, 0.0], dtype=np.float32), n),
+        np.resize(ints, (n // 4, 4)),  # 2-d: written in ravel order
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path / "t.csv"
+    reporting.write_csv(str(path), header, columns)
+    assert path.read_text() == csv_text_by_rows(header, zip(*columns[:-1], columns[-1].ravel()))
+    for cols in ([], [np.zeros(0)], [np.zeros(0), ()]):  # zero columns, zero rows
+        reporting.write_csv(str(path), header[: len(cols)], cols)
+        assert path.read_text() == csv_text_by_rows(header[: len(cols)], zip(*cols))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, reporting.CSV_BLOCK_ROWS + 1])
+def test_write_csv_across_block_boundaries(tmp_path, offset):
+    # row counts just below, at and just above one block, and past two blocks
+    n = reporting.CSV_BLOCK_ROWS + offset
+    rng = np.random.default_rng(n)
+    columns = [np.arange(n), rng.normal(size=n), np.round(rng.normal(size=n), 1), ["x"] * n]
+    path = tmp_path / "t.csv"
+    reporting.write_csv(str(path), ["i", "a", "b", "s"], columns)
+    assert path.read_text() == csv_text_by_rows(["i", "a", "b", "s"], zip(*columns))
 
 
 def test_cube_condition_variants():

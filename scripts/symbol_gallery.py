@@ -53,7 +53,7 @@ def main():
 
     for name, sym, window in renders:
         grid = FrequencyGrid(window=window, nx=args.n, ny=args.n)
-        reporting.write_pgm(str(out / f"{name}.pgm"), bitmap_to_pgm(sample_symbol(sym, grid)))
+        reporting.atomic_write_text(str(out / f"{name}.pgm"), bitmap_to_pgm(sample_symbol(sym, grid)))
         print(f"rendered {name}")
 
     poly = whitney.PolygonalGeometry.from_sequence(

@@ -101,7 +101,7 @@ def cmd_symbol(cfg: RunConfig) -> int:
     grid = symbols.FrequencyGrid(window=window, nx=cfg.bitmap_nx, ny=cfg.bitmap_ny)
     bitmap = symbols.sample_symbol(sym, grid)
     base = os.path.join(cfg.out_dir, f"symbol_{cfg.symbol_kind}")
-    reporting.write_pgm(base + ".pgm", symbols.bitmap_to_pgm(bitmap))
+    reporting.atomic_write_text(base + ".pgm", symbols.bitmap_to_pgm(bitmap))
     nx, ny = bitmap.shape
     reporting.write_csv(
         base + ".csv",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import curves, engine, symbols
 
-__all__ = ["RunConfig", "ConfigError", "CURVE_FAMILIES"]
+__all__ = ["RunConfig", "ConfigError", "CURVE_FAMILIES", "SYMBOL_KINDS"]
 
 
 class ConfigError(ValueError):
@@ -74,8 +74,11 @@ class RunConfig:
             raise ConfigError("[grid] L must be finite and in [1e-100, 1e100] (the probe squares lengths)")
         if self.c is not None and not math.isfinite(self.c):
             raise ConfigError("[curve] c must be finite")
-        if self.window is not None and not all(math.isfinite(v) for v in self.window):
-            raise ConfigError("[symbol] window entries must be finite")
+        if self.window is not None:
+            xlo, xhi, elo, ehi = self.window
+            if not (all(math.isfinite(v) for v in self.window) and xlo < xhi and elo < ehi):
+                raise ConfigError("[symbol] window entries must be finite, "
+                                  "with xi_lo < xi_hi and eta_lo < eta_hi")
         if self.seed is None:
             raise ConfigError("[probe] seed is required (no wall-clock defaults)")
         if not self.resolutions:
@@ -92,13 +95,7 @@ class RunConfig:
                 raise ConfigError(f"[probe] triples entry {t}: {exc}") from None
         if self.hypothesis not in ("hyp1", "hyp2"):
             raise ConfigError("hypothesis must be hyp1 or hyp2")
-        if self.symbol_kind not in (
-            "staircase",
-            "epigraph",
-            "polygonal",
-            "exponential_paraproduct",
-            "constant",
-        ):
+        if self.symbol_kind not in SYMBOL_KINDS:
             raise ConfigError(f"unknown symbol kind: {self.symbol_kind}")
         for key, value, least in (("[sequence] J", self.J, 3), ("[probe] seed", self.seed, 0),
                                   ("[probe] trials", self.trials, 1), ("[symbol] nx", self.bitmap_nx, 1),
@@ -136,18 +133,10 @@ class RunConfig:
 
     def symbol(self) -> symbols.SymbolSpec:
         """The ``[symbol] kind`` symbol built on the configured curve and truncation."""
-        if self.symbol_kind == "constant":
-            return symbols.constant_symbol(1.0)
-        if self.symbol_kind == "exponential_paraproduct":
-            return symbols.exponential_paraproduct_sum(self.J)
-        seq = self.sequence()
-        if self.symbol_kind == "staircase":
-            return symbols.staircase_symbol(seq)
-        if self.symbol_kind == "epigraph":
-            return symbols.epigraph_symbol(self.curve(), (float(seq.a[-1]), float(seq.a[0])))
-        if self.symbol_kind == "polygonal":
-            return symbols.polygonal_epigraph_symbol(np.column_stack([seq.a, seq.b]))
-        raise ConfigError(f"unknown symbol kind: {self.symbol_kind}")
+        build = SYMBOL_KINDS.get(self.symbol_kind)
+        if build is None:
+            raise ConfigError(f"unknown symbol kind: {self.symbol_kind}")
+        return build(self)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -197,6 +186,26 @@ class RunConfig:
         cfg.diag_variant = get("whitney", "diag_variant", str, cfg.diag_variant)
         cfg.out_dir = get("output", "dir", str, cfg.out_dir)
         return cfg
+
+
+def _epigraph(cfg: RunConfig) -> symbols.SymbolSpec:
+    seq = cfg.sequence()
+    return symbols.epigraph_symbol(cfg.curve(), (float(seq.a[-1]), float(seq.a[0])))
+
+
+def _polygonal(cfg: RunConfig) -> symbols.SymbolSpec:
+    seq = cfg.sequence()
+    return symbols.polygonal_epigraph_symbol(np.column_stack([seq.a, seq.b]))
+
+
+# [symbol] kind -> the symbol built on a config's curve and truncation
+SYMBOL_KINDS = {
+    "staircase": lambda cfg: symbols.staircase_symbol(cfg.sequence()),
+    "epigraph": _epigraph,
+    "polygonal": _polygonal,
+    "exponential_paraproduct": lambda cfg: symbols.exponential_paraproduct_sum(cfg.J),
+    "constant": lambda cfg: symbols.constant_symbol(),
+}
 
 
 def _parse_triples(text: str) -> list[tuple[float, float, float]]:

@@ -113,11 +113,6 @@ def _project(f: "SampledFunction", intervals, M: int) -> np.ndarray:
     return _masked_synthesis(f.coeffs(), _masks(intervals, f.freqs()), M)
 
 
-def _riemann_lp(pointwise: np.ndarray, p: float, L: float) -> float:
-    """L^p norm over the period of nonnegative samples, as a Riemann sum."""
-    return float(np.sum(pointwise**p) * (L / len(pointwise))) ** (1.0 / p)
-
-
 @dataclass(frozen=True)
 class SampledFunction:
     """N complex samples of one period of a band-limited function."""
@@ -184,28 +179,12 @@ def _bilinear_action(sym: SymbolSpec, freqs: np.ndarray):
     """The map (c, d) -> centered 2N output coefficients of ``sym`` applied on
     the grid ``freqs``; build it once per grid and call it per input pair.
 
-    A symbol with a column profile is applied by rectangles: consecutive
-    columns with equal eta-index range [l0, l1) form a block [k0, k1) x
-    [l0, l1), which adds the linear convolution of c[k0:k1] and d[l0:l1] at
-    output slot k0 + l0.  Work is O(support), memory O(N).  A symbol without
-    a profile is tabulated densely on the N x N grid.
+    The symbol is applied by rectangles: consecutive columns with equal
+    eta-index range [l0, l1) form a block [k0, k1) x [l0, l1), which adds the
+    linear convolution of c[k0:k1] and d[l0:l1] at output slot k0 + l0.  Work
+    is O(support), memory O(N).
     """
     N = len(freqs)
-    if sym.eta_bounds is None:
-        M = sym(freqs[:, None], freqs[None, :])
-        if not np.all(np.isfinite(M)):
-            raise ValueError("symbol undefined (non-finite) on the sampling grid")
-        k = np.arange(N)
-        idx = (k[:, None] + k[None, :]).ravel()  # slot (k1 - N/2) + (k2 - N/2) + N in the 2N grid
-
-        def dense(c, d):
-            P = M * np.outer(c, d)
-            out = np.bincount(idx, weights=P.real.ravel(), minlength=2 * N).astype(complex)
-            out += 1j * np.bincount(idx, weights=P.imag.ravel(), minlength=2 * N)
-            return out
-
-        return dense
-
     lo, hi = sym.columns(freqs, freqs)
     cut = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
     blocks = [
@@ -218,7 +197,7 @@ def _bilinear_action(sym: SymbolSpec, freqs: np.ndarray):
         out = np.zeros(2 * N, dtype=complex)
         for k0, k1, l0, l1 in blocks:
             out[k0 + l0 : k1 + l1 - 1] += np.convolve(c[k0:k1], d[l0:l1])
-        return sym.value * out
+        return out
 
     return by_blocks
 
@@ -279,19 +258,33 @@ def _carleson_maximal(c: np.ndarray, L: float) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
+def _mixed_lp(rows: np.ndarray, p: float, L: float, inner: str) -> float:
+    """L^p norm over the period, as a Riemann sum, of the pointwise l2 or linf
+    norm ("l2" or "linf") down the rows of a (k, N) array of samples on a
+    period-L grid."""
+    if p < 1.0:
+        raise ValueError("outer exponent must be >= 1")
+    vals = np.abs(rows)
+    if inner == "l2":
+        pointwise = np.sqrt(np.sum(vals**2, axis=0))
+    elif inner == "linf":
+        pointwise = np.max(vals, axis=0)
+    else:
+        raise ValueError(f"inner norm must be 'l2' or 'linf', not {inner!r}")
+    return float(np.sum(pointwise**p) * (L / len(pointwise))) ** (1.0 / p)
+
+
 def lp_norm(f: SampledFunction, p: float) -> float:
-    return mixed_norm([f], p, inner="l2")
+    return _mixed_lp(f.samples[None], p, f.L, "l2")
 
 
 def mixed_norm(fs: Sequence[SampledFunction], outer_p: float, inner="l2") -> float:
-    """L^p norm over the period of the pointwise inner norm across the list.
+    """L^p norm over the period of the pointwise inner norm ('l2' or 'linf')
+    across the list.
 
-    ``inner`` is 'l2', 'linf', or a numeric exponent q >= 1.  All functions
-    must share the grid.  The quadrature is the plain Riemann sum, which on a
-    periodic uniform grid coincides with the trapezoid rule.
+    All functions must share the grid.  The quadrature is the plain Riemann
+    sum, which on a periodic uniform grid coincides with the trapezoid rule.
     """
-    if outer_p < 1.0:
-        raise ValueError("outer exponent must be >= 1")
     fs = list(fs)
     if not fs:
         raise ValueError("need at least one function")
@@ -299,17 +292,7 @@ def mixed_norm(fs: Sequence[SampledFunction], outer_p: float, inner="l2") -> flo
     for f in fs:
         if f.N != N or f.L != L:
             raise ValueError("mixed norm needs a common grid")
-    vals = np.abs(np.stack([f.samples for f in fs]))
-    if inner == "l2":
-        pointwise = np.sqrt(np.sum(vals**2, axis=0))
-    elif inner == "linf":
-        pointwise = np.max(vals, axis=0)
-    else:
-        q = float(inner)
-        if q < 1.0:
-            raise ValueError("inner exponent must be >= 1")
-        pointwise = np.sum(vals**q, axis=0) ** (1.0 / q)
-    return _riemann_lp(pointwise, outer_p, L)
+    return _mixed_lp(np.stack([f.samples for f in fs]), outer_p, L, inner)
 
 
 @dataclass
@@ -381,9 +364,9 @@ def holder_chain_check(
     scale = max(lhs_sum, lhs_direct, 1e-300)
     identity_gap = abs(lhs_sum - lhs_direct)
 
-    n1 = _riemann_lp(np.sqrt(np.sum(np.abs(fa) ** 2, axis=0)), e.p1, L)
-    n2 = _riemann_lp(np.max(np.abs(gb), axis=0), e.p2, L)
-    n3 = _riemann_lp(np.sqrt(np.sum(np.abs(hc) ** 2, axis=0)), e.p3, L)
+    n1 = _mixed_lp(fa, e.p1, L, "l2")
+    n2 = _mixed_lp(gb, e.p2, L, "linf")
+    n3 = _mixed_lp(hc, e.p3, L, "l2")
     rhs = n1 * n2 * n3
     satisfied = lhs_sum <= rhs * (1.0 + 1e-10) + 1e-12
 
@@ -415,7 +398,7 @@ def square_function_report(f: SampledFunction, coll: IntervalCollection | list, 
         raise ValueError("f must be nonzero")
     masks = _masks(list(coll), f.freqs())
     projections = _masked_synthesis(f.coeffs(), masks, f.N)
-    s = mixed_norm([SampledFunction(u, f.L) for u in projections], p, inner="l2")
+    s = _mixed_lp(projections, p, f.L, "l2")
     covers = bool(np.all(np.any(masks, axis=0)))
     upper = s / base
     return {

@@ -92,13 +92,10 @@ def neg_minkowski_sum(A: HalfOpenInterval, B: HalfOpenInterval) -> HalfOpenInter
 @dataclass(frozen=True)
 class IntervalCollection:
     items: tuple[HalfOpenInterval, ...]
-    origin: str = "custom"
     first_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
-        if self.origin not in ("hyp1", "hyp2", "edges", "custom"):
-            raise ValueError(f"unknown origin tag: {self.origin}")
 
     def __len__(self):
         return len(self.items)
@@ -141,17 +138,17 @@ def build_hyp_collection(seq: SequencePair, which: str) -> IntervalCollection:
             A = HalfOpenInterval(u0, seq.a_at(j), closure="left_open")
             B = HalfOpenInterval(seq.b_at(j), seq.b_at(j + 1), closure="right_open")
             items.append(neg_minkowski_sum(A, B))
-        return IntervalCollection(items=tuple(items), origin="hyp1", first_index=first + 1)
+        return IntervalCollection(items=tuple(items), first_index=first + 1)
     if which == "hyp1":
         items = [neg_minkowski_sum(A, B) for A, B in staircase_steps(seq)]
-        return IntervalCollection(items=tuple(items), origin="hyp1", first_index=first + 1)
+        return IntervalCollection(items=tuple(items), first_index=first + 1)
     if seq.b_inf is None or not math.isfinite(seq.b_inf):
         raise ValueError("limit required: hyp2 needs a finite b_inf")
     for j in range(first, last):
         A = HalfOpenInterval(seq.a_at(j + 1), seq.a_at(j), closure="right_open")
         B = HalfOpenInterval(seq.b_inf, seq.b_at(j), closure="right_open")
         items.append(neg_minkowski_sum(A, B))
-    return IntervalCollection(items=tuple(items), origin="hyp2", first_index=first)
+    return IntervalCollection(items=tuple(items), first_index=first)
 
 
 @dataclass

@@ -19,7 +19,6 @@ __all__ = [
     "json_dumps",
     "write_json",
     "write_csv",
-    "write_pgm",
     "rects_to_svg",
 ]
 
@@ -109,10 +108,6 @@ def write_csv(path: str, header, columns):
             for i, (text, row) in enumerate(cells):
                 part[:, 2 * i] = text[row[start : start + len(part)]]
             fh.write("".join(part.ravel().tolist()))
-
-
-def write_pgm(path: str, pgm_text: str):
-    atomic_write_text(path, pgm_text)
 
 
 def rects_to_svg(rects, curve_points=None, pad_frac: float = 0.05) -> str:

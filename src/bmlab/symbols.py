@@ -1,11 +1,11 @@
 """Frequency-plane symbol constructors and decomposition identities.
 
-Every symbol built here is an indicator on the (xi, eta) plane, times a
-constant, packaged with a bounding box.  It meets every xi-column in one
-eta-interval and is defined by those column bounds, which implement the
-half-open boundary conventions literally, so the staircase/boundary
-decomposition of an epigraph and the rectangle-minus-complement rewrite hold
-exactly at every grid point, not just almost everywhere.
+Every symbol built here is an indicator on the (xi, eta) plane, packaged
+with a bounding box.  It meets every xi-column in one eta-interval and is
+defined by those column bounds, which implement the half-open boundary
+conventions literally, so the staircase/boundary decomposition of an
+epigraph and the rectangle-minus-complement rewrite hold exactly at every
+grid point, not just almost everywhere.
 """
 
 from __future__ import annotations
@@ -38,52 +38,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """A multiplier symbol: one per-column definition or a black-box evaluator.
+    """A multiplier symbol: the indicator of a set that meets every xi-column
+    in one eta-interval.
 
-    A sharp symbol whose every xi-column meets its support in one eta-interval
-    carries ``eta_bounds``: xi -> (lo, hi), the column's interval, closed at
-    ``lo`` when ``eta_lo_closed`` (open otherwise) and open at ``hi``; an empty
-    column has lo = +inf.  The symbol is ``value`` on that support and 0 off
-    it.  Pointwise evaluation (``__call__``) and the grid profile
-    (``columns``) both derive from ``eta_bounds`` with the same comparisons,
-    so they cannot disagree.  Every symbol built here has one; a black-box
-    symbol (a lambda written in a test, say) carries a vectorized
-    ``evaluator`` instead and is tabulated densely.
+    ``eta_bounds`` maps xi to (lo, hi), the column's interval, closed at
+    ``lo`` when ``eta_lo_closed`` (open otherwise) and open at ``hi``; an
+    empty column has lo = +inf.  The symbol is 1 on that set and 0 off it.
+    Pointwise evaluation (``__call__``) and the grid profile (``columns``)
+    both derive from ``eta_bounds`` with the same comparisons, so they cannot
+    disagree.
 
     ``bbox`` is (xi_lo, xi_hi, eta_lo, eta_hi) outside which the symbol
     vanishes, or None for unbounded support.
     """
 
-    evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    eta_bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     bbox: Optional[tuple[float, float, float, float]] = None
     label: str = ""
-    eta_bounds: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     eta_lo_closed: bool = True
-    value: float = 1.0
-
-    def __post_init__(self):
-        if (self.evaluator is None) == (self.eta_bounds is None):
-            raise ValueError("give exactly one of evaluator and eta_bounds")
 
     def _bounds(self, xi):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return self.eta_bounds(xi)
 
     def __call__(self, xi, eta):
-        xi = np.asarray(xi, dtype=float)
+        lo, hi = self._bounds(np.asarray(xi, dtype=float))
         eta = np.asarray(eta, dtype=float)
-        if self.eta_bounds is None:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                return np.asarray(self.evaluator(xi, eta), dtype=float)
-        lo, hi = self._bounds(xi)
         above = eta >= lo if self.eta_lo_closed else eta > lo
-        return np.where(above & (eta < hi), self.value, 0.0)
+        return np.where(above & (eta < hi), 1.0, 0.0)
 
     def columns(self, xi, eta_sorted) -> tuple[np.ndarray, np.ndarray]:
         """Grid profile on xi x eta_sorted (eta ascending): column i is
         nonzero exactly at the eta indices lo_idx[i] <= k < hi_idx[i]."""
-        if self.eta_bounds is None:
-            raise ValueError(f"symbol {self.label!r} has no column profile")
         lo, hi = self._bounds(np.asarray(xi, dtype=float))
         lo_idx = np.searchsorted(eta_sorted, lo, side="left" if self.eta_lo_closed else "right")
         return lo_idx, np.maximum(lo_idx, np.searchsorted(eta_sorted, hi, side="left"))
@@ -104,12 +90,12 @@ def _step_bounds(xi, edges, lo, hi):
             np.append(np.broadcast_to(hi, m), np.inf)[i])
 
 
-def constant_symbol(value: float = 1.0) -> SymbolSpec:
+def constant_symbol() -> SymbolSpec:
+    """The symbol 1 on the whole plane."""
     return SymbolSpec(
         eta_bounds=lambda xi: (np.full_like(xi, -np.inf), np.full_like(xi, np.inf)),
-        value=float(value),
         bbox=None,
-        label=f"const({value})",
+        label="const(1.0)",
     )
 
 

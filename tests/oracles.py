@@ -12,12 +12,13 @@ import numpy as np
 
 from bmlab.bumps import adapted_bump, fejer_sq_cdf, fejer_sq_spectrum
 from bmlab.curves import CurveSpec
-from bmlab.engine import _freq_grid
+from bmlab.engine import SampledFunction, _freq_grid
 from bmlab.whitney import LATTICE_EXP, chi_values, r2_samples
 
 
 def bilinear_double_sum(sym, f, g):
-    """Direct double frequency sum of the bilinear action, on the 2N grid."""
+    """Direct double frequency sum of the bilinear action, on the 2N grid;
+    ``sym`` is any pointwise symbol (xi, eta) -> value."""
     c, d = f.coeffs(), g.coeffs()
     freqs = f.freqs()
     M = sym(freqs[:, None], freqs[None, :])
@@ -33,6 +34,25 @@ def bilinear_double_sum(sym, f, g):
                 continue
             out += w * np.exp(2j * np.pi * (freqs[i] + freqs[j]) * xs)
     return out
+
+
+def half_plane_evaluator(xi, eta):
+    """The open half-plane eta > 0.4 xi - 0.3, cut to xi < 0.8."""
+    return ((eta > xi * 0.4 - 0.3) & (xi < 0.8)).astype(float)
+
+
+def bilinear_dense_table(ev, f, g):
+    """The bilinear action through the pointwise symbol ``ev`` tabulated on the
+    N x N grid: each product ev(xi_k, xi_l) c_k d_l lands in output slot
+    k + l of the 2N grid.  Returns the output samples on the 2N grid."""
+    N = f.N
+    freqs = f.freqs()
+    P = ev(freqs[:, None], freqs[None, :]) * np.outer(f.coeffs(), g.coeffs())
+    k = np.arange(N)
+    idx = (k[:, None] + k[None, :]).ravel()  # slot (k1 - N/2) + (k2 - N/2) + N in the 2N grid
+    out = np.bincount(idx, weights=P.real.ravel(), minlength=2 * N).astype(complex)
+    out += 1j * np.bincount(idx, weights=P.imag.ravel(), minlength=2 * N)
+    return SampledFunction.from_coeffs(out, f.L).samples
 
 
 # --- the centered layout through numpy's shift routines ----------------------------
@@ -320,8 +340,8 @@ def rectangle_evaluator(xi_iv, eta_iv):
     return lambda xi, eta: ((xi >= xlo) & (xi < xhi) & (eta >= elo) & (eta < ehi)).astype(float)
 
 
-def constant_evaluator(value=1.0):
-    return lambda xi, eta: np.full(np.broadcast(xi, eta).shape, float(value))
+def constant_evaluator():
+    return lambda xi, eta: np.ones(np.broadcast(xi, eta).shape)
 
 
 def boundary_piece_evaluator(curve, seq, j):

@@ -27,7 +27,7 @@ from bmlab.symbols import (
     boundary_piece_symbol,
     constant_symbol,
     epigraph_symbol,
-    exponential_paraproduct_symbols,
+    exponential_paraproduct_sum,
     hyp2_rewrite_pair,
     polygonal_epigraph_symbol,
     sample_symbol,
@@ -35,7 +35,7 @@ from bmlab.symbols import (
 )
 from bmlab import whitney
 
-from oracles import bilinear_double_sum
+from oracles import bilinear_double_sum, half_plane_evaluator
 
 
 def verdict(num, name, ok):
@@ -188,8 +188,10 @@ def test_criterion_6_rewrite_identity():
 def test_criterion_7_engine_oracle():
     rng = np.random.default_rng(901)
     L = 16.0
+    # the half-plane of half_plane_evaluator as a column profile
     sym = SymbolSpec(
-        evaluator=lambda xi, eta: ((eta > xi * 0.4 - 0.3) & (xi < 0.8)).astype(float)
+        eta_bounds=lambda xi: (np.where(xi < 0.8, xi * 0.4 - 0.3, np.inf), np.full_like(xi, np.inf)),
+        eta_lo_closed=False,
     )
     ok = True
     for case in range(100):
@@ -206,13 +208,15 @@ def test_criterion_7_engine_oracle():
         else:
             f = SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L)
             g = SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L)
+        xi, eta = f.freqs()[:, None], f.freqs()[None, :]
+        ok = ok and np.array_equal(sym(xi, eta), half_plane_evaluator(xi, eta))
         fast = apply_bilinear(sym, f, g).samples
-        slow = bilinear_double_sum(sym, f, g)
+        slow = bilinear_double_sum(half_plane_evaluator, f, g)
         scale = max(1.0, float(np.max(np.abs(slow))))
         ok = ok and np.max(np.abs(fast - slow)) <= 1e-10 * scale
     f = SampledFunction(rng.normal(size=256) + 1j * rng.normal(size=256), L)
     g = SampledFunction(rng.normal(size=256) + 1j * rng.normal(size=256), L)
-    prod = apply_bilinear(constant_symbol(1.0), f, g).samples[::2]
+    prod = apply_bilinear(constant_symbol(), f, g).samples[::2]
     scale = max(1.0, float(np.max(np.abs(f.samples * g.samples))))
     ok = ok and np.max(np.abs(prod - f.samples * g.samples)) <= 1e-10 * scale
     verdict(7, "bilinear engine oracle", ok)
@@ -260,12 +264,7 @@ def test_criterion_9_boundedness_probes(tmp_path):
     hyper = curves.build_dyadic_slope_sequence(curves.hyperboloid(), 8)
     checks.append(("hyperboloid staircase", staircase_symbol(hyper), (3, 3, 3), 48.0))
 
-    m1, m2, m3 = exponential_paraproduct_symbols(3)
-    par = SymbolSpec(
-        evaluator=lambda xi, eta: m1(xi, eta) + m2(xi, eta) + m3(xi, eta),
-        label="exp_paraproduct",
-    )
-    checks.append(("exponential paraproduct", par, (3, 3, 3), 4.0))
+    checks.append(("exponential paraproduct", exponential_paraproduct_sum(3), (3, 3, 3), 4.0))
 
     poly = polygonal_epigraph_symbol(np.column_stack([hyper.a, hyper.b]))
     for triple in ((3, 3, 3), (4, 2, 4), (6, 1.5, 6)):

@@ -461,13 +461,15 @@ def test_symbol_rejects_empty_grid(tmp_path, capsys, line):
         ("L = 16.0\n", "L = inf\n", "[grid] L"),
         ("family = hyperboloid\n", "family = hyperboloid\nc = nan\n", "[curve] c"),
         ("ny = 32\n", "ny = 32\nwindow = 0 nan 0 1\n", "[symbol] window"),
+        ("ny = 32\n", "ny = 32\nwindow = 0.5 0.1 1.0 1.0\n", "[symbol] window"),
     ],
-    ids=["L=nan", "L=inf", "c=nan", "window-nan"],
+    ids=["L=nan", "L=inf", "c=nan", "window-nan", "window-reversed"],
 )
 @pytest.mark.parametrize("command", ["analyze", "symbol", "probe"])
 def test_rejects_non_finite_config_floats(tmp_path, capsys, old, new, key, command):
     # L = nan/inf used to end in an OverflowError traceback, a nan window
-    # entry in a meaningless bitmap, c = nan in an unrelated sequence error
+    # entry in a meaningless bitmap, a reversed or zero-width window in an
+    # empty one, c = nan in an unrelated sequence error
     cfg = write_config(tmp_path)
     _edit_config(cfg, old, new)
     assert main([command, "--config", cfg]) == 2

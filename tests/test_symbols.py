@@ -211,11 +211,11 @@ def test_sample_symbol_pixel_count(power1_seq):
 
 def test_sample_symbol_all_ones_and_half_plane():
     grid = FrequencyGrid(window=(-1.0, 1.0, -1.0, 1.0), nx=64, ny=64)
-    ones = sample_symbol(constant_symbol(1.0), grid)
+    ones = sample_symbol(constant_symbol(), grid)
     assert np.array_equal(ones, np.ones((64, 64)))
     from bmlab.symbols import SymbolSpec
 
-    half = SymbolSpec(evaluator=lambda xi, eta: (eta > xi).astype(float))
+    half = SymbolSpec(eta_bounds=lambda xi: (xi, np.full_like(xi, np.inf)), eta_lo_closed=False)
     bitmap = sample_symbol(half, grid)
     off_diag = 64 * 64 - 64  # symmetric window: centers pair off across the diagonal
     assert int(bitmap.sum()) == off_diag // 2
@@ -223,7 +223,7 @@ def test_sample_symbol_all_ones_and_half_plane():
 
 def test_sample_symbol_unbounded_needs_window():
     with pytest.raises(ValueError, match="window"):
-        sample_symbol(constant_symbol(1.0))
+        sample_symbol(constant_symbol())
 
 
 def test_pgm_format():

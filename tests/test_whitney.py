@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bmlab import curves, reporting, whitney
 from bmlab.bumps import fejer_sq_spectrum
-from bmlab.engine import SampledFunction, _freq_grid, _pad, _period_pairing, apply_bilinear
-from bmlab.symbols import SymbolSpec
+from bmlab.engine import SampledFunction, _freq_grid, _pad, _period_pairing
 from bmlab.whitney import (
     MultiTile,
     PolygonalGeometry,
@@ -24,8 +23,8 @@ from bmlab.whitney import (
 )
 
 from oracles import (
-    WhitneySquare, chi_coeffs_dense, containment_failures_by_sampling, cover_squares_by_unique_rows,
-    csv_text_by_rows, enumerate_whitney_squares, max_overlap_sweep, partition_sum_by_tiles, tile_bump_evaluator,
+    WhitneySquare, bilinear_dense_table, bilinear_double_sum, chi_coeffs_dense, containment_failures_by_sampling,
+    cover_squares_by_unique_rows, csv_text_by_rows, enumerate_whitney_squares, max_overlap_sweep, partition_sum_by_tiles, tile_bump_evaluator,
     whitney_conditions_by_sampling,
 )
 
@@ -564,10 +563,22 @@ class TestModelSum:
         f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
         res = model_sum_eval(f, g, h, tiles, rects, self.seq, 0.9, 2)
         ev = tile_bump_evaluator(rects, range(len(squares)), 0.9)
-        B = apply_bilinear(SymbolSpec(evaluator=ev), f, g)
+        B = SampledFunction(bilinear_dense_table(ev, f, g), self.L)
         dense = _period_pairing(B.coeffs(), _pad(h.coeffs(), B.N), self.L)
         assert abs(res["adjoint_value"] - dense) <= 1e-13 * abs(dense)
         assert res["deviation"] <= 1e-6
+
+    def test_dense_table_matches_double_sum(self, rng):
+        # the adjoint test's reference against the direct sum, on a grid
+        # (N = 32, L = 6.1) that meets both bumps' plateaus and transitions
+        rects = segment_cover(self.poly, [(1.0, 0.5, 0), (2.0, 1.0, 0)])
+        ev = tile_bump_evaluator(rects, range(2), 0.9)
+        N, L = 32, 6.1
+        f, g = (SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L) for _ in range(2))
+        table = ev(f.freqs()[:, None], f.freqs()[None, :])
+        assert np.any((table > 0) & (table < 1))
+        slow = bilinear_double_sum(ev, f, g)
+        assert np.max(np.abs(bilinear_dense_table(ev, f, g) - slow)) <= 1e-12 * np.max(np.abs(slow))
 
     def test_lattice_misalignment_rejected(self, rng):
         seq = curves.SequencePair(

@@ -42,6 +42,12 @@ def _require_c(c, family):
     return c
 
 
+# desk-scale ceilings of the size keys: a larger value asks for more memory
+# or time than a desk run has, and values past int64 broke numpy outright
+CEILINGS = {"[probe] resolutions": 1 << 20, "[probe] trials": 10_000, "[symbol] nx": 4096,
+            "[symbol] ny": 4096, "[whitney] samples": 1_000_000}
+
+
 @dataclass
 class RunConfig:
     family: str = "hyperboloid"
@@ -88,6 +94,9 @@ class RunConfig:
         for N in self.resolutions:
             if N < 2 or N & (N - 1):
                 raise ConfigError(f"[probe] resolutions entry {N} is not a power of two >= 2")
+            if N > CEILINGS["[probe] resolutions"]:
+                raise ConfigError(f"[probe] resolutions entry {N} is above the ceiling "
+                                  f"{CEILINGS['[probe] resolutions']}")
         for t in self.triples:
             try:
                 engine.ExponentTriple(*t)
@@ -104,6 +113,8 @@ class RunConfig:
                                   ("[whitney] samples", self.whitney_samples, 1)):
             if value < least:
                 raise ConfigError(f"{key} must be at least {least}")
+            if value > CEILINGS.get(key, value):
+                raise ConfigError(f"{key} must be at most {CEILINGS[key]}")
         if not (math.isfinite(self.C0) and self.C0 > 0):
             raise ConfigError("[whitney] C0 must be finite and positive")
         if self.exponent_base > 256:

@@ -349,6 +349,16 @@ def build_dyadic_slope_sequence(curve: CurveSpec, J: int, max_iter: int = BISECT
         first = _bisect_slope(curve, 0.5, max_iter)
         if first is None:
             raise TruncationError("truncation exceeds curve range (no feasible start)", 0)
+
+    def unseparated(a: np.ndarray, step: float) -> np.ndarray:
+        """Indices i at which float64 fails to order a[i], a[i+1] and their heights."""
+        b = np.asarray(curve.gamma(a), dtype=float)
+        flat = np.flatnonzero(~((step * np.diff(a) > 0) & (step * np.diff(b) > 0)))
+        if len(flat):  # deep slopes landed on float64-equal points: a resolution limit
+            raise TruncationError(f"float64 cannot separate the points of slopes 2^-{j0 + flat[0]} and "
+                                  f"2^-{j0 + flat[0] + 1}; largest feasible J is {flat[0]}", int(flat[0]))
+        return b
+
     xs = [first]
     for j in range(j0 + 1, j0 + J + 1):
         x = _bisect_slope(curve, 2.0**-j, max_iter)
@@ -358,14 +368,14 @@ def build_dyadic_slope_sequence(curve: CurveSpec, J: int, max_iter: int = BISECT
                 j - 1 - j0,
             )
         xs.append(x)
+        step = -1.0 if xs[1] < xs[0] else 1.0
+        try:  # stop at the first point float64 cannot separate from the one before
+            unseparated(np.array(xs[-2:]), step)
+        except TruncationError:
+            unseparated(np.array(xs), step)  # names it, as the full check below would
     a = np.array(xs, dtype=float)
-    b = np.asarray(curve.gamma(a), dtype=float)
     direction = "decreasing" if a[1] < a[0] else "increasing"
-    step = 1.0 if direction == "increasing" else -1.0
-    flat = np.flatnonzero(~((step * np.diff(a) > 0) & (step * np.diff(b) > 0)))
-    if len(flat):  # deep slopes landed on float64-equal points: a resolution limit
-        raise TruncationError(f"float64 cannot separate the points of slopes 2^-{j0 + flat[0]} and "
-                              f"2^-{j0 + flat[0] + 1}; largest feasible J is {flat[0]}", int(flat[0]))
+    b = unseparated(a, 1.0 if direction == "increasing" else -1.0)
     a_inf = curve.a_limit
     b_inf = curve.b_limit
     return SequencePair(a=a, b=b, direction=direction, j0=j0, a_inf=a_inf, b_inf=b_inf)

@@ -112,15 +112,13 @@ def write_csv(path: str, header, columns):
 
 def rects_to_svg(rects, curve_points=None, pad_frac: float = 0.05) -> str:
     """Simple SVG of tile rectangles (a ``whitney.RectCover``), optionally
-    with the curve polyline."""
+    with the curve polyline; an empty cover draws the curve alone."""
     (bx0, bx1), (by0, by1), _ = rects.edges()
-    if not len(bx0):
-        raise ValueError("no rectangles to draw")
-    xlo, xhi, ylo, yhi = bx0.min(), bx1.max(), by0.min(), by1.max()
-    if curve_points is not None:
-        pts = np.asarray(curve_points, dtype=float)
-        xlo, xhi = min(xlo, pts[:, 0].min()), max(xhi, pts[:, 0].max())
-        ylo, yhi = min(ylo, pts[:, 1].min()), max(yhi, pts[:, 1].max())
+    pts = np.empty((0, 2)) if curve_points is None else np.asarray(curve_points, dtype=float)
+    xs, ys = np.concatenate((bx0, bx1, pts[:, 0])), np.concatenate((by0, by1, pts[:, 1]))
+    if not len(xs):
+        raise ValueError("no rectangles or curve to draw")
+    xlo, xhi, ylo, yhi = xs.min(), xs.max(), ys.min(), ys.max()
     pad = pad_frac * max(xhi - xlo, yhi - ylo)
     xlo, xhi, ylo, yhi = xlo - pad, xhi + pad, ylo - pad, yhi + pad
     W = 900.0
@@ -144,7 +142,6 @@ def rects_to_svg(rects, curve_points=None, pad_frac: float = 0.05) -> str:
         for x, y, w, h in zip(*(c.tolist() for c in columns))
     )
     if curve_points is not None:
-        pts = np.asarray(curve_points, dtype=float)
         path = " ".join(f"{X(x):.3f},{Y(y):.3f}" for x, y in pts)
         parts.append(f'<polyline points="{path}" fill="none" stroke="red" stroke-width="1.0"/>')
     parts.append("</svg>")

@@ -251,7 +251,8 @@ def build_cover(
     hit = np.flatnonzero(covered)
     keys = np.column_stack([k, np.round(cx / delta), np.round(cy / delta)])[hit]
     order = np.lexsort(keys.T[::-1])
-    first = np.r_[True, np.any(np.diff(keys[order], axis=0) != 0, axis=1)]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
     pick = hit[np.sort(order[first])]
     rects = RectCover(j=j, anchor=(a_j, b_j), s_j=s_j, k=k[pick], cx=cx[pick], cy=cy[pick])
 
@@ -281,9 +282,11 @@ def _dilate(iv, factor: float):
 
 def _max_overlap(lo: np.ndarray, hi: np.ndarray) -> int:
     """Most closed intervals [lo, hi] sharing a point: at each left end, the
-    left ends <= it minus the right ends < it, so touching intervals overlap."""
+    left ends <= it minus the right ends < it, so touching intervals overlap;
+    0 for no intervals."""
     lo, hi = np.sort(lo), np.sort(hi)
-    return int(np.max(np.searchsorted(lo, lo, side="right") - np.searchsorted(hi, lo, side="left")))
+    return int(np.max(np.searchsorted(lo, lo, side="right") - np.searchsorted(hi, lo, side="left"),
+                      initial=0))
 
 
 def edge_interval_collections(rects: RectCover, alpha: float) -> dict:
@@ -292,10 +295,8 @@ def edge_interval_collections(rects: RectCover, alpha: float) -> dict:
     For each rectangle the three edges are its xi-extent, its eta-extent and
     the negated sum of the two; each family is dilated by 1/alpha about
     interval centers before the overlap count.  Family i is the (lo, hi)
-    pair of arrays ``["intervals"][i]``.
+    pair of arrays ``["intervals"][i]``; an empty cover counts 0 throughout.
     """
-    if not len(rects):
-        raise ValueError("nonempty rectangle list required")
     fams = {i: _dilate(e, 1.0 / alpha) for i, e in enumerate(rects.edges(), start=1)}
     return {
         "intervals": fams,

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -259,6 +260,40 @@ def test_negative_integer_keys_are_named(tmp_path, capsys, old, new, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("resolutions = 64 128", "resolutions = 128 9223372036854775808",
+         "[probe] resolutions entry 9223372036854775808 is above the ceiling 1048576"),
+        ("resolutions = 64 128", "resolutions = 64 1073741824",
+         "[probe] resolutions entry 1073741824 is above the ceiling 1048576"),
+        ("trials = 3", "trials = 9223372036854775808", "[probe] trials must be at most 10000"),
+        ("nx = 32", "nx = 100000000", "[symbol] nx must be at most 4096"),
+        ("ny = 32", "ny = 9223372036854775808", "[symbol] ny must be at most 4096"),
+        ("samples = 1500", "samples = 100000000", "[whitney] samples must be at most 1000000"),
+        ("samples = 1500", "samples = 9223372036854775808", "[whitney] samples must be at most 1000000"),
+    ],
+    ids=["resolutions=2^63", "resolutions=2^30", "trials=2^63", "nx=1e8", "ny=2^63", "samples=1e8",
+         "samples=2^63"],
+)
+@pytest.mark.parametrize("command", ["probe", "symbol", "whitney"])
+def test_size_keys_above_their_ceiling_are_named(tmp_path, capsys, command, old, new, message):
+    # these ended in an IndexError, a MemoryError, an empty bitmap or a run
+    # without end, depending on the key and the subcommand
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, old + "\n", new + "\n")
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_size_keys_at_their_ceiling_are_accepted(tmp_path):
+    cfg = RunConfig.from_file(write_config(tmp_path))
+    cfg.resolutions, cfg.trials, cfg.bitmap_nx, cfg.bitmap_ny, cfg.whitney_samples = (
+        [2, 1 << 20], 10_000, 4096, 4096, 1_000_000)
+    cfg.validate()
+
+
 @pytest.mark.parametrize("command,J,depth", [("analyze", 60, 60), ("check-hyp", 20, 40), ("whitney", 24, 28)])
 def test_float64_depth_limit_names_sequence_J(tmp_path, capsys, command, J, depth):
     # J = 60 used to exit 2 with "sequences are not strictly decreasing", a
@@ -269,6 +304,19 @@ def test_float64_depth_limit_names_sequence_J(tmp_path, capsys, command, J, dept
     err = capsys.readouterr().err
     assert err.startswith(f"config error: [sequence] J = {J} asks for a truncation at {depth}: float64 ")
     assert "largest feasible J is 25" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("J", [2000, 100_000])
+def test_deep_J_stops_at_the_first_unseparated_point(tmp_path, capsys, J):
+    # the sequence used to bisect all J points before the float64 check:
+    # J = 2000 took seconds to exit 2 and J = 100000 did not finish
+    cfg = write_config(tmp_path, J=J)
+    t0 = time.perf_counter()
+    assert main(["analyze", "--config", cfg]) == 2
+    assert time.perf_counter() - t0 < 3.0
+    assert capsys.readouterr().err == (
+        f"config error: [sequence] J = {J} asks for a truncation at {J}: float64 cannot separate "
+        "the points of slopes 2^-26 and 2^-27; largest feasible J is 25\n")
 
 
 def test_negative_seed_override_is_named(tmp_path, capsys):
@@ -401,6 +449,22 @@ def test_whitney_names_failed_cover_and_containment(tmp_path, capsys, monkeypatc
         ]
     assert len(expected) == 4
     assert capsys.readouterr().err.splitlines() == expected
+
+
+def test_whitney_reports_an_empty_cover(tmp_path, capsys):
+    # at C0 = 1e-3 no sample is covered; the run must end in check failures,
+    # not a traceback or a config error
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "C0 = 16\n", "C0 = 1e-3\n")
+    assert main(["whitney", "--config", cfg]) == 4
+    rep = json.loads((tmp_path / "out" / "whitney.json").read_text())
+    assert rep["covers"] and all(cover["cover_ok"] is False for cover in rep["covers"])
+    assert all(row["overlap"] == {"1": 0, "2": 0, "3": 0} for row in rep["edge_overlaps"])
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"check failed: whitney cover j={cover['j']} uncovered samples = "
+                   f"{cover['samples']}, bound == 0" for cover in rep["covers"]]
+    assert "<polyline" in (tmp_path / "out" / "whitney_cover.svg").read_text()
+    assert (tmp_path / "out" / "whitney_rects.csv").read_text().count("\n") == 1
 
 
 def test_check_hyp_names_unstable_coloring(tmp_path, capsys, monkeypatch):

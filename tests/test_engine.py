@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -102,11 +103,56 @@ def test_half_swap_layout_equals_numpy_shifts_bitwise(rng, N):
         assert got.shape == (7, M) and got.tobytes() == masked_synthesis_padded(u, masks, M).tobytes()
 
 
-def test_chain_reports_match_golden():
-    # repr-equal holder_chain_check reports, as recorded by tests/make_chain_golden.py
-    from make_chain_golden import GOLDEN_PATH, chain_hashes
+def _count_full_maximal(monkeypatch) -> list:
+    """Record the N of every call of the full Carleson maximal from here on."""
+    real, calls = engine._carleson_maximal, []
 
+    def counted(c, L):
+        calls.append(len(c))
+        return real(c, L)
+
+    monkeypatch.setattr(engine, "_carleson_maximal", counted)
+    return calls
+
+
+def test_chain_reports_match_golden(monkeypatch):
+    # repr-equal holder_chain_check reports, as recorded by tests/make_chain_golden.py;
+    # the step cutoffs settle them without the full maximal, except at N = 64,
+    # where no B_j meets the grid: M_B is 0 there, with no slack to spare
+    from make_chain_golden import GOLDEN_PATH, TRIALS, TRIPLES, chain_hashes
+
+    calls = _count_full_maximal(monkeypatch)
     assert chain_hashes() == json.loads(GOLDEN_PATH.read_text())["sha256"]
+    assert calls == [64] * (len(TRIPLES) * TRIALS)
+
+
+def test_chain_reports_match_golden_on_the_full_maximal(monkeypatch):
+    # with no slack good enough every call falls back to the full maximal,
+    # and the reports keep their bits
+    from make_chain_golden import GOLDEN_PATH, RESOLUTIONS, TRIALS, TRIPLES, chain_hashes
+
+    calls = _count_full_maximal(monkeypatch)
+    monkeypatch.setattr(engine, "CARLESON_SLACK", math.inf)
+    assert chain_hashes() == json.loads(GOLDEN_PATH.read_text())["sha256"]
+    assert sorted(set(calls)) == list(RESOLUTIONS)
+    assert len(calls) == len(RESOLUTIONS) * len(TRIPLES) * TRIALS
+
+
+@pytest.mark.parametrize("N", [64, 128, 256])
+def test_step_cutoff_maximal_is_below_the_full_maximal(rng, hyperboloid_seq, N):
+    # M_B, the max of the partial sums at the cutoffs bounding the B_j, is
+    # what the chain checks the middle family against first
+    seq = hyperboloid_seq.truncate(8)
+    (_, bm, _), prefix, _ = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, 16.0)
+    assert not prefix[0].any() and len(prefix) > 2  # the empty prefix, and steps on the grid
+    for row in bm:  # every B_j is the difference of two prefixes
+        assert any(np.array_equal(row, hi & ~lo) for lo in prefix for hi in prefix)
+    for _ in range(20):
+        g = random_function(rng, N, 16.0)
+        m_b = np.max(np.abs(engine._masked_synthesis(g.coeffs(), prefix, N)), axis=0)
+        full = carleson_hunt_maximal(g)
+        assert np.all(m_b - full <= 1e-12 * np.max(full))
+        assert np.all(np.abs(_project(g, [B for _, B in staircase_steps(seq)], N)) <= 2.0 * m_b + 1e-12)
 
 
 @pytest.mark.parametrize("N", [64, 128, 256])
@@ -292,8 +338,8 @@ def test_chain_plan_cache_is_never_stale(rng, hyperboloid_seq, power1_seq):
 
 def test_cached_masks_and_phases_are_read_only(hyperboloid_seq):
     seq = hyperboloid_seq.truncate(8)
-    masks, _ = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, 128, 32.0)
-    for m in masks:
+    masks, prefix, _ = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, 128, 32.0)
+    for m in (*masks, prefix):
         with pytest.raises(ValueError, match="read-only"):
             m[0, 0] = not m[0, 0]
     with pytest.raises(ValueError, match="read-only"):

@@ -46,6 +46,23 @@ def test_probe_sweep_passes_on_bounded_growth(tmp_path):
     assert {line.split(",")[3] for line in lines[1:]} == {"64", "128"}
 
 
+def test_probe_sweep_chain_mode_writes_rows_per_resolution(tmp_path):
+    # at L = 32 no B_j meets the N = 64 grid, so every call there falls back
+    # to the full maximal; at N = 128 the step cutoffs settle every call
+    out = tmp_path / "chain.json"
+    res = run_script(
+        "probe_sweep.py", "--chain", "--triples", "3,3,3;2,4,4", "--resolutions", "64", "128",
+        "--trials", "3", "--seed", "1", "--L", "32", "--out", str(out), cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    rec = json.loads(out.read_text())
+    assert [(r["N"], r["calls"], r["fallbacks"], r["violations"]) for r in rec["rows"]] == [
+        (64, 6, 6, 0), (128, 6, 0, 0)]
+    assert rec["rows"][0]["worst_lhs_over_rhs"] == 0.0 < rec["rows"][1]["worst_lhs_over_rhs"] < 1.0
+    assert all(r["max_identity_gap"] <= 1e-8 and r["ms_per_call"] > 0 for r in rec["rows"])
+
+
 def test_probe_sweep_rejects_bad_triple(tmp_path):
     res = run_script(
         "probe_sweep.py", "--triples", "2,2,2", "--seed", "1",
@@ -69,15 +86,21 @@ def test_symbol_gallery_renders(tmp_path):
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):
-    # scipy loads only with the Whitney layer's sine integral
+    # scipy loads only with the Whitney layer's sine integral; numpy.ma (which
+    # np.unique imports) stays out of the Hölder chain, whose benchmark counts RSS
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import bmlab; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "import numpy as np; from bmlab import curves, engine\n"
+        "seq = curves.build_dyadic_slope_sequence(curves.hyperboloid(), 8)\n"
+        "f, g, h = (engine.SampledFunction(np.arange(128) % k + 1j, 32.0) for k in (3, 5, 7))\n"
+        "engine.holder_chain_check(seq, f, g, h, engine.ExponentTriple(3, 3, 3))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))"
     )
     res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert res.stdout.splitlines() == ["[]", "[]"]
 
 
 def _bench_log(path, walls, sha):

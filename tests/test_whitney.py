@@ -171,6 +171,12 @@ def test_cover_dedup_matches_unique_rows_on_proof_covers(J, segments):
 def test_cover_dedup_matches_unique_rows_on_failing_covers(curve):
     poly = PolygonalGeometry.from_sequence(curves.build_dyadic_slope_sequence(curve, 8))
     assert _assert_same_squares(poly, poly.first_index, 0.9, 0.5, 2000) > 1
+    # at C0 = 1e-3 no sample is covered: an empty cover, every sample a witness
+    assert _assert_same_squares(poly, poly.first_index, 0.9, 1e-3, 2000) == 0
+    rep = build_cover(poly, poly.first_index, alpha=0.9, C0=1e-3, samples=2000)
+    assert not rep.cover_ok and len(rep.witnesses) == rep.samples_used > 0
+    assert rep.containment_ok
+    assert edge_interval_collections(rep.rects, 0.9)["max_overlap"] == {1: 0, 2: 0, 3: 0}
 
 
 def test_build_cover_hyperboloid_segments(hyperboloid_seq):

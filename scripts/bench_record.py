@@ -9,10 +9,11 @@ BENCHMARK.json it adds the bound and compare.py's verdict.  The host (cores,
 Python, numpy, scipy), the seed and run length, and each side's git sha,
 ``src/bmlab`` sha256 and line count come from the runs' records.  Given
 each side's pytest log run with ``--durations``, it adds the Tier-1 wall
-time and the slowest tests.
+time and the slowest tests.  ``--attach NAME FILE`` embeds a JSON file, such
+as a ``scripts/probe_sweep.py --chain`` sweep, under ``attached.NAME``.
 
     python3 scripts/bench_record.py base.log change.log --out BENCH_<n>.json \
-        --pytest base_tests.log change_tests.log
+        --pytest base_tests.log change_tests.log --attach chain_sweep chain.json
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--pytest", nargs=2, metavar=("BASE_LOG", "CHANGE_LOG"),
                     help="pytest --durations logs of the two trees")
+    ap.add_argument("--attach", nargs=2, action="append", default=[], metavar=("NAME", "FILE"),
+                    help="embed the JSON file FILE under attached.NAME (repeatable)")
     args = ap.parse_args(argv)
 
     bounds = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -98,6 +101,8 @@ def main(argv=None) -> int:
     }
     if args.pytest:
         record["tier1"] = {"base": tier1(args.pytest[0]), "change": tier1(args.pytest[1])}
+    if args.attach:
+        record["attached"] = {name: json.loads(Path(path).read_text()) for name, path in args.attach}
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -123,9 +123,11 @@ def test_bench_record_writes_medians_verdicts_and_tier1(tmp_path):
     durations = "2.00s call     tests/t.py::slow\n0.50s setup    tests/t.py::slow\n1.00s call     tests/t.py::quick\n"
     (tmp_path / "base_tests.log").write_text(durations + "==== 12 passed in 9.50s ====\n")
     (tmp_path / "change_tests.log").write_text(durations + "12 passed in 8.25s (0:00:08)\n")
+    (tmp_path / "sweep.json").write_text('{"rows": [{"N": 128, "fallbacks": 0}]}\n')
     out = tmp_path / "BENCH.json"
     res = run_script("bench_record.py", "base.log", "change.log", "--out", str(out),
-                     "--pytest", "base_tests.log", "change_tests.log", cwd=tmp_path)
+                     "--pytest", "base_tests.log", "change_tests.log",
+                     "--attach", "chain_sweep", "sweep.json", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     rec = json.loads(out.read_text())
     assert rec["host"] == {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
@@ -138,6 +140,7 @@ def test_bench_record_writes_medians_verdicts_and_tier1(tmp_path):
     assert "verdict" not in rec["metrics"]["proof_chain"]["fail_frac"]
     assert rec["tier1"]["change"]["wall_s"] == 8.25 and rec["tier1"]["base"]["outcome"] == "12 passed"
     assert [t["test"] for t in rec["tier1"]["base"]["slowest"]] == ["tests/t.py::slow", "tests/t.py::quick"]
+    assert rec["attached"] == {"chain_sweep": {"rows": [{"N": 128, "fallbacks": 0}]}}
 
 
 def test_bench_record_rejects_mixed_trees(tmp_path):

@@ -31,22 +31,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bmlab import engine, reporting
 from bmlab.cli import EXIT_CHECK, EXIT_OK, probe_growth_ok, verdict
-from bmlab.config import CURVE_FAMILIES, RunConfig, _parse_triples
-from bmlab.engine import ExponentTriple, _probe_reports
+from bmlab.config import CURVE_FAMILIES, RunConfig, parse_triples
+from bmlab.engine import ExponentTriple, probe_reports
 
 
 def chain_sweep(cfg: RunConfig) -> tuple[list[dict], bool]:
     """One row per resolution of ``holder_chain_check`` over every triple and
     trial, and whether every call passed criterion 8's verdict."""
     seq = cfg.sequence()
-    real, fallbacks = engine._carleson_maximal, []
+    real, fallbacks = engine.carleson_hunt_maximal, []
 
-    def counted(c, L):
-        fallbacks.append(len(c))
-        return real(c, L)
+    def counted(g):
+        fallbacks.append(g.N)
+        return real(g)
 
     rows, ok = [], True
-    engine._carleson_maximal = counted
+    engine.carleson_hunt_maximal = counted
     try:
         for N in cfg.resolutions:
             ratio, gap, failed, elapsed = 0.0, 0.0, 0, 0.0
@@ -74,7 +74,7 @@ def chain_sweep(cfg: RunConfig) -> tuple[list[dict], bool]:
                   f"fallbacks {rows[-1]['fallbacks']}, {rows[-1]['ms_per_call']:.3f} ms/call")
             ok = verdict(f"chain N={N} violations", failed, failed == 0, "== 0") and ok
     finally:
-        engine._carleson_maximal = real
+        engine.carleson_hunt_maximal = real
     return rows, ok
 
 
@@ -98,7 +98,7 @@ def main():
     try:
         cfg = RunConfig(
             family=args.family, c=args.c, J=args.J, L=args.L,
-            triples=_parse_triples(args.triples), trials=args.trials, seed=args.seed,
+            triples=parse_triples(args.triples), trials=args.trials, seed=args.seed,
             resolutions=args.resolutions, symbol_kind=args.symbol,
         ).validate()
         sym = cfg.symbol()
@@ -114,7 +114,7 @@ def main():
     rows = []
     ok = True
     triples = [ExponentTriple(*t) for t in cfg.triples]
-    reports = _probe_reports(sym, triples, cfg.trials, cfg.resolutions, cfg.seed, cfg.L)
+    reports = probe_reports(sym, triples, cfg.trials, cfg.resolutions, cfg.seed, cfg.L)
     for t, rep in zip(cfg.triples, reports):
         rows.extend(rep.csv_rows())
         print(f"{sym.label} {t}: growth {rep.growth_factor:.3f}")

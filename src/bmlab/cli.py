@@ -173,7 +173,7 @@ def probe_growth_ok(rep: engine.ProbeReport) -> bool:
 def cmd_probe(cfg: RunConfig) -> int:
     sym = cfg.symbol()
     triples = [engine.ExponentTriple(*t) for t in cfg.triples]
-    reports = engine._probe_reports(sym, triples, cfg.trials, cfg.resolutions, cfg.seed, cfg.L)
+    reports = engine.probe_reports(sym, triples, cfg.trials, cfg.resolutions, cfg.seed, cfg.L)
     ok = True
     for rep in reports:
         if not probe_growth_ok(rep):
@@ -348,8 +348,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, curves.TruncationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import curves, engine, symbols
 
-__all__ = ["RunConfig", "ConfigError", "CURVE_FAMILIES", "SYMBOL_KINDS"]
+__all__ = ["RunConfig", "ConfigError", "CURVE_FAMILIES", "SYMBOL_KINDS", "parse_triples"]
 
 
 class ConfigError(ValueError):
@@ -126,6 +126,12 @@ class RunConfig:
             raise ConfigError("diag_variant must be line or plane")
         if self.renormalize not in (None, "unit_slope_origin", "vanishing_limits"):
             raise ConfigError("renormalize must be unit_slope_origin or vanishing_limits")
+        try:
+            self.curve()
+        except ValueError as exc:
+            keys = {"family": self.family, "c": self.c, "renormalize": self.renormalize}
+            named = ", ".join(f"{k} = {v}" for k, v in keys.items() if v is not None)
+            raise ConfigError(f"[curve] {named}: {exc}") from None
         return self
 
     def curve(self) -> curves.CurveSpec:
@@ -180,7 +186,7 @@ class RunConfig:
         cfg.resolutions = get(
             "probe", "resolutions", lambda s: [int(v) for v in s.split()], cfg.resolutions
         )
-        cfg.triples = get("probe", "triples", _parse_triples, cfg.triples)
+        cfg.triples = get("probe", "triples", parse_triples, cfg.triples)
         cfg.symbol_kind = get("symbol", "kind", str, cfg.symbol_kind)
         cfg.bitmap_nx = get("symbol", "nx", int, cfg.bitmap_nx)
         cfg.bitmap_ny = get("symbol", "ny", int, cfg.bitmap_ny)
@@ -219,7 +225,8 @@ SYMBOL_KINDS = {
 }
 
 
-def _parse_triples(text: str) -> list[tuple[float, float, float]]:
+def parse_triples(text: str) -> list[tuple[float, float, float]]:
+    """Exponent triples "p1,p2,p3; ..." (commas or blanks inside a triple)."""
     out = []
     for chunk in text.split(";"):
         chunk = chunk.strip()

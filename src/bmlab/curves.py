@@ -409,11 +409,7 @@ def classify_sequence(seq: SequencePair, tol: float = CLASSIFY_TOL) -> Classific
         raise ValueError("classification needs J >= 3")
     alpha = np.abs(seq.a)
     d = np.diff(alpha)
-    if np.all(d > 0):
-        pass
-    elif np.all(d < 0):
-        pass
-    else:
+    if not (np.all(d > 0) or np.all(d < 0)):
         raise ValueError("classification undefined: |a_j| is not strictly monotone")
     dd = np.abs(d)
     scale = np.maximum(dd[1:], dd[:-1])

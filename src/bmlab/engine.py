@@ -34,6 +34,7 @@ __all__ = [
     "holder_chain_check",
     "square_function_report",
     "norm_probe",
+    "probe_reports",
     "make_trial_pair",
     "PROBE_FAMILIES",
 ]
@@ -244,15 +245,10 @@ def carleson_hunt_maximal(g: SampledFunction) -> np.ndarray:
     sums in frequency order (including the empty prefix).  The sums run down
     each column of an x-chunk of at most ``PHASE_BLOCK`` elements, so memory
     is O(N * chunk) and each column is summed as in the full N x N table.
+    The chunk width divides N (both powers of two); one buffer takes each
+    chunk's products and then, in place, their prefix sums.
     """
-    return _carleson_maximal(g.coeffs(), g.L)
-
-
-def _carleson_maximal(c: np.ndarray, L: float) -> np.ndarray:
-    """``carleson_hunt_maximal`` from the centered coefficients c.  The chunk
-    width divides N (both powers of two); one buffer takes each chunk's
-    products and then, in place, their prefix sums."""
-    N = len(c)
+    c, N, L = g.coeffs(), g.N, g.L
     width = min(N, max(1, PHASE_BLOCK // N))
     partial, out = np.empty((N, width), dtype=complex), np.empty(N)
     for n0 in range(0, N, width):
@@ -392,7 +388,7 @@ def holder_chain_check(
     if np.max(np.abs(gb[:, ::2]) - 2.0 * m_b) < -CARLESON_SLACK * max(1.0, float(np.max(m_b))):
         margin, carleson_ok = 0.0, True
     else:
-        maximal = _carleson_maximal(cg, L)
+        maximal = carleson_hunt_maximal(g)
         margin = max(0.0, float(np.max(np.abs(gb[:, ::2]) - 2.0 * maximal)))
         carleson_ok = margin <= 1e-10 * max(1.0, float(np.max(maximal)))
 
@@ -514,19 +510,20 @@ def norm_probe(
     seed: int,
     L: float = 32.0,
 ) -> ProbeReport:
-    """Empirical operator-ratio probe over the ``PROBE_FAMILIES`` test families.
+    """``probe_reports`` for the one triple e."""
+    return probe_reports(sym, [e], trials, resolutions, seed, L)[0]
 
-    For each resolution and family the maximal ratio
+
+def probe_reports(sym: SymbolSpec, triples: Sequence[ExponentTriple], trials: int,
+                  resolutions: Sequence[int], seed: int, L: float = 32.0) -> list[ProbeReport]:
+    """Empirical operator-ratio probes over the ``PROBE_FAMILIES`` test families.
+
+    For each resolution, family and triple the maximal ratio
     ||B(f,g)||_{p3'} / (||f||_{p1} ||g||_{p2}) over ``trials`` draws is
     recorded; the growth factor compares the largest against the smallest
-    resolution.  Fully deterministic for a fixed seed.
+    resolution.  Each trial pair is drawn and applied once for all triples.
+    Fully deterministic for a fixed seed.
     """
-    return _probe_reports(sym, [e], trials, resolutions, seed, L)[0]
-
-
-def _probe_reports(sym: SymbolSpec, triples: Sequence[ExponentTriple], trials: int,
-                   resolutions: Sequence[int], seed: int, L: float = 32.0) -> list[ProbeReport]:
-    """``norm_probe`` for several triples, drawing and applying each trial pair once."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     resolutions = sorted(int(N) for N in resolutions)

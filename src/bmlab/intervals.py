@@ -26,7 +26,7 @@ __all__ = [
     "staircase_steps",
     "build_hyp_collection",
     "min_disjoint_split",
-    "max_point_overlap",
+    "max_overlap",
     "check_hypothesis",
 ]
 
@@ -166,26 +166,25 @@ class ColoringResult:
                 if left.overlaps(right):
                     return False
         universe = [iv for group in self.certificate.values() for iv in group]
-        return self.num_colors == max_point_overlap(universe)
+        lo_in = np.array([iv.closure == "right_open" for iv in universe], dtype=bool)
+        return self.num_colors == max_overlap([iv.lo for iv in universe], [iv.hi for iv in universe],
+                                              lo_in, ~lo_in)
 
 
-def max_point_overlap(intervals) -> int:
-    """Exact maximum number of intervals sharing a point (clique number).
+def max_overlap(lo, hi, lo_in=True, hi_in=True) -> int:
+    """Most intervals sharing a point (the clique number); 0 for none.
 
-    Candidates: every endpoint and every midpoint of consecutive distinct
-    endpoints; with half-open data this hits every combinatorial cell.
+    Interval i runs from lo[i] to hi[i], holds its left end when ``lo_in``
+    and its right end when ``hi_in`` (scalars, or arrays per interval), and
+    holds at least one float.  An excluded end moves one float inward, so
+    every interval is the closed set of floats it holds; then at each left
+    end, the left ends <= it minus the right ends < it count the intervals.
     """
-    ivs = list(intervals)
-    if not ivs:
-        return 0
-    ends = np.unique(np.array([v for iv in ivs for v in (iv.lo, iv.hi)], dtype=float))
-    mids = 0.5 * (ends[:-1] + ends[1:])
-    cand = np.concatenate([ends, mids])
-    best = 0
-    for x in cand:
-        count = sum(bool(iv.contains(x)) for iv in ivs)
-        best = max(best, count)
-    return best
+    lo = np.where(lo_in, lo, np.nextafter(lo, np.inf))
+    hi = np.where(hi_in, hi, np.nextafter(hi, -np.inf))
+    lo, hi = np.sort(lo), np.sort(hi)
+    return int(np.max(np.searchsorted(lo, lo, side="right") - np.searchsorted(hi, lo, side="left"),
+                      initial=0))
 
 
 def min_disjoint_split(coll: IntervalCollection | list) -> ColoringResult:

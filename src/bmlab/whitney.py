@@ -25,6 +25,7 @@ import numpy as np
 from .bumps import adapted_bump, fejer_sq_cdf, fejer_sq_spectrum, soft_union
 from .curves import SequencePair
 from .engine import SampledFunction, _analyze, _freq_grid, _pad, _period_pairing, _synthesize
+from .intervals import max_overlap
 
 __all__ = [
     "RectCover",
@@ -280,27 +281,19 @@ def _dilate(iv, factor: float):
     return (c - factor * h, c + factor * h)
 
 
-def _max_overlap(lo: np.ndarray, hi: np.ndarray) -> int:
-    """Most closed intervals [lo, hi] sharing a point: at each left end, the
-    left ends <= it minus the right ends < it, so touching intervals overlap;
-    0 for no intervals."""
-    lo, hi = np.sort(lo), np.sort(hi)
-    return int(np.max(np.searchsorted(lo, lo, side="right") - np.searchsorted(hi, lo, side="left"),
-                      initial=0))
-
-
 def edge_interval_collections(rects: RectCover, alpha: float) -> dict:
     """Dilated edge-interval families and their maximal overlap counts.
 
     For each rectangle the three edges are its xi-extent, its eta-extent and
     the negated sum of the two; each family is dilated by 1/alpha about
-    interval centers before the overlap count.  Family i is the (lo, hi)
-    pair of arrays ``["intervals"][i]``; an empty cover counts 0 throughout.
+    interval centers before the overlap count, in which touching closed
+    intervals overlap.  Family i is the (lo, hi) pair of arrays
+    ``["intervals"][i]``; an empty cover counts 0 throughout.
     """
     fams = {i: _dilate(e, 1.0 / alpha) for i, e in enumerate(rects.edges(), start=1)}
     return {
         "intervals": fams,
-        "max_overlap": {i: _max_overlap(*fams[i]) for i in fams},
+        "max_overlap": {i: max_overlap(*fams[i]) for i in fams},
     }
 
 

@@ -464,6 +464,19 @@ def max_overlap_sweep(intervals):
     return best
 
 
+def max_point_overlap(intervals) -> int:
+    """Most half-open intervals sharing a point, by counting the members of
+    each candidate point: every endpoint and every midpoint of consecutive
+    distinct endpoints, which with half-open data hits every combinatorial
+    cell."""
+    ivs = list(intervals)
+    if not ivs:
+        return 0
+    ends = np.unique(np.array([v for iv in ivs for v in (iv.lo, iv.hi)], dtype=float))
+    cand = np.concatenate([ends, 0.5 * (ends[:-1] + ends[1:])])
+    return max(sum(bool(iv.contains(x)) for iv in ivs) for x in cand)
+
+
 def csv_text_by_rows(header, rows):
     """CSV text formatted one cell at a time: repr of each float (numpy
     floats included), str of anything else."""

@@ -543,6 +543,41 @@ def test_rejects_non_finite_config_floats(tmp_path, capsys, old, new, key, comma
 
 
 @pytest.mark.parametrize(
+    "family,lines,keys",
+    [
+        ("power_law", "c = 1.0\nrenormalize = vanishing_limits", ("c = 1.0", "renormalize")),
+        ("exponential", "renormalize = vanishing_limits", ("renormalize",)),
+        ("hyperboloid", "renormalize = unit_slope_origin", ("renormalize",)),
+        ("monomial", "c = 1.0", ("c = 1.0",)),
+        ("power_law", "c = -1", ("c = -1.0",)),
+    ],
+    ids=["power_law-vanishing", "exponential-vanishing", "hyperboloid-unit-slope", "monomial-c=1",
+         "power_law-c=-1"],
+)
+@pytest.mark.parametrize("command", ["analyze", "probe"])
+def test_curve_keys_are_named_at_load_time(tmp_path, capsys, family, lines, keys, command):
+    # these passed validate() and then failed inside every subcommand with
+    # the curve library's message, naming no key
+    cfg = write_config(tmp_path, family=family, c_line=lines)
+    with pytest.raises(ConfigError, match=r"^\[curve\] family = " + family):
+        RunConfig.from_file(cfg).validate()
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [curve] family = {family}") and err.count("\n") == 1
+    assert all(key in err for key in keys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_other_value_errors_are_not_called_config_errors(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise ValueError("no grid frequency left")
+
+    monkeypatch.setattr(cli, "cmd_analyze", failing)
+    assert main(["analyze", "--config", write_config(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: no grid frequency left\n"
+
+
+@pytest.mark.parametrize(
     "row", ["nan,0.5", "0.5,1e400", "1,2,3", "0.5", "x,1"],
     ids=["nan", "overflow", "three-fields", "one-field", "not-a-number"],
 )

@@ -105,13 +105,13 @@ def test_half_swap_layout_equals_numpy_shifts_bitwise(rng, N):
 
 def _count_full_maximal(monkeypatch) -> list:
     """Record the N of every call of the full Carleson maximal from here on."""
-    real, calls = engine._carleson_maximal, []
+    real, calls = engine.carleson_hunt_maximal, []
 
-    def counted(c, L):
-        calls.append(len(c))
-        return real(c, L)
+    def counted(g):
+        calls.append(g.N)
+        return real(g)
 
-    monkeypatch.setattr(engine, "_carleson_maximal", counted)
+    monkeypatch.setattr(engine, "carleson_hunt_maximal", counted)
     return calls
 
 
@@ -476,7 +476,7 @@ def test_probe_reports_share_trials_across_triples():
     sym = staircase_symbol(curves.build_dyadic_slope_sequence(curves.hyperboloid(), 6))
     triples = [ExponentTriple(3, 3, 3), ExponentTriple(2, 4, 4)]
     args = dict(trials=4, resolutions=[128, 64], seed=5, L=16.0)
-    shared = engine._probe_reports(sym, triples, args["trials"], args["resolutions"], args["seed"], args["L"])
+    shared = engine.probe_reports(sym, triples, args["trials"], args["resolutions"], args["seed"], args["L"])
     assert repr(shared) == repr([norm_probe(sym, e, **args) for e in triples])
     assert len({repr(r.rows) for r in shared}) == 2
 

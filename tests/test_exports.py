@@ -1,11 +1,15 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import bmlab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bmlab.__path__))
+ROOT = Path(__file__).resolve().parents[1]
+ENTRY_POINTS = [ROOT / "src" / "bmlab" / "cli.py", *sorted((ROOT / "scripts").glob("*.py"))]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,3 +21,35 @@ def test_all_names_exist_and_star_import_works(name):
     namespace = {}
     exec(f"from bmlab.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def private_bmlab_names(source: str) -> list[str]:
+    """The _-prefixed names (dunders aside) that ``source`` imports from bmlab
+    modules or reads as attributes of a bmlab module it imported."""
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "bmlab"):
+            found += [a.name for a in node.names if private(a.name)]
+            if node.module in (None, "bmlab"):
+                modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.asname and a.name.startswith("bmlab."))
+    found += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id in modules and private(node.attr)]
+    return found
+
+
+def test_private_name_scan_finds_imports_and_attributes():
+    source = ("from bmlab import engine as eng\nfrom bmlab.config import RunConfig, _parse\n"
+              "from . import curves\nimport bmlab.whitney as w\n"
+              "eng._probe(); curves._x; w._y; eng.public; other._z; _own()\n")
+    assert sorted(private_bmlab_names(source)) == ["_parse", "_probe", "_x", "_y"]
+
+
+@pytest.mark.parametrize("path", ENTRY_POINTS, ids=lambda p: p.name)
+def test_entry_points_use_only_public_bmlab_names(path):
+    # the CLI and the scripts reach the package through public names, which
+    # the perfbench tracer also wraps
+    assert private_bmlab_names(path.read_text()) == []

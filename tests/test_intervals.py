@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from bmlab import curves
 from bmlab.intervals import (
@@ -11,14 +11,14 @@ from bmlab.intervals import (
     IntervalCollection,
     build_hyp_collection,
     check_hypothesis,
-    max_point_overlap,
+    max_overlap,
     min_disjoint_split,
     neg_minkowski_sum,
     staircase_steps,
 )
 from bmlab.symbols import staircase_symbol
 
-from oracles import exact_chromatic_number
+from oracles import exact_chromatic_number, max_point_overlap
 
 
 def RO(lo, hi):
@@ -158,9 +158,32 @@ def test_coloring_certificate_detects_corruption():
     assert not bad.verify()
 
 
+def _overlap(ivs):
+    lo_in = np.array([iv.closure == "right_open" for iv in ivs], dtype=bool)
+    return max_overlap([iv.lo for iv in ivs], [iv.hi for iv in ivs], lo_in, ~lo_in)
+
+
 def test_max_point_overlap_half_open():
-    assert max_point_overlap([RO(0, 1), RO(1, 2)]) == 1
-    assert max_point_overlap([LO(0, 1), RO(1, 2)]) == 2
+    for count in (max_point_overlap, _overlap):
+        assert count([RO(0, 1), RO(1, 2)]) == 1
+        assert count([LO(0, 1), RO(1, 2)]) == 2
+        assert count([LO(0, 1), LO(1, 2)]) == 1
+    assert max_overlap([], []) == 0 == max_overlap([], [], [], [])
+    assert max_overlap([0.0, 1.0], [1.0, 1.0]) == 2  # touching closed ends, zero length
+
+
+# endpoints from a small pool, so families share endpoints and repeat intervals
+_END = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 1.5, 3.0])
+_CLOSURE = st.sampled_from(["right_open", "left_open"])
+
+
+@seed(17)
+@given(st.lists(st.tuples(_END, _END, _CLOSURE).filter(lambda t: t[0] < t[1]), max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_max_overlap_matches_the_point_loop(family):
+    ivs = [HalfOpenInterval(lo, hi, closure) for lo, hi, closure in family]
+    assert _overlap(ivs) == max_point_overlap(ivs)
+
 
 
 def test_hyperboloid_hyp2_two_colors(hyperboloid_seq):

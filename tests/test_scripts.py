@@ -1,6 +1,7 @@
 """Subprocess tests: the scripts under scripts/ run end to end on small
 inputs, and a bare ``import bmlab`` stays light."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -72,17 +73,23 @@ def test_probe_sweep_rejects_bad_triple(tmp_path):
     assert "config error" in res.stderr and "Traceback" not in res.stderr
 
 
+# sha256 of each file of ``symbol_gallery.py --n 16``
+GALLERY_SHA256 = {
+    "exponential_paraproduct.pgm": "683883a85031b85410d149444d69bf31952cf6110b28669a0f655fbfe8eba3a3",
+    "hyperboloid_epigraph.pgm": "4c2a6e628f02e2507c1aa1d8474dfb9528739718a73a637dac0063a6d0860059",
+    "hyperboloid_polygon.pgm": "556747f79b0563346b1ade037986f06e70a5f939733affaabbae6d4f3713349d",
+    "hyperboloid_staircase.pgm": "d90246fd31961d07930be007eca342afde6eefd1147428b1aba5b8d49db06ee0",
+    "power_law_staircase.pgm": "0874433234afeabec42bfee9a5515a8940c2b4bd360444ac12d1bac4239d4b33",
+    "whitney_cover.svg": "2edf183e46ba26e5436a70462c409333c918995130b30ddca24a928d176eb154",
+}
+
+
 def test_symbol_gallery_renders(tmp_path):
     out = tmp_path / "gallery"
     res = run_script("symbol_gallery.py", "--n", "16", "--out", str(out), cwd=tmp_path)
     assert res.returncode == 0, res.stderr
-    names = {
-        "hyperboloid_staircase.pgm", "hyperboloid_epigraph.pgm", "hyperboloid_polygon.pgm",
-        "power_law_staircase.pgm", "exponential_paraproduct.pgm", "whitney_cover.svg",
-    }
-    assert {p.name for p in out.iterdir()} == names
-    for name in names:
-        assert (out / name).stat().st_size > 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == GALLERY_SHA256
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):

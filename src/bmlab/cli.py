@@ -1,7 +1,7 @@
 """Command-line front end: config-driven, deterministic, atomic outputs.
 
 Subcommands: analyze, check-hyp, symbol, apply, probe, whitney.  Exit codes:
-0 success, 2 invalid configuration or input file, 3 I/O failure, 4 a
+0 success, 2 invalid configuration, input file or value, 3 I/O failure, 4 a
 verification check failed (the report is still written).
 """
 

@@ -8,9 +8,8 @@ probe check of ``bmlab probe``, NaN included.
 With ``--chain`` it runs ``holder_chain_check`` on the curve's staircase
 instead, ``--trials`` random (f, g, h) per triple and resolution as in
 acceptance criterion 8, and writes JSON rows per resolution: the worst
-lhs/rhs, the largest identity gap, the number of calls the step cutoffs left
-to the full Carleson maximal, and the warm milliseconds per call.  It exits 4
-when any call fails criterion 8's verdict.
+lhs/rhs, the largest identity gap, the number of failing calls and the warm
+milliseconds per call.  It exits 4 when any call fails criterion 8's verdict.
 
 Examples:
     python scripts/probe_sweep.py --symbol staircase --family hyperboloid \
@@ -39,42 +38,29 @@ def chain_sweep(cfg: RunConfig) -> tuple[list[dict], bool]:
     """One row per resolution of ``holder_chain_check`` over every triple and
     trial, and whether every call passed criterion 8's verdict."""
     seq = cfg.sequence()
-    real, fallbacks = engine.carleson_hunt_maximal, []
-
-    def counted(g):
-        fallbacks.append(g.N)
-        return real(g)
-
     rows, ok = [], True
-    engine.carleson_hunt_maximal = counted
-    try:
-        for N in cfg.resolutions:
-            ratio, gap, failed, elapsed = 0.0, 0.0, 0, 0.0
-            for ti, t in enumerate(cfg.triples):
-                e = ExponentTriple(*t)
-                rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, N, ti)))
-                cases = [tuple(engine.SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), cfg.L)
-                               for _ in range(3)) for _ in range(cfg.trials)]
-                if ti == 0:  # warm the plan and the FFT tables, uncounted
-                    engine.holder_chain_check(seq, *cases[0], e)
-                    fallbacks.clear()
-                for f, g, h in cases:
-                    t0 = time.perf_counter()
-                    rep = engine.holder_chain_check(seq, f, g, h, e)
-                    elapsed += time.perf_counter() - t0
-                    ratio = max(ratio, rep.lhs / rep.rhs_product if rep.rhs_product > 0 else 0.0)
-                    gap = max(gap, rep.identity_gap)
-                    failed += not (rep.satisfied and rep.carleson_ok
-                                   and rep.identity_gap <= 1e-8 * max(1.0, rep.lhs))
-            calls = len(cfg.triples) * cfg.trials
-            rows.append({"N": N, "calls": calls, "worst_lhs_over_rhs": ratio, "max_identity_gap": gap,
-                         "fallbacks": len(fallbacks), "violations": failed,
-                         "ms_per_call": 1e3 * elapsed / calls})
-            print(f"chain N={N}: worst lhs/rhs {ratio:.4f}, max gap {gap:.2e}, "
-                  f"fallbacks {rows[-1]['fallbacks']}, {rows[-1]['ms_per_call']:.3f} ms/call")
-            ok = verdict(f"chain N={N} violations", failed, failed == 0, "== 0") and ok
-    finally:
-        engine.carleson_hunt_maximal = real
+    for N in cfg.resolutions:
+        ratio, gap, failed, elapsed = 0.0, 0.0, 0, 0.0
+        for ti, t in enumerate(cfg.triples):
+            e = ExponentTriple(*t)
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, N, ti)))
+            cases = [tuple(engine.SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), cfg.L)
+                           for _ in range(3)) for _ in range(cfg.trials)]
+            if ti == 0:  # warm the plan and the FFT tables, uncounted
+                engine.holder_chain_check(seq, *cases[0], e)
+            for f, g, h in cases:
+                t0 = time.perf_counter()
+                rep = engine.holder_chain_check(seq, f, g, h, e)
+                elapsed += time.perf_counter() - t0
+                ratio = max(ratio, rep.lhs / rep.rhs_product if rep.rhs_product > 0 else 0.0)
+                gap = max(gap, rep.identity_gap)
+                failed += not (rep.satisfied and rep.carleson_ok
+                               and rep.identity_gap <= 1e-8 * max(1.0, rep.lhs))
+        calls = len(cfg.triples) * cfg.trials
+        rows.append({"N": N, "calls": calls, "worst_lhs_over_rhs": ratio, "max_identity_gap": gap,
+                     "violations": failed, "ms_per_call": 1e3 * elapsed / calls})
+        print(f"chain N={N}: worst lhs/rhs {ratio:.4f}, max gap {gap:.2e}, {rows[-1]['ms_per_call']:.3f} ms/call")
+        ok = verdict(f"chain N={N} violations", failed, failed == 0, "== 0") and ok
     return rows, ok
 
 

@@ -41,7 +41,11 @@ def _envelope(cfg: RunConfig, payload: dict) -> dict:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     seq = cfg.sequence()
-    cls = curves.classify_sequence(seq)
+    try:
+        cls = curves.classify_sequence(seq)
+    except ValueError as exc:  # a sign change of a_j, as on the exponential curve
+        raise ConfigError(f"{cfg.curve_keys()}: {exc}; set [curve] renormalize "
+                          "(unit_slope_origin) to shift the curve") from None
     curve = cfg.curve()
     bands = []
     for j in range(seq.first_index(), seq.last_index()):
@@ -179,7 +183,7 @@ def cmd_probe(cfg: RunConfig) -> int:
         if not probe_growth_ok(rep):
             ok = False
             if not math.isnan(rep.growth_factor):
-                _emit_witness(cfg, sym, rep)
+                emit_witness(cfg, rep)
     growths = [rep.growth_factor for rep in reports]
     worst = math.nan if any(math.isnan(v) for v in growths) else max(growths)
     reporting.write_csv(
@@ -192,10 +196,11 @@ def cmd_probe(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
-def _emit_witness(cfg: RunConfig, sym, rep):
-    N = rep.resolutions[-1]
+def emit_witness(cfg: RunConfig, rep: engine.ProbeReport):
+    """Write the trial pair (f, g) of the largest ratio at the last resolution
+    of ``rep`` as ``witness_<family>_<N>_{f,g}.csv`` under ``cfg.out_dir``."""
+    ri, N = len(rep.resolutions) - 1, rep.resolutions[-1]
     best = max((r for r in rep.rows if r["N"] == N), key=lambda r: r["max_ratio"])
-    ri = rep.resolutions.index(N)
     fi = list(engine.PROBE_FAMILIES).index(best["family"])
     f, g = engine.make_trial_pair(best["family"], (rep.seed, ri, fi, best["argmax_trial"]), N, rep.L)
     tag = f"witness_{best['family']}_{N}"

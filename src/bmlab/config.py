@@ -91,9 +91,11 @@ class RunConfig:
             raise ConfigError("[probe] resolutions must list at least one resolution")
         if not self.triples:
             raise ConfigError("[probe] triples must list at least one exponent triple")
-        for N in self.resolutions:
+        for i, N in enumerate(self.resolutions):
             if N < 2 or N & (N - 1):
                 raise ConfigError(f"[probe] resolutions entry {N} is not a power of two >= 2")
+            if N in self.resolutions[:i]:
+                raise ConfigError(f"[probe] resolutions entry {N} is repeated")
             if N > CEILINGS["[probe] resolutions"]:
                 raise ConfigError(f"[probe] resolutions entry {N} is above the ceiling "
                                   f"{CEILINGS['[probe] resolutions']}")
@@ -129,10 +131,13 @@ class RunConfig:
         try:
             self.curve()
         except ValueError as exc:
-            keys = {"family": self.family, "c": self.c, "renormalize": self.renormalize}
-            named = ", ".join(f"{k} = {v}" for k, v in keys.items() if v is not None)
-            raise ConfigError(f"[curve] {named}: {exc}") from None
+            raise ConfigError(f"{self.curve_keys()}: {exc}") from None
         return self
+
+    def curve_keys(self) -> str:
+        """The set ``[curve]`` keys as ``[curve] family = ..., c = ...``, for messages."""
+        keys = {"family": self.family, "c": self.c, "renormalize": self.renormalize}
+        return "[curve] " + ", ".join(f"{k} = {v}" for k, v in keys.items() if v is not None)
 
     def curve(self) -> curves.CurveSpec:
         cur = CURVE_FAMILIES[self.family](self.c)

@@ -28,7 +28,6 @@ __all__ = [
     "HolderChainReport",
     "apply_bilinear",
     "frequency_project",
-    "carleson_hunt_maximal",
     "mixed_norm",
     "lp_norm",
     "holder_chain_check",
@@ -220,43 +219,6 @@ def frequency_project(f: SampledFunction, interval: HalfOpenInterval) -> Sampled
     return SampledFunction(_project(f, [interval], f.N)[0], f.L)
 
 
-PHASE_BLOCK = 1 << 16  # elements of one Carleson phase block (1 MiB complex)
-# the Hölder chain's step cutoffs settle the Carleson check when the slack
-# beats this many units of max(1, max M_B); else the full maximal decides it
-CARLESON_SLACK = 1e-9
-
-
-@functools.lru_cache(maxsize=1)
-def _phase_block(N: int, L: float, n0: int, n1: int) -> np.ndarray:
-    """The read-only (N, n1 - n0) waves exp(2 pi i xi_k x_n) at the grid points
-    n0 <= n < n1.  When N * N <= PHASE_BLOCK the block is the whole table, so
-    repeated calls on one grid reuse it."""
-    x = _x_grid(N, L)
-    block = np.exp(2j * np.pi * _freq_grid(N, L)[:, None] * x[None, n0:n1])
-    block.flags.writeable = False
-    return block
-
-
-def carleson_hunt_maximal(g: SampledFunction) -> np.ndarray:
-    """Pointwise sup over cutoffs of the partial frequency sums' modulus.
-
-    On the discrete model partial sums only change when the cutoff crosses a
-    grid frequency, so the sup over all real cutoffs is the max over prefix
-    sums in frequency order (including the empty prefix).  The sums run down
-    each column of an x-chunk of at most ``PHASE_BLOCK`` elements, so memory
-    is O(N * chunk) and each column is summed as in the full N x N table.
-    The chunk width divides N (both powers of two); one buffer takes each
-    chunk's products and then, in place, their prefix sums.
-    """
-    c, N, L = g.coeffs(), g.N, g.L
-    width = min(N, max(1, PHASE_BLOCK // N))
-    partial, out = np.empty((N, width), dtype=complex), np.empty(N)
-    for n0 in range(0, N, width):
-        np.multiply(_phase_block(N, L, n0, n0 + width), c[:, None], out=partial)
-        out[n0 : n0 + width] = np.max(np.abs(np.cumsum(partial, axis=0, out=partial)), axis=0)
-    return np.maximum(out, 0.0)
-
-
 def _mixed_lp(rows: np.ndarray, p: float, L: float, inner: str) -> float:
     """L^p norm over the period, as a Riemann sum, of the pointwise l2 or linf
     norm ("l2" or "linf") down the rows of a (k, N) array of samples on a
@@ -351,10 +313,10 @@ def holder_chain_check(
     pointwise.
 
     Each P_{B_j} g is S_hi - S_lo, the partial sums S_c below the cutoffs
-    bounding B_j, so it is checked first against twice M_B, the max of |S_c|
-    over those cutoffs: M_B is at most the maximal, so a pass with
-    ``CARLESON_SLACK`` to spare is a pass against the maximal, margin 0.0.
-    Any other case is decided by the full maximal.
+    bounding B_j, so it is checked against twice M_B, the max of |S_c| over
+    those cutoffs (the empty prefix included).  M_B is at most the maximal,
+    so a pass against 2 M_B is a pass against twice the maximal; the margin
+    is by how much the worst sample exceeds 2 M_B, if at all.
     """
     if not (f.N == g.N == h.N) or not (f.L == g.L == h.L):
         raise ValueError("common grid required")
@@ -385,12 +347,8 @@ def holder_chain_check(
 
     # every other sample at 2N is the slot-2 projection on g's own grid
     m_b = np.max(np.abs(_masked_synthesis(cg, prefix, N)), axis=0)
-    if np.max(np.abs(gb[:, ::2]) - 2.0 * m_b) < -CARLESON_SLACK * max(1.0, float(np.max(m_b))):
-        margin, carleson_ok = 0.0, True
-    else:
-        maximal = carleson_hunt_maximal(g)
-        margin = max(0.0, float(np.max(np.abs(gb[:, ::2]) - 2.0 * maximal)))
-        carleson_ok = margin <= 1e-10 * max(1.0, float(np.max(maximal)))
+    margin = max(0.0, float(np.max(np.abs(gb[:, ::2]) - 2.0 * m_b)))
+    carleson_ok = margin <= 1e-10 * max(1.0, float(np.max(m_b)))
 
     return HolderChainReport(
         lhs=float(lhs_sum),

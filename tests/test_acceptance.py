@@ -276,12 +276,12 @@ def test_criterion_9_boundedness_probes(tmp_path):
         good = rep.growth_factor < 1.5
         if not good:
             # persist the worst input pair for offline inspection
-            from bmlab.cli import _emit_witness
+            from bmlab.cli import emit_witness
             from bmlab.config import RunConfig
 
             cfg = RunConfig()
             cfg.out_dir = str(tmp_path)
-            _emit_witness(cfg, sym, rep)
+            emit_witness(cfg, rep)
         print(f"  probe {name}: growth {rep.growth_factor:.3f}")
         ok = ok and good
     verdict(9, "boundedness probes", ok)

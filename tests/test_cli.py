@@ -374,6 +374,29 @@ def test_probe_empty_list_rejected(tmp_path, capsys, line):
     assert "at least one" in capsys.readouterr().err
 
 
+def test_probe_repeated_resolution_is_named(tmp_path, capsys):
+    # a repeated entry used to exit 0 with two rows per (triple, N, family),
+    # the witness taken from the first draw at that N
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "resolutions = 64 128", "resolutions = 32 64 64")
+    assert main(["probe", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: [probe] resolutions entry 64 is repeated\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_names_the_curve_keys_of_an_unclassifiable_sequence(tmp_path, capsys):
+    # a_j of the exponential curve changes sign, so |a_j| is not monotone; this
+    # used to exit 2 with the classifier's message alone, naming no key
+    cfg = write_config(tmp_path, family="exponential")
+    assert main(["analyze", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [curve] family = exponential: ") and err.count("\n") == 1
+    assert "not strictly monotone" in err and "[curve] renormalize" in err
+    assert not (tmp_path / "out").exists()
+    _edit_config(cfg, "family = exponential", "family = exponential\nrenormalize = unit_slope_origin")
+    assert main(["analyze", "--config", cfg]) == 0
+
+
 def _strict_json(path):
     def reject(token):
         raise ValueError(f"non-strict JSON constant {token}")

@@ -9,7 +9,8 @@ import bmlab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bmlab.__path__))
 ROOT = Path(__file__).resolve().parents[1]
-ENTRY_POINTS = [ROOT / "src" / "bmlab" / "cli.py", *sorted((ROOT / "scripts").glob("*.py"))]
+ENTRY_POINTS = [ROOT / "src" / "bmlab" / "cli.py", *sorted((ROOT / "scripts").glob("*.py")),
+                ROOT / "tests" / "test_acceptance.py"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -50,6 +51,6 @@ def test_private_name_scan_finds_imports_and_attributes():
 
 @pytest.mark.parametrize("path", ENTRY_POINTS, ids=lambda p: p.name)
 def test_entry_points_use_only_public_bmlab_names(path):
-    # the CLI and the scripts reach the package through public names, which
-    # the perfbench tracer also wraps
+    # the CLI, the scripts and the acceptance criteria reach the package
+    # through public names, which the perfbench tracer also wraps
     assert private_bmlab_names(path.read_text()) == []

@@ -48,8 +48,7 @@ def test_probe_sweep_passes_on_bounded_growth(tmp_path):
 
 
 def test_probe_sweep_chain_mode_writes_rows_per_resolution(tmp_path):
-    # at L = 32 no B_j meets the N = 64 grid, so every call there falls back
-    # to the full maximal; at N = 128 the step cutoffs settle every call
+    # at L = 32 no B_j meets the N = 64 grid, so the form is 0 there
     out = tmp_path / "chain.json"
     res = run_script(
         "probe_sweep.py", "--chain", "--triples", "3,3,3;2,4,4", "--resolutions", "64", "128",
@@ -58,8 +57,7 @@ def test_probe_sweep_chain_mode_writes_rows_per_resolution(tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
     rec = json.loads(out.read_text())
-    assert [(r["N"], r["calls"], r["fallbacks"], r["violations"]) for r in rec["rows"]] == [
-        (64, 6, 6, 0), (128, 6, 0, 0)]
+    assert [(r["N"], r["calls"], r["violations"]) for r in rec["rows"]] == [(64, 6, 0), (128, 6, 0)]
     assert rec["rows"][0]["worst_lhs_over_rhs"] == 0.0 < rec["rows"][1]["worst_lhs_over_rhs"] < 1.0
     assert all(r["max_identity_gap"] <= 1e-8 and r["ms_per_call"] > 0 for r in rec["rows"])
 
@@ -130,7 +128,7 @@ def test_bench_record_writes_medians_verdicts_and_tier1(tmp_path):
     durations = "2.00s call     tests/t.py::slow\n0.50s setup    tests/t.py::slow\n1.00s call     tests/t.py::quick\n"
     (tmp_path / "base_tests.log").write_text(durations + "==== 12 passed in 9.50s ====\n")
     (tmp_path / "change_tests.log").write_text(durations + "12 passed in 8.25s (0:00:08)\n")
-    (tmp_path / "sweep.json").write_text('{"rows": [{"N": 128, "fallbacks": 0}]}\n')
+    (tmp_path / "sweep.json").write_text('{"rows": [{"N": 128, "violations": 0}]}\n')
     out = tmp_path / "BENCH.json"
     res = run_script("bench_record.py", "base.log", "change.log", "--out", str(out),
                      "--pytest", "base_tests.log", "change_tests.log",
@@ -147,7 +145,7 @@ def test_bench_record_writes_medians_verdicts_and_tier1(tmp_path):
     assert "verdict" not in rec["metrics"]["proof_chain"]["fail_frac"]
     assert rec["tier1"]["change"]["wall_s"] == 8.25 and rec["tier1"]["base"]["outcome"] == "12 passed"
     assert [t["test"] for t in rec["tier1"]["base"]["slowest"]] == ["tests/t.py::slow", "tests/t.py::quick"]
-    assert rec["attached"] == {"chain_sweep": {"rows": [{"N": 128, "fallbacks": 0}]}}
+    assert rec["attached"] == {"chain_sweep": {"rows": [{"N": 128, "violations": 0}]}}
 
 
 def test_bench_record_rejects_mixed_trees(tmp_path):

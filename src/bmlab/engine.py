@@ -28,7 +28,6 @@ __all__ = [
     "HolderChainReport",
     "apply_bilinear",
     "frequency_project",
-    "mixed_norm",
     "lp_norm",
     "holder_chain_check",
     "square_function_report",
@@ -219,41 +218,26 @@ def frequency_project(f: SampledFunction, interval: HalfOpenInterval) -> Sampled
     return SampledFunction(_project(f, [interval], f.N)[0], f.L)
 
 
-def _mixed_lp(rows: np.ndarray, p: float, L: float, inner: str) -> float:
+def _mixed_lp(rows: np.ndarray, p: float, L: float, inner: str):
     """L^p norm over the period, as a Riemann sum, of the pointwise l2 or linf
     norm ("l2" or "linf") down the rows of a (k, N) array of samples on a
-    period-L grid."""
+    period-L grid: a float, or for a (T, k, N) batch a list of T floats."""
     if p < 1.0:
         raise ValueError("outer exponent must be >= 1")
     vals = np.abs(rows)
     if inner == "l2":
-        pointwise = np.sqrt(np.sum(vals**2, axis=0))
+        pointwise = np.sqrt(np.sum(vals**2, axis=-2))
     elif inner == "linf":
-        pointwise = np.max(vals, axis=0)
+        pointwise = np.max(vals, axis=-2)
     else:
         raise ValueError(f"inner norm must be 'l2' or 'linf', not {inner!r}")
-    return float(np.sum(pointwise**p) * (L / len(pointwise))) ** (1.0 / p)
+    sums = np.sum(pointwise**p, axis=-1) * (L / rows.shape[-1])
+    norms = [float(total) ** (1.0 / p) for total in np.ravel(sums)]
+    return norms if rows.ndim == 3 else norms[0]
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:
     return _mixed_lp(f.samples[None], p, f.L, "l2")
-
-
-def mixed_norm(fs: Sequence[SampledFunction], outer_p: float, inner="l2") -> float:
-    """L^p norm over the period of the pointwise inner norm ('l2' or 'linf')
-    across the list.
-
-    All functions must share the grid.  The quadrature is the plain Riemann
-    sum, which on a periodic uniform grid coincides with the trapezoid rule.
-    """
-    fs = list(fs)
-    if not fs:
-        raise ValueError("need at least one function")
-    N, L = fs[0].N, fs[0].L
-    for f in fs:
-        if f.N != N or f.L != L:
-            raise ValueError("mixed norm needs a common grid")
-    return _mixed_lp(np.stack([f.samples for f in fs]), outer_p, L, inner)
 
 
 @dataclass
@@ -386,30 +370,38 @@ def square_function_report(f: SampledFunction, coll: IntervalCollection | list, 
 # --- norm probing ---------------------------------------------------------------
 
 
-def _trial_wave_packets(rng: np.random.Generator, N: int, L: float) -> np.ndarray:
+# Each family maps a list of generators to a (len(rngs), N) array of samples,
+# one row per generator, drawing from each generator in turn; the draws and
+# the arithmetic of a row do not depend on the other rows.
+
+PROBE_BATCH_SAMPLES = 2**16  # samples per (trials, N) array of one probe batch
+
+
+def _trial_wave_packets(rngs: list[np.random.Generator], N: int, L: float) -> np.ndarray:
     x = _x_grid(N, L)
-    out = np.zeros(N, dtype=complex)
-    for _ in range(3):
-        x0 = rng.uniform(0, L)
-        sigma = rng.uniform(L / 64, L / 8)
-        k0 = rng.integers(-N // 3, N // 3 + 1)
-        amp = rng.normal() + 1j * rng.normal()
+    # per generator, three packets of (center, 2 sigma^2, 2 pi i k0, amplitude)
+    draws = [[(rng.uniform(0, L), 2 * rng.uniform(L / 64, L / 8) ** 2,
+               2j * np.pi * rng.integers(-N // 3, N // 3 + 1), rng.normal() + 1j * rng.normal())
+              for _ in range(3)] for rng in rngs]
+    out = np.zeros((len(rngs), N), dtype=complex)
+    for packet in zip(*draws):
+        x0, two_var, wave, amp = (np.array(column)[:, None] for column in zip(*packet))
         d = np.remainder(x - x0 + L / 2, L) - L / 2
-        out += amp * np.exp(-(d**2) / (2 * sigma**2)) * np.exp(2j * np.pi * k0 * x / L)
+        out += amp * np.exp(-(d**2) / two_var) * np.exp(wave * x / L)
     return out
 
 
-def _trial_sparse_spectrum(rng: np.random.Generator, N: int, L: float) -> np.ndarray:
+def _trial_sparse_spectrum(rngs: list[np.random.Generator], N: int, L: float) -> np.ndarray:
     m = max(2, N // 16)
-    slots = rng.choice(N, size=m, replace=False)
-    c = np.zeros(N, dtype=complex)
-    c[slots] = rng.normal(size=m) + 1j * rng.normal(size=m)
+    c = np.zeros((len(rngs), N), dtype=complex)
+    for row, rng in zip(c, rngs):
+        slots = rng.choice(N, size=m, replace=False)
+        row[slots] = rng.normal(size=m) + 1j * rng.normal(size=m)
     return _synthesize(c)
 
 
-def _trial_random_sign(rng: np.random.Generator, N: int, L: float) -> np.ndarray:
-    c = rng.choice([-1.0, 1.0], size=N).astype(complex)
-    return _synthesize(c)
+def _trial_random_sign(rngs: list[np.random.Generator], N: int, L: float) -> np.ndarray:
+    return _synthesize(np.array([rng.choice([-1.0, 1.0], size=N) for rng in rngs], dtype=complex))
 
 
 PROBE_FAMILIES = {
@@ -419,13 +411,33 @@ PROBE_FAMILIES = {
 }
 
 
+def _trial_batch(family: str, seed_keys, N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """(trials, N) samples of f and of g, one row per integer seed key: every
+    key's generator draws its f, then its g."""
+    rngs = [np.random.default_rng(np.random.SeedSequence(key)) for key in seed_keys]
+    gen = PROBE_FAMILIES[family]
+    return gen(rngs, N, L), gen(rngs, N, L)
+
+
 def make_trial_pair(family: str, seed_key, N: int, L: float):
     """Deterministic (f, g) pair for a probe trial, keyed by integers."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    gen = PROBE_FAMILIES[family]
-    f = SampledFunction(gen(rng, N, L), L)
-    g = SampledFunction(gen(rng, N, L), L)
-    return f, g
+    fs, gs = _trial_batch(family, [seed_key], N, L)
+    return SampledFunction(fs[0], L), SampledFunction(gs[0], L)
+
+
+def _batch_ratios(act, family: str, seed_keys, N: int, L: float,
+                  triples: Sequence[ExponentTriple]) -> list[list[float]]:
+    """Per triple, the ratio ||B(f,g)||_{p3'} / (||f||_{p1} ||g||_{p2}) of each
+    trial pair of the batch, B the bilinear action ``act``; NaN where the
+    denominator is 0."""
+    fs, gs = _trial_batch(family, seed_keys, N, L)
+    denoms = [[nf * ng for nf, ng in zip(_mixed_lp(fs[:, None], e.p1, L, "l2"),
+                                         _mixed_lp(gs[:, None], e.p2, L, "l2"))] for e in triples]
+    cf, cg = _analyze(fs), _analyze(gs)
+    del fs, gs  # so one trial per batch holds no more than the per-trial loop did
+    out = _synthesize(np.stack([act(c, d) for c, d in zip(cf, cg)]))[:, None]
+    return [[num / denom if denom != 0 else math.nan
+             for num, denom in zip(_mixed_lp(out, e.p3_dual, L, "l2"), row)] for e, row in zip(triples, denoms)]
 
 
 @dataclass
@@ -480,7 +492,9 @@ def probe_reports(sym: SymbolSpec, triples: Sequence[ExponentTriple], trials: in
     ||B(f,g)||_{p3'} / (||f||_{p1} ||g||_{p2}) over ``trials`` draws is
     recorded; the growth factor compares the largest against the smallest
     resolution.  Each trial pair is drawn and applied once for all triples.
-    Fully deterministic for a fixed seed.
+    Trials run in batches of max(1, ``PROBE_BATCH_SAMPLES`` // N), each
+    row drawn and measured as it would be alone.  Fully deterministic for a
+    fixed seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -488,18 +502,16 @@ def probe_reports(sym: SymbolSpec, triples: Sequence[ExponentTriple], trials: in
     reports = [ProbeReport(e, list(resolutions), trials, seed, float(L)) for e in triples]
     for ri, N in enumerate(resolutions):
         act = _bilinear_action(sym, _freq_grid(N, L))
+        per_batch = max(1, PROBE_BATCH_SAMPLES // N)
         for fi, family in enumerate(PROBE_FAMILIES):
             best = [(0.0, -1)] * len(reports)
-            for t in range(trials):
-                f, g = make_trial_pair(family, (seed, ri, fi, t), N, L)
-                out = SampledFunction.from_coeffs(act(f.coeffs(), g.coeffs()), L)
-                for i, e in enumerate(triples):
-                    denom = lp_norm(f, e.p1) * lp_norm(g, e.p2)
-                    if denom == 0:
-                        continue
-                    ratio = lp_norm(out, e.p3_dual) / denom
-                    if ratio > best[i][0]:
-                        best[i] = (ratio, t)
+            for t0 in range(0, trials, per_batch):
+                ts = range(t0, min(trials, t0 + per_batch))
+                ratios = _batch_ratios(act, family, [(seed, ri, fi, t) for t in ts], N, L, triples)
+                for i, row in enumerate(ratios):
+                    for t, ratio in zip(ts, row):
+                        if ratio > best[i][0]:  # the first maximal trial wins; NaN never does
+                            best[i] = (ratio, t)
             for report, (ratio, t) in zip(reports, best):
                 report.rows.append({"family": family, "N": N, "max_ratio": float(ratio), "argmax_trial": t})
     lo, hi = resolutions[0], resolutions[-1]

@@ -532,25 +532,21 @@ def partition_check(
 # --- discretized model form ------------------------------------------------------
 
 
-def _chi_coeffs(interval: tuple[float, float], xi: np.ndarray, spectrum: np.ndarray, L: float) -> np.ndarray:
-    """Centered Fourier coefficients of the periodized mollified cutoff.
+def _chi_support(lo: np.ndarray, hi: np.ndarray, x: np.ndarray, spectrum: np.ndarray, L: float) -> np.ndarray:
+    """Centered Fourier coefficients of the periodized mollified cutoffs of the
+    intervals (lo[i], hi[i]), on the slots where the kernel spectrum is nonzero.
 
-    ``spectrum`` is the scale-j kernel's transform on the frequencies ``xi``;
-    the box transform of ``interval`` is evaluated only where it is nonzero,
-    and the coefficients are exactly 0 elsewhere.
+    ``spectrum`` is the scale-j kernel's transform at those slots' frequencies
+    ``x``; every other coefficient is exactly 0.  Returns (len(lo), len(x)).
     """
-    nz = np.flatnonzero(spectrum)
-    x = xi[nz]
-    lo, hi = interval
+    lo, hi = lo[:, None], hi[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         box = np.where(
             x == 0.0,
             hi - lo,
             (np.exp(-2j * np.pi * x * lo) - np.exp(-2j * np.pi * x * hi)) / (2j * np.pi * x),
         )
-    out = np.zeros(len(xi), dtype=complex)
-    out[nz] = box * spectrum[nz] / L
-    return out
+    return box * spectrum / L
 
 
 def _int_shift(value: float, L: float) -> int:
@@ -562,35 +558,11 @@ def _int_shift(value: float, L: float) -> int:
     return int(round(slots))
 
 
-def model_sum_eval(
-    f: SampledFunction,
-    g: SampledFunction,
-    h: SampledFunction,
-    tiles: Sequence[MultiTile],
-    rects: RectCover,
-    seq: SequencePair,
-    alpha: float,
-    exponent_base: int,
-) -> dict:
-    """Evaluate the discretized trilinear model form and its direct counterpart.
-
-    ``tiles`` come from ``enumerate_multitiles`` on ``rects``, one segment.
-    Model side: sum over multi-tiles of the integral of the mollified space
-    cutoff times the three tile projections of the modulated, prefiltered
-    inputs.  Direct side: the tile-bump symbol sum_r phi_r(xi - a_j)
-    psi_r(eta - b_j) over the tiles' rows r, applied to raw f, g as the tensor
-    sum sum_r (phi_r-filtered f)(psi_r-filtered g) and paired with raw h.  With
-    all bumps cut from the shared profile the two agree exactly up to
-    rounding; ``deviation`` is their relative gap.  Anchors must sit on the
-    frequency lattice.
-    """
-    if not (f.N == g.N == h.N) or not (f.L == g.L == h.L):
-        raise ValueError("common grid required")
-    if not tiles:
-        raise ValueError("nonempty tile list required")
-    j = rects.j
-    if any(t.j != j for t in tiles):
-        raise ValueError("tile segment index does not match the cover's j")
+def _tile_projections(f: SampledFunction, g: SampledFunction, h: SampledFunction, tiles: Sequence[MultiTile],
+                      rects: RectCover, seq: SequencePair, alpha: float) -> dict:
+    """The centered 4N-slot coefficients q_hat of the product of the three tile
+    projections, one per (rect_key, omega3) entry of ``tiles`` in order of
+    first appearance.  Anchors must sit on the frequency lattice."""
     N, L = f.N, f.L
     M = 4 * N
     freqs_pad = _freq_grid(M, L)
@@ -608,8 +580,8 @@ def model_sum_eval(
         ok = (idx >= 0) & (idx < M)
         return np.where(ok, c[np.clip(idx, 0, M - 1)], 0.0)
 
+    j = rects.j
     sa, sb = _int_shift(seq.a_at(j), L), _int_shift(seq.b_at(j), L)
-    spectrum = fejer_sq_spectrum(freqs_pad / float(exponent_base) ** (-j), _base_radius(exponent_base))
     keys = sorted({t.rect_key for t in tiles})
     cfj, cgj, chj = (prefilter(c, list(zip(lo[keys], hi[keys])))
                      for c, (lo, hi) in zip((cf, cg, ch), rects.edges()))
@@ -628,9 +600,8 @@ def model_sum_eval(
         for om3, w in zip(fam, weights):
             psi3[(key, om3)] = w
 
-    model_value = 0.0 + 0.0j
     uv_cache: dict[int, np.ndarray] = {}
-    q_cache: dict[tuple[int, tuple[float, float]], np.ndarray] = {}
+    q_hat: dict[tuple[int, tuple[float, float]], np.ndarray] = {}
     for t in tiles:
         key = t.rect_key
         if key not in uv_cache:
@@ -638,13 +609,60 @@ def model_sum_eval(
             v_hat = adapted_bump(freqs_pad, *t.omega2, plateau=alpha) * shifted(cgj, sb)
             uv_cache[key] = _synthesize(u_hat) * _synthesize(v_hat)
         qkey = (key, t.omega3)
-        if qkey not in q_cache:
+        if qkey not in q_hat:
             w_hat = psi3[qkey] * shifted(chj, -sa - sb)
-            q_cache[qkey] = _analyze(uv_cache[key] * _synthesize(w_hat))
-        chi_hat = _chi_coeffs(t.I_P, freqs_pad, spectrum, L)
-        model_value += _period_pairing(chi_hat, q_cache[qkey], L)
+            q_hat[qkey] = _analyze(uv_cache[key] * _synthesize(w_hat))
+    return q_hat
+
+
+def model_sum_eval(
+    f: SampledFunction,
+    g: SampledFunction,
+    h: SampledFunction,
+    tiles: Sequence[MultiTile],
+    rects: RectCover,
+    seq: SequencePair,
+    alpha: float,
+    exponent_base: int,
+) -> dict:
+    """Evaluate the discretized trilinear model form and its direct counterpart.
+
+    ``tiles`` come from ``enumerate_multitiles`` on ``rects``, one segment.
+    Model side: sum over multi-tiles of the integral of the mollified space
+    cutoff times the three tile projections of the modulated, prefiltered
+    inputs.  The cutoff's coefficients vanish off the support of the scale-j
+    kernel spectrum, so each tile pairs with its projections there only.
+    Direct side: the tile-bump symbol sum_r phi_r(xi - a_j)
+    psi_r(eta - b_j) over the tiles' rows r, applied to raw f, g as the tensor
+    sum sum_r (phi_r-filtered f)(psi_r-filtered g) and paired with raw h.  With
+    all bumps cut from the shared profile the two agree exactly up to
+    rounding; ``deviation`` is their relative gap.  Anchors must sit on the
+    frequency lattice.
+    """
+    if not (f.N == g.N == h.N) or not (f.L == g.L == h.L):
+        raise ValueError("common grid required")
+    if not tiles:
+        raise ValueError("nonempty tile list required")
+    j = rects.j
+    if any(t.j != j for t in tiles):
+        raise ValueError("tile segment index does not match the cover's j")
+    N, L = f.N, f.L
+    M = 4 * N
+    q_hat = _tile_projections(f, g, h, tiles, rects, seq, alpha)
+
+    # slot s pairs with slot M - s (slot 0 with itself), on the spectrum's support
+    freqs_pad = _freq_grid(M, L)
+    spectrum = fejer_sq_spectrum(freqs_pad / float(exponent_base) ** (-j), _base_radius(exponent_base))
+    nz = np.flatnonzero(spectrum)
+    q_rev = np.stack([q[(-nz) % M] for q in q_hat.values()])
+    row = {qkey: i for i, qkey in enumerate(q_hat)}
+    entry = [row[(t.rect_key, t.omega3)] for t in tiles]
+    lo, hi = np.array([t.I_P for t in tiles]).T
+    chi_hat = _chi_support(lo, hi, freqs_pad[nz], spectrum[nz], L)
+    model_value = L * np.sum(chi_hat * q_rev[entry])
 
     # direct side on the 2N grid, which holds every pairwise frequency sum
+    keys = sorted({t.rect_key for t in tiles})
     (o1lo, o1hi), (o2lo, o2hi) = rects.omegas()
     a, b = rects.anchor
     freqs, c, d = f.freqs(), f.coeffs(), g.coeffs()

@@ -12,8 +12,9 @@ import numpy as np
 
 from bmlab.bumps import adapted_bump, fejer_sq_cdf, fejer_sq_spectrum
 from bmlab.curves import CurveSpec
-from bmlab.engine import SampledFunction, _freq_grid
-from bmlab.whitney import LATTICE_EXP, chi_values, r2_samples
+from bmlab.engine import (PROBE_FAMILIES, ProbeReport, SampledFunction, _bilinear_action, _freq_grid,
+                          _period_pairing, _synthesize, _x_grid, lp_norm)
+from bmlab.whitney import LATTICE_EXP, _tile_projections, chi_values, r2_samples
 
 
 def bilinear_double_sum(sym, f, g):
@@ -536,3 +537,99 @@ def chi_coeffs_dense(interval, j, B, M, L):
             (np.exp(-2j * np.pi * xi * lo) - np.exp(-2j * np.pi * xi * hi)) / (2j * np.pi * xi),
         )
     return box * fejer_sq_spectrum(xi / lam, r0) / L
+
+
+def model_value_by_tile(f, g, h, tiles, rects, seq, alpha, B):
+    """The model side of ``whitney.model_sum_eval`` as first written: each
+    tile's cutoff coefficients on all 4N slots (``chi_coeffs_dense``) paired
+    with its (rect_key, omega3) entry's q_hat by a full-length period pairing,
+    and the pairings summed tile by tile."""
+    M, L = 4 * f.N, f.L
+    q_hat = _tile_projections(f, g, h, tiles, rects, seq, alpha)
+    total = 0.0 + 0.0j
+    for t in tiles:
+        total += _period_pairing(chi_coeffs_dense(t.I_P, t.j, B, M, L), q_hat[(t.rect_key, t.omega3)], L)
+    return total
+
+
+# --- probes one trial at a time ---------------------------------------------------
+
+
+def _wave_packets_scalar(rng, N, L):
+    x = _x_grid(N, L)
+    out = np.zeros(N, dtype=complex)
+    for _ in range(3):
+        x0 = rng.uniform(0, L)
+        sigma = rng.uniform(L / 64, L / 8)
+        k0 = rng.integers(-N // 3, N // 3 + 1)
+        amp = rng.normal() + 1j * rng.normal()
+        d = np.remainder(x - x0 + L / 2, L) - L / 2
+        out += amp * np.exp(-(d**2) / (2 * sigma**2)) * np.exp(2j * np.pi * k0 * x / L)
+    return out
+
+
+def _sparse_spectrum_scalar(rng, N, L):
+    m = max(2, N // 16)
+    slots = rng.choice(N, size=m, replace=False)
+    c = np.zeros(N, dtype=complex)
+    c[slots] = rng.normal(size=m) + 1j * rng.normal(size=m)
+    return _synthesize(c)
+
+
+def _random_sign_scalar(rng, N, L):
+    return _synthesize(rng.choice([-1.0, 1.0], size=N).astype(complex))
+
+
+SCALAR_TRIAL_FAMILIES = {
+    "wave_packets": _wave_packets_scalar,
+    "sparse_spectrum": _sparse_spectrum_scalar,
+    "random_sign": _random_sign_scalar,
+}
+
+
+def trial_pair_by_scalar_draws(family, seed_key, N, L):
+    """The probe trial pair (f, g) drawn as first written: one generator, one
+    1-d sample array at a time, f's draws then g's."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
+    gen = SCALAR_TRIAL_FAMILIES[family]
+    f = SampledFunction(gen(rng, N, L), L)
+    g = SampledFunction(gen(rng, N, L), L)
+    return f, g
+
+
+def probe_reports_by_trial(sym, triples, trials, resolutions, seed, L=32.0):
+    """``engine.probe_reports`` as first written: each trial pair drawn by
+    ``trial_pair_by_scalar_draws``, applied and measured on its own; a trial
+    whose denominator is 0 is skipped and the first maximal trial wins."""
+    resolutions = sorted(int(N) for N in resolutions)
+    reports = [ProbeReport(e, list(resolutions), trials, seed, float(L)) for e in triples]
+    for ri, N in enumerate(resolutions):
+        act = _bilinear_action(sym, _freq_grid(N, L))
+        for fi, family in enumerate(PROBE_FAMILIES):
+            best = [(0.0, -1)] * len(reports)
+            for t in range(trials):
+                f, g = trial_pair_by_scalar_draws(family, (seed, ri, fi, t), N, L)
+                out = SampledFunction.from_coeffs(act(f.coeffs(), g.coeffs()), L)
+                for i, e in enumerate(triples):
+                    denom = lp_norm(f, e.p1) * lp_norm(g, e.p2)
+                    if denom == 0:
+                        continue
+                    ratio = lp_norm(out, e.p3_dual) / denom
+                    if ratio > best[i][0]:
+                        best[i] = (ratio, t)
+            for report, (ratio, t) in zip(reports, best):
+                report.rows.append({"family": family, "N": N, "max_ratio": float(ratio), "argmax_trial": t})
+    lo, hi = resolutions[0], resolutions[-1]
+    for report in reports:
+        base, top = report.max_ratio_at(lo), report.max_ratio_at(hi)
+        report.growth_factor = top / base if base > 0 else (math.inf if top > 0 else math.nan)
+    return reports
+
+
+def mixed_norm(fs, outer_p, inner="l2"):
+    """L^p norm over the period of the pointwise inner norm ('l2' or 'linf')
+    across the list of functions, which share one grid, as a Riemann sum."""
+    N, L = fs[0].N, fs[0].L
+    vals = np.abs(np.stack([f.samples for f in fs]))
+    pointwise = np.sqrt(np.sum(vals**2, axis=0)) if inner == "l2" else np.max(vals, axis=0)
+    return float(np.sum(pointwise**outer_p) * (L / N)) ** (1.0 / outer_p)

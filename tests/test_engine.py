@@ -10,6 +10,7 @@ from bmlab.engine import (
     SampledFunction,
     _analyze,
     _masked_synthesis,
+    _mixed_lp,
     _pad,
     _period_pairing,
     _project,
@@ -19,7 +20,6 @@ from bmlab.engine import (
     holder_chain_check,
     lp_norm,
     make_trial_pair,
-    mixed_norm,
     norm_probe,
     square_function_report,
 )
@@ -33,8 +33,11 @@ from oracles import (
     carleson_maximal_dense,
     half_plane_evaluator,
     masked_synthesis_padded,
+    mixed_norm,
     period_pairing_rolled,
+    probe_reports_by_trial,
     synthesize_shifted,
+    trial_pair_by_scalar_draws,
 )
 
 
@@ -330,13 +333,23 @@ def test_parseval(rng):
 
 
 def test_mixed_norm_validation(rng):
-    f = random_function(rng)
-    with pytest.raises(ValueError):
-        mixed_norm([f], 0.5)
-    with pytest.raises(ValueError):
-        mixed_norm([], 2.0)
-    with pytest.raises(ValueError):
-        mixed_norm([f, random_function(rng, 128)], 2.0)
+    rows = np.stack([random_function(rng).samples for _ in range(2)])
+    for batch in (rows, rows[None]):
+        with pytest.raises(ValueError, match="outer exponent"):
+            _mixed_lp(batch, 0.5, 8.0, "l2")
+        with pytest.raises(ValueError, match="inner norm"):
+            _mixed_lp(batch, 2.0, 8.0, "l1")
+
+
+@pytest.mark.parametrize("inner", ["l2", "linf"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_mixed_norm_batch_rows_match_the_list_norm(rng, inner, p):
+    # each row of a (T, k, N) batch is bitwise the norm of its k functions alone
+    fs = [[random_function(rng, 64, 8.0) for _ in range(3)] for _ in range(5)]
+    batch = np.array([[f.samples for f in row] for row in fs])
+    got = _mixed_lp(batch, p, 8.0, inner)
+    assert got == [mixed_norm(row, p, inner) for row in fs]
+    assert got[0] == _mixed_lp(batch[0], p, 8.0, inner)
 
 
 def test_exponent_triple():
@@ -452,3 +465,54 @@ def test_norm_probe_trial_validation():
     with pytest.raises(ValueError):
         norm_probe(constant_symbol(), ExponentTriple(3, 3, 3), trials=0,
                    resolutions=[64], seed=1)
+
+
+@pytest.mark.parametrize("N", [2, 4, 64, 4096])
+@pytest.mark.parametrize("family", list(engine.PROBE_FAMILIES))
+def test_trial_batch_rows_are_the_single_trials(family, N):
+    # row t of a batch is bitwise the pair drawn alone, and the pair the
+    # scalar generators draw
+    L = 48.0
+    keys = [(5, 1, 2, t) for t in range(6)]
+    fs, gs = engine._trial_batch(family, keys, N, L)
+    assert fs.shape == gs.shape == (len(keys), N)
+    for row, key in enumerate(keys):
+        f, g = make_trial_pair(family, key, N, L)
+        f0, g0 = trial_pair_by_scalar_draws(family, key, N, L)
+        assert fs[row].tobytes() == f.samples.tobytes() == f0.samples.tobytes()
+        assert gs[row].tobytes() == g.samples.tobytes() == g0.samples.tobytes()
+
+
+def test_probe_reports_match_the_per_trial_loop_across_batches():
+    # 40 trials at N = 4096 run as batches of 16, 16 and 8
+    assert engine.PROBE_BATCH_SAMPLES // 4096 == 16
+    sym = staircase_symbol(curves.build_dyadic_slope_sequence(curves.hyperboloid(), 8))
+    triples = [ExponentTriple(3, 3, 3), ExponentTriple(4, 2, 4)]
+    args = (sym, triples, 40, [4096, 64], 3, 48.0)
+    assert repr(engine.probe_reports(*args)) == repr(probe_reports_by_trial(*args))
+
+
+def _constant_rows(keep):
+    """A probe family of constant rows, each kept (else zero) by ``keep(rng)``."""
+    return lambda rngs, N, L: np.array([np.full(N, 1.0 + 0j) * keep(rng) for rng in rngs])
+
+
+def test_probe_argmax_is_the_first_maximal_trial(monkeypatch):
+    # equal ratios on every trial whose f and g are both nonzero, batches of
+    # two: the first such trial wins; with every denominator 0 none does
+    N, seed, trials = 64, 3, 9
+    monkeypatch.setattr(engine, "PROBE_BATCH_SAMPLES", 2 * N)
+    monkeypatch.setattr(engine, "PROBE_FAMILIES", {"ties": _constant_rows(lambda rng: rng.integers(2))})
+
+    def kept(t):  # f's draw, then g's, from trial t's generator
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0, t)))
+        return [rng.integers(2), rng.integers(2)] == [1, 1]
+
+    ties = [t for t in range(trials) if kept(t)]
+    first = ties[0]
+    assert first > 0 and len(ties) > 1
+    row = norm_probe(constant_symbol(), ExponentTriple(3, 3, 3), trials, [N], seed, 8.0).rows[0]
+    assert row["argmax_trial"] == first and row["max_ratio"] > 0
+    monkeypatch.setattr(engine, "PROBE_FAMILIES", {"zero": _constant_rows(lambda rng: 0.0)})
+    row = norm_probe(constant_symbol(), ExponentTriple(3, 3, 3), trials, [N], seed, 8.0).rows[0]
+    assert (row["argmax_trial"], row["max_ratio"]) == (-1, 0.0)

@@ -18,7 +18,7 @@ from bmlab.intervals import (
 )
 from bmlab.symbols import staircase_symbol
 
-from oracles import exact_chromatic_number, max_point_overlap
+from oracles import exact_chromatic_number, max_overlap_sweep, max_point_overlap
 
 
 def RO(lo, hi):
@@ -184,6 +184,28 @@ def test_max_overlap_matches_the_point_loop(family):
     ivs = [HalfOpenInterval(lo, hi, closure) for lo, hi, closure in family]
     assert _overlap(ivs) == max_point_overlap(ivs)
 
+
+
+@seed(23)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 4), st.booleans(), st.booleans()), max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_max_overlap_flags_match_the_sweep(family):
+    # integer ends: an excluded end is the closed end half a unit inward, so
+    # the closed sweep counts every closure; scalar flags (closed and both
+    # half-open kinds) and per-interval arrays take the same count
+    lo = np.array([float(a) for a, _, _, _ in family])
+    hi = np.array([float(a + n) for a, n, _, _ in family])
+    lo_in = np.array([flag for _, _, flag, _ in family], dtype=bool)
+    hi_in = np.array([flag for _, _, _, flag in family], dtype=bool)
+
+    def sweep(lo_in, hi_in):
+        lo_in, hi_in = np.broadcast_to(lo_in, lo.shape), np.broadcast_to(hi_in, hi.shape)
+        return max_overlap_sweep(list(zip(np.where(lo_in, lo, lo + 0.5), np.where(hi_in, hi, hi - 0.5))))
+
+    assert max_overlap(lo, hi) == sweep(True, True) == max_overlap(lo, hi, np.ones_like(lo_in), True)
+    assert max_overlap(lo, hi, True, False) == sweep(True, False)
+    assert max_overlap(lo, hi, False, True) == sweep(False, True)
+    assert max_overlap(lo, hi, lo_in, hi_in) == sweep(lo_in, hi_in)
 
 
 def test_hyperboloid_hyp2_two_colors(hyperboloid_seq):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from bmlab import curves, reporting, whitney
+from bmlab import cli, curves, reporting, whitney
+from bmlab.config import RunConfig
 from bmlab.bumps import fejer_sq_spectrum
 from bmlab.engine import SampledFunction, _freq_grid, _pad, _period_pairing
 from bmlab.intervals import max_overlap
@@ -25,8 +26,8 @@ from bmlab.whitney import (
 
 from oracles import (
     WhitneySquare, bilinear_dense_table, bilinear_double_sum, chi_coeffs_dense, containment_failures_by_sampling,
-    cover_squares_by_unique_rows, csv_text_by_rows, enumerate_whitney_squares, max_overlap_sweep, partition_sum_by_tiles, tile_bump_evaluator,
-    whitney_conditions_by_sampling,
+    cover_squares_by_unique_rows, csv_text_by_rows, enumerate_whitney_squares, max_overlap_sweep, model_value_by_tile,
+    partition_sum_by_tiles, tile_bump_evaluator, whitney_conditions_by_sampling,
 )
 
 
@@ -460,20 +461,42 @@ def test_chi_range_and_concentration():
 
 
 def test_chi_coeffs_match_dense_spectrum(rng):
-    # zeros where the kernel spectrum vanishes, the dense values elsewhere,
-    # and a bitwise-equal period pairing against a random q_hat
+    # on the kernel spectrum's support the coefficients are the dense ones,
+    # off it the dense ones are 0, and the pairing on the support is the
+    # full-grid period pairing up to rounding
     seq, poly, rect = demo_rect()
     tiles = enumerate_multitiles(C0=2.0, exponent_base=2, j=1, rects=rect, space_len=64.0)[:128]
     M, L = 2048, 64.0
     xi = _freq_grid(M, L)
     spectrum = fejer_sq_spectrum(xi / 2.0**-1, 4.0**-2)
-    assert 0 < np.count_nonzero(spectrum) < M // 10
-    for t in tiles:
-        fast = whitney._chi_coeffs(t.I_P, xi, spectrum, L)
+    nz = np.flatnonzero(spectrum)
+    assert 0 < len(nz) < M // 10
+    lo, hi = np.array([t.I_P for t in tiles]).T
+    support = whitney._chi_support(lo, hi, xi[nz], spectrum[nz], L)
+    assert support.shape == (len(tiles), len(nz))
+    for t, row in zip(tiles, support):
         dense = chi_coeffs_dense(t.I_P, t.j, 2, M, L)
-        assert np.array_equal(fast, dense)
+        assert np.array_equal(row, dense[nz])
+        assert not np.any(np.delete(dense, nz))
         q_hat = rng.normal(size=M) + 1j * rng.normal(size=M)
-        assert _period_pairing(fast, q_hat, L) == _period_pairing(dense, q_hat, L)
+        terms = row * q_hat[(-nz) % M]
+        assert abs(L * np.sum(terms) - _period_pairing(dense, q_hat, L)) <= 1e-15 * L * np.sum(np.abs(terms))
+
+
+def test_cli_demo_model_value_matches_the_per_tile_pairing(monkeypatch):
+    # the inputs the whitney subcommand's demo passes, at the pipeline seed
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return model_sum_eval(*args, **kwargs)
+
+    monkeypatch.setattr(whitney, "model_sum_eval", spy)
+    got = cli._demo_model_sum(RunConfig(seed=7).validate())["model_value"]
+    (f, g, h, tiles, rects, seq), kw = calls[0]
+    assert len(tiles) == 1408
+    want = model_value_by_tile(f, g, h, tiles, rects, seq, kw["alpha"], kw["exponent_base"])
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_r2_samples_deterministic():
@@ -576,6 +599,19 @@ class TestModelSum:
         dense = _period_pairing(B.coeffs(), _pad(h.coeffs(), B.N), self.L)
         assert abs(res["adjoint_value"] - dense) <= 1e-13 * abs(dense)
         assert res["deviation"] <= 1e-6
+
+    @pytest.mark.parametrize(
+        "squares",
+        [[(0.75, 0.25, -3)], [(0.75, 0.25, -3), (0.375, 0.125, -4), (1.25, 0.5, -3)]],
+        ids=["one-row", "three-row"],
+    )
+    def test_model_value_matches_the_per_tile_pairing(self, rng, squares):
+        rects = segment_cover(self.poly, squares)
+        tiles = enumerate_multitiles(C0=2.0, exponent_base=2, j=1, rects=rects, space_len=64.0)
+        f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
+        got = model_sum_eval(f, g, h, tiles, rects, self.seq, 0.9, 2)["model_value"]
+        want = model_value_by_tile(f, g, h, tiles, rects, self.seq, 0.9, 2)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_dense_table_matches_double_sum(self, rng):
         # the adjoint test's reference against the direct sum, on a grid

@@ -232,8 +232,9 @@ def _mixed_lp(rows: np.ndarray, p: float, L: float, inner: str):
     else:
         raise ValueError(f"inner norm must be 'l2' or 'linf', not {inner!r}")
     sums = np.sum(pointwise**p, axis=-1) * (L / rows.shape[-1])
-    norms = [float(total) ** (1.0 / p) for total in np.ravel(sums)]
-    return norms if rows.ndim == 3 else norms[0]
+    if rows.ndim == 2:
+        return float(sums) ** (1.0 / p)
+    return [float(total) ** (1.0 / p) for total in sums]
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:

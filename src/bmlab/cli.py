@@ -278,14 +278,13 @@ def _demo_model_sum(cfg: RunConfig) -> dict:
     rect = whitney.RectCover(j=1, anchor=poly.anchor(1), s_j=poly.slope(1),
                              k=np.array([-3]), cx=np.array([0.75]), cy=np.array([0.25]))
     tiles = whitney.enumerate_multitiles(
-        C0=2.0, exponent_base=2, j=1, rects=rect, space_len=64.0, variant=cfg.diag_variant
+        rect, C0=2.0, exponent_base=2, space_len=64.0, alpha=cfg.alpha, variant=cfg.diag_variant
     )
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 97)))
     N, L = 512, 64.0
     mk = lambda: engine.SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L)
     # the writer serializes the complex values as {"re": ..., "im": ...}
-    return whitney.model_sum_eval(mk(), mk(), mk(), tiles, rect, seq, alpha=cfg.alpha,
-                                  exponent_base=2)
+    return whitney.model_sum_eval(mk(), mk(), mk(), tiles, seq)
 
 
 def main(argv=None) -> int:

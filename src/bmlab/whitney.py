@@ -17,8 +17,7 @@ every selected square; nothing is ever admitted unchecked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .intervals import max_overlap
 
 __all__ = [
     "RectCover",
-    "MultiTile",
+    "TileSet",
     "PolygonalGeometry",
     "CoverReport",
     "build_cover",
@@ -300,62 +299,82 @@ def edge_interval_collections(rects: RectCover, alpha: float) -> dict:
 # --- frequency cubes and multi-tiles --------------------------------------------
 
 
-def cube_condition(center: tuple[float, float, float], side: float, C0: float, variant: str = "line") -> bool:
+def cube_condition(center, side: float, C0: float, variant: str = "line"):
     """Dilation conditions for cubes in frequency 3-space.
 
     ``line`` measures against the diagonal line {(t,t,t)}: the C0-dilate
     misses it iff the center-coordinate spread exceeds C0 * side, the
     10 C0-dilate meets it iff the spread is at most 10 C0 * side.  ``plane``
-    measures against {xi + eta + theta = 0} through the center sum.
+    measures against {xi + eta + theta = 0} through the center sum.  The
+    center's coordinates may be arrays; the result is then a bool array.
     """
+    c1, c2, c3 = center
     if variant == "line":
-        spread = max(center) - min(center)
-        return C0 * side < spread <= 10.0 * C0 * side
+        spread = np.maximum(np.maximum(c1, c2), c3) - np.minimum(np.minimum(c1, c2), c3)
+        return (C0 * side < spread) & (spread <= 10.0 * C0 * side)
     if variant == "plane":
-        total = abs(sum(center))
-        return 1.5 * C0 * side < total <= 15.0 * C0 * side
+        total = np.abs(c1 + c2 + c3)
+        return (1.5 * C0 * side < total) & (total <= 15.0 * C0 * side)
     raise ValueError("variant must be 'line' or 'plane'")
 
 
-@dataclass(frozen=True)
-class MultiTile:
-    """Space interval plus transformed frequency cube for one segment.
+@dataclass(frozen=True, eq=False)
+class TileSet:
+    """The multi-tiles of one segment's cover, as rows of arrays.
 
-    omega1 = -I, omega2 = -s_j J, omega3 = (1 + s_j) K for a generating cube
-    I x J x K; the space interval length is base^(-j) for the configured
-    exponent base.
+    Entry e pairs cover row ``rect[e]`` of ``rects`` with the third-slot
+    interval omega3 = [``om3_lo[e]``, ``om3_hi[e]``] = (1 + s_j) K' of the
+    generating cube I x J x K', whose center is (cx, cy, ``c3[e]``) for the
+    row's square center (cx, cy).  Tile i is entry ``entry[i]`` on the space
+    interval I_P = [m l, (m + 1) l) with m = ``m[i]`` and l = ``tile_len``
+    = base^(-j).  omega1, omega2, j and the scale k are the row's, read from
+    ``rects``.  ``len()`` counts tiles; indexing by a slice, an int array or a
+    bool mask selects tiles and keeps every entry.
     """
 
-    I_P: tuple[float, float]
-    omega1: tuple[float, float]
-    omega2: tuple[float, float]
-    omega3: tuple[float, float]
-    j: int
-    scale_k: int
-    cube_center: tuple[float, float, float]
-    rect_key: int = 0
+    rects: RectCover
+    exponent_base: int
+    alpha: float
+    rect: np.ndarray
+    om3_lo: np.ndarray
+    om3_hi: np.ndarray
+    c3: np.ndarray
+    entry: np.ndarray
+    m: np.ndarray
+
+    @property
+    def j(self) -> int:
+        return self.rects.j
+
+    @property
+    def tile_len(self) -> float:
+        return float(self.exponent_base) ** (-self.j)
+
+    def __len__(self) -> int:
+        return len(self.entry)
+
+    def __getitem__(self, sel) -> "TileSet":
+        return replace(self, entry=self.entry[sel], m=self.m[sel])
 
 
 def _rows(rects: RectCover):
-    """Per row: k, cx, cy, omega1, omega2 and K as Python scalars and pairs,
-    from the cover's arrays built once."""
-    (o1lo, o1hi), (o2lo, o2hi) = rects.omegas()
+    """Per row: k, cx, cy and K as Python scalars and pairs, from the cover's
+    arrays built once."""
     klo, khi = rects.k_interval()
-    pairs = lambda lo, hi: zip(lo.tolist(), hi.tolist())
-    return zip(rects.k.tolist(), rects.cx.tolist(), rects.cy.tolist(),
-               pairs(o1lo, o1hi), pairs(o2lo, o2hi), pairs(klo, khi))
+    return zip(rects.k.tolist(), rects.cx.tolist(), rects.cy.tolist(), zip(klo.tolist(), khi.tolist()))
 
 
 def _omega3_family(
     k: int, cx: float, cy: float, s_j: float, K: tuple[float, float], C0: float, alpha: float,
     variant: str,
-) -> list[tuple[tuple[float, float], tuple[float, float, float]]]:
+) -> np.ndarray:
     """Third-coordinate cubes whose stretched images cover supp phi_K.
 
-    Returns (omega3, cube_center) pairs for the square of side 2^k centered
-    at (cx, cy); omega3 = (1 + s_j) K', with the centers of K' a quarter side
-    apart on the lattice.  Coverage target is the (1/sqrt(alpha))-dilation of
-    K = I + s_j J, matching the plateau of the wide third-slot prefilter.
+    Returns the rows (lo3, hi3, cK) for the square of side 2^k centered at
+    (cx, cy): omega3 = [lo3, hi3] = (1 + s_j) K', and cK is the center of K',
+    the centers a quarter side apart on the lattice.  Coverage target is the
+    (1/sqrt(alpha))-dilation of K = I + s_j J, matching the plateau of the
+    wide third-slot prefilter.
     """
     s = 2.0**k
     target = _dilate(K, 1.0 / math.sqrt(alpha))
@@ -364,58 +383,44 @@ def _omega3_family(
     stride = max(1, int(round(0.25 * s / delta)))
     c_pred = 0.5 * (K[0] + K[1]) / stretch
     base_slot = int(round(c_pred / delta))
-    out = []
     span = int(math.ceil((target[1] - target[0]) / (stretch * stride * delta))) + 4
-    for step in range(-span, span + 1):
-        cK = (base_slot + step * stride) * delta
-        lo3 = stretch * (cK - 0.5 * s)
-        hi3 = stretch * (cK + 0.5 * s)
-        if hi3 < target[0] - 0.25 * stretch * s or lo3 > target[1] + 0.25 * stretch * s:
-            continue
-        center = (cx, cy, cK)
-        if cube_condition(center, s, C0, variant):
-            out.append(((lo3, hi3), center))
-    return out
+    cK = (base_slot + np.arange(-span, span + 1) * stride) * delta
+    lo3 = stretch * (cK - 0.5 * s)
+    hi3 = stretch * (cK + 0.5 * s)
+    near = (hi3 >= target[0] - 0.25 * stretch * s) & (lo3 <= target[1] + 0.25 * stretch * s)
+    keep = near & cube_condition((cx, cy, cK), s, C0, variant)
+    return np.stack([lo3, hi3, cK])[:, keep]
 
 
 def enumerate_multitiles(
+    rects: RectCover,
     C0: float,
     exponent_base: int,
-    j: int,
-    rects: RectCover,
     space_len: float,
-    window: Optional[tuple[float, float]] = None,
-    variant: str = "line",
     alpha: float = 0.9,
-) -> list[MultiTile]:
-    """Multi-tiles for one segment: frequency cubes paired with space tiles.
+    variant: str = "line",
+) -> TileSet:
+    """Multi-tiles for one segment's cover: frequency cubes paired with space tiles.
 
-    The space tiles partition [0, space_len) dyadically with length
-    base^(-j) per the scale relation; ``space_len`` must be an integer
-    multiple of that length.  ``window``, when given, restricts the third
-    cube coordinate.  A tile's ``rect_key`` is its rectangle's row in ``rects``.
+    Each row's third-slot cubes come from ``_omega3_family`` and are the
+    set's entries, row by row; every entry is paired with each space tile
+    of the dyadic partition of [0, space_len), of length base^(-j) per the
+    scale relation.  ``space_len`` must be an integer multiple of that length.
     """
-    tile_len = float(exponent_base) ** (-j)
+    tile_len = float(exponent_base) ** (-rects.j)
     count = space_len / tile_len
     if abs(count - round(count)) > 1e-9 or round(count) < 1:
         raise ValueError("space_len must be a positive integer multiple of base^(-j)")
     count = int(round(count))
-    if rects.j != j:
-        raise ValueError("rect segment index does not match j")
-    tiles = []
-    for key, (k, cx, cy, om1, om2, K) in enumerate(_rows(rects)):
-        fam = _omega3_family(k, cx, cy, rects.s_j, K, C0, alpha, variant)
-        if window is not None:
-            fam = [fc for fc in fam if window[0] <= fc[1][2] <= window[1]]
-        for (om3, center) in fam:
-            tiles.extend(
-                MultiTile(I_P=(m * tile_len, (m + 1) * tile_len), omega1=om1, omega2=om2, omega3=om3,
-                          j=j, scale_k=k, cube_center=center, rect_key=key)
-                for m in range(count)
-            )
-    if window is not None and not tiles:
-        raise ValueError("window too small to contain any cube")
-    return tiles
+    fams = [_omega3_family(k, cx, cy, rects.s_j, K, C0, alpha, variant) for k, cx, cy, K in _rows(rects)]
+    lo3, hi3, c3 = np.hstack([np.empty((3, 0)), *fams])
+    sizes = np.array([fam.shape[1] for fam in fams], dtype=int)
+    entries = len(c3)
+    return TileSet(
+        rects=rects, exponent_base=exponent_base, alpha=alpha, rect=np.repeat(np.arange(len(rects)), sizes),
+        om3_lo=lo3, om3_hi=hi3, c3=c3,
+        entry=np.repeat(np.arange(entries), count), m=np.tile(np.arange(count), entries),
+    )
 
 
 # --- mollified partition of unity ------------------------------------------------
@@ -435,8 +440,9 @@ def omega3_partition_check(
     that is 1 on K and supported on its (1/sqrt(alpha))-dilation.
     """
     gaps = []
-    for k, cx, cy, _, _, K in _rows(rects):
-        fam = [om for om, _ in _omega3_family(k, cx, cy, rects.s_j, K, C0, alpha, variant)]
+    for k, cx, cy, K in _rows(rects):
+        lo3, hi3, _ = _omega3_family(k, cx, cy, rects.s_j, K, C0, alpha, variant)
+        fam = list(zip(lo3, hi3))
         if not fam:
             raise ValueError("no admissible third-slot cubes for this rectangle")
         supp = _dilate(K, 1.0 / math.sqrt(alpha))
@@ -558,13 +564,15 @@ def _int_shift(value: float, L: float) -> int:
     return int(round(slots))
 
 
-def _tile_projections(f: SampledFunction, g: SampledFunction, h: SampledFunction, tiles: Sequence[MultiTile],
-                      rects: RectCover, seq: SequencePair, alpha: float) -> dict:
-    """The centered 4N-slot coefficients q_hat of the product of the three tile
-    projections, one per (rect_key, omega3) entry of ``tiles`` in order of
-    first appearance.  Anchors must sit on the frequency lattice."""
+def _tile_projections(f: SampledFunction, g: SampledFunction, h: SampledFunction, tiles: TileSet,
+                      seq: SequencePair) -> np.ndarray:
+    """The centered 4N-slot coefficients of the product of the three tile
+    projections, one row per entry of ``tiles`` (0 for an entry no tile
+    uses).  A cover row's third-slot partition runs over the entries its
+    tiles use.  Anchors must sit on the frequency lattice."""
     N, L = f.N, f.L
     M = 4 * N
+    rects, alpha = tiles.rects, tiles.alpha
     freqs_pad = _freq_grid(M, L)
     plateau_wide = math.sqrt(alpha)
     cf, cg, ch = (_pad(fn.coeffs(), M) for fn in (f, g, h))
@@ -582,93 +590,73 @@ def _tile_projections(f: SampledFunction, g: SampledFunction, h: SampledFunction
 
     j = rects.j
     sa, sb = _int_shift(seq.a_at(j), L), _int_shift(seq.b_at(j), L)
-    keys = sorted({t.rect_key for t in tiles})
+    used = np.unique(tiles.entry)
+    rows = tiles.rect[used]
+    keys = np.unique(rows)
     cfj, cgj, chj = (prefilter(c, list(zip(lo[keys], hi[keys])))
                      for c, (lo, hi) in zip((cf, cg, ch), rects.edges()))
+    u_in, v_in, w_in = shifted(cfj, sa), shifted(cgj, sb), shifted(chj, -sa - sb)
 
-    # third-slot partition weights per rectangle
-    fam_by_key: dict[int, list[tuple[float, float]]] = {}
-    for t in tiles:
-        fam = fam_by_key.setdefault(t.rect_key, [])
-        if t.omega3 not in fam:
-            fam.append(t.omega3)
-
+    (o1lo, o1hi), (o2lo, o2hi) = rects.omegas()
     klo, khi = rects.k_interval()
-    psi3: dict[tuple[int, tuple[float, float]], np.ndarray] = {}
-    for key, fam in fam_by_key.items():
-        _, weights = _omega3_weights(freqs_pad, (klo[key], khi[key]), fam, alpha)
-        for om3, w in zip(fam, weights):
-            psi3[(key, om3)] = w
-
-    uv_cache: dict[int, np.ndarray] = {}
-    q_hat: dict[tuple[int, tuple[float, float]], np.ndarray] = {}
-    for t in tiles:
-        key = t.rect_key
-        if key not in uv_cache:
-            u_hat = adapted_bump(freqs_pad, *t.omega1, plateau=alpha) * shifted(cfj, sa)
-            v_hat = adapted_bump(freqs_pad, *t.omega2, plateau=alpha) * shifted(cgj, sb)
-            uv_cache[key] = _synthesize(u_hat) * _synthesize(v_hat)
-        qkey = (key, t.omega3)
-        if qkey not in q_hat:
-            w_hat = psi3[qkey] * shifted(chj, -sa - sb)
-            q_hat[qkey] = _analyze(uv_cache[key] * _synthesize(w_hat))
+    q_hat = np.zeros((len(tiles.rect), M), dtype=complex)
+    for r in keys:
+        uv = (_synthesize(adapted_bump(freqs_pad, o1lo[r], o1hi[r], plateau=alpha) * u_in)
+              * _synthesize(adapted_bump(freqs_pad, o2lo[r], o2hi[r], plateau=alpha) * v_in))
+        es = used[rows == r]
+        fam = zip(tiles.om3_lo[es], tiles.om3_hi[es])
+        _, weights = _omega3_weights(freqs_pad, (klo[r], khi[r]), fam, alpha)
+        for e, w in zip(es, weights):
+            q_hat[e] = _analyze(uv * _synthesize(w * w_in))
     return q_hat
 
 
-def model_sum_eval(
-    f: SampledFunction,
-    g: SampledFunction,
-    h: SampledFunction,
-    tiles: Sequence[MultiTile],
-    rects: RectCover,
-    seq: SequencePair,
-    alpha: float,
-    exponent_base: int,
-) -> dict:
+def model_sum_eval(f: SampledFunction, g: SampledFunction, h: SampledFunction, tiles: TileSet,
+                   seq: SequencePair) -> dict:
     """Evaluate the discretized trilinear model form and its direct counterpart.
 
-    ``tiles`` come from ``enumerate_multitiles`` on ``rects``, one segment.
-    Model side: sum over multi-tiles of the integral of the mollified space
-    cutoff times the three tile projections of the modulated, prefiltered
-    inputs.  The cutoff's coefficients vanish off the support of the scale-j
-    kernel spectrum, so each tile pairs with its projections there only.
-    Direct side: the tile-bump symbol sum_r phi_r(xi - a_j)
-    psi_r(eta - b_j) over the tiles' rows r, applied to raw f, g as the tensor
-    sum sum_r (phi_r-filtered f)(psi_r-filtered g) and paired with raw h.  With
-    all bumps cut from the shared profile the two agree exactly up to
-    rounding; ``deviation`` is their relative gap.  Anchors must sit on the
-    frequency lattice.
+    ``tiles`` come from ``enumerate_multitiles`` and carry their cover, base
+    and alpha.  Model side: sum over multi-tiles of the integral of the
+    mollified space cutoff times the three tile projections of the
+    modulated, prefiltered inputs.  The cutoff's coefficients vanish off the
+    support of the scale-j kernel spectrum, so each tile pairs with its
+    entry's projections there only; tile m's cutoff is tile 0's times
+    exp(-2 pi i xi m l), so the sum over tiles is a count of tiles per
+    (entry, m) times one phase row per m.  Direct side: the tile-bump symbol
+    sum_r phi_r(xi - a_j) psi_r(eta - b_j) over the tiles' rows r, applied
+    to raw f, g as the tensor sum sum_r (phi_r-filtered f)(psi_r-filtered g)
+    and paired with raw h.  With all bumps cut from the shared profile the
+    two agree exactly up to rounding; ``deviation`` is their relative gap.
+    Anchors must sit on the frequency lattice.
     """
     if not (f.N == g.N == h.N) or not (f.L == g.L == h.L):
         raise ValueError("common grid required")
-    if not tiles:
+    if not len(tiles):
         raise ValueError("nonempty tile list required")
-    j = rects.j
-    if any(t.j != j for t in tiles):
-        raise ValueError("tile segment index does not match the cover's j")
+    rects, alpha, ell = tiles.rects, tiles.alpha, tiles.tile_len
     N, L = f.N, f.L
     M = 4 * N
-    q_hat = _tile_projections(f, g, h, tiles, rects, seq, alpha)
+    q_hat = _tile_projections(f, g, h, tiles, seq)
 
     # slot s pairs with slot M - s (slot 0 with itself), on the spectrum's support
     freqs_pad = _freq_grid(M, L)
-    spectrum = fejer_sq_spectrum(freqs_pad / float(exponent_base) ** (-j), _base_radius(exponent_base))
+    spectrum = fejer_sq_spectrum(freqs_pad / ell, _base_radius(tiles.exponent_base))
     nz = np.flatnonzero(spectrum)
-    q_rev = np.stack([q[(-nz) % M] for q in q_hat.values()])
-    row = {qkey: i for i, qkey in enumerate(q_hat)}
-    entry = [row[(t.rect_key, t.omega3)] for t in tiles]
-    lo, hi = np.array([t.I_P for t in tiles]).T
-    chi_hat = _chi_support(lo, hi, freqs_pad[nz], spectrum[nz], L)
-    model_value = L * np.sum(chi_hat * q_rev[entry])
+    x = freqs_pad[nz]
+    chi0 = _chi_support(np.zeros(1), np.full(1, ell), x, spectrum[nz], L)[0]
+    # tile m's cutoff is tile 0's times phase[m]; tally[e, m] counts the tiles of entry e at m
+    count = int(tiles.m.max()) + 1
+    phase = np.exp(-2j * np.pi * x * (np.arange(count) * ell)[:, None])
+    tally = np.bincount(tiles.entry * count + tiles.m, minlength=len(q_hat) * count).reshape(-1, count)
+    model_value = L * np.sum(chi0 * np.sum(q_hat[:, (-nz) % M] * (tally @ phase), axis=0))
 
     # direct side on the 2N grid, which holds every pairwise frequency sum
-    keys = sorted({t.rect_key for t in tiles})
     (o1lo, o1hi), (o2lo, o2hi) = rects.omegas()
     a, b = rects.anchor
     freqs, c, d = f.freqs(), f.coeffs(), g.coeffs()
     uv = sum(_synthesize(_pad(adapted_bump(freqs - a, o1lo[r], o1hi[r], alpha) * c, 2 * N))
              * _synthesize(_pad(adapted_bump(freqs - b, o2lo[r], o2hi[r], alpha) * d, 2 * N))
-             for r in keys)
+             for r in np.unique(tiles.rect[tiles.entry]))
     adjoint_value = _period_pairing(_analyze(uv), _pad(h.coeffs(), 2 * N), L)
 
     deviation = abs(model_value - adjoint_value) / (abs(adjoint_value) + 1e-30)

@@ -539,17 +539,64 @@ def chi_coeffs_dense(interval, j, B, M, L):
     return box * fejer_sq_spectrum(xi / lam, r0) / L
 
 
-def model_value_by_tile(f, g, h, tiles, rects, seq, alpha, B):
+def model_value_by_tile(f, g, h, tiles, seq):
     """The model side of ``whitney.model_sum_eval`` as first written: each
     tile's cutoff coefficients on all 4N slots (``chi_coeffs_dense``) paired
-    with its (rect_key, omega3) entry's q_hat by a full-length period pairing,
-    and the pairings summed tile by tile."""
-    M, L = 4 * f.N, f.L
-    q_hat = _tile_projections(f, g, h, tiles, rects, seq, alpha)
+    with its entry's projection coefficients by a full-length period pairing,
+    and the pairings summed tile by tile over the set's (entry, m) pairs."""
+    M, L, ell = 4 * f.N, f.L, tiles.tile_len
+    q_hat = _tile_projections(f, g, h, tiles, seq)
     total = 0.0 + 0.0j
-    for t in tiles:
-        total += _period_pairing(chi_coeffs_dense(t.I_P, t.j, B, M, L), q_hat[(t.rect_key, t.omega3)], L)
+    for e, m in zip(tiles.entry.tolist(), tiles.m.tolist()):
+        chi = chi_coeffs_dense((m * ell, (m + 1) * ell), tiles.j, tiles.exponent_base, M, L)
+        total += _period_pairing(chi, q_hat[e], L)
     return total
+
+
+def _cube_condition_scalar(center, side, C0, variant):
+    if variant == "line":
+        spread = max(center) - min(center)
+        return C0 * side < spread <= 10.0 * C0 * side
+    total = abs(sum(center))
+    return 1.5 * C0 * side < total <= 15.0 * C0 * side
+
+
+def multitiles_by_object(rects, C0, exponent_base, space_len, alpha=0.9, variant="line"):
+    """The multi-tiles of ``whitney.enumerate_multitiles`` as first written:
+    one dict of ``I_P``, ``omega1``, ``omega2``, ``omega3``, ``j``,
+    ``scale_k``, ``cube_center`` and ``rect_key`` per tile, built row by row,
+    third-slot cube by cube (a scalar scan of the lattice steps) and space
+    tile by space tile."""
+    tile_len = float(exponent_base) ** (-rects.j)
+    count = int(round(space_len / tile_len))
+    (o1lo, o1hi), (o2lo, o2hi) = rects.omegas()
+    klo, khi = rects.k_interval()
+    tiles = []
+    for key in range(len(rects)):
+        k, cx, cy = int(rects.k[key]), float(rects.cx[key]), float(rects.cy[key])
+        K = (float(klo[key]), float(khi[key]))
+        s = 2.0**k
+        c, half, factor = 0.5 * (K[0] + K[1]), 0.5 * (K[1] - K[0]), 1.0 / math.sqrt(alpha)
+        target = (c - factor * half, c + factor * half)
+        stretch = 1.0 + rects.s_j
+        delta = 2.0 ** (k - LATTICE_EXP)
+        stride = max(1, int(round(0.25 * s / delta)))
+        base_slot = int(round(0.5 * (K[0] + K[1]) / stretch / delta))
+        span = int(math.ceil((target[1] - target[0]) / (stretch * stride * delta))) + 4
+        for step in range(-span, span + 1):
+            cK = (base_slot + step * stride) * delta
+            lo3, hi3 = stretch * (cK - 0.5 * s), stretch * (cK + 0.5 * s)
+            if hi3 < target[0] - 0.25 * stretch * s or lo3 > target[1] + 0.25 * stretch * s:
+                continue
+            if not _cube_condition_scalar((cx, cy, cK), s, C0, variant):
+                continue
+            tiles.extend(
+                dict(I_P=(m * tile_len, (m + 1) * tile_len), omega1=(float(o1lo[key]), float(o1hi[key])),
+                     omega2=(float(o2lo[key]), float(o2hi[key])), omega3=(lo3, hi3), j=rects.j, scale_k=k,
+                     cube_center=(cx, cy, cK), rect_key=key)
+                for m in range(count)
+            )
+    return tiles
 
 
 # --- probes one trial at a time ---------------------------------------------------

@@ -318,13 +318,11 @@ def test_criterion_10_whitney_geometry():
     dpoly = whitney.PolygonalGeometry.from_sequence(dyadic)
     rect = whitney.RectCover(j=1, anchor=dpoly.anchor(1), s_j=dpoly.slope(1),
                              k=np.array([-3]), cx=np.array([0.75]), cy=np.array([0.25]))
-    tiles = whitney.enumerate_multitiles(
-        C0=2.0, exponent_base=2, j=1, rects=rect, space_len=64.0
-    )
+    tiles = whitney.enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=64.0)
     rng = np.random.default_rng(31)
     N, L = 512, 64.0
     mk = lambda: SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L)
-    res = whitney.model_sum_eval(mk(), mk(), mk(), tiles, rect, dyadic, 0.9, 2)
+    res = whitney.model_sum_eval(mk(), mk(), mk(), tiles, dyadic)
     ok = ok and res["deviation"] <= 1e-6
     elapsed = time.time() - t0
     ok = ok and elapsed < 300.0

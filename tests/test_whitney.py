@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from bmlab.bumps import fejer_sq_spectrum
 from bmlab.engine import SampledFunction, _freq_grid, _pad, _period_pairing
 from bmlab.intervals import max_overlap
 from bmlab.whitney import (
-    MultiTile,
     PolygonalGeometry,
     RectCover,
     build_cover,
@@ -27,7 +27,7 @@ from bmlab.whitney import (
 from oracles import (
     WhitneySquare, bilinear_dense_table, bilinear_double_sum, chi_coeffs_dense, containment_failures_by_sampling,
     cover_squares_by_unique_rows, csv_text_by_rows, enumerate_whitney_squares, max_overlap_sweep, model_value_by_tile,
-    partition_sum_by_tiles, tile_bump_evaluator, whitney_conditions_by_sampling,
+    multitiles_by_object, partition_sum_by_tiles, tile_bump_evaluator, whitney_conditions_by_sampling,
 )
 
 
@@ -371,35 +371,68 @@ def test_cube_condition_variants():
 
 def test_multitiles_structure():
     seq, poly, rect = demo_rect()
-    tiles = enumerate_multitiles(
-        C0=2.0, exponent_base=2, j=1, rects=rect, space_len=16.0
-    )
-    assert tiles
+    tiles = enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=16.0)
+    assert len(tiles)
     tile_len = 2.0**-1
     per_cube = int(16.0 / tile_len)
-    omegas = {t.omega3 for t in tiles}
-    assert len(tiles) == len(omegas) * per_cube
-    h = 0.5 * 2.0 ** rect.k[0]
-    ilo, ihi = rect.cx[0] - h, rect.cx[0] + h
-    for t in tiles[:40]:
-        assert abs((t.I_P[1] - t.I_P[0]) - tile_len) < 1e-15
-        assert t.j == 1 and t.rect_key == 0
-        assert cube_condition(t.cube_center, 2.0**t.scale_k, 2.0, "line")
-        # omega3 is the stretched third interval
-        stretch = 1.0 + rect.s_j
-        assert abs((t.omega3[1] - t.omega3[0]) - stretch * 2.0**t.scale_k) < 1e-12
-        # omega1/omega2 are the negated square faces
-        assert abs(t.omega1[0] + ihi) < 1e-15 and abs(t.omega1[1] + ilo) < 1e-15
+    entries = len(tiles.c3)
+    assert len(np.unique(tiles.om3_lo)) == entries
+    assert len(tiles) == entries * per_cube
+    assert tiles.j == 1 and tiles.tile_len == tile_len and np.all(tiles.rect == 0)
+    assert np.array_equal(tiles.entry, np.repeat(np.arange(entries), per_cube))
+    assert np.array_equal(tiles.m, np.tile(np.arange(per_cube), entries))
+    s = 2.0 ** rect.k[0]
+    assert np.all(cube_condition((rect.cx[0], rect.cy[0], tiles.c3), s, 2.0, "line"))
+    # omega3 is the stretched third interval
+    stretch = 1.0 + rect.s_j
+    assert np.all(np.abs((tiles.om3_hi - tiles.om3_lo) - stretch * s) < 1e-12)
+    # omega1 is the negated square face
+    (o1lo, o1hi), _ = rect.omegas()
+    assert abs(o1lo[0] + rect.cx[0] + 0.5 * s) < 1e-15 and abs(o1hi[0] + rect.cx[0] - 0.5 * s) < 1e-15
 
 
 def test_multitiles_validation():
     seq, poly, rect = demo_rect()
     with pytest.raises(ValueError, match="integer multiple"):
-        enumerate_multitiles(2.0, 2, 1, rect, space_len=16.3)
-    with pytest.raises(ValueError, match="window too small"):
-        enumerate_multitiles(2.0, 2, 1, rect, space_len=16.0, window=(100.0, 101.0))
-    with pytest.raises(ValueError, match="does not match"):
-        enumerate_multitiles(2.0, 2, 2, rect, space_len=16.0)
+        enumerate_multitiles(rect, 2.0, 2, space_len=16.3)
+
+
+def tile_fields(tiles):
+    """Each tile's multi-tile fields, derived from the set's arrays and its cover."""
+    rects, ell = tiles.rects, tiles.tile_len
+    (o1lo, o1hi), (o2lo, o2hi) = rects.omegas()
+    out = []
+    for e, m in zip(tiles.entry.tolist(), tiles.m.tolist()):
+        r = int(tiles.rect[e])
+        out.append(dict(
+            I_P=(m * ell, (m + 1) * ell), omega1=(float(o1lo[r]), float(o1hi[r])),
+            omega2=(float(o2lo[r]), float(o2hi[r])), omega3=(float(tiles.om3_lo[e]), float(tiles.om3_hi[e])),
+            j=tiles.j, scale_k=int(rects.k[r]), cube_center=(float(rects.cx[r]), float(rects.cy[r]),
+                                                             float(tiles.c3[e])), rect_key=r,
+        ))
+    return out
+
+
+@pytest.mark.parametrize(
+    "squares,variant,count",
+    [([(0.75, 0.25, -3)], "line", 1408),
+     ([(0.75, 0.25, -3), (0.375, 0.125, -4), (1.25, 0.5, -3)], "line", 4224),
+     ([(0.75, 0.7265625, -8)], "plane", 0)],
+    ids=["one-row", "three-row", "plane-empty"],
+)
+def test_tile_set_matches_the_per_tile_objects(squares, variant, count):
+    # every derived field of every tile, in order, bitwise (repr keeps the sign of 0)
+    seq, poly, _ = demo_rect()
+    rects = segment_cover(poly, squares)
+    tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0, variant=variant)
+    want = multitiles_by_object(rects, C0=2.0, exponent_base=2, space_len=64.0, variant=variant)
+    assert len(tiles) == len(want) == count
+    assert repr(tile_fields(tiles)) == repr(want)
+    if not count:
+        rng = np.random.default_rng(3)
+        f = SampledFunction(rng.normal(size=512) + 0j, 64.0)
+        with pytest.raises(ValueError, match="nonempty tile list"):
+            model_sum_eval(f, f, f, tiles, seq)
 
 
 def test_omega3_partition_reconstructs_wide_bump():
@@ -465,17 +498,17 @@ def test_chi_coeffs_match_dense_spectrum(rng):
     # off it the dense ones are 0, and the pairing on the support is the
     # full-grid period pairing up to rounding
     seq, poly, rect = demo_rect()
-    tiles = enumerate_multitiles(C0=2.0, exponent_base=2, j=1, rects=rect, space_len=64.0)[:128]
+    tiles = enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=64.0)[:128]
     M, L = 2048, 64.0
     xi = _freq_grid(M, L)
     spectrum = fejer_sq_spectrum(xi / 2.0**-1, 4.0**-2)
     nz = np.flatnonzero(spectrum)
     assert 0 < len(nz) < M // 10
-    lo, hi = np.array([t.I_P for t in tiles]).T
-    support = whitney._chi_support(lo, hi, xi[nz], spectrum[nz], L)
+    ell = tiles.tile_len
+    support = whitney._chi_support(tiles.m * ell, (tiles.m + 1) * ell, xi[nz], spectrum[nz], L)
     assert support.shape == (len(tiles), len(nz))
-    for t, row in zip(tiles, support):
-        dense = chi_coeffs_dense(t.I_P, t.j, 2, M, L)
+    for m, row in zip(tiles.m.tolist(), support):
+        dense = chi_coeffs_dense((m * ell, (m + 1) * ell), tiles.j, 2, M, L)
         assert np.array_equal(row, dense[nz])
         assert not np.any(np.delete(dense, nz))
         q_hat = rng.normal(size=M) + 1j * rng.normal(size=M)
@@ -493,9 +526,9 @@ def test_cli_demo_model_value_matches_the_per_tile_pairing(monkeypatch):
 
     monkeypatch.setattr(whitney, "model_sum_eval", spy)
     got = cli._demo_model_sum(RunConfig(seed=7).validate())["model_value"]
-    (f, g, h, tiles, rects, seq), kw = calls[0]
+    (f, g, h, tiles, seq), _ = calls[0]
     assert len(tiles) == 1408
-    want = model_value_by_tile(f, g, h, tiles, rects, seq, kw["alpha"], kw["exponent_base"])
+    want = model_value_by_tile(f, g, h, tiles, seq)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -508,9 +541,7 @@ def test_r2_samples_deterministic():
 class TestModelSum:
     def setup_method(self):
         self.seq, self.poly, self.rect = demo_rect()
-        self.tiles = enumerate_multitiles(
-            C0=2.0, exponent_base=2, j=1, rects=self.rect, space_len=64.0
-        )
+        self.tiles = enumerate_multitiles(self.rect, C0=2.0, exponent_base=2, space_len=64.0)
         self.L, self.N = 64.0, 512
 
     def mk(self, rng):
@@ -520,17 +551,11 @@ class TestModelSum:
 
     def test_zero_input_gives_zero(self, rng):
         z = SampledFunction(np.zeros(self.N, dtype=complex), self.L)
-        res = model_sum_eval(
-            z, self.mk(rng), self.mk(rng), self.tiles, self.rect, self.seq,
-            alpha=0.9, exponent_base=2,
-        )
+        res = model_sum_eval(z, self.mk(rng), self.mk(rng), self.tiles, self.seq)
         assert res["model_value"] == 0.0 and res["adjoint_value"] == 0.0
 
     def test_identity_random_inputs(self, rng):
-        res = model_sum_eval(
-            self.mk(rng), self.mk(rng), self.mk(rng), self.tiles, self.rect,
-            self.seq, alpha=0.9, exponent_base=2,
-        )
+        res = model_sum_eval(self.mk(rng), self.mk(rng), self.mk(rng), self.tiles, self.seq)
         assert res["deviation"] <= 1e-6
         assert abs(res["adjoint_value"]) > 0
 
@@ -542,7 +567,11 @@ class TestModelSum:
         # the model term is a plain quadrature of chi * f * g * h.
         klo, khi = self.rect.k_interval()
         k_mid = 0.5 * (klo[0] + khi[0])
-        t = min(self.tiles, key=lambda t: abs(0.5 * (t.omega3[0] + t.omega3[1]) - k_mid))
+        tiles = self.tiles
+        i = int(np.argmin(np.abs(0.5 * (tiles.om3_lo + tiles.om3_hi)[tiles.entry] - k_mid)))
+        t = tiles[[i]]
+        ell, m = t.tile_len, int(t.m[0])
+        (o1lo, o1hi), (o2lo, o2hi) = self.rect.omegas()
         x = self.L * np.arange(self.N) / self.N
 
         def grid_exp(freq):
@@ -550,18 +579,16 @@ class TestModelSum:
             return k / self.L, SampledFunction(np.exp(2j * np.pi * (k / self.L) * x), self.L)
 
         a1, b1 = self.seq.a_at(1), self.seq.b_at(1)
-        _, f = grid_exp(0.5 * (t.omega1[0] + t.omega1[1]) + a1)
-        _, g = grid_exp(0.5 * (t.omega2[0] + t.omega2[1]) + b1)
+        _, f = grid_exp(0.5 * (o1lo[0] + o1hi[0]) + a1)
+        _, g = grid_exp(0.5 * (o2lo[0] + o2hi[0]) + b1)
         _, h = grid_exp(k_mid - a1 - b1)
-        res = model_sum_eval(
-            f, g, h, [t], self.rect, self.seq, alpha=0.9, exponent_base=2
-        )
+        res = model_sum_eval(f, g, h, t, self.seq)
         # direct quadrature against the periodized space cutoff
         M = 8 * self.N
         xs = self.L * np.arange(M) / M
         chi = np.zeros_like(xs)
         for shift in range(-64, 65):
-            chi = chi + chi_values(xs + shift * self.L, t.I_P, t.j, 2)
+            chi = chi + chi_values(xs + shift * self.L, (m * ell, (m + 1) * ell), t.j, 2)
         prod = f.upsample(M).samples * g.upsample(M).samples * h.upsample(M).samples
         direct = np.sum(chi * prod) * (self.L / M)
         assert abs(res["model_value"] - direct) <= 1e-8 * max(1.0, abs(direct))
@@ -572,12 +599,11 @@ class TestModelSum:
         f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
         assert WhitneySquare(cx=0.375, cy=0.125, k=-4).satisfies(2.0)
         rects = segment_cover(self.poly, [(0.75, 0.25, -3), (0.375, 0.125, -4)])
-        tiles = enumerate_multitiles(C0=2.0, exponent_base=2, j=1, rects=rects, space_len=64.0)
-        g1 = [t for t in tiles if t.rect_key == 0]
-        g2 = [t for t in tiles if t.rect_key == 1]
-        whole = model_sum_eval(f, g, h, tiles, rects, self.seq, 0.9, 2)
-        p1 = model_sum_eval(f, g, h, g1, rects, self.seq, 0.9, 2)
-        p2 = model_sum_eval(f, g, h, g2, rects, self.seq, 0.9, 2)
+        tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0)
+        row = tiles.rect[tiles.entry]
+        whole = model_sum_eval(f, g, h, tiles, self.seq)
+        p1 = model_sum_eval(f, g, h, tiles[row == 0], self.seq)
+        p2 = model_sum_eval(f, g, h, tiles[row == 1], self.seq)
         got = p1["model_value"] + p2["model_value"]
         assert abs(got - whole["model_value"]) <= 1e-8 * max(1.0, abs(whole["model_value"]))
         assert whole["deviation"] <= 1e-6
@@ -590,10 +616,10 @@ class TestModelSum:
     def test_adjoint_matches_dense_tile_bump_oracle(self, rng, squares):
         # the tensor sum against the tile-bump symbol tabulated on the N x N grid
         rects = segment_cover(self.poly, squares)
-        tiles = enumerate_multitiles(C0=2.0, exponent_base=2, j=1, rects=rects, space_len=64.0)
-        assert sorted({t.rect_key for t in tiles}) == list(range(len(squares)))
+        tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0)
+        assert np.array_equal(np.unique(tiles.rect[tiles.entry]), np.arange(len(squares)))
         f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
-        res = model_sum_eval(f, g, h, tiles, rects, self.seq, 0.9, 2)
+        res = model_sum_eval(f, g, h, tiles, self.seq)
         ev = tile_bump_evaluator(rects, range(len(squares)), 0.9)
         B = SampledFunction(bilinear_dense_table(ev, f, g), self.L)
         dense = _period_pairing(B.coeffs(), _pad(h.coeffs(), B.N), self.L)
@@ -610,10 +636,10 @@ class TestModelSum:
         # over all space tiles the cutoffs sum to 1, so only the zero
         # frequency survives; every third tile keeps the others in the sum
         rects = segment_cover(self.poly, squares)
-        tiles = enumerate_multitiles(C0=2.0, exponent_base=2, j=1, rects=rects, space_len=64.0)[::step]
+        tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0)[::step]
         f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
-        got = model_sum_eval(f, g, h, tiles, rects, self.seq, 0.9, 2)["model_value"]
-        want = model_value_by_tile(f, g, h, tiles, rects, self.seq, 0.9, 2)
+        got = model_sum_eval(f, g, h, tiles, self.seq)["model_value"]
+        want = model_value_by_tile(f, g, h, tiles, self.seq)
         assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_dense_table_matches_double_sum(self, rng):
@@ -635,15 +661,25 @@ class TestModelSum:
             direction="decreasing", j0=1, b_inf=0.0,
         )
         with pytest.raises(ValueError, match="parameter mismatch"):
-            model_sum_eval(
-                self.mk(rng), self.mk(rng), self.mk(rng), self.tiles, self.rect,
-                seq, alpha=0.9, exponent_base=2,
-            )
+            model_sum_eval(self.mk(rng), self.mk(rng), self.mk(rng), self.tiles, seq)
 
     def test_tiles_must_come_from_the_cover(self, rng):
         f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
         with pytest.raises(ValueError, match="nonempty tile list"):
-            model_sum_eval(f, g, h, [], self.rect, self.seq, 0.9, 2)
-        other = segment_cover(self.poly, [(0.75, 0.25, -3)], j=2)
-        with pytest.raises(ValueError, match="does not match the cover"):
-            model_sum_eval(f, g, h, self.tiles[:3], other, self.seq, 0.9, 2)
+            model_sum_eval(f, g, h, self.tiles[:0], self.seq)
+
+    def test_memory_stays_below_tiles_by_slots(self, rng):
+        # N = 8192, L = 1024: 22,528 tiles; a (tiles, S) or (tiles, M) array
+        # alone would take more than the bound
+        N, L = 8192, 1024.0
+        tiles = enumerate_multitiles(self.rect, C0=2.0, exponent_base=2, space_len=L)
+        assert len(tiles) == 22_528
+        f, g, h = (SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L) for _ in range(3))
+        tracemalloc.start()
+        try:
+            res = model_sum_eval(f, g, h, tiles, self.seq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert res["deviation"] <= 1e-6

@@ -593,9 +593,8 @@ def _tile_projections(f: SampledFunction, g: SampledFunction, h: SampledFunction
     used = np.unique(tiles.entry)
     rows = tiles.rect[used]
     keys = np.unique(rows)
-    cfj, cgj, chj = (prefilter(c, list(zip(lo[keys], hi[keys])))
-                     for c, (lo, hi) in zip((cf, cg, ch), rects.edges()))
-    u_in, v_in, w_in = shifted(cfj, sa), shifted(cgj, sb), shifted(chj, -sa - sb)
+    u_in, v_in, w_in = (shifted(prefilter(c, list(zip(lo[keys], hi[keys]))), shift)
+                        for c, (lo, hi), shift in zip((cf, cg, ch), rects.edges(), (sa, sb, -sa - sb)))
 
     (o1lo, o1hi), (o2lo, o2hi) = rects.omegas()
     klo, khi = rects.k_interval()

@@ -554,6 +554,7 @@ def model_value_by_tile(f, g, h, tiles, seq):
 
 
 def _cube_condition_scalar(center, side, C0, variant):
+    """``whitney.cube_condition`` as first written, on one scalar center."""
     if variant == "line":
         spread = max(center) - min(center)
         return C0 * side < spread <= 10.0 * C0 * side

@@ -277,9 +277,7 @@ def _demo_model_sum(cfg: RunConfig) -> dict:
     poly = whitney.PolygonalGeometry.from_sequence(seq)
     rect = whitney.RectCover(j=1, anchor=poly.anchor(1), s_j=poly.slope(1),
                              k=np.array([-3]), cx=np.array([0.75]), cy=np.array([0.25]))
-    tiles = whitney.enumerate_multitiles(
-        rect, C0=2.0, exponent_base=2, space_len=64.0, alpha=cfg.alpha, variant=cfg.diag_variant
-    )
+    tiles = whitney.enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=64.0, alpha=cfg.alpha)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 97)))
     N, L = 512, 64.0
     mk = lambda: engine.SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L)

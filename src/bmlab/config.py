@@ -69,13 +69,12 @@ class RunConfig:
     exponent_base: int = 8
     whitney_segments: int = 4
     whitney_samples: int = 10_000
-    diag_variant: str = "line"
     out_dir: str = "out"
     config_sha256: str = ""
 
     def validate(self):
         if self.family not in CURVE_FAMILIES:
-            raise ConfigError(f"unknown curve family: {self.family}")
+            raise ConfigError(f"[curve] family: unknown curve family {self.family}")
         if not (math.isfinite(self.L) and 1e-100 <= self.L <= 1e100):
             raise ConfigError("[grid] L must be finite and in [1e-100, 1e100] (the probe squares lengths)")
         if self.c is not None and not math.isfinite(self.c):
@@ -105,9 +104,9 @@ class RunConfig:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"[probe] triples entry {t}: {exc}") from None
         if self.hypothesis not in ("hyp1", "hyp2"):
-            raise ConfigError("hypothesis must be hyp1 or hyp2")
+            raise ConfigError("[sequence] hypothesis must be hyp1 or hyp2")
         if self.symbol_kind not in SYMBOL_KINDS:
-            raise ConfigError(f"unknown symbol kind: {self.symbol_kind}")
+            raise ConfigError(f"[symbol] kind: unknown symbol kind {self.symbol_kind}")
         for key, value, least in (("[sequence] J", self.J, 3), ("[probe] seed", self.seed, 0),
                                   ("[probe] trials", self.trials, 1), ("[symbol] nx", self.bitmap_nx, 1),
                                   ("[symbol] ny", self.bitmap_ny, 1), ("[whitney] B", self.exponent_base, 2),
@@ -123,11 +122,9 @@ class RunConfig:
             raise ConfigError("[whitney] B must be at most 256, so the tile lengths B^(-j0) and "
                               "the kernel radius 4^(-B) of the partition check stay in floating-point range")
         if not 0.8 <= self.alpha < 0.999:
-            raise ConfigError("alpha must lie in [0.8, 0.999)")
-        if self.diag_variant not in ("line", "plane"):
-            raise ConfigError("diag_variant must be line or plane")
+            raise ConfigError("[whitney] alpha must lie in [0.8, 0.999)")
         if self.renormalize not in (None, "unit_slope_origin", "vanishing_limits"):
-            raise ConfigError("renormalize must be unit_slope_origin or vanishing_limits")
+            raise ConfigError("[curve] renormalize must be unit_slope_origin or vanishing_limits")
         try:
             self.curve()
         except ValueError as exc:
@@ -157,7 +154,7 @@ class RunConfig:
         """The ``[symbol] kind`` symbol built on the configured curve and truncation."""
         build = SYMBOL_KINDS.get(self.symbol_kind)
         if build is None:
-            raise ConfigError(f"unknown symbol kind: {self.symbol_kind}")
+            raise ConfigError(f"[symbol] kind: unknown symbol kind {self.symbol_kind}")
         return build(self)
 
     @classmethod
@@ -199,13 +196,12 @@ class RunConfig:
             "symbol", "window", lambda s: tuple(float(v) for v in s.split()), cfg.window
         )
         if cfg.window is not None and len(cfg.window) != 4:
-            raise ConfigError("window needs four numbers: xi_lo xi_hi eta_lo eta_hi")
+            raise ConfigError("[symbol] window needs four numbers: xi_lo xi_hi eta_lo eta_hi")
         cfg.C0 = get("whitney", "C0", float, cfg.C0)
         cfg.alpha = get("whitney", "alpha", float, cfg.alpha)
         cfg.exponent_base = get("whitney", "B", int, cfg.exponent_base)
         cfg.whitney_segments = get("whitney", "segments", int, cfg.whitney_segments)
         cfg.whitney_samples = get("whitney", "samples", int, cfg.whitney_samples)
-        cfg.diag_variant = get("whitney", "diag_variant", str, cfg.diag_variant)
         cfg.out_dir = get("output", "dir", str, cfg.out_dir)
         return cfg
 

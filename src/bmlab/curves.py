@@ -34,6 +34,7 @@ __all__ = [
 
 BISECT_MAX_ITER = 200
 CLASSIFY_TOL = 1e-10
+SLOPE_BAND_SAMPLES = 10_000  # points at which slope_band_check samples gamma'
 
 
 class TruncationError(ValueError):
@@ -397,11 +398,11 @@ class Classification:
         return label in self.labels
 
 
-def classify_sequence(seq: SequencePair, tol: float = CLASSIFY_TOL) -> Classification:
+def classify_sequence(seq: SequencePair) -> Classification:
     """Label |a_j| as convex / concave / lacunary(q) / arithmetic, with witnesses.
 
     Convexity and concavity compare consecutive difference magnitudes of
-    |a_j|; equality within ``tol`` counts for both (hence "arithmetic").
+    |a_j|; equality within ``CLASSIFY_TOL`` counts for both (hence "arithmetic").
     Lacunarity requires |a_j| increasing with min ratio q > 1.  Failing
     indices are reported rather than guessed around.
     """
@@ -414,8 +415,8 @@ def classify_sequence(seq: SequencePair, tol: float = CLASSIFY_TOL) -> Classific
     dd = np.abs(d)
     scale = np.maximum(dd[1:], dd[:-1])
     grow = dd[1:] - dd[:-1]  # entry k compares steps into index k+1 vs k
-    convex_fail = [seq.j0 + 1 + k for k in range(len(grow)) if grow[k] < -tol * scale[k]]
-    concave_fail = [seq.j0 + 1 + k for k in range(len(grow)) if grow[k] > tol * scale[k]]
+    convex_fail = [seq.j0 + 1 + k for k in range(len(grow)) if grow[k] < -CLASSIFY_TOL * scale[k]]
+    concave_fail = [seq.j0 + 1 + k for k in range(len(grow)) if grow[k] > CLASSIFY_TOL * scale[k]]
     labels = []
     if not convex_fail:
         labels.append("convex")
@@ -428,7 +429,7 @@ def classify_sequence(seq: SequencePair, tol: float = CLASSIFY_TOL) -> Classific
         with np.errstate(divide="ignore"):
             ratios = np.where(alpha[:-1] > 0, alpha[1:] / alpha[:-1], np.inf)
         q = float(np.min(ratios))
-        if q > 1.0 + tol:
+        if q > 1.0 + CLASSIFY_TOL:
             labels.append("lacunary")
     if not labels:
         labels.append("none")
@@ -445,14 +446,14 @@ def classify_sequence(seq: SequencePair, tol: float = CLASSIFY_TOL) -> Classific
     )
 
 
-def slope_band_check(curve: CurveSpec, lo: float, hi: float, samples: int = 10_000):
+def slope_band_check(curve: CurveSpec, lo: float, hi: float):
     """Sampled inf/sup of gamma' on [lo, hi) and the within-one-octave flag."""
     if not lo < hi:
         raise ValueError("empty interval")
     dlo, dhi = curve.domain
     if lo < dlo or hi > dhi + 1e-15:
         raise ValueError("interval leaves the curve domain")
-    xs = lo + (hi - lo) * np.arange(samples) / samples
+    xs = lo + (hi - lo) * np.arange(SLOPE_BAND_SAMPLES) / SLOPE_BAND_SAMPLES
     vals = np.asarray(curve.dgamma(xs), dtype=float)
     inf_slope = float(np.min(vals))
     sup_slope = float(np.max(vals))

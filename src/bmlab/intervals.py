@@ -30,6 +30,8 @@ __all__ = [
     "check_hypothesis",
 ]
 
+LACUNARY_Q_MIN = 1.01  # least midpoint ratio within a color that the lacunary flag accepts
+
 
 @dataclass(frozen=True)
 class HalfOpenInterval:
@@ -251,14 +253,14 @@ class HypothesisReport:
         }
 
 
-def _lacunary_flag(group: list[HalfOpenInterval], q_min: float = 1.01) -> bool:
+def _lacunary_flag(group: list[HalfOpenInterval]) -> bool:
     """Heuristic: midpoint magnitudes grow geometrically within the class.
 
     Reported, not certified; a proper two-sided square-function measurement
     lives in the engine module.
     """
     mids = sorted(abs(0.5 * (iv.lo + iv.hi)) for iv in group)
-    return all(a == 0 or b / a >= q_min for a, b in zip(mids, mids[1:]))
+    return all(a == 0 or b / a >= LACUNARY_Q_MIN for a, b in zip(mids, mids[1:]))
 
 
 def check_hypothesis(seq: SequencePair, which: str, J: int) -> HypothesisReport:

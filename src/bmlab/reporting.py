@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 CSV_BLOCK_ROWS = 1 << 13  # rows per joined block of write_csv; 4096-65536 measured alike
+SVG_PAD_FRAC = 0.05  # margin of rects_to_svg, a fraction of the drawing's larger extent
 
 
 @contextlib.contextmanager
@@ -110,16 +111,16 @@ def write_csv(path: str, header, columns):
             fh.write("".join(part.ravel().tolist()))
 
 
-def rects_to_svg(rects, curve_points=None, pad_frac: float = 0.05) -> str:
-    """Simple SVG of tile rectangles (a ``whitney.RectCover``), optionally
-    with the curve polyline; an empty cover draws the curve alone."""
+def rects_to_svg(rects, curve_points) -> str:
+    """Simple SVG of tile rectangles (a ``whitney.RectCover``) and the curve
+    polyline through ``curve_points``; an empty cover draws the curve alone."""
     (bx0, bx1), (by0, by1), _ = rects.edges()
-    pts = np.empty((0, 2)) if curve_points is None else np.asarray(curve_points, dtype=float)
+    pts = np.asarray(curve_points, dtype=float)
     xs, ys = np.concatenate((bx0, bx1, pts[:, 0])), np.concatenate((by0, by1, pts[:, 1]))
     if not len(xs):
         raise ValueError("no rectangles or curve to draw")
     xlo, xhi, ylo, yhi = xs.min(), xs.max(), ys.min(), ys.max()
-    pad = pad_frac * max(xhi - xlo, yhi - ylo)
+    pad = SVG_PAD_FRAC * max(xhi - xlo, yhi - ylo)
     xlo, xhi, ylo, yhi = xlo - pad, xhi + pad, ylo - pad, yhi + pad
     W = 900.0
     scale = W / (xhi - xlo)
@@ -141,8 +142,7 @@ def rects_to_svg(rects, curve_points=None, pad_frac: float = 0.05) -> str:
         f'height="{h:.3f}" fill="none" stroke="black" stroke-width="0.4"/>'
         for x, y, w, h in zip(*(c.tolist() for c in columns))
     )
-    if curve_points is not None:
-        path = " ".join(f"{X(x):.3f},{Y(y):.3f}" for x, y in pts)
-        parts.append(f'<polyline points="{path}" fill="none" stroke="red" stroke-width="1.0"/>')
+    path = " ".join(f"{X(x):.3f},{Y(y):.3f}" for x, y in pts)
+    parts.append(f'<polyline points="{path}" fill="none" stroke="red" stroke-width="1.0"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

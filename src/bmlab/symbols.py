@@ -324,16 +324,8 @@ class FrequencyGrid:
         return elo + (ehi - elo) * (np.arange(self.ny) + 0.5) / self.ny
 
 
-def sample_symbol(sym: SymbolSpec, grid: Optional[FrequencyGrid] = None, nx: int = 256, ny: int = 256) -> np.ndarray:
-    """Row-major bitmap: entry [i, k] is the symbol at (xi_i, eta_k).
-
-    Without an explicit grid the symbol's own bounding box is used; an
-    unbounded symbol then has no usable window and is rejected.
-    """
-    if grid is None:
-        if sym.bbox is None:
-            raise ValueError("unbounded symbol needs an explicit sampling window")
-        grid = FrequencyGrid(window=sym.bbox, nx=nx, ny=ny)
+def sample_symbol(sym: SymbolSpec, grid: FrequencyGrid) -> np.ndarray:
+    """Row-major bitmap: entry [i, k] is the symbol at (xi_i, eta_k)."""
     xi = grid.xi_values()[:, None]
     eta = grid.eta_values()[None, :]
     return sym(xi, eta)

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 LATTICE_EXP = 10  # centers live on 2^(k - LATTICE_EXP) Z^2 for side 2^k
+PARTITION_POINTS = 512  # window points partition_check measures at
+PARTITION_TAIL = 1e-8  # kernel mass partition_check may leave out per side
+PARTITION_MAX_TILES = 200_000  # margin tiles partition_check allows before rejecting a scale
 
 
 # --- polygon geometry ----------------------------------------------------------
@@ -194,7 +197,7 @@ class CoverReport:
 def build_cover(
     polygon: PolygonalGeometry,
     j: int,
-    alpha: float = 0.9,
+    alpha: float,
     C0: float = 16.0,
     samples: int = 10_000,
 ) -> CoverReport:
@@ -299,23 +302,16 @@ def edge_interval_collections(rects: RectCover, alpha: float) -> dict:
 # --- frequency cubes and multi-tiles --------------------------------------------
 
 
-def cube_condition(center, side: float, C0: float, variant: str = "line"):
-    """Dilation conditions for cubes in frequency 3-space.
-
-    ``line`` measures against the diagonal line {(t,t,t)}: the C0-dilate
-    misses it iff the center-coordinate spread exceeds C0 * side, the
-    10 C0-dilate meets it iff the spread is at most 10 C0 * side.  ``plane``
-    measures against {xi + eta + theta = 0} through the center sum.  The
-    center's coordinates may be arrays; the result is then a bool array.
+def cube_condition(center, side: float, C0: float):
+    """Dilation conditions for cubes in frequency 3-space, against the
+    diagonal line {(t,t,t)}: the C0-dilate misses it iff the
+    center-coordinate spread exceeds C0 * side, the 10 C0-dilate meets it iff
+    the spread is at most 10 C0 * side.  The center's coordinates may be
+    arrays; the result is then a bool array.
     """
     c1, c2, c3 = center
-    if variant == "line":
-        spread = np.maximum(np.maximum(c1, c2), c3) - np.minimum(np.minimum(c1, c2), c3)
-        return (C0 * side < spread) & (spread <= 10.0 * C0 * side)
-    if variant == "plane":
-        total = np.abs(c1 + c2 + c3)
-        return (1.5 * C0 * side < total) & (total <= 15.0 * C0 * side)
-    raise ValueError("variant must be 'line' or 'plane'")
+    spread = np.maximum(np.maximum(c1, c2), c3) - np.minimum(np.minimum(c1, c2), c3)
+    return (C0 * side < spread) & (spread <= 10.0 * C0 * side)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,7 +362,6 @@ def _rows(rects: RectCover):
 
 def _omega3_family(
     k: int, cx: float, cy: float, s_j: float, K: tuple[float, float], C0: float, alpha: float,
-    variant: str,
 ) -> np.ndarray:
     """Third-coordinate cubes whose stretched images cover supp phi_K.
 
@@ -388,7 +383,7 @@ def _omega3_family(
     lo3 = stretch * (cK - 0.5 * s)
     hi3 = stretch * (cK + 0.5 * s)
     near = (hi3 >= target[0] - 0.25 * stretch * s) & (lo3 <= target[1] + 0.25 * stretch * s)
-    keep = near & cube_condition((cx, cy, cK), s, C0, variant)
+    keep = near & cube_condition((cx, cy, cK), s, C0)
     return np.stack([lo3, hi3, cK])[:, keep]
 
 
@@ -397,8 +392,7 @@ def enumerate_multitiles(
     C0: float,
     exponent_base: int,
     space_len: float,
-    alpha: float = 0.9,
-    variant: str = "line",
+    alpha: float,
 ) -> TileSet:
     """Multi-tiles for one segment's cover: frequency cubes paired with space tiles.
 
@@ -412,7 +406,7 @@ def enumerate_multitiles(
     if abs(count - round(count)) > 1e-9 or round(count) < 1:
         raise ValueError("space_len must be a positive integer multiple of base^(-j)")
     count = int(round(count))
-    fams = [_omega3_family(k, cx, cy, rects.s_j, K, C0, alpha, variant) for k, cx, cy, K in _rows(rects)]
+    fams = [_omega3_family(k, cx, cy, rects.s_j, K, C0, alpha) for k, cx, cy, K in _rows(rects)]
     lo3, hi3, c3 = np.hstack([np.empty((3, 0)), *fams])
     sizes = np.array([fam.shape[1] for fam in fams], dtype=int)
     entries = len(c3)
@@ -429,9 +423,8 @@ def enumerate_multitiles(
 def omega3_partition_check(
     rects: RectCover,
     C0: float,
-    alpha: float = 0.9,
+    alpha: float,
     n: int = 10_000,
-    variant: str = "line",
 ) -> float:
     """Max gap, over the rectangles, between the summed third-slot pieces and
     the wide output bump.
@@ -441,7 +434,7 @@ def omega3_partition_check(
     """
     gaps = []
     for k, cx, cy, K in _rows(rects):
-        lo3, hi3, _ = _omega3_family(k, cx, cy, rects.s_j, K, C0, alpha, variant)
+        lo3, hi3, _ = _omega3_family(k, cx, cy, rects.s_j, K, C0, alpha)
         fam = list(zip(lo3, hi3))
         if not fam:
             raise ValueError("no admissible third-slot cubes for this rectangle")
@@ -490,34 +483,28 @@ def chi_values(x, interval: tuple[float, float], j: int, exponent_base: int) -> 
     return fejer_sq_cdf(lam * (x - lo), r0) - fejer_sq_cdf(lam * (x - hi), r0)
 
 
-def partition_check(
-    j0: int,
-    exponent_base: int,
-    window: tuple[float, float],
-    n: int = 512,
-    tail: float = 1e-8,
-    max_tiles: int = 200_000,
-) -> float:
-    """Max |1 - sum of the scale-j0 tile cutoffs ``chi_values``| on the window interior.
+def partition_check(j0: int, exponent_base: int, window: tuple[float, float]) -> float:
+    """Max |1 - sum of the scale-j0 tile cutoffs ``chi_values``| at
+    ``PARTITION_POINTS`` points of the window interior.
 
     The tiles have length base^(-j0), the scale relation, and are taken out
-    to a margin where the kernel mass beyond contributes less than ``tail``
-    per side, with the kernel scale lam = base^(-j0) that ``chi_values`` uses.
-    The tiles are contiguous, so their chi values telescope to the chi of
-    their union: the sum is two kernel CDFs per point, in closed form.  The
-    kernel decays like the inverse cube of distance, so scales whose kernel
-    is much wider than the tile need more than ``max_tiles`` tiles of margin
-    and are rejected.
+    to a margin where the kernel mass beyond contributes less than
+    ``PARTITION_TAIL`` per side, with the kernel scale lam = base^(-j0) that
+    ``chi_values`` uses.  The tiles are contiguous, so their chi values
+    telescope to the chi of their union: the sum is two kernel CDFs per
+    point, in closed form.  The kernel decays like the inverse cube of
+    distance, so scales whose kernel is much wider than the tile need more
+    than ``PARTITION_MAX_TILES`` tiles of margin and are rejected.
     """
     tile_len = float(exponent_base) ** (-j0)
     lam = tile_len  # the kernel scale of chi_values, base^(-j0)
     r0 = _base_radius(exponent_base)
     lo_m, hi_m = tile_len, tile_len
-    while fejer_sq_cdf(-lam * hi_m, r0) > tail and hi_m < 1e9 * tile_len:
+    while fejer_sq_cdf(-lam * hi_m, r0) > PARTITION_TAIL and hi_m < 1e9 * tile_len:
         hi_m *= 2.0
     while hi_m - lo_m > 1e-3 * tile_len:
         mid = 0.5 * (lo_m + hi_m)
-        if fejer_sq_cdf(-lam * mid, r0) > tail:
+        if fejer_sq_cdf(-lam * mid, r0) > PARTITION_TAIL:
             lo_m = mid
         else:
             hi_m = mid
@@ -525,12 +512,12 @@ def partition_check(
     wlo, whi = window
     m_lo = math.floor((wlo - halfw) / tile_len)
     m_hi = math.ceil((whi + halfw) / tile_len)
-    if m_hi - m_lo > max_tiles:
+    if m_hi - m_lo > PARTITION_MAX_TILES:
         raise ValueError(
             "kernel much wider than the tiles at this scale; use a smaller j0"
         )
     inset = tile_len
-    xs = np.linspace(wlo + inset, whi - inset, n)
+    xs = np.linspace(wlo + inset, whi - inset, PARTITION_POINTS)
     total = chi_values(xs, (m_lo * tile_len, (m_hi + 1) * tile_len), j0, exponent_base)
     return float(np.max(np.abs(1.0 - total)))
 

@@ -14,7 +14,7 @@ from bmlab.bumps import adapted_bump, fejer_sq_cdf, fejer_sq_spectrum
 from bmlab.curves import CurveSpec
 from bmlab.engine import (PROBE_FAMILIES, ProbeReport, SampledFunction, _bilinear_action, _freq_grid,
                           _period_pairing, _synthesize, _x_grid, lp_norm)
-from bmlab.whitney import LATTICE_EXP, _tile_projections, chi_values, r2_samples
+from bmlab.whitney import LATTICE_EXP, PARTITION_POINTS, PARTITION_TAIL, _tile_projections, chi_values, r2_samples
 
 
 def bilinear_double_sum(sym, f, g):
@@ -421,28 +421,29 @@ def hyp2_rewrite_evaluators(seq):
     return ev_rect, ev_comp
 
 
-def partition_sum_by_tiles(j0, B, window, n=512, tail=1e-8):
+def partition_sum_by_tiles(j0, B, window):
     """max |1 - sum of chi_values| over every scale-j0 tile, one tile at a time.
 
-    Same margin as ``whitney.partition_check``: tiles of length B^(-j0) out to
-    where the kernel CDF tail drops below ``tail`` on each side.
+    Same points and margin as ``whitney.partition_check``: tiles of length
+    B^(-j0) out to where the kernel CDF tail drops below ``PARTITION_TAIL`` on
+    each side, measured at ``PARTITION_POINTS`` points.
     """
     tile_len = float(B) ** (-j0)
     lam, r0 = tile_len, 4.0 ** (-float(B))
     lo_m, hi_m = tile_len, tile_len
-    while fejer_sq_cdf(-lam * hi_m, r0) > tail and hi_m < 1e9 * tile_len:
+    while fejer_sq_cdf(-lam * hi_m, r0) > PARTITION_TAIL and hi_m < 1e9 * tile_len:
         hi_m *= 2.0
     while hi_m - lo_m > 1e-3 * tile_len:
         mid = 0.5 * (lo_m + hi_m)
-        if fejer_sq_cdf(-lam * mid, r0) > tail:
+        if fejer_sq_cdf(-lam * mid, r0) > PARTITION_TAIL:
             lo_m = mid
         else:
             hi_m = mid
     wlo, whi = window
     m_lo = math.floor((wlo - hi_m) / tile_len)
     m_hi = math.ceil((whi + hi_m) / tile_len)
-    xs = np.linspace(wlo + tile_len, whi - tile_len, n)
-    total = np.zeros(n)
+    xs = np.linspace(wlo + tile_len, whi - tile_len, PARTITION_POINTS)
+    total = np.zeros(PARTITION_POINTS)
     for m in range(m_lo, m_hi + 1):
         total += chi_values(xs, (m * tile_len, (m + 1) * tile_len), j0, B)
     return float(np.max(np.abs(1.0 - total)))
@@ -553,16 +554,13 @@ def model_value_by_tile(f, g, h, tiles, seq):
     return total
 
 
-def _cube_condition_scalar(center, side, C0, variant):
+def _cube_condition_scalar(center, side, C0):
     """``whitney.cube_condition`` as first written, on one scalar center."""
-    if variant == "line":
-        spread = max(center) - min(center)
-        return C0 * side < spread <= 10.0 * C0 * side
-    total = abs(sum(center))
-    return 1.5 * C0 * side < total <= 15.0 * C0 * side
+    spread = max(center) - min(center)
+    return C0 * side < spread <= 10.0 * C0 * side
 
 
-def multitiles_by_object(rects, C0, exponent_base, space_len, alpha=0.9, variant="line"):
+def multitiles_by_object(rects, C0, exponent_base, space_len, alpha):
     """The multi-tiles of ``whitney.enumerate_multitiles`` as first written:
     one dict of ``I_P``, ``omega1``, ``omega2``, ``omega3``, ``j``,
     ``scale_k``, ``cube_center`` and ``rect_key`` per tile, built row by row,
@@ -589,7 +587,7 @@ def multitiles_by_object(rects, C0, exponent_base, space_len, alpha=0.9, variant
             lo3, hi3 = stretch * (cK - 0.5 * s), stretch * (cK + 0.5 * s)
             if hi3 < target[0] - 0.25 * stretch * s or lo3 > target[1] + 0.25 * stretch * s:
                 continue
-            if not _cube_condition_scalar((cx, cy, cK), s, C0, variant):
+            if not _cube_condition_scalar((cx, cy, cK), s, C0):
                 continue
             tiles.extend(
                 dict(I_P=(m * tile_len, (m + 1) * tile_len), omega1=(float(o1lo[key]), float(o1hi[key])),

@@ -318,7 +318,7 @@ def test_criterion_10_whitney_geometry():
     dpoly = whitney.PolygonalGeometry.from_sequence(dyadic)
     rect = whitney.RectCover(j=1, anchor=dpoly.anchor(1), s_j=dpoly.slope(1),
                              k=np.array([-3]), cx=np.array([0.75]), cy=np.array([0.25]))
-    tiles = whitney.enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=64.0)
+    tiles = whitney.enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=64.0, alpha=0.9)
     rng = np.random.default_rng(31)
     N, L = 512, 64.0
     mk = lambda: SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L)

@@ -92,6 +92,8 @@ def test_missing_config_is_io_error(tmp_path):
 def test_bad_symbol_kind_rejected(tmp_path):
     cfg = write_config(tmp_path, symbol="pyramid")
     assert main(["symbol", "--config", cfg]) == 2
+    with pytest.raises(ConfigError, match=r"^\[symbol\] kind"):
+        RunConfig(symbol_kind="pyramid").symbol()
 
 
 def test_check_hyp_hyperboloid(tmp_path):
@@ -518,8 +520,15 @@ def test_check_hyp_names_unstable_coloring(tmp_path, capsys, monkeypatch):
         ("C0 = 16\n", "C0 = 0\n", "[whitney] C0"),
         ("C0 = 16\n", "C0 = -4\n", "[whitney] C0"),
         ("C0 = 16\n", "C0 = nan\n", "[whitney] C0"),
+        ("alpha = 0.9\n", "alpha = 0.5\n", "[whitney] alpha"),
+        ("hypothesis = hyp2\n", "hypothesis = hyp3\n", "[sequence] hypothesis"),
+        ("family = hyperboloid\n", "family = spiral\n", "[curve] family"),
+        ("family = hyperboloid\n", "family = hyperboloid\nrenormalize = sideways\n", "[curve] renormalize"),
+        ("kind = staircase\n", "kind = pyramid\n", "[symbol] kind"),
+        ("ny = 32\n", "ny = 32\nwindow = 0 1 2\n", "[symbol] window"),
     ],
-    ids=["segments=0", "samples=0", "C0=0", "C0=-4", "C0=nan"],
+    ids=["segments=0", "samples=0", "C0=0", "C0=-4", "C0=nan", "alpha=0.5", "hypothesis=hyp3", "family=spiral",
+         "renormalize=sideways", "kind=pyramid", "window-three-numbers"],
 )
 def test_whitney_rejects_degenerate_keys(tmp_path, capsys, old, new, key):
     # segments = 0 used to exit 0 with a report that checked no cover
@@ -528,6 +537,15 @@ def test_whitney_rejects_degenerate_keys(tmp_path, capsys, old, new, key):
     assert main(["whitney", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_symbol_of_unbounded_support_needs_a_window(tmp_path, capsys):
+    # an epigraph has no bounding box, so only [symbol] window can bound the bitmap
+    cfg = write_config(tmp_path, symbol="epigraph")
+    assert main(["symbol", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "[symbol] window" in err
     assert not (tmp_path / "out").exists()
 
 

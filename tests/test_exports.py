@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,33 @@ def test_entry_points_use_only_public_bmlab_names(path):
     # the CLI, the scripts and the acceptance criteria reach the package
     # through public names, which the perfbench tracer also wraps
     assert private_bmlab_names(path.read_text()) == []
+
+
+def config_keys_read() -> set[tuple[str, str]]:
+    """The (section, key) pairs of every ``get("<section>", "<key>", ...)``
+    call in ``RunConfig.from_file``."""
+    tree = ast.parse((ROOT / "src" / "bmlab" / "config.py").read_text())
+    from_file = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "from_file")
+    return {(call.args[0].value, call.args[1].value) for call in ast.walk(from_file)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "get"}
+
+
+def readme_example_keys() -> set[tuple[str, str]]:
+    """The (section, key) pairs of the README's example ``ini`` block, keys
+    commented out with ``;`` included."""
+    block = (ROOT / "README.md").read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    section, keys = None, set()
+    for line in block.splitlines():
+        if header := re.match(r"\[(\w+)\]", line):
+            section = header[1]
+        elif key := re.match(r";?\s*(\w+)\s*=", line):
+            keys.add((section, key[1]))
+    return keys
+
+
+def test_readme_example_lists_exactly_the_config_keys():
+    # a key the README shows but bmlab never reads is silently ignored, and a
+    # key bmlab reads but the README omits is a setting no reader can find
+    read = config_keys_read()
+    assert ("whitney", "alpha") in read and ("output", "dir") in read
+    assert readme_example_keys() == read

@@ -221,11 +221,6 @@ def test_sample_symbol_all_ones_and_half_plane():
     assert int(bitmap.sum()) == off_diag // 2
 
 
-def test_sample_symbol_unbounded_needs_window():
-    with pytest.raises(ValueError, match="window"):
-        sample_symbol(constant_symbol())
-
-
 def test_pgm_format():
     bitmap = np.array([[0.0, 1.0], [1.0, 0.5]])
     text = bitmap_to_pgm(bitmap)

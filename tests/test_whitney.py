@@ -361,17 +361,14 @@ def test_write_csv_across_block_boundaries(tmp_path, offset):
 
 
 def test_cube_condition_variants():
-    assert cube_condition((0.0, 0.5, 0.25), side=0.125, C0=2.0, variant="line")
-    assert not cube_condition((0.0, 0.1, 0.05), side=0.125, C0=2.0, variant="line")  # too close
-    assert not cube_condition((0.0, 9.0, 4.0), side=0.125, C0=2.0, variant="line")  # too far
-    assert cube_condition((1.0, 1.0, -1.5), side=0.125, C0=2.0, variant="plane")
-    with pytest.raises(ValueError):
-        cube_condition((0, 0, 0), 1.0, 1.0, variant="diag")
+    assert cube_condition((0.0, 0.5, 0.25), side=0.125, C0=2.0)
+    assert not cube_condition((0.0, 0.1, 0.05), side=0.125, C0=2.0)  # too close
+    assert not cube_condition((0.0, 9.0, 4.0), side=0.125, C0=2.0)  # too far
 
 
 def test_multitiles_structure():
     seq, poly, rect = demo_rect()
-    tiles = enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=16.0)
+    tiles = enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=16.0, alpha=0.9)
     assert len(tiles)
     tile_len = 2.0**-1
     per_cube = int(16.0 / tile_len)
@@ -382,7 +379,7 @@ def test_multitiles_structure():
     assert np.array_equal(tiles.entry, np.repeat(np.arange(entries), per_cube))
     assert np.array_equal(tiles.m, np.tile(np.arange(per_cube), entries))
     s = 2.0 ** rect.k[0]
-    assert np.all(cube_condition((rect.cx[0], rect.cy[0], tiles.c3), s, 2.0, "line"))
+    assert np.all(cube_condition((rect.cx[0], rect.cy[0], tiles.c3), s, 2.0))
     # omega3 is the stretched third interval
     stretch = 1.0 + rect.s_j
     assert np.all(np.abs((tiles.om3_hi - tiles.om3_lo) - stretch * s) < 1e-12)
@@ -394,7 +391,7 @@ def test_multitiles_structure():
 def test_multitiles_validation():
     seq, poly, rect = demo_rect()
     with pytest.raises(ValueError, match="integer multiple"):
-        enumerate_multitiles(rect, 2.0, 2, space_len=16.3)
+        enumerate_multitiles(rect, 2.0, 2, space_len=16.3, alpha=0.9)
 
 
 def tile_fields(tiles):
@@ -414,18 +411,18 @@ def tile_fields(tiles):
 
 
 @pytest.mark.parametrize(
-    "squares,variant,count",
-    [([(0.75, 0.25, -3)], "line", 1408),
-     ([(0.75, 0.25, -3), (0.375, 0.125, -4), (1.25, 0.5, -3)], "line", 4224),
-     ([(0.75, 0.7265625, -8)], "plane", 0)],
-    ids=["one-row", "three-row", "plane-empty"],
+    "squares,C0,count",
+    [([(0.75, 0.25, -3)], 2.0, 1408),
+     ([(0.75, 0.25, -3), (0.375, 0.125, -4), (1.25, 0.5, -3)], 2.0, 4224),
+     ([(0.75, 0.7265625, -8)], 16.0, 0)],
+    ids=["one-row", "three-row", "no-cube"],
 )
-def test_tile_set_matches_the_per_tile_objects(squares, variant, count):
+def test_tile_set_matches_the_per_tile_objects(squares, C0, count):
     # every derived field of every tile, in order, bitwise (repr keeps the sign of 0)
     seq, poly, _ = demo_rect()
     rects = segment_cover(poly, squares)
-    tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0, variant=variant)
-    want = multitiles_by_object(rects, C0=2.0, exponent_base=2, space_len=64.0, variant=variant)
+    tiles = enumerate_multitiles(rects, C0=C0, exponent_base=2, space_len=64.0, alpha=0.9)
+    want = multitiles_by_object(rects, C0=C0, exponent_base=2, space_len=64.0, alpha=0.9)
     assert len(tiles) == len(want) == count
     assert repr(tile_fields(tiles)) == repr(want)
     if not count:
@@ -443,20 +440,20 @@ def test_omega3_partition_reconstructs_wide_bump():
 def test_omega3_partition_check_is_max_over_rows():
     seq, poly, _ = demo_rect()
     squares = [(0.75, 0.25, -3), (0.375, 0.125, -4), (0.75, 0.7265625, -8)]
-    rows = [omega3_partition_check(segment_cover(poly, [sq]), C0=2.0, n=2000) for sq in squares]
-    assert omega3_partition_check(segment_cover(poly, squares), C0=2.0, n=2000) == max(rows)
+    rows = [omega3_partition_check(segment_cover(poly, [sq]), C0=2.0, alpha=0.9, n=2000) for sq in squares]
+    assert omega3_partition_check(segment_cover(poly, squares), C0=2.0, alpha=0.9, n=2000) == max(rows)
 
 
-def test_plane_variant_admits_no_covering_cubes():
-    # a square deep along the diagonal: every cube able to cover the output
-    # interval has a center sum far above the plane-variant band, while the
-    # line variant still works; this is why the line diagonal is the default
+def test_omega3_partition_check_needs_an_admissible_cube():
+    # a square deep along the diagonal: at C0 = 2 its third-slot cubes
+    # partition the wide bump, at C0 = 16 every cube near the output interval
+    # has a center spread below C0 times its side, so none is admissible
     seq, poly, _ = demo_rect()
     assert WhitneySquare(cx=0.75, cy=0.7265625, k=-8).satisfies(2.0)
     rect = segment_cover(poly, [(0.75, 0.7265625, -8)])
-    assert omega3_partition_check(rect, C0=2.0, alpha=0.9, variant="line") <= 1e-8
+    assert omega3_partition_check(rect, C0=2.0, alpha=0.9) <= 1e-8
     with pytest.raises(ValueError, match="no admissible"):
-        omega3_partition_check(rect, C0=2.0, alpha=0.9, variant="plane")
+        omega3_partition_check(rect, C0=16.0, alpha=0.9)
 
 
 PARTITION_CASES = [(-3, 2), (-2, 2), (-1, 2), (-1, 3)]
@@ -498,7 +495,7 @@ def test_chi_coeffs_match_dense_spectrum(rng):
     # off it the dense ones are 0, and the pairing on the support is the
     # full-grid period pairing up to rounding
     seq, poly, rect = demo_rect()
-    tiles = enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=64.0)[:128]
+    tiles = enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=64.0, alpha=0.9)[:128]
     M, L = 2048, 64.0
     xi = _freq_grid(M, L)
     spectrum = fejer_sq_spectrum(xi / 2.0**-1, 4.0**-2)
@@ -541,7 +538,7 @@ def test_r2_samples_deterministic():
 class TestModelSum:
     def setup_method(self):
         self.seq, self.poly, self.rect = demo_rect()
-        self.tiles = enumerate_multitiles(self.rect, C0=2.0, exponent_base=2, space_len=64.0)
+        self.tiles = enumerate_multitiles(self.rect, C0=2.0, exponent_base=2, space_len=64.0, alpha=0.9)
         self.L, self.N = 64.0, 512
 
     def mk(self, rng):
@@ -599,7 +596,7 @@ class TestModelSum:
         f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
         assert WhitneySquare(cx=0.375, cy=0.125, k=-4).satisfies(2.0)
         rects = segment_cover(self.poly, [(0.75, 0.25, -3), (0.375, 0.125, -4)])
-        tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0)
+        tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0, alpha=0.9)
         row = tiles.rect[tiles.entry]
         whole = model_sum_eval(f, g, h, tiles, self.seq)
         p1 = model_sum_eval(f, g, h, tiles[row == 0], self.seq)
@@ -616,7 +613,7 @@ class TestModelSum:
     def test_adjoint_matches_dense_tile_bump_oracle(self, rng, squares):
         # the tensor sum against the tile-bump symbol tabulated on the N x N grid
         rects = segment_cover(self.poly, squares)
-        tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0)
+        tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0, alpha=0.9)
         assert np.array_equal(np.unique(tiles.rect[tiles.entry]), np.arange(len(squares)))
         f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
         res = model_sum_eval(f, g, h, tiles, self.seq)
@@ -636,7 +633,7 @@ class TestModelSum:
         # over all space tiles the cutoffs sum to 1, so only the zero
         # frequency survives; every third tile keeps the others in the sum
         rects = segment_cover(self.poly, squares)
-        tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0)[::step]
+        tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0, alpha=0.9)[::step]
         f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
         got = model_sum_eval(f, g, h, tiles, self.seq)["model_value"]
         want = model_value_by_tile(f, g, h, tiles, self.seq)
@@ -672,7 +669,7 @@ class TestModelSum:
         # N = 8192, L = 1024: 22,528 tiles; a (tiles, S) or (tiles, M) array
         # alone would take more than the bound
         N, L = 8192, 1024.0
-        tiles = enumerate_multitiles(self.rect, C0=2.0, exponent_base=2, space_len=L)
+        tiles = enumerate_multitiles(self.rect, C0=2.0, exponent_base=2, space_len=L, alpha=0.9)
         assert len(tiles) == 22_528
         f, g, h = (SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L) for _ in range(3))
         tracemalloc.start()

@@ -318,8 +318,9 @@ def holder_chain_check(
     hc = _masked_synthesis(ch, hm, M)
     lhs_sum = abs(np.sum(fa * gb * hc) * (L / M))
 
-    b_hat = _analyze(_synthesize(act(cf, cg)))
-    lhs_direct = abs(_period_pairing(b_hat, _pad(ch, M), L))
+    # the 2N output slots N/2 + 1 .. 3N/2 pair with h's N slots in reverse
+    b_hat = act(cf, cg)
+    lhs_direct = abs(L * np.sum(b_hat[N // 2 + 1 : 3 * N // 2 + 1][::-1] * ch))
 
     scale = max(lhs_sum, lhs_direct, 1e-300)
     identity_gap = abs(lhs_sum - lhs_direct)

@@ -9,6 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bmlab import reporting, whitney
@@ -42,9 +44,9 @@ def main():
         reporting.atomic_write_text(str(out / f"{name}.pgm"), bitmap_to_pgm(sample_symbol(sym, grid)))
         print(f"rendered {name}")
 
-    poly = whitney.PolygonalGeometry.from_sequence(RunConfig(J=12).sequence())
-    rep = whitney.build_cover(poly, poly.first_index, alpha=0.9, C0=16.0, samples=4000)
-    svg = reporting.rects_to_svg(rep.rects, curve_points=poly.vertices)
+    seq = RunConfig(J=12).sequence()
+    rep = whitney.build_cover(seq, seq.first_index(), alpha=0.9, C0=16.0, samples=4000)
+    svg = reporting.rects_to_svg(rep.rects, curve_points=np.column_stack([seq.a, seq.b]))
     reporting.atomic_write_text(str(out / "whitney_cover.svg"), svg)
     print(f"rendered whitney cover ({len(rep.rects)} tiles), cover_ok={rep.cover_ok}")
 

@@ -210,14 +210,13 @@ def emit_witness(cfg: RunConfig, rep: engine.ProbeReport):
 
 def cmd_whitney(cfg: RunConfig) -> int:
     seq = cfg.sequence(J=cfg.J + 4)  # vertex margin beyond tested triangles
-    poly = whitney.PolygonalGeometry.from_sequence(seq)
-    segs = list(poly.segment_indices())[: cfg.whitney_segments]
+    segs = range(seq.first_index(), seq.last_index())[: cfg.whitney_segments]
     covers = []
     all_ok = True
     rect_columns = []
     overlap_rows = []
     for j in segs:
-        rep = whitney.build_cover(poly, j, alpha=cfg.alpha, C0=cfg.C0, samples=cfg.whitney_samples)
+        rep = whitney.build_cover(seq, j, alpha=cfg.alpha, C0=cfg.C0, samples=cfg.whitney_samples)
         covers.append(rep.as_dict())
         cover_ok = verdict(f"whitney cover j={j} uncovered samples", len(rep.witnesses),
                            rep.cover_ok, "== 0")
@@ -230,7 +229,7 @@ def cmd_whitney(cfg: RunConfig) -> int:
         rect_columns.append((np.full(len(xlo), j), rep.rects.k, rep.rects.cx, rep.rects.cy,
                              xlo, xhi, elo, ehi))
         if j == segs[0]:
-            svg = reporting.rects_to_svg(rep.rects, curve_points=poly.vertices)
+            svg = reporting.rects_to_svg(rep.rects, curve_points=np.column_stack([seq.a, seq.b]))
             reporting.atomic_write_text(os.path.join(cfg.out_dir, "whitney_cover.svg"), svg)
     reporting.write_csv(
         os.path.join(cfg.out_dir, "whitney_rects.csv"),
@@ -274,15 +273,15 @@ def _demo_model_sum(cfg: RunConfig) -> dict:
         a=-js.astype(float), b=2.0 ** (1 - js), direction="decreasing",
         j0=1, a_inf=-math.inf, b_inf=0.0,
     )
-    poly = whitney.PolygonalGeometry.from_sequence(seq)
-    rect = whitney.RectCover(j=1, anchor=poly.anchor(1), s_j=poly.slope(1),
+    anchor, _, s_j = whitney.segment(seq, 1)
+    rect = whitney.RectCover(j=1, anchor=anchor, s_j=s_j,
                              k=np.array([-3]), cx=np.array([0.75]), cy=np.array([0.25]))
     tiles = whitney.enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=64.0, alpha=cfg.alpha)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 97)))
     N, L = 512, 64.0
     mk = lambda: engine.SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L)
     # the writer serializes the complex values as {"re": ..., "im": ...}
-    return whitney.model_sum_eval(mk(), mk(), mk(), tiles, seq)
+    return whitney.model_sum_eval(mk(), mk(), mk(), tiles)
 
 
 def main(argv=None) -> int:

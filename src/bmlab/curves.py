@@ -243,11 +243,18 @@ class SequencePair:
     def indices(self) -> range:
         return range(self.j0, self.j0 + len(self.a))
 
+    def _row(self, j: int) -> int:
+        """The storage row of index j, which must lie in [j0, last_index()]."""
+        k = j - self.j0
+        if not 0 <= k < len(self.a):
+            raise ValueError(f"index {j} outside [{self.j0}, {self.last_index()}]")
+        return k
+
     def a_at(self, j: int) -> float:
-        return float(self.a[j - self.j0])
+        return float(self.a[self._row(j)])
 
     def b_at(self, j: int) -> float:
-        return float(self.b[j - self.j0])
+        return float(self.b[self._row(j)])
 
     def first_index(self) -> int:
         return self.j0
@@ -393,9 +400,6 @@ class Classification:
     max_diff_ratio: Optional[float] = None
     convex_failures: list[int] = field(default_factory=list)
     concave_failures: list[int] = field(default_factory=list)
-
-    def __contains__(self, label):
-        return label in self.labels
 
 
 def classify_sequence(seq: SequencePair) -> Classification:

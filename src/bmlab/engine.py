@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .intervals import HalfOpenInterval, IntervalCollection, neg_minkowski_sum, staircase_steps
+from .intervals import HalfOpenInterval, neg_minkowski_sum, staircase_steps
 from .curves import SequencePair
 from .symbols import SymbolSpec, staircase_symbol
 
@@ -347,7 +347,7 @@ def holder_chain_check(
     )
 
 
-def square_function_report(f: SampledFunction, coll: IntervalCollection | list, p: float):
+def square_function_report(f: SampledFunction, coll: Sequence[HalfOpenInterval], p: float):
     """Measured square-function ratios for a family of frequency intervals.
 
     upper_ratio = ||Sf||_p / ||f||_p with Sf the l2 aggregate of the sharp

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .curves import SequencePair
 
 __all__ = [
     "HalfOpenInterval",
-    "IntervalCollection",
     "ColoringResult",
     "HypothesisReport",
     "neg_minkowski_sum",
@@ -91,21 +91,6 @@ def neg_minkowski_sum(A: HalfOpenInterval, B: HalfOpenInterval) -> HalfOpenInter
     return HalfOpenInterval(lo=lo, hi=hi, closure=closure)
 
 
-@dataclass(frozen=True)
-class IntervalCollection:
-    items: tuple[HalfOpenInterval, ...]
-    first_index: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-
 def staircase_steps(seq: SequencePair) -> list[tuple[HalfOpenInterval, HalfOpenInterval]]:
     """The steps (A_j, B_j) = ([a_{j+1}, a_j), [b_j, b_0)) of a decreasing
     pair's staircase, j = first + 1 .. last - 1; the j = first term pairs
@@ -118,7 +103,7 @@ def staircase_steps(seq: SequencePair) -> list[tuple[HalfOpenInterval, HalfOpenI
     ]
 
 
-def build_hyp_collection(seq: SequencePair, which: str) -> IntervalCollection:
+def build_hyp_collection(seq: SequencePair, which: str) -> tuple[HalfOpenInterval, ...]:
     """The negated Minkowski-sum family attached to a sequence pair.
 
     For decreasing pairs, ``hyp1`` pairs the step [a_{j+1}, a_j) with the
@@ -126,7 +111,8 @@ def build_hyp_collection(seq: SequencePair, which: str) -> IntervalCollection:
     here as [b_inf, b_j) so that the two-closure algebra stays exact (the
     representation is a superset by one endpoint, conservative for
     disjointness).  For increasing pairs ``hyp1`` builds the nested family
-    -(u_0, u_j] - [v_j, v_{j+1}).
+    -(u_0, u_j] - [v_j, v_{j+1}).  Item k is index j = first + 1 + k of a
+    ``hyp1`` family and j = first + k of ``hyp2``.
     """
     if which not in ("hyp1", "hyp2"):
         raise ValueError("which must be 'hyp1' or 'hyp2'")
@@ -140,17 +126,16 @@ def build_hyp_collection(seq: SequencePair, which: str) -> IntervalCollection:
             A = HalfOpenInterval(u0, seq.a_at(j), closure="left_open")
             B = HalfOpenInterval(seq.b_at(j), seq.b_at(j + 1), closure="right_open")
             items.append(neg_minkowski_sum(A, B))
-        return IntervalCollection(items=tuple(items), first_index=first + 1)
+        return tuple(items)
     if which == "hyp1":
-        items = [neg_minkowski_sum(A, B) for A, B in staircase_steps(seq)]
-        return IntervalCollection(items=tuple(items), first_index=first + 1)
+        return tuple(neg_minkowski_sum(A, B) for A, B in staircase_steps(seq))
     if seq.b_inf is None or not math.isfinite(seq.b_inf):
         raise ValueError("limit required: hyp2 needs a finite b_inf")
     for j in range(first, last):
         A = HalfOpenInterval(seq.a_at(j + 1), seq.a_at(j), closure="right_open")
         B = HalfOpenInterval(seq.b_inf, seq.b_at(j), closure="right_open")
         items.append(neg_minkowski_sum(A, B))
-    return IntervalCollection(items=tuple(items), first_index=first)
+    return tuple(items)
 
 
 @dataclass
@@ -192,7 +177,7 @@ def max_overlap(lo, hi, lo_in=True, hi_in=True) -> int:
                       initial=0))
 
 
-def min_disjoint_split(coll: IntervalCollection | list) -> ColoringResult:
+def min_disjoint_split(coll: Sequence[HalfOpenInterval]) -> ColoringResult:
     """Greedy interval-graph coloring: optimal color count for intervals.
 
     Sort by lo (ties by hi), give each interval the smallest color whose
@@ -231,7 +216,7 @@ class HypothesisReport:
     n_doubled: int  # colors at truncation 2J
     per_color_lacunary: list[bool]
     coloring: ColoringResult
-    intervals: IntervalCollection
+    intervals: tuple[HalfOpenInterval, ...]
 
     @property
     def stable(self) -> bool:

@@ -25,6 +25,8 @@ __all__ = [
     "increasing_staircase_symbol",
     "boundary_piece_symbol",
     "epigraph_symbol",
+    "convex_polygon",
+    "polygon_height",
     "polygonal_epigraph_symbol",
     "exponential_paraproduct_symbols",
     "exponential_paraproduct_sum",
@@ -183,28 +185,56 @@ def epigraph_symbol(curve: CurveSpec, restriction: tuple[float, float]) -> Symbo
     return SymbolSpec(eta_bounds=bounds, bbox=None, label="epigraph")
 
 
+def convex_polygon(vertices) -> np.ndarray:
+    """The rows (a_j, b_j) of ``vertices`` as a float array, checked to be a
+    convex polygonal curve with slopes in (0, 1): strictly decreasing in both
+    coordinates, every segment slope in (0, 1) and the slopes strictly
+    decreasing, so the epigraph is convex.  The first offending segment index
+    is reported otherwise.
+    """
+    pts = np.asarray(vertices, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
+        raise ValueError("need at least two vertices")
+    da, db = np.diff(pts[:, 0]), np.diff(pts[:, 1])
+    if not (np.all(da < 0) and np.all(db < 0)):
+        raise ValueError("vertices must be strictly decreasing in both coordinates")
+    slopes = db / da
+    for k, s in enumerate(slopes.tolist()):
+        if not 0.0 < s < 1.0:
+            raise ValueError(f"segment {k} has slope {s} outside (0, 1)")
+    bad = np.flatnonzero(slopes[1:] >= slopes[:-1]) + 1
+    if len(bad):
+        k = int(bad[0])
+        raise ValueError(f"segment {k} has slope {slopes[k]}, not below segment {k - 1}'s "
+                         f"{slopes[k - 1]}: the vertices are not convex")
+    return pts
+
+
+def polygon_height(vertices: np.ndarray, xi) -> np.ndarray:
+    """Height of the polygonal curve through the rows (a_j, b_j) of
+    ``vertices`` (a decreasing) at ``xi``: piecewise-linear between the
+    vertices, end segments extended linearly."""
+    xs = vertices[::-1, 0]
+    ys = vertices[::-1, 1]
+    xi = np.asarray(xi, dtype=float)
+    out = np.interp(xi, xs, ys)
+    s_lo = (ys[1] - ys[0]) / (xs[1] - xs[0])
+    s_hi = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    out = np.where(xi < xs[0], ys[0] + s_lo * (xi - xs[0]), out)
+    return np.where(xi > xs[-1], ys[-1] + s_hi * (xi - xs[-1]), out)
+
+
 def polygonal_epigraph_symbol(vertices) -> SymbolSpec:
     """Indicator of the region on or above the polygonal curve through
     ``vertices``, restricted to the xi-range [a_last, a_first).
 
-    Vertices must be strictly decreasing in both coordinates and every
-    segment slope must lie in (0, 1); the offending segment index is
-    reported otherwise.
+    The vertices must pass ``convex_polygon``.
     """
-    pts = np.asarray(vertices, dtype=float)
-    a = pts[:, 0]
-    b = pts[:, 1]
-    if not (np.all(np.diff(a) < 0) and np.all(np.diff(b) < 0)):
-        raise ValueError("vertices must be strictly decreasing in both coordinates")
-    slopes = np.diff(b) / np.diff(a)
-    for k, s in enumerate(slopes):
-        if not 0.0 < s < 1.0:
-            raise ValueError(f"segment {k} has slope {s} outside (0, 1)")
-    xs = a[::-1]
-    ys = b[::-1]
+    pts = convex_polygon(vertices)
+    lo, hi = pts[-1, 0], pts[0, 0]
 
     def bounds(xi):
-        return _column((xi >= xs[0]) & (xi < xs[-1]), np.interp(xi, xs, ys), np.inf)
+        return _column((xi >= lo) & (xi < hi), polygon_height(pts, xi), np.inf)
 
     return SymbolSpec(
         eta_bounds=bounds,

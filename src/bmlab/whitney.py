@@ -25,12 +25,13 @@ from .bumps import adapted_bump, fejer_sq_cdf, fejer_sq_spectrum, soft_union
 from .curves import SequencePair
 from .engine import SampledFunction, _analyze, _freq_grid, _pad, _period_pairing, _synthesize
 from .intervals import max_overlap
+from .symbols import convex_polygon, polygon_height
 
 __all__ = [
     "RectCover",
     "TileSet",
-    "PolygonalGeometry",
     "CoverReport",
+    "segment",
     "build_cover",
     "edge_interval_collections",
     "cube_condition",
@@ -45,74 +46,6 @@ LATTICE_EXP = 10  # centers live on 2^(k - LATTICE_EXP) Z^2 for side 2^k
 PARTITION_POINTS = 512  # window points partition_check measures at
 PARTITION_TAIL = 1e-8  # kernel mass partition_check may leave out per side
 PARTITION_MAX_TILES = 200_000  # margin tiles partition_check allows before rejecting a scale
-
-
-# --- polygon geometry ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolygonalGeometry:
-    """Vertices (a_j, b_j), j = first .. first + n, decreasing in both coords,
-    with strictly decreasing segment slopes: a convex polygonal curve, so its
-    epigraph is convex."""
-
-    vertices: np.ndarray
-    first_index: int = 0
-
-    def __post_init__(self):
-        pts = np.asarray(self.vertices, dtype=float)
-        object.__setattr__(self, "vertices", pts)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ValueError("need at least two vertices")
-        if not (np.all(np.diff(pts[:, 0]) < 0) and np.all(np.diff(pts[:, 1]) < 0)):
-            raise ValueError("vertices must be strictly decreasing in both coordinates")
-        slopes = np.diff(pts[:, 1]) / np.diff(pts[:, 0])
-        bad = np.flatnonzero(slopes[1:] >= slopes[:-1]) + 1
-        if len(bad):
-            k = int(bad[0])
-            raise ValueError(f"segment {k} has slope {slopes[k]!r}, not below segment {k - 1}'s "
-                             f"{slopes[k - 1]!r}: the vertices are not convex")
-
-    @classmethod
-    def from_sequence(cls, seq: SequencePair) -> "PolygonalGeometry":
-        return cls(vertices=np.column_stack([seq.a, seq.b]), first_index=seq.first_index())
-
-    def segment_indices(self) -> range:
-        return range(self.first_index, self.first_index + len(self.vertices) - 1)
-
-    def _row(self, j: int) -> int:
-        row = j - self.first_index
-        if row < 0 or row >= len(self.vertices) - 1:
-            raise ValueError(f"segment {j} outside the vertex range")
-        return row
-
-    def anchor(self, j: int) -> tuple[float, float]:
-        row = self._row(j)
-        return tuple(self.vertices[row])
-
-    def width(self, j: int) -> float:
-        row = self._row(j)
-        return float(self.vertices[row, 0] - self.vertices[row + 1, 0])
-
-    def slope(self, j: int) -> float:
-        row = self._row(j)
-        (a0, b0), (a1, b1) = self.vertices[row], self.vertices[row + 1]
-        return float((b0 - b1) / (a0 - a1))
-
-    def curve_height(self, xi) -> np.ndarray:
-        """Piecewise-linear interpolant, end segments extended linearly."""
-        xs = self.vertices[::-1, 0]
-        ys = self.vertices[::-1, 1]
-        xi = np.asarray(xi, dtype=float)
-        out = np.interp(xi, xs, ys)
-        s_lo = (ys[1] - ys[0]) / (xs[1] - xs[0])
-        s_hi = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        out = np.where(xi < xs[0], ys[0] + s_lo * (xi - xs[0]), out)
-        out = np.where(xi > xs[-1], ys[-1] + s_hi * (xi - xs[-1]), out)
-        return out
-
-    def epigraph_contains(self, xi, eta) -> np.ndarray:
-        return np.asarray(eta, dtype=float) >= self.curve_height(xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,6 +101,15 @@ def r2_samples(n: int) -> np.ndarray:
     return np.column_stack([np.mod(idx / g, 1.0), np.mod(idx / g**2, 1.0)])
 
 
+def segment(seq: SequencePair, j: int) -> tuple[tuple[float, float], float, float]:
+    """Segment j of the polygonal curve through the pair's vertices: its
+    anchor (a_j, b_j), its width a_j - a_{j+1} and its slope."""
+    if not seq.first_index() <= j < seq.last_index():
+        raise ValueError(f"segment {j} outside [{seq.first_index()}, {seq.last_index()})")
+    a0, b0, a1, b1 = seq.a_at(j), seq.b_at(j), seq.a_at(j + 1), seq.b_at(j + 1)
+    return (a0, b0), a0 - a1, (b0 - b1) / (a0 - a1)
+
+
 @dataclass
 class CoverReport:
     j: int
@@ -194,17 +136,12 @@ class CoverReport:
         }
 
 
-def build_cover(
-    polygon: PolygonalGeometry,
-    j: int,
-    alpha: float,
-    C0: float = 16.0,
-    samples: int = 10_000,
-) -> CoverReport:
-    """Select Whitney squares whose alpha-shrunk rectangles cover T_j off its
-    hypotenuse, and check that every rectangle stays inside the epigraph
-    (exactly: the epigraph is convex, so a rectangle's two bottom corners
-    decide).
+def build_cover(seq: SequencePair, j: int, alpha: float, C0: float, samples: int) -> CoverReport:
+    """Select Whitney squares whose alpha-shrunk rectangles cover T_j, the
+    triangle under segment j of the polygon through the pair's vertices, off
+    its hypotenuse, and check that every rectangle stays inside the epigraph
+    (exactly: the vertices must pass ``convex_polygon``, so the epigraph is
+    convex and a rectangle's two bottom corners decide).
 
     Selection is constructive: each quasi-random sample of the normalized
     triangle picks the dyadic scale whose condition band brackets its
@@ -216,9 +153,8 @@ def build_cover(
         raise ValueError("alpha must lie in (0, 0.999)")
     if alpha < 0.8:
         raise ValueError("alpha below 0.8 breaks the snapped-center margin")
-    w = polygon.width(j)
-    s_j = polygon.slope(j)
-    a_j, b_j = polygon.anchor(j)
+    vertices = convex_polygon(np.column_stack([seq.a, seq.b]))
+    (a_j, b_j), w, s_j = segment(seq, j)
 
     uv = r2_samples(samples)
     x = w * np.maximum(uv[:, 0], uv[:, 1])
@@ -260,7 +196,7 @@ def build_cover(
     rects = RectCover(j=j, anchor=(a_j, b_j), s_j=s_j, k=k[pick], cx=cx[pick], cy=cy[pick])
 
     (xlo, xhi), (elo, _) = rects.edges()[:2]
-    ok = polygon.epigraph_contains(xlo, elo) & polygon.epigraph_contains(xhi, elo)
+    ok = (elo >= polygon_height(vertices, xlo)) & (elo >= polygon_height(vertices, xhi))
     containment_failures = np.flatnonzero(~ok).tolist()
 
     return CoverReport(
@@ -551,12 +487,13 @@ def _int_shift(value: float, L: float) -> int:
     return int(round(slots))
 
 
-def _tile_projections(f: SampledFunction, g: SampledFunction, h: SampledFunction, tiles: TileSet,
-                      seq: SequencePair) -> np.ndarray:
+def _tile_projections(f: SampledFunction, g: SampledFunction, h: SampledFunction,
+                      tiles: TileSet) -> np.ndarray:
     """The centered 4N-slot coefficients of the product of the three tile
     projections, one row per entry of ``tiles`` (0 for an entry no tile
     uses).  A cover row's third-slot partition runs over the entries its
-    tiles use.  Anchors must sit on the frequency lattice."""
+    tiles use.  The modulation shifts are the cover's anchor (a_j, b_j),
+    which must sit on the frequency lattice."""
     N, L = f.N, f.L
     M = 4 * N
     rects, alpha = tiles.rects, tiles.alpha
@@ -575,8 +512,7 @@ def _tile_projections(f: SampledFunction, g: SampledFunction, h: SampledFunction
         ok = (idx >= 0) & (idx < M)
         return np.where(ok, c[np.clip(idx, 0, M - 1)], 0.0)
 
-    j = rects.j
-    sa, sb = _int_shift(seq.a_at(j), L), _int_shift(seq.b_at(j), L)
+    sa, sb = (_int_shift(v, L) for v in rects.anchor)
     used = np.unique(tiles.entry)
     rows = tiles.rect[used]
     keys = np.unique(rows)
@@ -597,8 +533,7 @@ def _tile_projections(f: SampledFunction, g: SampledFunction, h: SampledFunction
     return q_hat
 
 
-def model_sum_eval(f: SampledFunction, g: SampledFunction, h: SampledFunction, tiles: TileSet,
-                   seq: SequencePair) -> dict:
+def model_sum_eval(f: SampledFunction, g: SampledFunction, h: SampledFunction, tiles: TileSet) -> dict:
     """Evaluate the discretized trilinear model form and its direct counterpart.
 
     ``tiles`` come from ``enumerate_multitiles`` and carry their cover, base
@@ -613,7 +548,8 @@ def model_sum_eval(f: SampledFunction, g: SampledFunction, h: SampledFunction, t
     to raw f, g as the tensor sum sum_r (phi_r-filtered f)(psi_r-filtered g)
     and paired with raw h.  With all bumps cut from the shared profile the
     two agree exactly up to rounding; ``deviation`` is their relative gap.
-    Anchors must sit on the frequency lattice.
+    The modulation shifts are the cover's anchor (a_j, b_j), which must sit
+    on the frequency lattice.
     """
     if not (f.N == g.N == h.N) or not (f.L == g.L == h.L):
         raise ValueError("common grid required")
@@ -622,7 +558,7 @@ def model_sum_eval(f: SampledFunction, g: SampledFunction, h: SampledFunction, t
     rects, alpha, ell = tiles.rects, tiles.alpha, tiles.tile_len
     N, L = f.N, f.L
     M = 4 * N
-    q_hat = _tile_projections(f, g, h, tiles, seq)
+    q_hat = _tile_projections(f, g, h, tiles)
 
     # slot s pairs with slot M - s (slot 0 with itself), on the spectrum's support
     freqs_pad = _freq_grid(M, L)

@@ -190,10 +190,12 @@ def enumerate_whitney_squares(
     return out
 
 
-def containment_failures_by_sampling(polygon, rects, n=25):
-    """Rows of ``rects`` with a point below the polygon's curve among ``n``
-    evenly spaced points on each of the rectangle's four edges, corners
-    included.  Exact containment needs a convex polygon; this check does not."""
+def containment_failures_by_sampling(seq, rects, n=25):
+    """Rows of ``rects`` with a point below the polygonal curve through the
+    pair's vertices among ``n`` evenly spaced points on each of the
+    rectangle's four edges, corners included.  The curve is interpolated
+    here, end segments extended linearly.  Exact containment needs a convex
+    polygon; this check does not."""
     ts = np.linspace(0.0, 1.0, n)
     (xlo, xhi), (elo, ehi) = ((lo[:, None], hi[:, None]) for lo, hi in rects.edges()[:2])
     edge_x = np.concatenate(
@@ -204,7 +206,11 @@ def containment_failures_by_sampling(polygon, rects, n=25):
         [np.repeat(elo, n, axis=1), np.repeat(ehi, n, axis=1),
          elo + (ehi - elo) * ts, elo + (ehi - elo) * ts], axis=1
     )
-    ok = np.all(polygon.epigraph_contains(edge_x, edge_y), axis=1)
+    xs, ys = seq.a[::-1], seq.b[::-1]
+    s_lo, s_hi = (ys[1] - ys[0]) / (xs[1] - xs[0]), (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    height = np.where(edge_x < xs[0], ys[0] + s_lo * (edge_x - xs[0]),
+                      np.where(edge_x > xs[-1], ys[-1] + s_hi * (edge_x - xs[-1]), np.interp(edge_x, xs, ys)))
+    ok = np.all(edge_y >= height, axis=1)
     return np.flatnonzero(~ok).tolist()
 
 
@@ -500,12 +506,12 @@ def pgm_text_by_pixels(bitmap):
     return "\n".join(lines) + "\n"
 
 
-def cover_squares_by_unique_rows(polygon, j, alpha, C0, samples):
+def cover_squares_by_unique_rows(seq, j, alpha, C0, samples):
     """The (k, cx, cy) rows ``build_cover`` selects, found the first way it
     was written: snap every sample as ``build_cover`` does, then keep the
     first covered sample of each distinct (k, cx/delta, cy/delta) row by
     ``np.unique(axis=0)``."""
-    w = polygon.width(j)
+    w = seq.a_at(j) - seq.a_at(j + 1)
     uv = r2_samples(samples)
     x = w * np.maximum(uv[:, 0], uv[:, 1])
     y = w * np.minimum(uv[:, 0], uv[:, 1])
@@ -540,13 +546,13 @@ def chi_coeffs_dense(interval, j, B, M, L):
     return box * fejer_sq_spectrum(xi / lam, r0) / L
 
 
-def model_value_by_tile(f, g, h, tiles, seq):
+def model_value_by_tile(f, g, h, tiles):
     """The model side of ``whitney.model_sum_eval`` as first written: each
     tile's cutoff coefficients on all 4N slots (``chi_coeffs_dense``) paired
     with its entry's projection coefficients by a full-length period pairing,
     and the pairings summed tile by tile over the set's (entry, m) pairs."""
     M, L, ell = 4 * f.N, f.L, tiles.tile_len
-    q_hat = _tile_projections(f, g, h, tiles, seq)
+    q_hat = _tile_projections(f, g, h, tiles)
     total = 0.0 + 0.0j
     for e, m in zip(tiles.entry.tolist(), tiles.m.tolist()):
         chi = chi_coeffs_dense((m * ell, (m + 1) * ell), tiles.j, tiles.exponent_base, M, L)

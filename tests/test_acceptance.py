@@ -293,11 +293,10 @@ def test_criterion_9_boundedness_probes(tmp_path):
 def test_criterion_10_whitney_geometry():
     t0 = time.time()
     seq = curves.build_dyadic_slope_sequence(curves.hyperboloid(), 14)
-    poly = whitney.PolygonalGeometry.from_sequence(seq)
     ok = True
     overlaps = {1: [], 2: [], 3: []}
-    for j in list(poly.segment_indices())[:7]:
-        rep = whitney.build_cover(poly, j, alpha=0.9, C0=16.0, samples=10_000)
+    for j in range(seq.first_index(), seq.first_index() + 7):
+        rep = whitney.build_cover(seq, j, alpha=0.9, C0=16.0, samples=10_000)
         ok = ok and rep.cover_ok and rep.containment_ok
         ov = whitney.edge_interval_collections(rep.rects, 0.9)["max_overlap"]
         for i in (1, 2, 3):
@@ -315,14 +314,14 @@ def test_criterion_10_whitney_geometry():
         a=-js.astype(float), b=2.0 ** (1 - js), direction="decreasing",
         j0=1, a_inf=-math.inf, b_inf=0.0,
     )
-    dpoly = whitney.PolygonalGeometry.from_sequence(dyadic)
-    rect = whitney.RectCover(j=1, anchor=dpoly.anchor(1), s_j=dpoly.slope(1),
+    anchor, _, s_j = whitney.segment(dyadic, 1)
+    rect = whitney.RectCover(j=1, anchor=anchor, s_j=s_j,
                              k=np.array([-3]), cx=np.array([0.75]), cy=np.array([0.25]))
     tiles = whitney.enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=64.0, alpha=0.9)
     rng = np.random.default_rng(31)
     N, L = 512, 64.0
     mk = lambda: SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L)
-    res = whitney.model_sum_eval(mk(), mk(), mk(), tiles, dyadic)
+    res = whitney.model_sum_eval(mk(), mk(), mk(), tiles)
     ok = ok and res["deviation"] <= 1e-6
     elapsed = time.time() - t0
     ok = ok and elapsed < 300.0

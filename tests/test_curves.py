@@ -229,6 +229,17 @@ def test_sequence_pair_validation():
         good.truncate(5)
 
 
+def test_sequence_pair_rejects_indices_outside_its_range():
+    # storage row j - j0 must not wrap around (j = 0 with j0 = 1 read the
+    # last vertex) or run past the end
+    seq = SequencePair(a=np.array([-1.0, -2.0, -3.0]), b=np.array([1.0, 0.5, 0.25]), j0=1)
+    assert (seq.a_at(1), seq.b_at(3)) == (-1.0, 0.25)
+    for j in (0, -1, 4):
+        for at in (seq.a_at, seq.b_at):
+            with pytest.raises(ValueError, match=rf"index {j} outside \[1, 3\]"):
+                at(j)
+
+
 @given(st.floats(min_value=1.05, max_value=3.0), st.integers(min_value=4, max_value=10))
 @settings(max_examples=30, deadline=None)
 def test_classify_geometric_is_lacunary_and_convex(r, n):

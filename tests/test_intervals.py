@@ -8,7 +8,6 @@ from bmlab import curves
 from bmlab.intervals import (
     ColoringResult,
     HalfOpenInterval,
-    IntervalCollection,
     build_hyp_collection,
     check_hypothesis,
     max_overlap,
@@ -61,8 +60,7 @@ def test_power_law_hyp1_inclusion(c):
     seq = curves.build_dyadic_slope_sequence(curves.power_law(c), 10)
     b0 = c ** (-c / (c + 1.0))
     coll = build_hyp_collection(seq, "hyp1")
-    for k, iv in enumerate(coll):
-        j = coll.first_index + k
+    for j, iv in enumerate(coll, start=seq.first_index() + 1):
         lo_bound = abs(seq.a_at(j)) - b0
         hi_bound = abs(seq.a_at(j + 1))
         assert iv.lo >= lo_bound - 1e-12
@@ -73,8 +71,7 @@ def test_hyperboloid_hyp2_items(hyperboloid_seq):
     seq = hyperboloid_seq.truncate(6)
     coll = build_hyp_collection(seq, "hyp2")
     assert len(coll) == 6
-    for k, iv in enumerate(coll):
-        j = coll.first_index + k
+    for j, iv in enumerate(coll, start=seq.first_index()):
         assert iv.closure == "left_open"
         assert abs(iv.lo - (-seq.a_at(j) - seq.b_at(j))) < 1e-12
         assert abs(iv.hi - (-seq.a_at(j + 1) - 1.0)) < 1e-12
@@ -83,8 +80,7 @@ def test_hyperboloid_hyp2_items(hyperboloid_seq):
 def test_power_law_hyp1_count_and_left_endpoints(power1_seq):
     coll = build_hyp_collection(power1_seq.truncate(6), "hyp1")
     assert len(coll) == 5
-    for k, iv in enumerate(coll):
-        j = coll.first_index + k
+    for j, iv in enumerate(coll, start=power1_seq.first_index() + 1):
         # with c = 1 the top value is 1, so left endpoints are |a_j| - 1
         assert abs(iv.lo - (abs(power1_seq.a_at(j)) - 1.0)) < 1e-12
 
@@ -103,8 +99,7 @@ def test_increasing_variant_items():
     seq = curves.SequencePair(a=u, b=v, direction="increasing")
     coll = build_hyp_collection(seq, "hyp1")
     assert len(coll) == 6
-    for k, iv in enumerate(coll):
-        j = coll.first_index + k
+    for j, iv in enumerate(coll, start=seq.first_index() + 1):
         assert abs(iv.lo - (-u[j] - v[j + 1])) < 1e-12
         assert abs(iv.hi - (-u[0] - v[j])) < 1e-12
 
@@ -117,15 +112,14 @@ def test_touching_half_open_disjoint():
 
 
 def test_split_disjoint_single_color():
-    coll = IntervalCollection(items=(RO(0, 1), RO(1, 2), RO(3, 4)))
-    res = min_disjoint_split(coll)
+    res = min_disjoint_split((RO(0, 1), RO(1, 2), RO(3, 4)))
     assert res.num_colors == 1
     assert res.verify()
 
 
 def test_split_common_point_needs_k_colors():
     ivs = tuple(RO(-k, 1.0 + 0.1 * k) for k in range(5))
-    res = min_disjoint_split(IntervalCollection(items=ivs))
+    res = min_disjoint_split(ivs)
     assert res.num_colors == 5
     assert res.verify()
     assert res.num_colors == exact_chromatic_number(list(ivs))
@@ -133,7 +127,7 @@ def test_split_common_point_needs_k_colors():
 
 def test_split_empty_rejected():
     with pytest.raises(ValueError):
-        min_disjoint_split(IntervalCollection(items=()))
+        min_disjoint_split(())
 
 
 def test_greedy_matches_bruteforce_randomized(rng):
@@ -145,14 +139,14 @@ def test_greedy_matches_bruteforce_randomized(rng):
             ln = float(rng.uniform(0.05, 4.0))
             cl = "right_open" if rng.integers(2) else "left_open"
             ivs.append(HalfOpenInterval(lo, lo + ln, closure=cl))
-        res = min_disjoint_split(IntervalCollection(items=tuple(ivs)))
+        res = min_disjoint_split(ivs)
         assert res.verify()
         assert res.num_colors == exact_chromatic_number(ivs)
 
 
 def test_coloring_certificate_detects_corruption():
     ivs = (RO(0, 2), RO(1, 3))
-    res = min_disjoint_split(IntervalCollection(items=ivs))
+    res = min_disjoint_split(ivs)
     bad = ColoringResult(num_colors=1, assignment=[0, 0], certificate={0: list(ivs)})
     assert res.verify()
     assert not bad.verify()

@@ -10,8 +10,8 @@ from bmlab.config import RunConfig
 from bmlab.bumps import fejer_sq_spectrum
 from bmlab.engine import SampledFunction, _freq_grid, _pad, _period_pairing
 from bmlab.intervals import max_overlap
+from bmlab.symbols import polygon_height, polygonal_epigraph_symbol
 from bmlab.whitney import (
-    PolygonalGeometry,
     RectCover,
     build_cover,
     chi_values,
@@ -22,6 +22,7 @@ from bmlab.whitney import (
     omega3_partition_check,
     partition_check,
     r2_samples,
+    segment,
 )
 
 from oracles import (
@@ -39,16 +40,16 @@ def dyadic_seq(n=7):
     )
 
 
-def segment_cover(poly, squares, j=1):
-    """The RectCover on segment j with one row per (cx, cy, k) square."""
+def segment_cover(seq, squares, j=1):
+    """The RectCover on segment j of ``seq`` with one row per (cx, cy, k) square."""
     cx, cy, k = (np.array(v) for v in zip(*squares))
-    return RectCover(j=j, anchor=poly.anchor(j), s_j=poly.slope(j), k=k, cx=cx, cy=cy)
+    anchor, _, s_j = segment(seq, j)
+    return RectCover(j=j, anchor=anchor, s_j=s_j, k=k, cx=cx, cy=cy)
 
 
 def demo_rect():
     seq = dyadic_seq()
-    poly = PolygonalGeometry.from_sequence(seq)
-    return seq, poly, segment_cover(poly, [(0.75, 0.25, -3)])
+    return seq, segment_cover(seq, [(0.75, 0.25, -3)])
 
 
 @pytest.mark.parametrize(
@@ -102,25 +103,46 @@ def test_enumeration_guards():
 
 
 def test_polygon_geometry(hyperboloid_seq):
-    poly = PolygonalGeometry.from_sequence(hyperboloid_seq)
-    j = poly.first_index
-    a_j, b_j = poly.anchor(j)
-    assert (a_j, b_j) == tuple(poly.vertices[0])
-    assert poly.width(j) == a_j - poly.vertices[1][0]
-    assert 0.0 < poly.slope(j) < 1.0
-    # curve height extends the end segments linearly
-    left = poly.vertices[-1]
-    assert poly.curve_height(left[0] - 0.01) < left[1]
+    seq = hyperboloid_seq
+    j = seq.first_index()
+    (a_j, b_j), w, s_j = segment(seq, j)
+    assert (a_j, b_j) == (seq.a[0], seq.b[0])
+    assert w == a_j - seq.a[1]
+    assert s_j == (seq.b[0] - seq.b[1]) / (seq.a[0] - seq.a[1]) and 0.0 < s_j < 1.0
+    # the height passes through the vertices and extends the end segments linearly
+    verts = np.column_stack([seq.a, seq.b])
+    assert np.array_equal(polygon_height(verts, seq.a), seq.b)
+    for end, inner, dx in ((-1, -2, -0.01), (0, 1, 0.01)):
+        (x0, y0), (x1, y1) = verts[end], verts[inner]
+        height = polygon_height(verts, x0 + dx)
+        assert abs(height - (y0 + (y1 - y0) / (x1 - x0) * dx)) <= 1e-15
+        assert (height < y0) if dx < 0 else (height > y0)
+
+
+def test_build_cover_rejects_segments_outside_the_pair(hyperboloid_seq):
+    seq = hyperboloid_seq
+    assert seq.first_index() == 1
+    for j in (seq.first_index() - 1, seq.last_index()):
+        with pytest.raises(ValueError, match=f"segment {j} outside \\[1, {seq.last_index()}\\)"):
+            build_cover(seq, j, alpha=0.9, C0=16.0, samples=100)
 
 
 @pytest.mark.parametrize(
-    "verts", [[(0.0, 0.0), (-1.0, -0.25), (-2.0, -1.0)], [(0.0, 0.0), (-1.0, -0.5), (-2.0, -1.0)]],
-    ids=["concave", "collinear"],
+    "verts,message",
+    [([(0.0, 0.0), (-1.0, -0.25), (-2.0, -1.0)], "segment 1 .* not convex"),
+     ([(0.0, 0.0), (-1.0, -0.5), (-2.0, -1.0)], "segment 1 .* not convex"),
+     ([(0.0, 0.0), (-1.0, -0.5), (-2.0, -1.5)], "segment 1 has slope 1.0 outside \\(0, 1\\)")],
+    ids=["concave", "collinear", "steep"],
 )
-def test_polygon_rejects_non_convex_vertices(verts):
-    # the corner containment test of build_cover is exact only on a convex polygon
-    with pytest.raises(ValueError, match="segment 1 .* not convex"):
-        PolygonalGeometry(vertices=np.array(verts))
+def test_polygon_rejects_non_convex_vertices(verts, message):
+    # the polygonal symbol and the Whitney cover accept the same polygons: the
+    # corner containment test of build_cover is exact only on a convex one
+    seq = curves.SequencePair(a=[v[0] for v in verts], b=[v[1] for v in verts])
+    with pytest.raises(ValueError, match=message) as symbol_err:
+        polygonal_epigraph_symbol(verts)
+    with pytest.raises(ValueError, match=message) as cover_err:
+        build_cover(seq, 0, alpha=0.9, C0=16.0, samples=100)
+    assert str(symbol_err.value) == str(cover_err.value)
 
 
 @pytest.mark.parametrize(
@@ -131,9 +153,9 @@ def test_polygon_rejects_non_convex_vertices(verts):
 )
 def test_corner_containment_matches_sampling_on_failing_covers(curve):
     # at C0 = 0.5 some rectangles cross the next vertex and leave the epigraph
-    poly = PolygonalGeometry.from_sequence(curves.build_dyadic_slope_sequence(curve, 8))
-    rep = build_cover(poly, poly.first_index, alpha=0.9, C0=0.5, samples=2000)
-    expect = containment_failures_by_sampling(poly, rep.rects)
+    seq = curves.build_dyadic_slope_sequence(curve, 8)
+    rep = build_cover(seq, seq.first_index(), alpha=0.9, C0=0.5, samples=2000)
+    expect = containment_failures_by_sampling(seq, rep.rects)
     assert expect and not rep.containment_ok
     assert rep.containment_failures == expect
 
@@ -141,15 +163,15 @@ def test_corner_containment_matches_sampling_on_failing_covers(curve):
 @pytest.mark.parametrize("J,segments", [(14, 7), (12, 4)], ids=["criterion-10", "cli-config"])
 def test_corner_containment_matches_sampling_on_proof_covers(J, segments):
     # the covers of acceptance criterion 10 and of the benchmark's CLI config
-    poly = PolygonalGeometry.from_sequence(curves.build_dyadic_slope_sequence(curves.hyperboloid(), J))
-    for j in list(poly.segment_indices())[:segments]:
-        rep = build_cover(poly, j, alpha=0.9, C0=16.0, samples=10_000)
-        assert rep.containment_failures == containment_failures_by_sampling(poly, rep.rects) == []
+    seq = curves.build_dyadic_slope_sequence(curves.hyperboloid(), J)
+    for j in range(seq.first_index(), seq.first_index() + segments):
+        rep = build_cover(seq, j, alpha=0.9, C0=16.0, samples=10_000)
+        assert rep.containment_failures == containment_failures_by_sampling(seq, rep.rects) == []
 
 
-def _assert_same_squares(poly, j, alpha, C0, samples):
-    rep = build_cover(poly, j, alpha=alpha, C0=C0, samples=samples)
-    want = cover_squares_by_unique_rows(poly, j, alpha, C0, samples)
+def _assert_same_squares(seq, j, alpha, C0, samples):
+    rep = build_cover(seq, j, alpha=alpha, C0=C0, samples=samples)
+    want = cover_squares_by_unique_rows(seq, j, alpha, C0, samples)
     got = (rep.rects.k, rep.rects.cx, rep.rects.cy)
     assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) if a.dtype.kind == "f"
                else np.array_equal(a, b) for a, b in zip(got, want))
@@ -159,9 +181,9 @@ def _assert_same_squares(poly, j, alpha, C0, samples):
 @pytest.mark.parametrize("J,segments", [(14, 7), (12, 4)], ids=["criterion-10", "cli-config"])
 def test_cover_dedup_matches_unique_rows_on_proof_covers(J, segments):
     # the 1-d dedup picks the squares np.unique(axis=0) picked, in the same order
-    poly = PolygonalGeometry.from_sequence(curves.build_dyadic_slope_sequence(curves.hyperboloid(), J))
-    for j in list(poly.segment_indices())[:segments]:
-        assert _assert_same_squares(poly, j, 0.9, 16.0, 10_000) > 1
+    seq = curves.build_dyadic_slope_sequence(curves.hyperboloid(), J)
+    for j in range(seq.first_index(), seq.first_index() + segments):
+        assert _assert_same_squares(seq, j, 0.9, 16.0, 10_000) > 1
 
 
 @pytest.mark.parametrize(
@@ -171,20 +193,21 @@ def test_cover_dedup_matches_unique_rows_on_proof_covers(J, segments):
     ids=lambda c: c.family,
 )
 def test_cover_dedup_matches_unique_rows_on_failing_covers(curve):
-    poly = PolygonalGeometry.from_sequence(curves.build_dyadic_slope_sequence(curve, 8))
-    assert _assert_same_squares(poly, poly.first_index, 0.9, 0.5, 2000) > 1
+    seq = curves.build_dyadic_slope_sequence(curve, 8)
+    j = seq.first_index()
+    assert _assert_same_squares(seq, j, 0.9, 0.5, 2000) > 1
     # at C0 = 1e-3 no sample is covered: an empty cover, every sample a witness
-    assert _assert_same_squares(poly, poly.first_index, 0.9, 1e-3, 2000) == 0
-    rep = build_cover(poly, poly.first_index, alpha=0.9, C0=1e-3, samples=2000)
+    assert _assert_same_squares(seq, j, 0.9, 1e-3, 2000) == 0
+    rep = build_cover(seq, j, alpha=0.9, C0=1e-3, samples=2000)
     assert not rep.cover_ok and len(rep.witnesses) == rep.samples_used > 0
     assert rep.containment_ok
     assert edge_interval_collections(rep.rects, 0.9)["max_overlap"] == {1: 0, 2: 0, 3: 0}
 
 
 def test_build_cover_hyperboloid_segments(hyperboloid_seq):
-    poly = PolygonalGeometry.from_sequence(hyperboloid_seq)
-    for j in list(poly.segment_indices())[:3]:
-        rep = build_cover(poly, j, alpha=0.9, C0=16.0, samples=3000)
+    seq = hyperboloid_seq
+    for j in range(seq.first_index(), seq.first_index() + 3):
+        rep = build_cover(seq, j, alpha=0.9, C0=16.0, samples=3000)
         assert rep.cover_ok, rep.witnesses[:3]
         assert rep.containment_ok
         rects = rep.rects
@@ -200,22 +223,21 @@ def test_build_cover_hyperboloid_segments(hyperboloid_seq):
 
 def test_build_cover_steep_segment():
     # slope close to 1 on the first segment
-    verts = np.array([[0.0, 0.0], [-1.0, -0.95], [-2.0, -1.85], [-3.0, -2.65]])
-    poly = PolygonalGeometry(vertices=verts)
-    rep = build_cover(poly, 0, alpha=0.9, C0=16.0, samples=3000)
+    seq = curves.SequencePair(a=[0.0, -1.0, -2.0, -3.0], b=[0.0, -0.95, -1.85, -2.65])
+    rep = build_cover(seq, 0, alpha=0.9, C0=16.0, samples=3000)
     assert rep.cover_ok and rep.containment_ok
 
 
 def test_build_cover_validation(hyperboloid_seq):
-    poly = PolygonalGeometry.from_sequence(hyperboloid_seq)
-    with pytest.raises(ValueError):
-        build_cover(poly, poly.first_index, alpha=1.2)
-    with pytest.raises(ValueError):
-        build_cover(poly, poly.first_index, alpha=0.5)
+    j = hyperboloid_seq.first_index()
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 0.999\)"):
+        build_cover(hyperboloid_seq, j, alpha=1.2, C0=16.0, samples=1000)
+    with pytest.raises(ValueError, match="alpha below 0.8"):
+        build_cover(hyperboloid_seq, j, alpha=0.5, C0=16.0, samples=1000)
 
 
 def test_rect_geometry_identities():
-    seq, poly, rect = demo_rect()
+    seq, rect = demo_rect()
     (xlo, xhi), (elo, ehi), e3 = ((lo[0], hi[0]) for lo, hi in rect.edges())
     side = 2.0 ** rect.k[0]
     assert (xhi - xlo) == side
@@ -240,11 +262,11 @@ def test_rect_geometry_identities():
 
 
 def test_edge_collections_single_and_adjacent():
-    seq, poly, rect = demo_rect()
+    seq, rect = demo_rect()
     single = edge_interval_collections(rect, 0.9)
     assert single["max_overlap"] == {1: 1, 2: 1, 3: 1}
     # the demo square and an abutting square of the same scale
-    both = edge_interval_collections(segment_cover(poly, [(0.75, 0.25, -3), (0.875, 0.375, -3)]), 0.9)
+    both = edge_interval_collections(segment_cover(seq, [(0.75, 0.25, -3), (0.875, 0.375, -3)]), 0.9)
     assert all(1 <= v <= 2 for v in both["max_overlap"].values())
     assert both["max_overlap"][1] == 2  # dilated abutting edges overlap
 
@@ -272,11 +294,10 @@ def _bits(values):
 def test_cover_arrays_match_tile_rects(hyperboloid_seq):
     # every range, edge, omega and K the arrays give equals, bit for bit, the
     # one derived per row in scalars from the square's own I and Jn
-    poly = PolygonalGeometry.from_sequence(hyperboloid_seq)
-    for j in list(poly.segment_indices())[:3]:
-        cover = build_cover(poly, j, alpha=0.9, C0=16.0, samples=3000).rects
-        a, b = poly.anchor(j)
-        s_j = poly.slope(j)
+    seq = hyperboloid_seq
+    for j in range(seq.first_index(), seq.first_index() + 3):
+        cover = build_cover(seq, j, alpha=0.9, C0=16.0, samples=3000).rects
+        (a, b), _, s_j = segment(seq, j)
         expect = {i: [] for i in ("xi", "eta", "e3", "om1", "om2", "K")}
         for i in range(len(cover)):
             cx, cy, k = float(cover.cx[i]), float(cover.cy[i]), int(cover.k[i])
@@ -367,7 +388,7 @@ def test_cube_condition_variants():
 
 
 def test_multitiles_structure():
-    seq, poly, rect = demo_rect()
+    seq, rect = demo_rect()
     tiles = enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=16.0, alpha=0.9)
     assert len(tiles)
     tile_len = 2.0**-1
@@ -389,7 +410,7 @@ def test_multitiles_structure():
 
 
 def test_multitiles_validation():
-    seq, poly, rect = demo_rect()
+    seq, rect = demo_rect()
     with pytest.raises(ValueError, match="integer multiple"):
         enumerate_multitiles(rect, 2.0, 2, space_len=16.3, alpha=0.9)
 
@@ -419,8 +440,8 @@ def tile_fields(tiles):
 )
 def test_tile_set_matches_the_per_tile_objects(squares, C0, count):
     # every derived field of every tile, in order, bitwise (repr keeps the sign of 0)
-    seq, poly, _ = demo_rect()
-    rects = segment_cover(poly, squares)
+    seq, _ = demo_rect()
+    rects = segment_cover(seq, squares)
     tiles = enumerate_multitiles(rects, C0=C0, exponent_base=2, space_len=64.0, alpha=0.9)
     want = multitiles_by_object(rects, C0=C0, exponent_base=2, space_len=64.0, alpha=0.9)
     assert len(tiles) == len(want) == count
@@ -429,28 +450,28 @@ def test_tile_set_matches_the_per_tile_objects(squares, C0, count):
         rng = np.random.default_rng(3)
         f = SampledFunction(rng.normal(size=512) + 0j, 64.0)
         with pytest.raises(ValueError, match="nonempty tile list"):
-            model_sum_eval(f, f, f, tiles, seq)
+            model_sum_eval(f, f, f, tiles)
 
 
 def test_omega3_partition_reconstructs_wide_bump():
-    seq, poly, rect = demo_rect()
+    seq, rect = demo_rect()
     assert omega3_partition_check(rect, C0=2.0, alpha=0.9, n=10_000) <= 1e-8
 
 
 def test_omega3_partition_check_is_max_over_rows():
-    seq, poly, _ = demo_rect()
+    seq, _ = demo_rect()
     squares = [(0.75, 0.25, -3), (0.375, 0.125, -4), (0.75, 0.7265625, -8)]
-    rows = [omega3_partition_check(segment_cover(poly, [sq]), C0=2.0, alpha=0.9, n=2000) for sq in squares]
-    assert omega3_partition_check(segment_cover(poly, squares), C0=2.0, alpha=0.9, n=2000) == max(rows)
+    rows = [omega3_partition_check(segment_cover(seq, [sq]), C0=2.0, alpha=0.9, n=2000) for sq in squares]
+    assert omega3_partition_check(segment_cover(seq, squares), C0=2.0, alpha=0.9, n=2000) == max(rows)
 
 
 def test_omega3_partition_check_needs_an_admissible_cube():
     # a square deep along the diagonal: at C0 = 2 its third-slot cubes
     # partition the wide bump, at C0 = 16 every cube near the output interval
     # has a center spread below C0 times its side, so none is admissible
-    seq, poly, _ = demo_rect()
+    seq, _ = demo_rect()
     assert WhitneySquare(cx=0.75, cy=0.7265625, k=-8).satisfies(2.0)
-    rect = segment_cover(poly, [(0.75, 0.7265625, -8)])
+    rect = segment_cover(seq, [(0.75, 0.7265625, -8)])
     assert omega3_partition_check(rect, C0=2.0, alpha=0.9) <= 1e-8
     with pytest.raises(ValueError, match="no admissible"):
         omega3_partition_check(rect, C0=16.0, alpha=0.9)
@@ -494,7 +515,7 @@ def test_chi_coeffs_match_dense_spectrum(rng):
     # on the kernel spectrum's support the coefficients are the dense ones,
     # off it the dense ones are 0, and the pairing on the support is the
     # full-grid period pairing up to rounding
-    seq, poly, rect = demo_rect()
+    seq, rect = demo_rect()
     tiles = enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=64.0, alpha=0.9)[:128]
     M, L = 2048, 64.0
     xi = _freq_grid(M, L)
@@ -523,9 +544,9 @@ def test_cli_demo_model_value_matches_the_per_tile_pairing(monkeypatch):
 
     monkeypatch.setattr(whitney, "model_sum_eval", spy)
     got = cli._demo_model_sum(RunConfig(seed=7).validate())["model_value"]
-    (f, g, h, tiles, seq), _ = calls[0]
+    (f, g, h, tiles), _ = calls[0]
     assert len(tiles) == 1408
-    want = model_value_by_tile(f, g, h, tiles, seq)
+    want = model_value_by_tile(f, g, h, tiles)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -537,7 +558,7 @@ def test_r2_samples_deterministic():
 
 class TestModelSum:
     def setup_method(self):
-        self.seq, self.poly, self.rect = demo_rect()
+        self.seq, self.rect = demo_rect()
         self.tiles = enumerate_multitiles(self.rect, C0=2.0, exponent_base=2, space_len=64.0, alpha=0.9)
         self.L, self.N = 64.0, 512
 
@@ -548,11 +569,11 @@ class TestModelSum:
 
     def test_zero_input_gives_zero(self, rng):
         z = SampledFunction(np.zeros(self.N, dtype=complex), self.L)
-        res = model_sum_eval(z, self.mk(rng), self.mk(rng), self.tiles, self.seq)
+        res = model_sum_eval(z, self.mk(rng), self.mk(rng), self.tiles)
         assert res["model_value"] == 0.0 and res["adjoint_value"] == 0.0
 
     def test_identity_random_inputs(self, rng):
-        res = model_sum_eval(self.mk(rng), self.mk(rng), self.mk(rng), self.tiles, self.seq)
+        res = model_sum_eval(self.mk(rng), self.mk(rng), self.mk(rng), self.tiles)
         assert res["deviation"] <= 1e-6
         assert abs(res["adjoint_value"]) > 0
 
@@ -579,7 +600,7 @@ class TestModelSum:
         _, f = grid_exp(0.5 * (o1lo[0] + o1hi[0]) + a1)
         _, g = grid_exp(0.5 * (o2lo[0] + o2hi[0]) + b1)
         _, h = grid_exp(k_mid - a1 - b1)
-        res = model_sum_eval(f, g, h, t, self.seq)
+        res = model_sum_eval(f, g, h, t)
         # direct quadrature against the periodized space cutoff
         M = 8 * self.N
         xs = self.L * np.arange(M) / M
@@ -595,12 +616,12 @@ class TestModelSum:
         # the union of their tiles splits into the per-rectangle sums
         f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
         assert WhitneySquare(cx=0.375, cy=0.125, k=-4).satisfies(2.0)
-        rects = segment_cover(self.poly, [(0.75, 0.25, -3), (0.375, 0.125, -4)])
+        rects = segment_cover(self.seq, [(0.75, 0.25, -3), (0.375, 0.125, -4)])
         tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0, alpha=0.9)
         row = tiles.rect[tiles.entry]
-        whole = model_sum_eval(f, g, h, tiles, self.seq)
-        p1 = model_sum_eval(f, g, h, tiles[row == 0], self.seq)
-        p2 = model_sum_eval(f, g, h, tiles[row == 1], self.seq)
+        whole = model_sum_eval(f, g, h, tiles)
+        p1 = model_sum_eval(f, g, h, tiles[row == 0])
+        p2 = model_sum_eval(f, g, h, tiles[row == 1])
         got = p1["model_value"] + p2["model_value"]
         assert abs(got - whole["model_value"]) <= 1e-8 * max(1.0, abs(whole["model_value"]))
         assert whole["deviation"] <= 1e-6
@@ -612,11 +633,11 @@ class TestModelSum:
     )
     def test_adjoint_matches_dense_tile_bump_oracle(self, rng, squares):
         # the tensor sum against the tile-bump symbol tabulated on the N x N grid
-        rects = segment_cover(self.poly, squares)
+        rects = segment_cover(self.seq, squares)
         tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0, alpha=0.9)
         assert np.array_equal(np.unique(tiles.rect[tiles.entry]), np.arange(len(squares)))
         f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
-        res = model_sum_eval(f, g, h, tiles, self.seq)
+        res = model_sum_eval(f, g, h, tiles)
         ev = tile_bump_evaluator(rects, range(len(squares)), 0.9)
         B = SampledFunction(bilinear_dense_table(ev, f, g), self.L)
         dense = _period_pairing(B.coeffs(), _pad(h.coeffs(), B.N), self.L)
@@ -632,17 +653,17 @@ class TestModelSum:
     def test_model_value_matches_the_per_tile_pairing(self, rng, squares, step):
         # over all space tiles the cutoffs sum to 1, so only the zero
         # frequency survives; every third tile keeps the others in the sum
-        rects = segment_cover(self.poly, squares)
+        rects = segment_cover(self.seq, squares)
         tiles = enumerate_multitiles(rects, C0=2.0, exponent_base=2, space_len=64.0, alpha=0.9)[::step]
         f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
-        got = model_sum_eval(f, g, h, tiles, self.seq)["model_value"]
-        want = model_value_by_tile(f, g, h, tiles, self.seq)
+        got = model_sum_eval(f, g, h, tiles)["model_value"]
+        want = model_value_by_tile(f, g, h, tiles)
         assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_dense_table_matches_double_sum(self, rng):
         # the adjoint test's reference against the direct sum, on a grid
         # (N = 32, L = 6.1) that meets both bumps' plateaus and transitions
-        rects = segment_cover(self.poly, [(1.0, 0.5, 0), (2.0, 1.0, 0)])
+        rects = segment_cover(self.seq, [(1.0, 0.5, 0), (2.0, 1.0, 0)])
         ev = tile_bump_evaluator(rects, range(2), 0.9)
         N, L = 32, 6.1
         f, g = (SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L) for _ in range(2))
@@ -657,13 +678,15 @@ class TestModelSum:
             b=np.array([1.0, 0.5, 0.25]),
             direction="decreasing", j0=1, b_inf=0.0,
         )
+        rect = segment_cover(seq, [(0.75, 0.25, -3)])
+        tiles = enumerate_multitiles(rect, C0=2.0, exponent_base=2, space_len=64.0, alpha=0.9)
         with pytest.raises(ValueError, match="parameter mismatch"):
-            model_sum_eval(self.mk(rng), self.mk(rng), self.mk(rng), self.tiles, seq)
+            model_sum_eval(self.mk(rng), self.mk(rng), self.mk(rng), tiles)
 
     def test_tiles_must_come_from_the_cover(self, rng):
         f, g, h = self.mk(rng), self.mk(rng), self.mk(rng)
         with pytest.raises(ValueError, match="nonempty tile list"):
-            model_sum_eval(f, g, h, self.tiles[:0], self.seq)
+            model_sum_eval(f, g, h, self.tiles[:0])
 
     def test_memory_stays_below_tiles_by_slots(self, rng):
         # N = 8192, L = 1024: 22,528 tiles; a (tiles, S) or (tiles, M) array
@@ -674,7 +697,7 @@ class TestModelSum:
         f, g, h = (SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L) for _ in range(3))
         tracemalloc.start()
         try:
-            res = model_sum_eval(f, g, h, tiles, self.seq)
+            res = model_sum_eval(f, g, h, tiles)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,13 +97,16 @@ def _masks(intervals, freqs: np.ndarray) -> np.ndarray:
 
 
 def _masked_synthesis(c: np.ndarray, masks: np.ndarray, M: int) -> np.ndarray:
-    """(len(masks), M) samples of the coefficients c cut to each mask row,
-    synthesized on the M-point grid, M >= N; the rows are filled in FFT order."""
-    n = len(c) // 2
+    """(len(masks), M) samples of the N centered coefficients c (one row, or
+    one row per mask row) cut to each mask row, synthesized on the M-point
+    grid, M >= N; the rows are filled in FFT order."""
+    n = c.shape[-1] // 2
     out = np.zeros((len(masks), M), dtype=complex)
-    np.copyto(out[:, :n], c[n:], where=masks[:, n:])
-    np.copyto(out[:, M - n :], c[:n], where=masks[:, :n])
-    return np.fft.ifft(out, axis=-1) * M
+    np.copyto(out[:, :n], c[..., n:], where=masks[:, n:])
+    np.copyto(out[:, M - n :], c[..., :n], where=masks[:, :n])
+    x = np.fft.ifft(out, axis=-1)  # out=out is slower: numpy copies an overlapping input
+    x *= M  # the bits of ifft(out) * M, with no third array
+    return x
 
 
 def _project(f: "SampledFunction", intervals, M: int) -> np.ndarray:
@@ -226,19 +229,37 @@ def _mixed_lp(rows: np.ndarray, p: float, L: float, inner: str):
         raise ValueError("outer exponent must be >= 1")
     vals = np.abs(rows)
     if inner == "l2":
-        pointwise = np.sqrt(np.sum(vals**2, axis=-2))
+        pointwise = np.sqrt(np.add.reduce(vals**2, axis=-2))
     elif inner == "linf":
-        pointwise = np.max(vals, axis=-2)
+        pointwise = np.maximum.reduce(vals, axis=-2)
     else:
         raise ValueError(f"inner norm must be 'l2' or 'linf', not {inner!r}")
-    sums = np.sum(pointwise**p, axis=-1) * (L / rows.shape[-1])
-    if rows.ndim == 2:
+    return _outer_lp(pointwise, p, L)
+
+
+def _outer_lp(pointwise: np.ndarray, p: float, L: float):
+    """L^p norm over the period, as a Riemann sum, of pointwise values on a
+    period-L grid (last axis): a float, or for a (T, M) batch a list of T
+    floats."""
+    sums = np.add.reduce(pointwise**p, axis=-1) * (L / pointwise.shape[-1])
+    if pointwise.ndim == 1:
         return float(sums) ** (1.0 / p)
     return [float(total) ** (1.0 / p) for total in sums]
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:
     return _mixed_lp(f.samples[None], p, f.L, "l2")
+
+
+def _add_squares(acc, mags: np.ndarray) -> np.ndarray:
+    """acc + mags[0]**2 + mags[1]**2 + ..., added in that order down the
+    first axis: a sum of squares taken block by block has the bits of one
+    np.add.reduce over every block's rows (acc starts as 0.0, which adds
+    exactly)."""
+    stack = np.empty((1 + len(mags),) + mags.shape[1:])
+    stack[0] = acc
+    np.square(mags, out=stack[1:])
+    return np.add.reduce(stack, axis=0)
 
 
 @dataclass
@@ -252,32 +273,43 @@ class HolderChainReport:
     factors: tuple[float, float, float]
 
 
+# Samples per stacked synthesis of one Hölder chain call (whole steps, at
+# least one): 128 KiB of complex samples, glibc's default mmap threshold, so
+# the arrays of a block come from the heap instead of fresh pages each call.
+CHAIN_BLOCK_SAMPLES = 2**13
+
+
+class _ChainPlan(NamedTuple):
+    """What the Hölder chain needs of one staircase on one grid.  ``masks``
+    holds, for each step j in turn, the frequency rows of A_j, B_j and
+    -A_j - B_j, then the prefix rows: the grid slots below each cutoff that
+    bounds a B_j (the empty prefix first).  ``owners`` names the input each
+    row cuts: 0 for f, 1 for g, 2 for h.  Both arrays are read-only."""
+
+    masks: np.ndarray
+    owners: np.ndarray
+    steps: int
+    act: Callable
+
+
 @functools.lru_cache(maxsize=8)
-def _chain_plan(a: bytes, b: bytes, direction: str, N: int, L: float):
-    """What the Hölder chain needs of one staircase on one grid: read-only
-    (steps, N) frequency masks of A_j, B_j and -A_j - B_j, the read-only
-    (cutoffs, N) prefix masks of the grid slots below each cutoff that bounds
-    a B_j (the empty prefix included), and the staircase action.  Keyed on the
-    sequence values, so an equal pair reuses the plan and a changed one can
-    never be served a stale one."""
+def _chain_plan(a: bytes, b: bytes, direction: str, N: int, L: float) -> _ChainPlan:
+    """The chain plan of one staircase on one grid, with the staircase action.
+    Keyed on the sequence values, so an equal pair reuses the plan and a
+    changed one can never be served a stale one."""
     seq = SequencePair(np.frombuffer(a), np.frombuffer(b), direction)
     freqs = _freq_grid(N, L)
     steps = staircase_steps(seq)
-    families = (
-        [A for A, _ in steps],
-        [B for _, B in steps],
-        [neg_minkowski_sum(A, B) for A, B in steps],
-    )
-    masks = tuple(_masks(ivs, freqs) for ivs in families)
+    step_masks = _masks([iv for A, B in steps for iv in (A, B, neg_minkowski_sum(A, B))], freqs)
     cuts = {0}
-    for row in masks[1]:
+    for row in step_masks[1::3]:
         slots = np.flatnonzero(row)
         if len(slots):
             cuts.update((int(slots[0]), int(slots[-1]) + 1))
-    prefix = np.arange(N) < np.array(sorted(cuts))[:, None]
-    for m in (*masks, prefix):
-        m.flags.writeable = False
-    return masks, prefix, _bilinear_action(staircase_symbol(seq), freqs)
+    masks = np.vstack([step_masks, np.arange(N) < np.array(sorted(cuts))[:, None]])
+    owners = np.array([0, 1, 2] * len(steps) + [1] * len(cuts))
+    masks.flags.writeable = owners.flags.writeable = False
+    return _ChainPlan(masks, owners, len(steps), _bilinear_action(staircase_symbol(seq), freqs))
 
 
 def holder_chain_check(
@@ -302,6 +334,10 @@ def holder_chain_check(
     those cutoffs (the empty prefix included).  M_B is at most the maximal,
     so a pass against 2 M_B is a pass against twice the maximal; the margin
     is by how much the worst sample exceeds 2 M_B, if at all.
+
+    Every projection, the partial sums included, comes from one stacked
+    synthesis on the 2N grid, in blocks of whole steps of at most
+    ``CHAIN_BLOCK_SAMPLES`` samples, each reduced before the next is built.
     """
     if not (f.N == g.N == h.N) or not (f.L == g.L == h.L):
         raise ValueError("common grid required")
@@ -310,31 +346,46 @@ def holder_chain_check(
         raise ValueError("h must be nonzero")
 
     N, L = f.N, f.L
-    (fm, gm, hm), prefix, act = _chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, L)
+    plan = _chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, L)
     M = 2 * N  # triple products have bandwidth < 1.5 N, resolved at 2N
-    cf, cg, ch = _analyze(np.stack([f.samples, g.samples, h.samples / nh]))
-    fa = _masked_synthesis(cf, fm, M)
-    gb = _masked_synthesis(cg, gm, M)
-    hc = _masked_synthesis(ch, hm, M)
-    lhs_sum = abs(np.sum(fa * gb * hc) * (L / M))
+    coeffs = _analyze(np.array([f.samples, g.samples, h.samples / nh]))
+    per_block = 3 * max(1, CHAIN_BLOCK_SAMPLES // (3 * M))
+    prod = np.empty((plan.steps, M), dtype=complex)  # the triple products, summed at the end
+    sq_fh = max_g = m_b = 0.0  # running reductions down the rows, pointwise
+    for r0 in range(0, len(plan.masks), per_block):
+        rows = slice(r0, r0 + per_block)
+        x = _masked_synthesis(coeffs[plan.owners[rows]], plan.masks[rows], M)
+        mag = np.abs(x)
+        k = min(len(x), max(0, 3 * plan.steps - r0))  # the rows of whole steps lead the block
+        if k:
+            xs, ms = x[:k].reshape(-1, 3, M), mag[:k].reshape(-1, 3, M)  # per step: f, g, h
+            steps = prod[r0 // 3 : (r0 + k) // 3]
+            np.multiply(xs[:, 0], xs[:, 1], out=steps)
+            steps *= xs[:, 2]
+            sq_fh = _add_squares(sq_fh, ms[:, ::2])
+            max_g = np.maximum(max_g, np.maximum.reduce(ms[:, 1], axis=0))
+        if k < len(x):
+            # every other sample at 2N is a partial sum on g's own grid
+            m_b = np.maximum(m_b, np.maximum.reduce(mag[k:, ::2], axis=0))
+    lhs_sum = abs(np.add.reduce(prod, axis=None) * (L / M))
 
     # the 2N output slots N/2 + 1 .. 3N/2 pair with h's N slots in reverse
-    b_hat = act(cf, cg)
-    lhs_direct = abs(L * np.sum(b_hat[N // 2 + 1 : 3 * N // 2 + 1][::-1] * ch))
+    cf, cg, ch = coeffs
+    b_hat = plan.act(cf, cg)
+    lhs_direct = abs(L * np.add.reduce(b_hat[N // 2 + 1 : 3 * N // 2 + 1][::-1] * ch))
 
     scale = max(lhs_sum, lhs_direct, 1e-300)
     identity_gap = abs(lhs_sum - lhs_direct)
 
-    n1 = _mixed_lp(fa, e.p1, L, "l2")
-    n2 = _mixed_lp(gb, e.p2, L, "linf")
-    n3 = _mixed_lp(hc, e.p3, L, "l2")
+    n1 = _outer_lp(np.sqrt(sq_fh[0]), e.p1, L)
+    n2 = _outer_lp(max_g, e.p2, L)
+    n3 = _outer_lp(np.sqrt(sq_fh[1]), e.p3, L)
     rhs = n1 * n2 * n3
     satisfied = lhs_sum <= rhs * (1.0 + 1e-10) + 1e-12
 
-    # every other sample at 2N is the slot-2 projection on g's own grid
-    m_b = np.max(np.abs(_masked_synthesis(cg, prefix, N)), axis=0)
-    margin = max(0.0, float(np.max(np.abs(gb[:, ::2]) - 2.0 * m_b)))
-    carleson_ok = margin <= 1e-10 * max(1.0, float(np.max(m_b)))
+    # fl(a - c) is monotone in a, so the max over g's rows can come first
+    margin = max(0.0, float(np.maximum.reduce(max_g[::2] - 2.0 * m_b)))
+    carleson_ok = margin <= 1e-10 * max(1.0, float(np.maximum.reduce(m_b)))
 
     return HolderChainReport(
         lhs=float(lhs_sum),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from oracles import (
     bilinear_dense_table,
     bilinear_double_sum,
     carleson_maximal_dense,
+    holder_chain_by_families,
     half_plane_evaluator,
     masked_synthesis_padded,
     mixed_norm,
@@ -118,8 +120,10 @@ def test_carleson_verdict_fails_when_the_cutoffs_miss_the_steps(rng, hyperboloid
     real = engine._chain_plan
 
     def empty_prefix(*key):
-        masks, prefix, act = real(*key)
-        return masks, np.zeros((1, prefix.shape[1]), dtype=bool), act
+        plan = real(*key)
+        steps = 3 * plan.steps
+        empty = np.zeros((1, plan.masks.shape[1]), dtype=bool)
+        return plan._replace(masks=np.vstack([plan.masks[:steps], empty]), owners=plan.owners[: steps + 1])
 
     monkeypatch.setattr(engine, "_chain_plan", empty_prefix)
     f, g, h = (random_function(rng, 128, 32.0) for _ in range(3))
@@ -135,7 +139,9 @@ def test_step_cutoff_maximal_is_below_the_full_maximal(rng, hyperboloid_seq, N):
     # M_B, the max of the partial sums at the cutoffs bounding the B_j, is
     # what the chain checks the middle family against
     seq = hyperboloid_seq.truncate(8)
-    (_, bm, _), prefix, _ = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, 16.0)
+    plan = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, 16.0)
+    bm, prefix = plan.masks[1 : 3 * plan.steps : 3], plan.masks[3 * plan.steps :]
+    assert plan.owners.tolist() == [0, 1, 2] * plan.steps + [1] * len(prefix)  # f, g, h per step; g
     assert not prefix[0].any() and len(prefix) > 2  # the empty prefix, and steps on the grid
     for row in bm:  # every B_j is the difference of two prefixes
         assert any(np.array_equal(row, hi & ~lo) for lo in prefix for hi in prefix)
@@ -310,10 +316,11 @@ def test_chain_plan_cache_is_never_stale(rng, hyperboloid_seq, power1_seq):
 
 def test_cached_masks_and_phases_are_read_only(hyperboloid_seq):
     seq = hyperboloid_seq.truncate(8)
-    masks, prefix, _ = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, 128, 32.0)
-    for m in (*masks, prefix):
-        with pytest.raises(ValueError, match="read-only"):
-            m[0, 0] = not m[0, 0]
+    plan = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, 128, 32.0)
+    with pytest.raises(ValueError, match="read-only"):
+        plan.masks[0, 0] = not plan.masks[0, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        plan.owners[0] = 2
 
 
 def test_mixed_norm_constants():
@@ -516,3 +523,42 @@ def test_probe_argmax_is_the_first_maximal_trial(monkeypatch):
     monkeypatch.setattr(engine, "PROBE_FAMILIES", {"zero": _constant_rows(lambda rng: 0.0)})
     row = norm_probe(constant_symbol(), ExponentTriple(3, 3, 3), trials, [N], seed, 8.0).rows[0]
     assert (row["argmax_trial"], row["max_ratio"]) == (-1, 0.0)
+
+
+@pytest.mark.parametrize("N", [64, 128, 1024, 4096])
+@pytest.mark.parametrize("which", ["hyperboloid", "power1"])
+def test_holder_chain_matches_the_family_oracle(rng, hyperboloid_seq, power1_seq, which, N):
+    # at N = 64 no hyperboloid B_j meets the L = 32 grid; from N = 1024 on the
+    # rows no longer fit one stacked synthesis of CHAIN_BLOCK_SAMPLES samples
+    seq = {"hyperboloid": hyperboloid_seq, "power1": power1_seq}[which].truncate(8)
+    plan = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, 32.0)
+    assert (len(plan.masks) * 2 * N > engine.CHAIN_BLOCK_SAMPLES) == (N >= 1024)
+    e = ExponentTriple(2, 3, 6)
+    for _ in range(2):
+        f, g, h = (random_function(rng, N, 32.0) for _ in range(3))
+        got, want = holder_chain_check(seq, f, g, h, e), holder_chain_by_families(seq, f, g, h, e)
+        for name in ("lhs", "rhs_product"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
+        assert got.factors == pytest.approx(want.factors, rel=1e-12, abs=0.0)
+        # a gap and a margin are differences at the rounding level of their scale
+        assert abs(got.identity_gap - want.identity_gap) <= 1e-12 * max(1.0, want.lhs)
+        assert abs(got.carleson_margin - want.carleson_margin) <= 1e-12 * max(1.0, np.max(np.abs(g.samples)))
+        assert (got.satisfied, got.carleson_ok) == (want.satisfied, want.carleson_ok)
+
+
+def test_holder_chain_memory_at_large_n(hyperboloid_seq):
+    # one call at N = 4096 (M = 8192): each (7, M) complex family alone takes
+    # 0.875 MiB; the stacked synthesis runs in blocks, each reduced before the next
+    seq = hyperboloid_seq.truncate(8)
+    rng = np.random.default_rng(11)
+    f, g, h = (random_function(rng, 4096, 32.0) for _ in range(3))
+    e = ExponentTriple(3, 3, 3)
+    holder_chain_check(seq, f, g, h, e)  # the plan is cached; its build is not measured
+    tracemalloc.start()
+    try:
+        rep = holder_chain_check(seq, f, g, h, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.satisfied and rep.carleson_ok
+    assert peak <= 3.9 * 2**20

@@ -45,7 +45,7 @@ def main():
         print(f"rendered {name}")
 
     seq = RunConfig(J=12).sequence()
-    rep = whitney.build_cover(seq, seq.first_index(), alpha=0.9, C0=16.0, samples=4000)
+    rep = whitney.build_cover(seq, seq.j0, alpha=0.9, C0=16.0, samples=4000)
     svg = reporting.rects_to_svg(rep.rects, curve_points=np.column_stack([seq.a, seq.b]))
     reporting.atomic_write_text(str(out / "whitney_cover.svg"), svg)
     print(f"rendered whitney cover ({len(rep.rects)} tiles), cover_ok={rep.cover_ok}")

@@ -48,7 +48,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
                           "(unit_slope_origin) to shift the curve") from None
     curve = cfg.curve()
     bands = []
-    for j in range(seq.first_index(), seq.last_index()):
+    for j in seq.segments():
         inf_s, sup_s, ok = curves.slope_band_check(curve, seq.a_at(j + 1), seq.a_at(j))
         bands.append({"j": j, "inf_slope": inf_s, "sup_slope": sup_s, "band_ok": ok})
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -59,7 +59,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
             "family": cfg.family,
             "c": cfg.c,
             "J": cfg.J,
-            "first_index": seq.first_index(),
+            "first_index": seq.j0,
             "a": [float(v) for v in seq.a],
             "b": [float(v) for v in seq.b],
             "b_over_a": b_over_a,
@@ -210,7 +210,7 @@ def emit_witness(cfg: RunConfig, rep: engine.ProbeReport):
 
 def cmd_whitney(cfg: RunConfig) -> int:
     seq = cfg.sequence(J=cfg.J + 4)  # vertex margin beyond tested triangles
-    segs = range(seq.first_index(), seq.last_index())[: cfg.whitney_segments]
+    segs = seq.segments()[: cfg.whitney_segments]
     covers = []
     all_ok = True
     rect_columns = []

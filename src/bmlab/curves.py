@@ -239,10 +239,6 @@ class SequencePair:
     def J(self) -> int:
         return len(self.a) - 1
 
-    @property
-    def indices(self) -> range:
-        return range(self.j0, self.j0 + len(self.a))
-
     def _row(self, j: int) -> int:
         """The storage row of index j, which must lie in [j0, last_index()]."""
         k = j - self.j0
@@ -256,11 +252,18 @@ class SequencePair:
     def b_at(self, j: int) -> float:
         return float(self.b[self._row(j)])
 
-    def first_index(self) -> int:
-        return self.j0
-
     def last_index(self) -> int:
         return self.j0 + self.J
+
+    def segments(self) -> range:
+        """The indices j0 .. last - 1 of the segments; segment j joins vertex
+        (a_j, b_j) to vertex (a_{j+1}, b_{j+1})."""
+        return range(self.j0, self.last_index())
+
+    def require_segment(self, j: int) -> None:
+        """Raise ValueError unless j indexes a segment."""
+        if j not in self.segments():
+            raise ValueError(f"segment {j} outside [{self.j0}, {self.last_index()})")
 
     def truncate(self, J: int) -> "SequencePair":
         if J < 1 or J > self.J:

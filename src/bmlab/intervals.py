@@ -93,13 +93,12 @@ def neg_minkowski_sum(A: HalfOpenInterval, B: HalfOpenInterval) -> HalfOpenInter
 
 def staircase_steps(seq: SequencePair) -> list[tuple[HalfOpenInterval, HalfOpenInterval]]:
     """The steps (A_j, B_j) = ([a_{j+1}, a_j), [b_j, b_0)) of a decreasing
-    pair's staircase, j = first + 1 .. last - 1; the j = first term pairs
-    with the empty column [b_0, b_0) and is skipped."""
-    first, last = seq.first_index(), seq.last_index()
-    b0 = seq.b_at(first)
+    pair's staircase over its segments j but the first, which pairs with the
+    empty column [b_0, b_0) and is skipped."""
+    b0 = seq.b_at(seq.j0)
     return [
         (HalfOpenInterval(seq.a_at(j + 1), seq.a_at(j)), HalfOpenInterval(seq.b_at(j), b0))
-        for j in range(first + 1, last)
+        for j in seq.segments()[1:]
     ]
 
 
@@ -111,18 +110,17 @@ def build_hyp_collection(seq: SequencePair, which: str) -> tuple[HalfOpenInterva
     here as [b_inf, b_j) so that the two-closure algebra stays exact (the
     representation is a superset by one endpoint, conservative for
     disjointness).  For increasing pairs ``hyp1`` builds the nested family
-    -(u_0, u_j] - [v_j, v_{j+1}).  Item k is index j = first + 1 + k of a
-    ``hyp1`` family and j = first + k of ``hyp2``.
+    -(u_0, u_j] - [v_j, v_{j+1}).  Item k is segment j = j0 + 1 + k of a
+    ``hyp1`` family and j = j0 + k of ``hyp2``.
     """
     if which not in ("hyp1", "hyp2"):
         raise ValueError("which must be 'hyp1' or 'hyp2'")
-    first, last = seq.first_index(), seq.last_index()
     items = []
     if seq.direction == "increasing":
         if which != "hyp1":
             raise ValueError("increasing pairs support only the hyp1-style family")
-        u0 = seq.a_at(first)
-        for j in range(first + 1, last):
+        u0 = seq.a_at(seq.j0)
+        for j in seq.segments()[1:]:
             A = HalfOpenInterval(u0, seq.a_at(j), closure="left_open")
             B = HalfOpenInterval(seq.b_at(j), seq.b_at(j + 1), closure="right_open")
             items.append(neg_minkowski_sum(A, B))
@@ -131,7 +129,7 @@ def build_hyp_collection(seq: SequencePair, which: str) -> tuple[HalfOpenInterva
         return tuple(neg_minkowski_sum(A, B) for A, B in staircase_steps(seq))
     if seq.b_inf is None or not math.isfinite(seq.b_inf):
         raise ValueError("limit required: hyp2 needs a finite b_inf")
-    for j in range(first, last):
+    for j in seq.segments():
         A = HalfOpenInterval(seq.a_at(j + 1), seq.a_at(j), closure="right_open")
         B = HalfOpenInterval(seq.b_inf, seq.b_at(j), closure="right_open")
         items.append(neg_minkowski_sum(A, B))

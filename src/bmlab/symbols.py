@@ -154,8 +154,7 @@ def increasing_staircase_symbol(u: SequencePair, v: SequencePair) -> SymbolSpec:
 
 def boundary_piece_symbol(curve: CurveSpec, seq: SequencePair, j: int) -> SymbolSpec:
     """Indicator of {a_{j+1} <= xi < a_j, gamma(xi) <= eta < b_j}."""
-    if j < seq.first_index() or j >= seq.last_index():
-        raise ValueError(f"piece index {j} outside [{seq.first_index()}, {seq.last_index()})")
+    seq.require_segment(j)
     alo, ahi = seq.a_at(j + 1), seq.a_at(j)
     btop = seq.b_at(j)
 

@@ -104,8 +104,7 @@ def r2_samples(n: int) -> np.ndarray:
 def segment(seq: SequencePair, j: int) -> tuple[tuple[float, float], float, float]:
     """Segment j of the polygonal curve through the pair's vertices: its
     anchor (a_j, b_j), its width a_j - a_{j+1} and its slope."""
-    if not seq.first_index() <= j < seq.last_index():
-        raise ValueError(f"segment {j} outside [{seq.first_index()}, {seq.last_index()})")
+    seq.require_segment(j)
     a0, b0, a1, b1 = seq.a_at(j), seq.b_at(j), seq.a_at(j + 1), seq.b_at(j + 1)
     return (a0, b0), a0 - a1, (b0 - b1) / (a0 - a1)
 

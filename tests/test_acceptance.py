@@ -115,7 +115,7 @@ def test_criterion_4_chained_estimates():
     ]
     for seq, dom_len in concave_cases:
         tail = 2.0**-seq.J * dom_len
-        for j in list(seq.indices)[:12]:
+        for j in seq.segments()[:12]:
             ok = ok and abs(seq.b_at(j)) <= 2.0 * abs(seq.a_at(j) - seq.a_at(j + 1)) + tail
     verdict(4, "chained estimates", ok)
 
@@ -130,9 +130,9 @@ def _decomposition_mismatches(curve, seq, n=1024):
         ny=n,
     )
     epi = sample_symbol(epigraph_symbol(curve, (float(seq.a[-1]), float(seq.a[0]))), grid)
-    epi = epi * (grid.eta_values()[None, :] < seq.b_at(seq.first_index()))
+    epi = epi * (grid.eta_values()[None, :] < seq.b_at(seq.j0))
     total = sample_symbol(staircase_symbol(seq), grid)
-    for j in range(seq.first_index(), seq.last_index()):
+    for j in seq.segments():
         total = total + sample_symbol(boundary_piece_symbol(curve, seq, j), grid)
     bad = np.argwhere(epi != total)
     return bad, grid
@@ -166,13 +166,13 @@ def test_criterion_6_rewrite_identity():
         seq = curves.build_dyadic_slope_sequence(curve, 8)
         rect, comp = hyp2_rewrite_pair(seq)
         st = staircase_symbol(seq)
-        pad = 0.1 * (seq.b_at(seq.first_index()) - float(seq.b_inf))
+        pad = 0.1 * (seq.b_at(seq.j0) - float(seq.b_inf))
         grid = FrequencyGrid(
             window=(
                 float(seq.a[-1]),
                 float(seq.a[0]),
                 float(seq.b_inf) - pad,
-                seq.b_at(seq.first_index()) + pad,
+                seq.b_at(seq.j0) + pad,
             ),
             nx=1024,
             ny=1024,
@@ -295,7 +295,7 @@ def test_criterion_10_whitney_geometry():
     seq = curves.build_dyadic_slope_sequence(curves.hyperboloid(), 14)
     ok = True
     overlaps = {1: [], 2: [], 3: []}
-    for j in range(seq.first_index(), seq.first_index() + 7):
+    for j in seq.segments()[:7]:
         rep = whitney.build_cover(seq, j, alpha=0.9, C0=16.0, samples=10_000)
         ok = ok and rep.cover_ok and rep.containment_ok
         ov = whitney.edge_interval_collections(rep.rects, 0.9)["max_overlap"]

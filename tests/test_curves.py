@@ -30,6 +30,11 @@ ALL_FAMILIES = [
 ]
 
 
+def vertex_indices(seq):
+    """The vertex indices j0 .. last of a pair."""
+    return range(seq.j0, seq.last_index() + 1)
+
+
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
 def test_power_law_closed_form(c):
     seq = build_dyadic_slope_sequence(curves.power_law(c), 12)
@@ -56,9 +61,21 @@ def test_hyperboloid_closed_form(hyperboloid_seq):
     assert abs(seq.a_at(1) - 1.0 / math.sqrt(3.0)) < 1e-12
 
 
+def test_segments_and_their_range_check(hyperboloid_seq, power1_seq):
+    # segment j joins vertex j to vertex j + 1; one message names any other j
+    for seq, j0 in ((hyperboloid_seq, 1), (power1_seq, 0)):
+        last = seq.last_index()
+        assert seq.j0 == j0 and seq.segments() == range(j0, last) and len(seq.segments()) == seq.J
+        for j in seq.segments():
+            seq.require_segment(j)
+        for j in (j0 - 1, last):
+            with pytest.raises(ValueError, match=rf"^segment {j} outside \[{j0}, {last}\)$"):
+                seq.require_segment(j)
+
+
 def test_hyperboloid_b_over_a_identity(hyperboloid_seq):
     seq = hyperboloid_seq
-    js = np.array(list(seq.indices))
+    js = np.array(vertex_indices(seq))
     assert np.max(np.abs(seq.b - 2.0**js * seq.a)) < 1e-12
 
 
@@ -72,7 +89,7 @@ def test_exponential_unit_differences():
 @pytest.mark.parametrize("curve", ALL_FAMILIES, ids=lambda c: c.family + str(c.c or ""))
 def test_dyadic_slope_identity(curve):
     seq = build_dyadic_slope_sequence(curve, 10)
-    for j in seq.indices:
+    for j in vertex_indices(seq):
         val = float(curve.dgamma(np.float64(seq.a_at(j)))) * 2.0**j
         assert abs(val - 1.0) <= 1e-10
 

@@ -60,7 +60,7 @@ def test_power_law_hyp1_inclusion(c):
     seq = curves.build_dyadic_slope_sequence(curves.power_law(c), 10)
     b0 = c ** (-c / (c + 1.0))
     coll = build_hyp_collection(seq, "hyp1")
-    for j, iv in enumerate(coll, start=seq.first_index() + 1):
+    for j, iv in enumerate(coll, start=seq.j0 + 1):
         lo_bound = abs(seq.a_at(j)) - b0
         hi_bound = abs(seq.a_at(j + 1))
         assert iv.lo >= lo_bound - 1e-12
@@ -71,7 +71,7 @@ def test_hyperboloid_hyp2_items(hyperboloid_seq):
     seq = hyperboloid_seq.truncate(6)
     coll = build_hyp_collection(seq, "hyp2")
     assert len(coll) == 6
-    for j, iv in enumerate(coll, start=seq.first_index()):
+    for j, iv in enumerate(coll, start=seq.j0):
         assert iv.closure == "left_open"
         assert abs(iv.lo - (-seq.a_at(j) - seq.b_at(j))) < 1e-12
         assert abs(iv.hi - (-seq.a_at(j + 1) - 1.0)) < 1e-12
@@ -80,7 +80,7 @@ def test_hyperboloid_hyp2_items(hyperboloid_seq):
 def test_power_law_hyp1_count_and_left_endpoints(power1_seq):
     coll = build_hyp_collection(power1_seq.truncate(6), "hyp1")
     assert len(coll) == 5
-    for j, iv in enumerate(coll, start=power1_seq.first_index() + 1):
+    for j, iv in enumerate(coll, start=power1_seq.j0 + 1):
         # with c = 1 the top value is 1, so left endpoints are |a_j| - 1
         assert abs(iv.lo - (abs(power1_seq.a_at(j)) - 1.0)) < 1e-12
 
@@ -99,7 +99,7 @@ def test_increasing_variant_items():
     seq = curves.SequencePair(a=u, b=v, direction="increasing")
     coll = build_hyp_collection(seq, "hyp1")
     assert len(coll) == 6
-    for j, iv in enumerate(coll, start=seq.first_index() + 1):
+    for j, iv in enumerate(coll, start=seq.j0 + 1):
         assert abs(iv.lo - (-u[j] - v[j + 1])) < 1e-12
         assert abs(iv.hi - (-u[0] - v[j])) < 1e-12
 
@@ -266,7 +266,7 @@ def test_concave_chained_estimate(hyperboloid_seq):
     ]
     for seq, domain_len in cases:
         tail = 2.0**-seq.J * domain_len
-        for j in list(seq.indices)[:-1]:
+        for j in seq.segments():
             assert abs(seq.b_at(j)) <= 2.0 * abs(seq.a_at(j) - seq.a_at(j + 1)) + tail
 
 

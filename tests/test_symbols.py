@@ -96,9 +96,9 @@ def test_decomposition_identity(curve_fn):
         ny=512,
     )
     epi = sample_symbol(epigraph_symbol(curve_fn, (float(seq.a[-1]), float(seq.a[0]))), grid)
-    epi = epi * (grid.eta_values()[None, :] < seq.b_at(seq.first_index()))
+    epi = epi * (grid.eta_values()[None, :] < seq.b_at(seq.j0))
     total = sample_symbol(staircase_symbol(seq), grid)
-    for j in range(seq.first_index(), seq.last_index()):
+    for j in seq.segments():
         total = total + sample_symbol(boundary_piece_symbol(curve_fn, seq, j), grid)
     assert np.array_equal(epi, total)
 

@@ -104,7 +104,7 @@ def test_enumeration_guards():
 
 def test_polygon_geometry(hyperboloid_seq):
     seq = hyperboloid_seq
-    j = seq.first_index()
+    j = seq.j0
     (a_j, b_j), w, s_j = segment(seq, j)
     assert (a_j, b_j) == (seq.a[0], seq.b[0])
     assert w == a_j - seq.a[1]
@@ -121,8 +121,8 @@ def test_polygon_geometry(hyperboloid_seq):
 
 def test_build_cover_rejects_segments_outside_the_pair(hyperboloid_seq):
     seq = hyperboloid_seq
-    assert seq.first_index() == 1
-    for j in (seq.first_index() - 1, seq.last_index()):
+    assert seq.j0 == 1
+    for j in (seq.j0 - 1, seq.last_index()):
         with pytest.raises(ValueError, match=f"segment {j} outside \\[1, {seq.last_index()}\\)"):
             build_cover(seq, j, alpha=0.9, C0=16.0, samples=100)
 
@@ -154,7 +154,7 @@ def test_polygon_rejects_non_convex_vertices(verts, message):
 def test_corner_containment_matches_sampling_on_failing_covers(curve):
     # at C0 = 0.5 some rectangles cross the next vertex and leave the epigraph
     seq = curves.build_dyadic_slope_sequence(curve, 8)
-    rep = build_cover(seq, seq.first_index(), alpha=0.9, C0=0.5, samples=2000)
+    rep = build_cover(seq, seq.j0, alpha=0.9, C0=0.5, samples=2000)
     expect = containment_failures_by_sampling(seq, rep.rects)
     assert expect and not rep.containment_ok
     assert rep.containment_failures == expect
@@ -164,7 +164,7 @@ def test_corner_containment_matches_sampling_on_failing_covers(curve):
 def test_corner_containment_matches_sampling_on_proof_covers(J, segments):
     # the covers of acceptance criterion 10 and of the benchmark's CLI config
     seq = curves.build_dyadic_slope_sequence(curves.hyperboloid(), J)
-    for j in range(seq.first_index(), seq.first_index() + segments):
+    for j in seq.segments()[:segments]:
         rep = build_cover(seq, j, alpha=0.9, C0=16.0, samples=10_000)
         assert rep.containment_failures == containment_failures_by_sampling(seq, rep.rects) == []
 
@@ -182,7 +182,7 @@ def _assert_same_squares(seq, j, alpha, C0, samples):
 def test_cover_dedup_matches_unique_rows_on_proof_covers(J, segments):
     # the 1-d dedup picks the squares np.unique(axis=0) picked, in the same order
     seq = curves.build_dyadic_slope_sequence(curves.hyperboloid(), J)
-    for j in range(seq.first_index(), seq.first_index() + segments):
+    for j in seq.segments()[:segments]:
         assert _assert_same_squares(seq, j, 0.9, 16.0, 10_000) > 1
 
 
@@ -194,7 +194,7 @@ def test_cover_dedup_matches_unique_rows_on_proof_covers(J, segments):
 )
 def test_cover_dedup_matches_unique_rows_on_failing_covers(curve):
     seq = curves.build_dyadic_slope_sequence(curve, 8)
-    j = seq.first_index()
+    j = seq.j0
     assert _assert_same_squares(seq, j, 0.9, 0.5, 2000) > 1
     # at C0 = 1e-3 no sample is covered: an empty cover, every sample a witness
     assert _assert_same_squares(seq, j, 0.9, 1e-3, 2000) == 0
@@ -206,7 +206,7 @@ def test_cover_dedup_matches_unique_rows_on_failing_covers(curve):
 
 def test_build_cover_hyperboloid_segments(hyperboloid_seq):
     seq = hyperboloid_seq
-    for j in range(seq.first_index(), seq.first_index() + 3):
+    for j in seq.segments()[:3]:
         rep = build_cover(seq, j, alpha=0.9, C0=16.0, samples=3000)
         assert rep.cover_ok, rep.witnesses[:3]
         assert rep.containment_ok
@@ -229,7 +229,7 @@ def test_build_cover_steep_segment():
 
 
 def test_build_cover_validation(hyperboloid_seq):
-    j = hyperboloid_seq.first_index()
+    j = hyperboloid_seq.j0
     with pytest.raises(ValueError, match=r"alpha must lie in \(0, 0.999\)"):
         build_cover(hyperboloid_seq, j, alpha=1.2, C0=16.0, samples=1000)
     with pytest.raises(ValueError, match="alpha below 0.8"):
@@ -295,7 +295,7 @@ def test_cover_arrays_match_tile_rects(hyperboloid_seq):
     # every range, edge, omega and K the arrays give equals, bit for bit, the
     # one derived per row in scalars from the square's own I and Jn
     seq = hyperboloid_seq
-    for j in range(seq.first_index(), seq.first_index() + 3):
+    for j in seq.segments()[:3]:
         cover = build_cover(seq, j, alpha=0.9, C0=16.0, samples=3000).rects
         (a, b), _, s_j = segment(seq, j)
         expect = {i: [] for i in ("xi", "eta", "e3", "om1", "om2", "K")}

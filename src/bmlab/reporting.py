@@ -78,17 +78,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _texts_by_bits(col: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
+    """A numeric numpy column as the texts ``fmt(v)`` of its distinct values,
+    one per distinct bit pattern (so -0.0 and 0.0 stay apart), and each row's
+    index into them."""
+    col = col.ravel()
+    bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    return np.array([fmt(v) for v in bits.view(col.dtype).tolist()], dtype=object), inverse
+
+
 def _column_text(col) -> tuple[np.ndarray, np.ndarray]:
     """One column as its distinct texts (as ``_fmt`` writes them) and each row's
     index into them.  A numeric numpy column is formatted once per distinct bit
-    pattern, so -0.0 and 0.0 stay apart; any other sequence once per cell."""
+    pattern; any other sequence once per cell."""
     if not isinstance(col, np.ndarray) or col.dtype.kind not in "buif":
         text = np.array([_fmt(v) for v in col], dtype=object)
         return text, np.arange(len(text))
-    col = col.ravel()
-    bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-    fmt = repr if col.dtype.kind == "f" else str
-    return np.array([fmt(v) for v in bits.view(col.dtype).tolist()], dtype=object), inverse
+    return _texts_by_bits(col, repr if col.dtype.kind == "f" else str)
 
 
 def write_csv(path: str, header, columns):
@@ -136,11 +142,12 @@ def rects_to_svg(rects, curve_points) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W:.0f}" height="{H:.0f}" '
         f'viewBox="0 0 {W:.0f} {H:.0f}">'
     ]
+    # each distinct coordinate is formatted once; a cover repeats most of them
     columns = (X(bx0), Y(by1), (bx1 - bx0) * scale, (by1 - by0) * scale)
+    cells = [text[index].tolist() for text, index in (_texts_by_bits(c, "{:.3f}".format) for c in columns)]
     parts.extend(
-        f'<rect x="{x:.3f}" y="{y:.3f}" width="{w:.3f}" '
-        f'height="{h:.3f}" fill="none" stroke="black" stroke-width="0.4"/>'
-        for x, y, w, h in zip(*(c.tolist() for c in columns))
+        f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="none" stroke="black" stroke-width="0.4"/>'
+        for x, y, w, h in zip(*cells)
     )
     path = " ".join(f"{X(x):.3f},{Y(y):.3f}" for x, y in pts)
     parts.append(f'<polyline points="{path}" fill="none" stroke="red" stroke-width="1.0"/>')

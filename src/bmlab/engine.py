@@ -96,17 +96,21 @@ def _masks(intervals, freqs: np.ndarray) -> np.ndarray:
     return np.stack([iv.contains(freqs) for iv in intervals])
 
 
-def _masked_synthesis(c: np.ndarray, masks: np.ndarray, M: int) -> np.ndarray:
-    """(len(masks), M) samples of the N centered coefficients c (one row, or
-    one row per mask row) cut to each mask row, synthesized on the M-point
-    grid, M >= N; the rows are filled in FFT order."""
-    n = c.shape[-1] // 2
-    out = np.zeros((len(masks), M), dtype=complex)
-    np.copyto(out[:, :n], c[..., n:], where=masks[:, n:])
-    np.copyto(out[:, M - n :], c[..., :n], where=masks[:, :n])
-    x = np.fft.ifft(out, axis=-1)  # out=out is slower: numpy copies an overlapping input
-    x *= M  # the bits of ifft(out) * M, with no third array
+def _synthesize_fft_order(z: np.ndarray) -> np.ndarray:
+    """Samples on the period grid of coefficients in FFT order (last axis)."""
+    x = np.fft.ifft(z, axis=-1)  # out=z is slower: numpy copies an overlapping input
+    x *= z.shape[-1]  # the bits of ifft(z) * M, with no third array
     return x
+
+
+def _masked_synthesis(c: np.ndarray, masks: np.ndarray, M: int) -> np.ndarray:
+    """(len(masks), M) samples of the coefficients c cut to each mask row,
+    synthesized on the M-point grid, M >= N; the rows are filled in FFT order."""
+    n = len(c) // 2
+    out = np.zeros((len(masks), M), dtype=complex)
+    np.copyto(out[:, :n], c[n:], where=masks[:, n:])
+    np.copyto(out[:, M - n :], c[:n], where=masks[:, :n])
+    return _synthesize_fft_order(out)
 
 
 def _project(f: "SampledFunction", intervals, M: int) -> np.ndarray:
@@ -284,12 +288,32 @@ class _ChainPlan(NamedTuple):
     holds, for each step j in turn, the frequency rows of A_j, B_j and
     -A_j - B_j, then the prefix rows: the grid slots below each cutoff that
     bounds a B_j (the empty prefix first).  ``owners`` names the input each
-    row cuts: 0 for f, 1 for g, 2 for h.  Both arrays are read-only."""
+    row cuts: 0 for f, 1 for g, 2 for h.  ``blocks`` runs over the rows in
+    blocks of whole steps of at most ``CHAIN_BLOCK_SAMPLES`` samples on the
+    2N grid, each as (first row, rows, fill): the flat positions of its kept
+    coefficients in the block's FFT-order array and in the (3, N) centered
+    coefficients of f, g and h.  The arrays are read-only."""
 
     masks: np.ndarray
     owners: np.ndarray
     steps: int
     act: Callable
+    blocks: tuple
+
+    @classmethod
+    def build(cls, masks: np.ndarray, owners: np.ndarray, steps: int, act: Callable) -> "_ChainPlan":
+        N = masks.shape[1]
+        M = 2 * N
+        per_block = 3 * max(1, CHAIN_BLOCK_SAMPLES // (3 * M))
+        blocks = []
+        for r0 in range(0, len(masks), per_block):
+            rows, slots = np.nonzero(masks[r0 : r0 + per_block])
+            # centered slot s holds frequency s - N/2, at (s - N/2) mod M in FFT order
+            fill = (rows * M + (slots - N // 2) % M, owners[r0 + rows] * N + slots)
+            blocks.append((r0, min(per_block, len(masks) - r0), fill))
+        for a in (masks, owners, *(a for _, _, fill in blocks for a in fill)):
+            a.flags.writeable = False
+        return cls(masks, owners, steps, act, tuple(blocks))
 
 
 @functools.lru_cache(maxsize=8)
@@ -308,8 +332,7 @@ def _chain_plan(a: bytes, b: bytes, direction: str, N: int, L: float) -> _ChainP
             cuts.update((int(slots[0]), int(slots[-1]) + 1))
     masks = np.vstack([step_masks, np.arange(N) < np.array(sorted(cuts))[:, None]])
     owners = np.array([0, 1, 2] * len(steps) + [1] * len(cuts))
-    masks.flags.writeable = owners.flags.writeable = False
-    return _ChainPlan(masks, owners, len(steps), _bilinear_action(staircase_symbol(seq), freqs))
+    return _ChainPlan.build(masks, owners, len(steps), _bilinear_action(staircase_symbol(seq), freqs))
 
 
 def holder_chain_check(
@@ -349,14 +372,15 @@ def holder_chain_check(
     plan = _chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, L)
     M = 2 * N  # triple products have bandwidth < 1.5 N, resolved at 2N
     coeffs = _analyze(np.array([f.samples, g.samples, h.samples / nh]))
-    per_block = 3 * max(1, CHAIN_BLOCK_SAMPLES // (3 * M))
+    flat = coeffs.reshape(-1)
     prod = np.empty((plan.steps, M), dtype=complex)  # the triple products, summed at the end
     sq_fh = max_g = m_b = 0.0  # running reductions down the rows, pointwise
-    for r0 in range(0, len(plan.masks), per_block):
-        rows = slice(r0, r0 + per_block)
-        x = _masked_synthesis(coeffs[plan.owners[rows]], plan.masks[rows], M)
+    for r0, rows, (dst, src) in plan.blocks:
+        z = np.zeros((rows, M), dtype=complex)
+        z.reshape(-1)[dst] = flat[src]
+        x = _synthesize_fft_order(z)
         mag = np.abs(x)
-        k = min(len(x), max(0, 3 * plan.steps - r0))  # the rows of whole steps lead the block
+        k = min(rows, max(0, 3 * plan.steps - r0))  # the rows of whole steps lead the block
         if k:
             xs, ms = x[:k].reshape(-1, 3, M), mag[:k].reshape(-1, 3, M)  # per step: f, g, h
             steps = prod[r0 // 3 : (r0 + k) // 3]
@@ -364,7 +388,7 @@ def holder_chain_check(
             steps *= xs[:, 2]
             sq_fh = _add_squares(sq_fh, ms[:, ::2])
             max_g = np.maximum(max_g, np.maximum.reduce(ms[:, 1], axis=0))
-        if k < len(x):
+        if k < rows:
             # every other sample at 2N is a partial sum on g's own grid
             m_b = np.maximum(m_b, np.maximum.reduce(mag[k:, ::2], axis=0))
     lhs_sum = abs(np.add.reduce(prod, axis=None) * (L / M))

@@ -122,8 +122,8 @@ def test_carleson_verdict_fails_when_the_cutoffs_miss_the_steps(rng, hyperboloid
     def empty_prefix(*key):
         plan = real(*key)
         steps = 3 * plan.steps
-        empty = np.zeros((1, plan.masks.shape[1]), dtype=bool)
-        return plan._replace(masks=np.vstack([plan.masks[:steps], empty]), owners=plan.owners[: steps + 1])
+        masks = np.vstack([plan.masks[:steps], np.zeros((1, plan.masks.shape[1]), dtype=bool)])
+        return engine._ChainPlan.build(masks, plan.owners[: steps + 1], plan.steps, plan.act)
 
     monkeypatch.setattr(engine, "_chain_plan", empty_prefix)
     f, g, h = (random_function(rng, 128, 32.0) for _ in range(3))
@@ -321,6 +321,10 @@ def test_cached_masks_and_phases_are_read_only(hyperboloid_seq):
         plan.masks[0, 0] = not plan.masks[0, 0]
     with pytest.raises(ValueError, match="read-only"):
         plan.owners[0] = 2
+    for _, _, fill in plan.blocks:
+        for a in fill:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 def test_mixed_norm_constants():

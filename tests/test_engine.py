@@ -536,7 +536,7 @@ def test_holder_chain_matches_the_family_oracle(rng, hyperboloid_seq, power1_seq
     # rows no longer fit one stacked synthesis of CHAIN_BLOCK_SAMPLES samples
     seq = {"hyperboloid": hyperboloid_seq, "power1": power1_seq}[which].truncate(8)
     plan = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, 32.0)
-    assert (len(plan.masks) * 2 * N > engine.CHAIN_BLOCK_SAMPLES) == (N >= 1024)
+    assert (len(plan.blocks) > 1) == (N >= 1024)
     e = ExponentTriple(2, 3, 6)
     for _ in range(2):
         f, g, h = (random_function(rng, N, 32.0) for _ in range(3))

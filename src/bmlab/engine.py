@@ -225,26 +225,19 @@ def frequency_project(f: SampledFunction, interval: HalfOpenInterval) -> Sampled
     return SampledFunction(_project(f, [interval], f.N)[0], f.L)
 
 
-def _mixed_lp(rows: np.ndarray, p: float, L: float, inner: str):
-    """L^p norm over the period, as a Riemann sum, of the pointwise l2 or linf
-    norm ("l2" or "linf") down the rows of a (k, N) array of samples on a
-    period-L grid: a float, or for a (T, k, N) batch a list of T floats."""
-    if p < 1.0:
-        raise ValueError("outer exponent must be >= 1")
-    vals = np.abs(rows)
-    if inner == "l2":
-        pointwise = np.sqrt(np.add.reduce(vals**2, axis=-2))
-    elif inner == "linf":
-        pointwise = np.maximum.reduce(vals, axis=-2)
-    else:
-        raise ValueError(f"inner norm must be 'l2' or 'linf', not {inner!r}")
-    return _outer_lp(pointwise, p, L)
+def _mixed_lp(rows: np.ndarray, p: float, L: float):
+    """L^p norm over the period, as a Riemann sum, of the pointwise l2 norm
+    down the rows of a (k, N) array of samples on a period-L grid: a float,
+    or for a (T, k, N) batch a list of T floats."""
+    return _outer_lp(np.sqrt(np.add.reduce(np.abs(rows) ** 2, axis=-2)), p, L)
 
 
 def _outer_lp(pointwise: np.ndarray, p: float, L: float):
     """L^p norm over the period, as a Riemann sum, of pointwise values on a
     period-L grid (last axis): a float, or for a (T, M) batch a list of T
     floats."""
+    if p < 1.0:
+        raise ValueError("outer exponent must be >= 1")
     sums = np.add.reduce(pointwise**p, axis=-1) * (L / pointwise.shape[-1])
     if pointwise.ndim == 1:
         return float(sums) ** (1.0 / p)
@@ -252,7 +245,7 @@ def _outer_lp(pointwise: np.ndarray, p: float, L: float):
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:
-    return _mixed_lp(f.samples[None], p, f.L, "l2")
+    return _outer_lp(np.abs(f.samples), p, f.L)
 
 
 def _add_squares(acc, mags: np.ndarray) -> np.ndarray:
@@ -434,7 +427,7 @@ def square_function_report(f: SampledFunction, coll: Sequence[HalfOpenInterval],
         raise ValueError("f must be nonzero")
     masks = _masks(list(coll), f.freqs())
     projections = _masked_synthesis(f.coeffs(), masks, f.N)
-    s = _mixed_lp(projections, p, f.L, "l2")
+    s = _mixed_lp(projections, p, f.L)
     covers = bool(np.all(np.any(masks, axis=0)))
     upper = s / base
     return {
@@ -508,13 +501,13 @@ def _batch_ratios(act, family: str, seed_keys, N: int, L: float,
     trial pair of the batch, B the bilinear action ``act``; NaN where the
     denominator is 0."""
     fs, gs = _trial_batch(family, seed_keys, N, L)
-    denoms = [[nf * ng for nf, ng in zip(_mixed_lp(fs[:, None], e.p1, L, "l2"),
-                                         _mixed_lp(gs[:, None], e.p2, L, "l2"))] for e in triples]
+    af, ag = np.abs(fs), np.abs(gs)
+    denoms = [[nf * ng for nf, ng in zip(_outer_lp(af, e.p1, L), _outer_lp(ag, e.p2, L))] for e in triples]
     cf, cg = _analyze(fs), _analyze(gs)
-    del fs, gs  # so one trial per batch holds no more than the per-trial loop did
-    out = _synthesize(np.stack([act(c, d) for c, d in zip(cf, cg)]))[:, None]
+    del fs, gs, af, ag  # so one trial per batch holds no more than the per-trial loop did
+    out = np.abs(_synthesize(np.stack([act(c, d) for c, d in zip(cf, cg)])))
     return [[num / denom if denom != 0 else math.nan
-             for num, denom in zip(_mixed_lp(out, e.p3_dual, L, "l2"), row)] for e, row in zip(triples, denoms)]
+             for num, denom in zip(_outer_lp(out, e.p3_dual, L), row)] for e, row in zip(triples, denoms)]
 
 
 @dataclass

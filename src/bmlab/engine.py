@@ -74,12 +74,14 @@ def _swap_halves(a: np.ndarray) -> np.ndarray:
 
 def _synthesize(c: np.ndarray) -> np.ndarray:
     """Samples on the period grid of centered coefficients (last axis)."""
-    return np.fft.ifft(_swap_halves(c), axis=-1) * c.shape[-1]
+    return _synthesize_fft_order(_swap_halves(c))
 
 
 def _analyze(x: np.ndarray) -> np.ndarray:
     """Centered coefficients of period-grid samples (last axis)."""
-    return _swap_halves(np.fft.fft(x, axis=-1)) / x.shape[-1]
+    z = np.fft.fft(x, axis=-1)
+    z /= x.shape[-1]  # the bits of fft(x) / N, with no third array
+    return _swap_halves(z)
 
 
 def _period_pairing(u_hat: np.ndarray, v_hat: np.ndarray, L: float) -> complex:
@@ -440,38 +442,45 @@ def square_function_report(f: SampledFunction, coll: Sequence[HalfOpenInterval],
 # --- norm probing ---------------------------------------------------------------
 
 
-# Each family maps a list of generators to a (len(rngs), N) array of samples,
-# one row per generator, drawing from each generator in turn; the draws and
-# the arithmetic of a row do not depend on the other rows.
+# Each family maps a list of generators to (len(rngs), N) arrays of samples
+# and of their centered coefficients, one row per generator, drawing from
+# each generator in turn; the draws and the arithmetic of a row do not depend
+# on the other rows.  A family that draws a spectrum hands it out as drawn.
 
 PROBE_BATCH_SAMPLES = 2**16  # samples per (trials, N) array of one probe batch
 
 
-def _trial_wave_packets(rngs: list[np.random.Generator], N: int, L: float) -> np.ndarray:
-    x = _x_grid(N, L)
-    # per generator, three packets of (center, 2 sigma^2, 2 pi i k0, amplitude)
+_Trial = tuple[np.ndarray, np.ndarray]  # (samples, centered coefficients), one row per trial
+
+
+def _trial_wave_packets(rngs: list[np.random.Generator], N: int, L: float) -> _Trial:
+    x, n = _x_grid(N, L), np.arange(N)
+    roots = np.exp(2j * np.pi * n / N)  # the carrier e^(2 pi i k0 x / L) at x = nL/N is roots[k0 n mod N]
+    # per generator, three packets of (center, 2 sigma^2, k0, amplitude)
     draws = [[(rng.uniform(0, L), 2 * rng.uniform(L / 64, L / 8) ** 2,
-               2j * np.pi * rng.integers(-N // 3, N // 3 + 1), rng.normal() + 1j * rng.normal())
+               rng.integers(-N // 3, N // 3 + 1), rng.normal() + 1j * rng.normal())
               for _ in range(3)] for rng in rngs]
     out = np.zeros((len(rngs), N), dtype=complex)
     for packet in zip(*draws):
-        x0, two_var, wave, amp = (np.array(column)[:, None] for column in zip(*packet))
-        d = np.remainder(x - x0 + L / 2, L) - L / 2
-        out += amp * np.exp(-(d**2) / two_var) * np.exp(wave * x / L)
-    return out
+        x0, two_var, k0, amp = (np.array(column)[:, None] for column in zip(*packet))
+        t = x - x0 + L / 2  # in (-L/2, 3L/2): one period's shift lands it in [0, L), exactly
+        d = np.where(t < 0, t + L, np.where(t >= L, t - L, t)) - L / 2
+        out += amp * np.exp(-(d**2) / two_var) * roots[(k0 * n) & (N - 1)]
+    return out, _analyze(out)
 
 
-def _trial_sparse_spectrum(rngs: list[np.random.Generator], N: int, L: float) -> np.ndarray:
+def _trial_sparse_spectrum(rngs: list[np.random.Generator], N: int, L: float) -> _Trial:
     m = max(2, N // 16)
     c = np.zeros((len(rngs), N), dtype=complex)
     for row, rng in zip(c, rngs):
         slots = rng.choice(N, size=m, replace=False)
         row[slots] = rng.normal(size=m) + 1j * rng.normal(size=m)
-    return _synthesize(c)
+    return _synthesize(c), c
 
 
-def _trial_random_sign(rngs: list[np.random.Generator], N: int, L: float) -> np.ndarray:
-    return _synthesize(np.array([rng.choice([-1.0, 1.0], size=N) for rng in rngs], dtype=complex))
+def _trial_random_sign(rngs: list[np.random.Generator], N: int, L: float) -> _Trial:
+    c = np.array([rng.choice([-1.0, 1.0], size=N) for rng in rngs], dtype=complex)
+    return _synthesize(c), c
 
 
 PROBE_FAMILIES = {
@@ -481,9 +490,9 @@ PROBE_FAMILIES = {
 }
 
 
-def _trial_batch(family: str, seed_keys, N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
-    """(trials, N) samples of f and of g, one row per integer seed key: every
-    key's generator draws its f, then its g."""
+def _trial_batch(family: str, seed_keys, N: int, L: float) -> tuple[_Trial, _Trial]:
+    """(trials, N) samples and coefficients of f and of g, one row per integer
+    seed key: every key's generator draws its f, then its g."""
     rngs = [np.random.default_rng(np.random.SeedSequence(key)) for key in seed_keys]
     gen = PROBE_FAMILIES[family]
     return gen(rngs, N, L), gen(rngs, N, L)
@@ -491,7 +500,7 @@ def _trial_batch(family: str, seed_keys, N: int, L: float) -> tuple[np.ndarray, 
 
 def make_trial_pair(family: str, seed_key, N: int, L: float):
     """Deterministic (f, g) pair for a probe trial, keyed by integers."""
-    fs, gs = _trial_batch(family, [seed_key], N, L)
+    (fs, _), (gs, _) = _trial_batch(family, [seed_key], N, L)
     return SampledFunction(fs[0], L), SampledFunction(gs[0], L)
 
 
@@ -500,10 +509,9 @@ def _batch_ratios(act, family: str, seed_keys, N: int, L: float,
     """Per triple, the ratio ||B(f,g)||_{p3'} / (||f||_{p1} ||g||_{p2}) of each
     trial pair of the batch, B the bilinear action ``act``; NaN where the
     denominator is 0."""
-    fs, gs = _trial_batch(family, seed_keys, N, L)
+    (fs, cf), (gs, cg) = _trial_batch(family, seed_keys, N, L)
     af, ag = np.abs(fs), np.abs(gs)
     denoms = [[nf * ng for nf, ng in zip(_outer_lp(af, e.p1, L), _outer_lp(ag, e.p2, L))] for e in triples]
-    cf, cg = _analyze(fs), _analyze(gs)
     del fs, gs, af, ag  # so one trial per batch holds no more than the per-trial loop did
     out = np.abs(_synthesize(np.stack([act(c, d) for c, d in zip(cf, cg)])))
     return [[num / denom if denom != 0 else math.nan

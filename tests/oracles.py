@@ -13,7 +13,8 @@ import numpy as np
 from bmlab.bumps import adapted_bump, fejer_sq_cdf, fejer_sq_spectrum
 from bmlab.curves import CurveSpec
 from bmlab.engine import (PROBE_FAMILIES, HolderChainReport, ProbeReport, SampledFunction, _bilinear_action,
-                          _freq_grid, _period_pairing, _project, _synthesize, _x_grid, lp_norm)
+                          _analyze, _freq_grid, _period_pairing, _project, _synthesize, _x_grid,
+                          lp_norm)
 from bmlab.intervals import neg_minkowski_sum, staircase_steps
 from bmlab.whitney import LATTICE_EXP, PARTITION_POINTS, PARTITION_TAIL, _tile_projections, chi_values, r2_samples
 
@@ -608,7 +609,9 @@ def multitiles_by_object(rects, C0, exponent_base, space_len, alpha):
 # --- probes one trial at a time ---------------------------------------------------
 
 
-def _wave_packets_scalar(rng, N, L):
+def _wave_packets(rng, N, L, carrier):
+    """Three Gaussian packets on the period grid; ``carrier(k0)`` gives the N
+    samples of the wave e^(2 pi i k0 x / L)."""
     x = _x_grid(N, L)
     out = np.zeros(N, dtype=complex)
     for _ in range(3):
@@ -617,8 +620,22 @@ def _wave_packets_scalar(rng, N, L):
         k0 = rng.integers(-N // 3, N // 3 + 1)
         amp = rng.normal() + 1j * rng.normal()
         d = np.remainder(x - x0 + L / 2, L) - L / 2
-        out += amp * np.exp(-(d**2) / (2 * sigma**2)) * np.exp(2j * np.pi * k0 * x / L)
+        out += amp * np.exp(-(d**2) / (2 * sigma**2)) * carrier(k0)
     return out
+
+
+def _wave_packets_scalar(rng, N, L):
+    # at x = nL/N the wave is exactly the root of unity w^(k0 n), w = e^(2 pi i / N)
+    roots = np.exp(2j * np.pi * np.arange(N) / N)
+    out = _wave_packets(rng, N, L, lambda k0: roots[k0 * np.arange(N) % N])
+    return out, _analyze(out)
+
+
+def wave_packets_float_carrier(rng, N, L):
+    """The wave-packet samples as first written, the carrier evaluated as
+    exp(2 pi i k0 x / L) on the float grid (its phase rounded at up to
+    2 pi N / 3 rad)."""
+    return _wave_packets(rng, N, L, lambda k0: np.exp(2j * np.pi * k0 * _x_grid(N, L) / L))
 
 
 def _sparse_spectrum_scalar(rng, N, L):
@@ -626,11 +643,12 @@ def _sparse_spectrum_scalar(rng, N, L):
     slots = rng.choice(N, size=m, replace=False)
     c = np.zeros(N, dtype=complex)
     c[slots] = rng.normal(size=m) + 1j * rng.normal(size=m)
-    return _synthesize(c)
+    return _synthesize(c), c
 
 
 def _random_sign_scalar(rng, N, L):
-    return _synthesize(rng.choice([-1.0, 1.0], size=N).astype(complex))
+    c = rng.choice([-1.0, 1.0], size=N).astype(complex)
+    return _synthesize(c), c
 
 
 SCALAR_TRIAL_FAMILIES = {
@@ -641,18 +659,19 @@ SCALAR_TRIAL_FAMILIES = {
 
 
 def trial_pair_by_scalar_draws(family, seed_key, N, L):
-    """The probe trial pair (f, g) drawn as first written: one generator, one
-    1-d sample array at a time, f's draws then g's."""
+    """The probe trial pair drawn one generator and one 1-d array at a time,
+    f's draws then g's: ((f, f's coefficients), (g, g's coefficients)), the
+    coefficients as the family hands them out."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     gen = SCALAR_TRIAL_FAMILIES[family]
-    f = SampledFunction(gen(rng, N, L), L)
-    g = SampledFunction(gen(rng, N, L), L)
-    return f, g
+    (f, cf), (g, cg) = gen(rng, N, L), gen(rng, N, L)
+    return (SampledFunction(f, L), cf), (SampledFunction(g, L), cg)
 
 
 def probe_reports_by_trial(sym, triples, trials, resolutions, seed, L=32.0):
-    """``engine.probe_reports`` as first written: each trial pair drawn by
-    ``trial_pair_by_scalar_draws``, applied and measured on its own; a trial
+    """``engine.probe_reports`` one trial at a time: each trial pair drawn by
+    ``trial_pair_by_scalar_draws``, its coefficients applied and its samples
+    measured on their own; a trial
     whose denominator is 0 is skipped and the first maximal trial wins."""
     resolutions = sorted(int(N) for N in resolutions)
     reports = [ProbeReport(e, list(resolutions), trials, seed, float(L)) for e in triples]
@@ -661,8 +680,8 @@ def probe_reports_by_trial(sym, triples, trials, resolutions, seed, L=32.0):
         for fi, family in enumerate(PROBE_FAMILIES):
             best = [(0.0, -1)] * len(reports)
             for t in range(trials):
-                f, g = trial_pair_by_scalar_draws(family, (seed, ri, fi, t), N, L)
-                out = SampledFunction.from_coeffs(act(f.coeffs(), g.coeffs()), L)
+                (f, cf), (g, cg) = trial_pair_by_scalar_draws(family, (seed, ri, fi, t), N, L)
+                out = SampledFunction.from_coeffs(act(cf, cg), L)
                 for i, e in enumerate(triples):
                     denom = lp_norm(f, e.p1) * lp_norm(g, e.p2)
                     if denom == 0:

@@ -40,6 +40,7 @@ from oracles import (
     probe_reports_by_trial,
     synthesize_shifted,
     trial_pair_by_scalar_draws,
+    wave_packets_float_carrier,
 )
 
 
@@ -486,13 +487,37 @@ def test_trial_batch_rows_are_the_single_trials(family, N):
     # scalar generators draw
     L = 48.0
     keys = [(5, 1, 2, t) for t in range(6)]
-    fs, gs = engine._trial_batch(family, keys, N, L)
-    assert fs.shape == gs.shape == (len(keys), N)
+    (fs, cf), (gs, cg) = engine._trial_batch(family, keys, N, L)
+    assert fs.shape == gs.shape == cf.shape == cg.shape == (len(keys), N)
     for row, key in enumerate(keys):
         f, g = make_trial_pair(family, key, N, L)
-        f0, g0 = trial_pair_by_scalar_draws(family, key, N, L)
+        (f0, cf0), (g0, cg0) = trial_pair_by_scalar_draws(family, key, N, L)
         assert fs[row].tobytes() == f.samples.tobytes() == f0.samples.tobytes()
         assert gs[row].tobytes() == g.samples.tobytes() == g0.samples.tobytes()
+        assert cf[row].tobytes() == cf0.tobytes() and cg[row].tobytes() == cg0.tobytes()
+
+
+@pytest.mark.parametrize("N", [2, 4, 64, 1024, 4096])
+@pytest.mark.parametrize("family", list(engine.PROBE_FAMILIES))
+def test_trial_coefficients_are_the_analysed_samples(family, N):
+    # a family's coefficients, drawn or analysed, are its samples' spectrum
+    keys = [(2, 0, 1, t) for t in range(4)]
+    for samples, coeffs in engine._trial_batch(family, keys, N, 48.0):
+        want = engine._analyze(samples)
+        assert np.max(np.abs(coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N", [2, 4, 64, 512, 2048, 4096])
+def test_wave_packet_carriers_match_the_float_carrier(N):
+    # the exact root-of-unity carriers move the samples by rounding alone
+    # against the carrier evaluated at the rounded phase 2 pi k0 x / L
+    L = 48.0
+    for t in range(20):
+        f, g = make_trial_pair("wave_packets", (9, 0, 0, t), N, L)
+        rng = np.random.default_rng(np.random.SeedSequence((9, 0, 0, t)))
+        for got in (f.samples, g.samples):
+            want = wave_packets_float_carrier(rng, N, L)
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_probe_reports_match_the_per_trial_loop_across_batches():
@@ -505,8 +530,12 @@ def test_probe_reports_match_the_per_trial_loop_across_batches():
 
 
 def _constant_rows(keep):
-    """A probe family of constant rows, each kept (else zero) by ``keep(rng)``."""
-    return lambda rngs, N, L: np.array([np.full(N, 1.0 + 0j) * keep(rng) for rng in rngs])
+    """A probe family of constant rows, each kept (else zero) by ``keep(rng)``,
+    with their coefficients."""
+    def family(rngs, N, L):
+        rows = np.array([np.full(N, 1.0 + 0j) * keep(rng) for rng in rngs])
+        return rows, engine._analyze(rows)
+    return family
 
 
 def test_probe_argmax_is_the_first_maximal_trial(monkeypatch):

@@ -284,10 +284,12 @@ class _ChainPlan(NamedTuple):
     -A_j - B_j, then the prefix rows: the grid slots below each cutoff that
     bounds a B_j (the empty prefix first).  ``owners`` names the input each
     row cuts: 0 for f, 1 for g, 2 for h.  ``blocks`` runs over the rows in
-    blocks of whole steps of at most ``CHAIN_BLOCK_SAMPLES`` samples on the
-    2N grid, each as (first row, rows, fill): the flat positions of its kept
-    coefficients in the block's FFT-order array and in the (3, N) centered
-    coefficients of f, g and h.  The arrays are read-only."""
+    blocks of at most ``CHAIN_BLOCK_SAMPLES`` samples on the 2N grid (but at
+    least one step): whole steps, the prefix rows filling the last block of
+    steps before they take blocks of their own.  Each block is (first row,
+    rows, fill): the flat positions of its kept coefficients in the block's
+    FFT-order array and in the (3, N) centered coefficients of f, g and h.
+    The arrays are read-only."""
 
     masks: np.ndarray
     owners: np.ndarray
@@ -299,13 +301,15 @@ class _ChainPlan(NamedTuple):
     def build(cls, masks: np.ndarray, owners: np.ndarray, steps: int, act: Callable) -> "_ChainPlan":
         N = masks.shape[1]
         M = 2 * N
-        per_block = 3 * max(1, CHAIN_BLOCK_SAMPLES // (3 * M))
+        per_block = max(3, CHAIN_BLOCK_SAMPLES // M)
+        starts = list(range(0, 3 * steps, 3 * (per_block // 3)))
+        starts += range(starts[-1] + per_block if starts else 0, len(masks), per_block)
         blocks = []
-        for r0 in range(0, len(masks), per_block):
-            rows, slots = np.nonzero(masks[r0 : r0 + per_block])
+        for r0, r1 in zip(starts, starts[1:] + [len(masks)]):
+            rows, slots = np.nonzero(masks[r0:r1])
             # centered slot s holds frequency s - N/2, at (s - N/2) mod M in FFT order
             fill = (rows * M + (slots - N // 2) % M, owners[r0 + rows] * N + slots)
-            blocks.append((r0, min(per_block, len(masks) - r0), fill))
+            blocks.append((r0, r1 - r0, fill))
         for a in (masks, owners, *(a for _, _, fill in blocks for a in fill)):
             a.flags.writeable = False
         return cls(masks, owners, steps, act, tuple(blocks))

@@ -580,6 +580,21 @@ def test_holder_chain_matches_the_family_oracle(rng, hyperboloid_seq, power1_seq
         assert (got.satisfied, got.carleson_ok) == (want.satisfied, want.carleson_ok)
 
 
+@pytest.mark.parametrize("N, sizes", [(128, [25]), (256, [15, 10]), (512, [6, 6, 6, 7]),
+                                      (1024, [3] * 6 + [4, 3]), (4096, [3] * 8 + [1])])
+def test_chain_blocks_are_whole_steps_then_the_prefix_rows(hyperboloid_seq, N, sizes):
+    # 7 steps (21 rows) and 4 prefix rows: the prefix rows fill the last block
+    # of steps up to CHAIN_BLOCK_SAMPLES before they take blocks of their own
+    seq = hyperboloid_seq.truncate(8)
+    plan = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, 32.0)
+    assert (plan.steps, len(plan.masks)) == (7, 25)
+    assert [rows for _, rows, _ in plan.blocks] == sizes
+    assert [r0 for r0, _, _ in plan.blocks] == list(np.cumsum([0] + sizes[:-1]))
+    for r0, rows, _ in plan.blocks:
+        assert rows * 2 * N <= max(3 * 2 * N, engine.CHAIN_BLOCK_SAMPLES)
+        assert r0 >= 21 or r0 % 3 == 0 and (r0 + rows >= 21 or rows % 3 == 0)
+
+
 def test_holder_chain_memory_at_large_n(hyperboloid_seq):
     # one call at N = 4096 (M = 8192): each (7, M) complex family alone takes
     # 0.875 MiB; the stacked synthesis runs in blocks, each reduced before the next

@@ -446,15 +446,16 @@ def square_function_report(f: SampledFunction, coll: Sequence[HalfOpenInterval],
 # --- norm probing ---------------------------------------------------------------
 
 
+# Samples per (trials, N) array of one probe batch, at least one trial: as
+# CHAIN_BLOCK_SAMPLES, 128 KiB of complex samples; larger batches fault
+# their pages in afresh more often.
+PROBE_BATCH_SAMPLES = 2**13
+
 # Each family maps a list of generators to (len(rngs), N) arrays of samples
 # and of their centered coefficients, one row per generator, drawing from
 # each generator in turn; the draws and the arithmetic of a row do not depend
 # on the other rows.  A family that draws a spectrum hands it out as drawn.
-
-PROBE_BATCH_SAMPLES = 2**16  # samples per (trials, N) array of one probe batch
-
-
-_Trial = tuple[np.ndarray, np.ndarray]  # (samples, centered coefficients), one row per trial
+_Trial = tuple[np.ndarray, np.ndarray]
 
 
 def _trial_wave_packets(rngs: list[np.random.Generator], N: int, L: float) -> _Trial:

@@ -521,11 +521,11 @@ def test_wave_packet_carriers_match_the_float_carrier(N):
 
 
 def test_probe_reports_match_the_per_trial_loop_across_batches():
-    # 40 trials at N = 4096 run as batches of 16, 16 and 8
-    assert engine.PROBE_BATCH_SAMPLES // 4096 == 16
+    # 40 trials at N = 512 run as batches of 16, 16 and 8
+    assert engine.PROBE_BATCH_SAMPLES // 512 == 16
     sym = staircase_symbol(curves.build_dyadic_slope_sequence(curves.hyperboloid(), 8))
     triples = [ExponentTriple(3, 3, 3), ExponentTriple(4, 2, 4)]
-    args = (sym, triples, 40, [4096, 64], 3, 48.0)
+    args = (sym, triples, 40, [512, 64], 3, 48.0)
     assert repr(engine.probe_reports(*args)) == repr(probe_reports_by_trial(*args))
 
 

@@ -632,9 +632,9 @@ def _wave_packets_scalar(rng, N, L):
 
 
 def wave_packets_float_carrier(rng, N, L):
-    """The wave-packet samples as first written, the carrier evaluated as
-    exp(2 pi i k0 x / L) on the float grid (its phase rounded at up to
-    2 pi N / 3 rad)."""
+    """The wave-packet samples with each carrier evaluated as
+    exp(2 pi i k0 x / L) at the float grid points, its phase rounded at up
+    to 2 pi N / 3 rad: the exact carriers differ from it by rounding alone."""
     return _wave_packets(rng, N, L, lambda k0: np.exp(2j * np.pi * k0 * _x_grid(N, L) / L))
 
 

@@ -317,7 +317,7 @@ def _expand_bracket(curve: CurveSpec, target: float):
     return lo, hi
 
 
-def _bisect_slope(curve: CurveSpec, target: float, max_iter: int = BISECT_MAX_ITER) -> Optional[float]:
+def _bisect_slope(curve: CurveSpec, target: float) -> Optional[float]:
     """Solve dgamma(x) = target by bisection; None if the slope is unattained."""
     bracket = _expand_bracket(curve, target)
     if bracket is None:
@@ -330,7 +330,7 @@ def _bisect_slope(curve: CurveSpec, target: float, max_iter: int = BISECT_MAX_IT
     flo = _slope_at(curve, lo) - target
     if flo == 0.0:
         return lo
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -344,7 +344,7 @@ def _bisect_slope(curve: CurveSpec, target: float, max_iter: int = BISECT_MAX_IT
     return 0.5 * (lo + hi)
 
 
-def build_dyadic_slope_sequence(curve: CurveSpec, J: int, max_iter: int = BISECT_MAX_ITER) -> SequencePair:
+def build_dyadic_slope_sequence(curve: CurveSpec, J: int) -> SequencePair:
     """Solve gamma'(a_j) = 2^-j for J+1 consecutive indices and set b_j = gamma(a_j).
 
     Indices start at 0 when slope 1 is attained, otherwise at 1; a missing
@@ -354,10 +354,10 @@ def build_dyadic_slope_sequence(curve: CurveSpec, J: int, max_iter: int = BISECT
     if J < 1:
         raise ValueError("J must be positive")
     j0 = 0
-    first = _bisect_slope(curve, 1.0, max_iter)
+    first = _bisect_slope(curve, 1.0)
     if first is None:
         j0 = 1
-        first = _bisect_slope(curve, 0.5, max_iter)
+        first = _bisect_slope(curve, 0.5)
         if first is None:
             raise TruncationError("truncation exceeds curve range (no feasible start)", 0)
 
@@ -372,7 +372,7 @@ def build_dyadic_slope_sequence(curve: CurveSpec, J: int, max_iter: int = BISECT
 
     xs = [first]
     for j in range(j0 + 1, j0 + J + 1):
-        x = _bisect_slope(curve, 2.0**-j, max_iter)
+        x = _bisect_slope(curve, 2.0**-j)
         if x is None:
             raise TruncationError(
                 f"truncation exceeds curve range at j={j}; largest feasible J is {j - 1 - j0}",

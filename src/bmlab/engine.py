@@ -4,8 +4,10 @@ A function is N complex samples on a period-L grid, read as the trigonometric
 polynomial with frequencies k/L, k = -N/2 .. N/2 - 1.  Multiplier action is
 exact on this class: the bilinear application forms sum_{k,l} m(xi_k, xi_l)
 c_k d_l at output frequency (k + l)/L, zero-padded to a 2N grid so no output
-frequency aliases.  All integrals are period Riemann sums, which are exact
-for trigonometric polynomials resolved by the grid.
+frequency aliases.  All integrals are period Riemann sums.  A pairing of two
+trigonometric polynomials resolved by the grid is exact; an L^p norm is the
+Riemann sum of |f|^p, which is not a trigonometric polynomial, so it is a
+grid norm and may differ from the norm of f over the continuous period.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .intervals import HalfOpenInterval, neg_minkowski_sum, staircase_steps
+from .intervals import neg_minkowski_sum, staircase_steps
 from .curves import SequencePair
 from .symbols import SymbolSpec, staircase_symbol
 
@@ -27,10 +29,8 @@ __all__ = [
     "ProbeReport",
     "HolderChainReport",
     "apply_bilinear",
-    "frequency_project",
     "lp_norm",
     "holder_chain_check",
-    "square_function_report",
     "norm_probe",
     "probe_reports",
     "make_trial_pair",
@@ -105,22 +105,6 @@ def _synthesize_fft_order(z: np.ndarray) -> np.ndarray:
     return x
 
 
-def _masked_synthesis(c: np.ndarray, masks: np.ndarray, M: int) -> np.ndarray:
-    """(len(masks), M) samples of the coefficients c cut to each mask row,
-    synthesized on the M-point grid, M >= N; the rows are filled in FFT order."""
-    n = len(c) // 2
-    out = np.zeros((len(masks), M), dtype=complex)
-    np.copyto(out[:, :n], c[n:], where=masks[:, n:])
-    np.copyto(out[:, M - n :], c[:n], where=masks[:, :n])
-    return _synthesize_fft_order(out)
-
-
-def _project(f: "SampledFunction", intervals, M: int) -> np.ndarray:
-    """(len(intervals), M) samples of the sharp projections of f onto each
-    interval, synthesized on the M-point grid, M >= N."""
-    return _masked_synthesis(f.coeffs(), _masks(intervals, f.freqs()), M)
-
-
 @dataclass(frozen=True)
 class SampledFunction:
     """N complex samples of one period of a band-limited function."""
@@ -150,14 +134,6 @@ class SampledFunction:
     @classmethod
     def from_coeffs(cls, coeffs: np.ndarray, L: float) -> "SampledFunction":
         return cls(samples=_synthesize(np.asarray(coeffs, dtype=complex)), L=L)
-
-    def upsample(self, M: int) -> "SampledFunction":
-        """Exact spectral upsampling to M >= N samples (M a power of two)."""
-        if M == self.N:
-            return self
-        if M < self.N or not _is_pow2(M):
-            raise ValueError("upsample target must be a power of two >= N")
-        return SampledFunction.from_coeffs(_pad(self.coeffs(), M), self.L)
 
 
 @dataclass(frozen=True)
@@ -222,18 +198,6 @@ def apply_bilinear(sym: SymbolSpec, f: SampledFunction, g: SampledFunction) -> S
     return SampledFunction.from_coeffs(act(f.coeffs(), g.coeffs()), f.L)
 
 
-def frequency_project(f: SampledFunction, interval: HalfOpenInterval) -> SampledFunction:
-    """Sharp cutoff of coefficients to the interval (closure respected)."""
-    return SampledFunction(_project(f, [interval], f.N)[0], f.L)
-
-
-def _mixed_lp(rows: np.ndarray, p: float, L: float):
-    """L^p norm over the period, as a Riemann sum, of the pointwise l2 norm
-    down the rows of a (k, N) array of samples on a period-L grid: a float,
-    or for a (T, k, N) batch a list of T floats."""
-    return _outer_lp(np.sqrt(np.add.reduce(np.abs(rows) ** 2, axis=-2)), p, L)
-
-
 def _outer_lp(pointwise: np.ndarray, p: float, L: float):
     """L^p norm over the period, as a Riemann sum, of pointwise values on a
     period-L grid (last axis): a float, or for a (T, M) batch a list of T
@@ -272,10 +236,11 @@ class HolderChainReport:
     factors: tuple[float, float, float]
 
 
-# Samples per stacked synthesis of one Hölder chain call (whole steps, at
-# least one): 128 KiB of complex samples, glibc's default mmap threshold, so
-# the arrays of a block come from the heap instead of fresh pages each call.
-CHAIN_BLOCK_SAMPLES = 2**13
+# Samples per stacked array: one block of a Hölder chain call (whole steps, at
+# least one) or one (trials, N) batch of the probe (at least one trial).
+# 128 KiB of complex samples, glibc's default mmap threshold, so the arrays of
+# a batch come from the heap instead of fresh pages each call.
+BATCH_SAMPLES = 2**13
 
 
 class _ChainPlan(NamedTuple):
@@ -284,7 +249,7 @@ class _ChainPlan(NamedTuple):
     -A_j - B_j, then the prefix rows: the grid slots below each cutoff that
     bounds a B_j (the empty prefix first).  ``owners`` names the input each
     row cuts: 0 for f, 1 for g, 2 for h.  ``blocks`` runs over the rows in
-    blocks of at most ``CHAIN_BLOCK_SAMPLES`` samples on the 2N grid (but at
+    blocks of at most ``BATCH_SAMPLES`` samples on the 2N grid (but at
     least one step): whole steps, the prefix rows filling the last block of
     steps before they take blocks of their own.  Each block is (first row,
     rows, fill): the flat positions of its kept coefficients in the block's
@@ -301,7 +266,7 @@ class _ChainPlan(NamedTuple):
     def build(cls, masks: np.ndarray, owners: np.ndarray, steps: int, act: Callable) -> "_ChainPlan":
         N = masks.shape[1]
         M = 2 * N
-        per_block = max(3, CHAIN_BLOCK_SAMPLES // M)
+        per_block = max(3, BATCH_SAMPLES // M)
         starts = list(range(0, 3 * steps, 3 * (per_block // 3)))
         starts += range(starts[-1] + per_block if starts else 0, len(masks), per_block)
         blocks = []
@@ -359,7 +324,7 @@ def holder_chain_check(
 
     Every projection, the partial sums included, comes from one stacked
     synthesis on the 2N grid, in blocks of whole steps of at most
-    ``CHAIN_BLOCK_SAMPLES`` samples, each reduced before the next is built.
+    ``BATCH_SAMPLES`` samples, each reduced before the next is built.
     """
     if not (f.N == g.N == h.N) or not (f.L == g.L == h.L):
         raise ValueError("common grid required")
@@ -421,35 +386,8 @@ def holder_chain_check(
     )
 
 
-def square_function_report(f: SampledFunction, coll: Sequence[HalfOpenInterval], p: float):
-    """Measured square-function ratios for a family of frequency intervals.
-
-    upper_ratio = ||Sf||_p / ||f||_p with Sf the l2 aggregate of the sharp
-    projections.  lower_ratio repeats the value only when the family covers
-    every grid frequency (two-sided regime); otherwise None.
-    """
-    base = lp_norm(f, p)
-    if base == 0:
-        raise ValueError("f must be nonzero")
-    masks = _masks(list(coll), f.freqs())
-    projections = _masked_synthesis(f.coeffs(), masks, f.N)
-    s = _mixed_lp(projections, p, f.L)
-    covers = bool(np.all(np.any(masks, axis=0)))
-    upper = s / base
-    return {
-        "upper_ratio": float(upper),
-        "lower_ratio": float(upper) if covers else None,
-        "covers_band": covers,
-    }
-
-
 # --- norm probing ---------------------------------------------------------------
 
-
-# Samples per (trials, N) array of one probe batch, at least one trial: as
-# CHAIN_BLOCK_SAMPLES, 128 KiB of complex samples; larger batches fault
-# their pages in afresh more often.
-PROBE_BATCH_SAMPLES = 2**13
 
 # Each family maps a list of generators to (len(rngs), N) arrays of samples
 # and of their centered coefficients, one row per generator, drawing from
@@ -575,17 +513,22 @@ def probe_reports(sym: SymbolSpec, triples: Sequence[ExponentTriple], trials: in
     ||B(f,g)||_{p3'} / (||f||_{p1} ||g||_{p2}) over ``trials`` draws is
     recorded; the growth factor compares the largest against the smallest
     resolution.  Each trial pair is drawn and applied once for all triples.
-    Trials run in batches of max(1, ``PROBE_BATCH_SAMPLES`` // N), each
+    Trials run in batches of max(1, ``BATCH_SAMPLES`` // N), each
     row drawn and measured as it would be alone.  Fully deterministic for a
     fixed seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     resolutions = sorted(int(N) for N in resolutions)
+    if not resolutions:
+        raise ValueError("resolutions must name at least one N")
+    for N in resolutions:
+        if not _is_pow2(N):
+            raise ValueError(f"resolution {N} is not a power of two >= 2")
     reports = [ProbeReport(e, list(resolutions), trials, seed, float(L)) for e in triples]
     for ri, N in enumerate(resolutions):
         act = _bilinear_action(sym, _freq_grid(N, L))
-        per_batch = max(1, PROBE_BATCH_SAMPLES // N)
+        per_batch = max(1, BATCH_SAMPLES // N)
         for fi, family in enumerate(PROBE_FAMILIES):
             best = [(0.0, -1)] * len(reports)
             for t0 in range(0, trials, per_batch):

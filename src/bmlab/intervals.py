@@ -239,8 +239,8 @@ class HypothesisReport:
 def _lacunary_flag(group: list[HalfOpenInterval]) -> bool:
     """Heuristic: midpoint magnitudes grow geometrically within the class.
 
-    Reported, not certified; a proper two-sided square-function measurement
-    lives in the engine module.
+    Reported, not certified; a square-function measurement of a family lives
+    in ``tests/oracles.py`` (``square_function_ratio``).
     """
     mids = sorted(abs(0.5 * (iv.lo + iv.hi)) for iv in group)
     return all(a == 0 or b / a >= LACUNARY_Q_MIN for a, b in zip(mids, mids[1:]))

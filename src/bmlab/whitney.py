@@ -355,35 +355,6 @@ def enumerate_multitiles(
 # --- mollified partition of unity ------------------------------------------------
 
 
-def omega3_partition_check(
-    rects: RectCover,
-    C0: float,
-    alpha: float,
-    n: int = 10_000,
-) -> float:
-    """Max gap, over the rectangles, between the summed third-slot pieces and
-    the wide output bump.
-
-    The pieces are the output-interval bumps weighted to partition the bump
-    that is 1 on K and supported on its (1/sqrt(alpha))-dilation.
-    """
-    gaps = []
-    for k, cx, cy, K in _rows(rects):
-        lo3, hi3, _ = _omega3_family(k, cx, cy, rects.s_j, K, C0, alpha)
-        fam = list(zip(lo3, hi3))
-        if not fam:
-            raise ValueError("no admissible third-slot cubes for this rectangle")
-        supp = _dilate(K, 1.0 / math.sqrt(alpha))
-        pad = 0.5 * (supp[1] - supp[0])
-        xs = np.linspace(supp[0] - pad, supp[1] + pad, n)
-        phi, weights = _omega3_weights(xs, K, fam, alpha)
-        pieces = np.zeros_like(xs)
-        for w in weights:
-            pieces += w
-        gaps.append(float(np.max(np.abs(pieces - phi))))
-    return max(gaps)
-
-
 def _omega3_weights(x, K: tuple[float, float], fam, alpha: float):
     """The wide output bump phi_K at ``x`` and its partition over ``fam``.
 

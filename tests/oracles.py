@@ -2,7 +2,20 @@
 
 These recompute results by brute force (direct double sums, exhaustive
 coloring, point sampling) so the fast implementations are checked against
-code that shares none of their structure.
+code that shares little of their structure.  What they do share with bmlab:
+
+* the centered-layout helpers ``_analyze``, ``_synthesize``, ``_freq_grid``,
+  ``_x_grid`` and ``_period_pairing`` (their numpy-shift twins below are
+  checked against them bitwise) and ``lp_norm``;
+* ``_bilinear_action``, which ``probe_reports_by_trial`` applies, so that
+  oracle checks the probe's batching and draws, not the action;
+* ``_tile_projections``, on which ``model_value_by_tile`` builds, so that
+  oracle checks the tile sum, not the projections;
+* ``whitney._rows``, ``_omega3_family`` and ``_omega3_weights``, on which
+  ``omega3_partition_gap`` builds: it measures the partition they make.
+
+The square-function ratio and the omega3 partition gap are measurements no
+command runs; they live here, on the oracle projections.
 """
 
 import math
@@ -13,10 +26,10 @@ import numpy as np
 from bmlab.bumps import adapted_bump, fejer_sq_cdf, fejer_sq_spectrum
 from bmlab.curves import CurveSpec
 from bmlab.engine import (PROBE_FAMILIES, HolderChainReport, ProbeReport, SampledFunction, _bilinear_action,
-                          _analyze, _freq_grid, _period_pairing, _project, _synthesize, _x_grid,
-                          lp_norm)
+                          _analyze, _freq_grid, _period_pairing, _synthesize, _x_grid, lp_norm)
 from bmlab.intervals import neg_minkowski_sum, staircase_steps
-from bmlab.whitney import LATTICE_EXP, PARTITION_POINTS, PARTITION_TAIL, _tile_projections, chi_values, r2_samples
+from bmlab.whitney import (LATTICE_EXP, PARTITION_POINTS, PARTITION_TAIL, _dilate, _omega3_family,
+                           _omega3_weights, _rows, _tile_projections, chi_values, r2_samples)
 
 
 def bilinear_double_sum(sym, f, g):
@@ -81,6 +94,13 @@ def masked_synthesis_padded(c, masks, M):
     padded = np.zeros(cut.shape[:-1] + (M,), dtype=complex)
     padded[..., (M - N) // 2 : (M + N) // 2] = cut
     return synthesize_shifted(padded)
+
+
+def sharp_projections(f, intervals, M):
+    """(len(intervals), M) samples of the sharp cutoffs of f's coefficients to
+    each interval (closure respected), synthesized on the M-point grid, M >= N."""
+    masks = np.stack([iv.contains(f.freqs()) for iv in intervals])
+    return masked_synthesis_padded(f.coeffs(), masks, M)
 
 
 def carleson_maximal_dense(g):
@@ -261,6 +281,22 @@ def whitney_conditions_by_sampling(square, C0, n=1000):
         return bool(np.any(inside))
 
     return misses(C0), meets(4 * C0)
+
+
+def omega3_partition_gap(rects, C0, alpha, n=10_000):
+    """Max gap, over the cover's rows, between the summed third-slot pieces of
+    ``whitney._omega3_weights`` and the wide output bump they partition, at
+    ``n`` points across twice the bump's support."""
+    gaps = []
+    for k, cx, cy, K in _rows(rects):
+        lo3, hi3, _ = _omega3_family(k, cx, cy, rects.s_j, K, C0, alpha)
+        if not len(lo3):
+            raise ValueError("no admissible third-slot cubes for this rectangle")
+        lo, hi = _dilate(K, 1.0 / math.sqrt(alpha))
+        xs = np.linspace(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), n)
+        phi, weights = _omega3_weights(xs, K, list(zip(lo3, hi3)), alpha)
+        gaps.append(float(np.max(np.abs(np.sum(weights, axis=0) - phi))))
+    return max(gaps)
 
 
 # --- curves --------------------------------------------------------------------
@@ -707,9 +743,25 @@ def mixed_norm(fs, outer_p, inner="l2"):
     return float(np.sum(pointwise**outer_p) * (L / N)) ** (1.0 / outer_p)
 
 
+def square_function_ratio(f, coll, p):
+    """Measured square-function ratios of f for a family of frequency intervals.
+
+    upper_ratio = ||Sf||_p / ||f||_p with Sf the l2 aggregate of the sharp
+    projections.  lower_ratio repeats the value only when the family covers
+    every grid frequency (two-sided regime); otherwise None.
+    """
+    base = lp_norm(f, p)
+    if base == 0:
+        raise ValueError("f must be nonzero")
+    rows = sharp_projections(f, coll, f.N)
+    upper = mixed_norm([SampledFunction(r, f.L) for r in rows], p, "l2") / base
+    covers = bool(np.all(np.any([iv.contains(f.freqs()) for iv in coll], axis=0)))
+    return {"upper_ratio": upper, "lower_ratio": upper if covers else None, "covers_band": covers}
+
+
 def holder_chain_by_families(seq, f, g, h, e):
     """``holder_chain_check``'s report rebuilt one family at a time: each
-    family by its own ``_project`` on the 2N grid, its norm by ``mixed_norm``,
+    family by ``sharp_projections`` on the 2N grid, its norm by ``mixed_norm``,
     M_B from dense prefix sums of g's series at the cutoffs bounding the B_j
     (the empty prefix included), and the form as the direct triple sum
     L sum_j sum_{k + l + m = 0} c_k d_l e_m over the slots of A_j, B_j and
@@ -720,7 +772,7 @@ def holder_chain_by_families(seq, f, g, h, e):
     steps = staircase_steps(seq)
     As, Bs = [A for A, _ in steps], [B for _, B in steps]
     Cs = [neg_minkowski_sum(A, B) for A, B in steps]
-    fa, gb, hc = _project(f, As, M), _project(g, Bs, M), _project(h, Cs, M)
+    fa, gb, hc = sharp_projections(f, As, M), sharp_projections(g, Bs, M), sharp_projections(h, Cs, M)
     riemann = abs(np.sum(fa * gb * hc) * (L / M))
 
     freqs, kappa = f.freqs(), np.arange(-N // 2, N // 2)
@@ -750,7 +802,7 @@ def holder_chain_by_families(seq, f, g, h, e):
         partial = np.cumsum(roots[(n[:, None] * kappa[:top]) % N] * cg[:top], axis=1)
         prefix = np.hstack([np.zeros((len(n), 1)), partial])  # column c: the sum over the slots below c
         m_b[n] = np.max(np.abs(prefix[:, cuts]), axis=1)
-    worst = np.max(np.abs(_project(g, Bs, N)), axis=0)
+    worst = np.max(np.abs(sharp_projections(g, Bs, N)), axis=0)
     margin = max(0.0, float(np.max(worst - 2.0 * m_b)))
     gap = abs(riemann - lhs)
     rhs = n1 * n2 * n3

@@ -116,10 +116,12 @@ def test_lacunarity_ratio_exact(c):
     assert np.max(np.abs(ratios - 2.0 ** (1.0 / (c + 1.0)))) < 1e-12
 
 
-def test_bisection_budget_invariance():
+def test_bisection_budget_invariance(monkeypatch):
     for curve in (curves.hyperboloid(), curves.rational(2.0)):
-        s1 = build_dyadic_slope_sequence(curve, 10, max_iter=200)
-        s2 = build_dyadic_slope_sequence(curve, 10, max_iter=400)
+        monkeypatch.setattr(curves, "BISECT_MAX_ITER", 200)
+        s1 = build_dyadic_slope_sequence(curve, 10)
+        monkeypatch.setattr(curves, "BISECT_MAX_ITER", 400)
+        s2 = build_dyadic_slope_sequence(curve, 10)
         assert np.max(np.abs(s1.a - s2.a)) < 1e-10
 
 

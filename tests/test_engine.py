@@ -10,19 +10,15 @@ from bmlab.engine import (
     ExponentTriple,
     SampledFunction,
     _analyze,
-    _masked_synthesis,
-    _mixed_lp,
+    _outer_lp,
     _pad,
     _period_pairing,
-    _project,
     _synthesize,
     apply_bilinear,
-    frequency_project,
     holder_chain_check,
     lp_norm,
     make_trial_pair,
     norm_probe,
-    square_function_report,
 )
 from bmlab.intervals import HalfOpenInterval, build_hyp_collection, staircase_steps
 from bmlab.symbols import SymbolSpec, constant_symbol, rectangle_symbol, staircase_symbol
@@ -38,6 +34,8 @@ from oracles import (
     mixed_norm,
     period_pairing_rolled,
     probe_reports_by_trial,
+    sharp_projections,
+    square_function_ratio,
     synthesize_shifted,
     trial_pair_by_scalar_draws,
     wave_packets_float_carrier,
@@ -55,6 +53,11 @@ def sparse_function(rng, N=64, L=16.0, m=6):
     return SampledFunction.from_coeffs(c, L)
 
 
+def project(f, iv):
+    """The sharp cutoff of f to the interval iv, by the oracle projection."""
+    return SampledFunction(sharp_projections(f, [iv], f.N)[0], f.L)
+
+
 def test_roundtrip_precision(rng):
     f = random_function(rng, 256)
     back = SampledFunction.from_coeffs(f.coeffs(), f.L)
@@ -68,12 +71,6 @@ def test_roundtrip_precision(rng):
 def test_analyze_inverts_synthesize(rng, N):
     c = rng.normal(size=N) + 1j * rng.normal(size=N)
     assert np.max(np.abs(_analyze(_synthesize(c)) - c)) <= 1e-15 * np.max(np.abs(c))
-
-
-def test_pad_then_synthesize_is_upsample(rng):
-    f = random_function(rng, 64, 16.0)
-    for M in (128, 512):
-        assert np.array_equal(_synthesize(_pad(f.coeffs(), M)), f.upsample(M).samples)
 
 
 @pytest.mark.parametrize("N", [64, 128, 256])
@@ -100,10 +97,6 @@ def test_half_swap_layout_equals_numpy_shifts_bitwise(rng, N):
     u, v = (rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(2))
     pairings = (_period_pairing(u, v, 24.0), period_pairing_rolled(u, v, 24.0))
     assert np.asarray(pairings[0]).tobytes() == np.asarray(pairings[1]).tobytes()
-    masks = rng.random((7, N)) < 0.4
-    for M in (N, 2 * N, 4 * N):
-        got = _masked_synthesis(u, masks, M)
-        assert got.shape == (7, M) and got.tobytes() == masked_synthesis_padded(u, masks, M).tobytes()
 
 
 def test_chain_reports_match_golden():
@@ -129,7 +122,7 @@ def test_carleson_verdict_fails_when_the_cutoffs_miss_the_steps(rng, hyperboloid
     monkeypatch.setattr(engine, "_chain_plan", empty_prefix)
     f, g, h = (random_function(rng, 128, 32.0) for _ in range(3))
     rep = holder_chain_check(seq, f, g, h, ExponentTriple(3, 3, 3))
-    largest = np.max(np.abs(_project(g, [B for _, B in staircase_steps(seq)], 128)))
+    largest = np.max(np.abs(sharp_projections(g, [B for _, B in staircase_steps(seq)], 128)))
     assert largest > 0.0
     assert rep.carleson_ok is False
     assert rep.carleson_margin == pytest.approx(largest, rel=1e-12)
@@ -148,10 +141,10 @@ def test_step_cutoff_maximal_is_below_the_full_maximal(rng, hyperboloid_seq, N):
         assert any(np.array_equal(row, hi & ~lo) for lo in prefix for hi in prefix)
     for _ in range(20):
         g = random_function(rng, N, 16.0)
-        m_b = np.max(np.abs(engine._masked_synthesis(g.coeffs(), prefix, N)), axis=0)
+        m_b = np.max(np.abs(masked_synthesis_padded(g.coeffs(), prefix, N)), axis=0)
         full = carleson_maximal_dense(g)
         assert np.all(m_b - full <= 1e-12 * np.max(full))
-        assert np.all(np.abs(_project(g, [B for _, B in staircase_steps(seq)], N)) <= 2.0 * m_b + 1e-12)
+        assert np.all(np.abs(sharp_projections(g, [B for _, B in staircase_steps(seq)], N)) <= 2.0 * m_b + 1e-12)
 
 
 @pytest.mark.parametrize("N", [64, 128, 256])
@@ -160,9 +153,9 @@ def test_projection_at_2n_subsamples_to_n(rng, hyperboloid_seq, N):
     # at every other sample of the 2N grid
     g = random_function(rng, N, 32.0)
     ivs = [B for _, B in staircase_steps(hyperboloid_seq.truncate(8))]
-    at_n = _project(g, ivs, N)
+    at_n = sharp_projections(g, ivs, N)
     assert at_n.shape == (len(ivs), N)
-    assert np.max(np.abs(_project(g, ivs, 2 * N)[:, ::2] - at_n)) <= 1e-14 * np.max(np.abs(at_n))
+    assert np.max(np.abs(sharp_projections(g, ivs, 2 * N)[:, ::2] - at_n)) <= 1e-14 * np.max(np.abs(at_n))
 
 
 def test_sample_count_validation():
@@ -191,7 +184,7 @@ def test_eta_independent_symbol_is_projection_times_g(rng):
         eta_bounds=lambda xi: (np.where(I.contains(xi), -np.inf, np.inf), np.full_like(xi, np.inf))
     )
     out = apply_bilinear(sym, f, g)
-    expect = frequency_project(f, I).samples * g.samples
+    expect = project(f, I).samples * g.samples
     assert np.max(np.abs(out.samples[::2] - expect)) < 1e-10
 
 
@@ -253,10 +246,10 @@ def test_projection_idempotent_and_additive(rng):
     I1 = HalfOpenInterval(-1.0, 0.0)
     I2 = HalfOpenInterval(0.0, 1.0)
     u = HalfOpenInterval(-1.0, 1.0)
-    p1 = frequency_project(f, I1)
-    assert np.max(np.abs(frequency_project(p1, I1).samples - p1.samples)) < 1e-14
-    both = p1.samples + frequency_project(f, I2).samples
-    assert np.max(np.abs(both - frequency_project(f, u).samples)) < 1e-12
+    p1 = project(f, I1)
+    assert np.max(np.abs(project(p1, I1).samples - p1.samples)) < 1e-14
+    both = p1.samples + project(f, I2).samples
+    assert np.max(np.abs(both - project(f, u).samples)) < 1e-12
 
 
 def test_projection_single_exponential():
@@ -264,11 +257,11 @@ def test_projection_single_exponential():
     x = L * np.arange(N) / N
     xi0 = 5.0 / L
     f = SampledFunction(np.exp(2j * np.pi * xi0 * x), L)
-    inside = frequency_project(f, HalfOpenInterval(xi0, xi0 + 0.01))
-    outside = frequency_project(f, HalfOpenInterval(xi0 + 0.01, xi0 + 0.5))
+    inside = project(f, HalfOpenInterval(xi0, xi0 + 0.01))
+    outside = project(f, HalfOpenInterval(xi0 + 0.01, xi0 + 0.5))
     assert np.max(np.abs(inside.samples - f.samples)) < 1e-12
     assert np.max(np.abs(outside.samples)) < 1e-12
-    full = frequency_project(f, HalfOpenInterval(-N / (2 * L), N / (2 * L)))
+    full = project(f, HalfOpenInterval(-N / (2 * L), N / (2 * L)))
     assert np.max(np.abs(full.samples - f.samples)) < 1e-12
 
 
@@ -288,7 +281,7 @@ def test_carleson_dominates_projections(rng, hyperboloid_seq):
         C = carleson_maximal_dense(g)
         assert np.all(C >= np.abs(g.samples) - 1e-12)
         for iv in coll:
-            proj = frequency_project(g, iv)
+            proj = project(g, iv)
             assert np.all(np.abs(proj.samples) <= 2.0 * C + 1e-12)
 
 
@@ -346,23 +339,10 @@ def test_parseval(rng):
 
 def test_mixed_norm_validation(rng):
     rows = np.stack([random_function(rng).samples for _ in range(2)])
-    for batch in (rows, rows[None]):
-        with pytest.raises(ValueError, match="outer exponent"):
-            _mixed_lp(batch, 0.5, 8.0)
+    with pytest.raises(ValueError, match="outer exponent"):
+        _outer_lp(np.abs(rows), 0.5, 8.0)  # a (trials, N) probe batch
     with pytest.raises(ValueError, match="outer exponent"):
         lp_norm(SampledFunction(rows[0], 8.0), 0.5)
-
-
-# the engine's one inner norm is l2; the chain takes its linf norm itself
-@pytest.mark.parametrize("inner", ["l2"])
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-def test_mixed_norm_batch_rows_match_the_list_norm(rng, inner, p):
-    # each row of a (T, k, N) batch is bitwise the norm of its k functions alone
-    fs = [[random_function(rng, 64, 8.0) for _ in range(3)] for _ in range(5)]
-    batch = np.array([[f.samples for f in row] for row in fs])
-    got = _mixed_lp(batch, p, 8.0)
-    assert got == [mixed_norm(row, p, inner) for row in fs]
-    assert got[0] == _mixed_lp(batch[0], p, 8.0)
 
 
 def test_exponent_triple():
@@ -403,7 +383,7 @@ def test_square_function_parseval(rng):
     f = random_function(rng, 128, 32.0)
     band = f.N / (2 * f.L)
     cover = [HalfOpenInterval(-band, 0.0), HalfOpenInterval(0.0, band + 1e-9)]
-    rep = square_function_report(f, cover, 2.0)
+    rep = square_function_ratio(f, cover, 2.0)
     assert abs(rep["upper_ratio"] - 1.0) < 1e-10
     assert abs(rep["lower_ratio"] - 1.0) < 1e-10
 
@@ -414,7 +394,7 @@ def test_square_function_single_interval_support(rng):
     c[N // 2 + 3 : N // 2 + 7] = rng.normal(size=4) + 1j * rng.normal(size=4)
     f = SampledFunction.from_coeffs(c, L)
     coll = [HalfOpenInterval(2.5 / L, 7.5 / L), HalfOpenInterval(20.0 / L, 30.0 / L)]
-    rep = square_function_report(f, coll, 4.0)
+    rep = square_function_ratio(f, coll, 4.0)
     assert abs(rep["upper_ratio"] - 1.0) < 1e-10
     assert rep["lower_ratio"] is None  # the family does not cover the band
 
@@ -426,7 +406,7 @@ def test_square_function_lacunary_stable_across_resolutions():
     for N in (128, 256):
         rng = np.random.default_rng(99)
         vals = [
-            square_function_report(random_function(rng, N, 32.0), coll, 4.0)["upper_ratio"]
+            square_function_ratio(random_function(rng, N, 32.0), coll, 4.0)["upper_ratio"]
             for _ in range(40)
         ]
         ratios.append(max(vals))
@@ -436,7 +416,7 @@ def test_square_function_lacunary_stable_across_resolutions():
 
 def test_square_function_zero_rejected():
     with pytest.raises(ValueError):
-        square_function_report(SampledFunction(np.zeros(64, dtype=complex), 8.0), [], 2.0)
+        square_function_ratio(SampledFunction(np.zeros(64, dtype=complex), 8.0), [], 2.0)
 
 
 def test_norm_probe_reproducible_and_bounded():
@@ -457,8 +437,8 @@ def test_norm_probe_rank_one_cross_check():
     for t in range(20):
         f, g = make_trial_pair("sparse_spectrum", (3, 0, 0, t), N, L)
         out = apply_bilinear(sym, f, g)
-        pf = frequency_project(f, HalfOpenInterval(*A))
-        pg = frequency_project(g, HalfOpenInterval(*B))
+        pf = project(f, HalfOpenInterval(*A))
+        pg = project(g, HalfOpenInterval(*B))
         ratio = lp_norm(out, e.p3_dual) / (lp_norm(f, e.p1) * lp_norm(g, e.p2))
         bound = (lp_norm(pf, e.p1) / lp_norm(f, e.p1)) * (lp_norm(pg, e.p2) / lp_norm(g, e.p2))
         assert ratio <= bound + 1e-9
@@ -478,6 +458,16 @@ def test_norm_probe_trial_validation():
     with pytest.raises(ValueError):
         norm_probe(constant_symbol(), ExponentTriple(3, 3, 3), trials=0,
                    resolutions=[64], seed=1)
+
+
+@pytest.mark.parametrize("resolutions, bad", [([], "at least one"), ([0], "resolution 0 "),
+                                              ([3], "resolution 3 "), ([64, 6], "resolution 6 ")],
+                         ids=["empty", "zero", "three", "six"])
+def test_norm_probe_resolution_validation(resolutions, bad):
+    # the grid layout and the exact carriers need a power of two; an empty or
+    # zero list once ended in IndexError and [3] returned wrong rows
+    with pytest.raises(ValueError, match=bad):
+        norm_probe(constant_symbol(), ExponentTriple(3, 3, 3), trials=2, resolutions=resolutions, seed=1)
 
 
 @pytest.mark.parametrize("N", [2, 4, 64, 4096])
@@ -522,7 +512,7 @@ def test_wave_packet_carriers_match_the_float_carrier(N):
 
 def test_probe_reports_match_the_per_trial_loop_across_batches():
     # 40 trials at N = 512 run as batches of 16, 16 and 8
-    assert engine.PROBE_BATCH_SAMPLES // 512 == 16
+    assert engine.BATCH_SAMPLES // 512 == 16
     sym = staircase_symbol(curves.build_dyadic_slope_sequence(curves.hyperboloid(), 8))
     triples = [ExponentTriple(3, 3, 3), ExponentTriple(4, 2, 4)]
     args = (sym, triples, 40, [512, 64], 3, 48.0)
@@ -542,7 +532,7 @@ def test_probe_argmax_is_the_first_maximal_trial(monkeypatch):
     # equal ratios on every trial whose f and g are both nonzero, batches of
     # two: the first such trial wins; with every denominator 0 none does
     N, seed, trials = 64, 3, 9
-    monkeypatch.setattr(engine, "PROBE_BATCH_SAMPLES", 2 * N)
+    monkeypatch.setattr(engine, "BATCH_SAMPLES", 2 * N)
     monkeypatch.setattr(engine, "PROBE_FAMILIES", {"ties": _constant_rows(lambda rng: rng.integers(2))})
 
     def kept(t):  # f's draw, then g's, from trial t's generator
@@ -563,7 +553,7 @@ def test_probe_argmax_is_the_first_maximal_trial(monkeypatch):
 @pytest.mark.parametrize("which", ["hyperboloid", "power1"])
 def test_holder_chain_matches_the_family_oracle(rng, hyperboloid_seq, power1_seq, which, N):
     # at N = 64 no hyperboloid B_j meets the L = 32 grid; from N = 1024 on the
-    # rows no longer fit one stacked synthesis of CHAIN_BLOCK_SAMPLES samples
+    # rows no longer fit one stacked synthesis of BATCH_SAMPLES samples
     seq = {"hyperboloid": hyperboloid_seq, "power1": power1_seq}[which].truncate(8)
     plan = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, 32.0)
     assert (len(plan.blocks) > 1) == (N >= 1024)
@@ -584,14 +574,14 @@ def test_holder_chain_matches_the_family_oracle(rng, hyperboloid_seq, power1_seq
                                       (1024, [3] * 6 + [4, 3]), (4096, [3] * 8 + [1])])
 def test_chain_blocks_are_whole_steps_then_the_prefix_rows(hyperboloid_seq, N, sizes):
     # 7 steps (21 rows) and 4 prefix rows: the prefix rows fill the last block
-    # of steps up to CHAIN_BLOCK_SAMPLES before they take blocks of their own
+    # of steps up to BATCH_SAMPLES before they take blocks of their own
     seq = hyperboloid_seq.truncate(8)
     plan = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, 32.0)
     assert (plan.steps, len(plan.masks)) == (7, 25)
     assert [rows for _, rows, _ in plan.blocks] == sizes
     assert [r0 for r0, _, _ in plan.blocks] == list(np.cumsum([0] + sizes[:-1]))
     for r0, rows, _ in plan.blocks:
-        assert rows * 2 * N <= max(3 * 2 * N, engine.CHAIN_BLOCK_SAMPLES)
+        assert rows * 2 * N <= max(3 * 2 * N, engine.BATCH_SAMPLES)
         assert r0 >= 21 or r0 % 3 == 0 and (r0 + rows >= 21 or rows % 3 == 0)
 
 

@@ -57,6 +57,42 @@ def test_entry_points_use_only_public_bmlab_names(path):
     assert private_bmlab_names(path.read_text()) == []
 
 
+# public src/bmlab names that no command, script or workload calls, each a
+# construction of the paper that a criterion or the profile tests build directly
+TEST_BUILT_NAMES = {
+    "rectangle_symbol": "a rectangle 1_A(xi) 1_B(eta), the rank-one symbol the engine and profile tests apply",
+    "increasing_staircase_symbol": "the staircase of two increasing sequences, checked against its evaluator",
+    "boundary_piece_symbol": "criterion 5 adds the boundary pieces to the staircase to rebuild the epigraph",
+    "hyp2_rewrite_pair": "criterion 6 checks the rectangle-minus-complement rewrite of the staircase",
+}
+SRC_USERS = [*sorted((ROOT / "src" / "bmlab").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+def referenced_names(sources) -> set[str]:
+    """Every name the sources read, read as an attribute or import by name."""
+    found = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(a.name for a in node.names)
+    return found
+
+
+def test_public_names_have_a_caller_outside_the_tests():
+    # a public function or class that only tests reach is code no run needs:
+    # move it to tests/oracles.py or give it a caller
+    defined = [node.name for path in sorted((ROOT / "src" / "bmlab").glob("*.py"))
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+    used = referenced_names(path.read_text() for path in SRC_USERS)
+    assert sorted(name for name in defined if name not in used) == sorted(TEST_BUILT_NAMES)
+
+
 def config_keys_read() -> set[tuple[str, str]]:
     """The (section, key) pairs of every ``get("<section>", "<key>", ...)``
     call in ``RunConfig.from_file``."""

@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 from bmlab import cli, curves, reporting, whitney
 from bmlab.config import RunConfig
 from bmlab.bumps import fejer_sq_spectrum
-from bmlab.engine import SampledFunction, _freq_grid, _pad, _period_pairing
+from bmlab.engine import SampledFunction, _freq_grid, _pad, _period_pairing, _synthesize
 from bmlab.intervals import max_overlap
 from bmlab.symbols import polygon_height, polygonal_epigraph_symbol
 from bmlab.whitney import (
@@ -19,7 +19,6 @@ from bmlab.whitney import (
     edge_interval_collections,
     enumerate_multitiles,
     model_sum_eval,
-    omega3_partition_check,
     partition_check,
     r2_samples,
     segment,
@@ -28,7 +27,8 @@ from bmlab.whitney import (
 from oracles import (
     WhitneySquare, bilinear_dense_table, bilinear_double_sum, chi_coeffs_dense, containment_failures_by_sampling,
     cover_squares_by_unique_rows, csv_text_by_rows, enumerate_whitney_squares, max_overlap_sweep, model_value_by_tile,
-    multitiles_by_object, partition_sum_by_tiles, tile_bump_evaluator, whitney_conditions_by_sampling,
+    multitiles_by_object, omega3_partition_gap, partition_sum_by_tiles, tile_bump_evaluator,
+    whitney_conditions_by_sampling,
 )
 
 
@@ -455,14 +455,14 @@ def test_tile_set_matches_the_per_tile_objects(squares, C0, count):
 
 def test_omega3_partition_reconstructs_wide_bump():
     seq, rect = demo_rect()
-    assert omega3_partition_check(rect, C0=2.0, alpha=0.9, n=10_000) <= 1e-8
+    assert omega3_partition_gap(rect, C0=2.0, alpha=0.9, n=10_000) <= 1e-8
 
 
 def test_omega3_partition_check_is_max_over_rows():
     seq, _ = demo_rect()
     squares = [(0.75, 0.25, -3), (0.375, 0.125, -4), (0.75, 0.7265625, -8)]
-    rows = [omega3_partition_check(segment_cover(seq, [sq]), C0=2.0, alpha=0.9, n=2000) for sq in squares]
-    assert omega3_partition_check(segment_cover(seq, squares), C0=2.0, alpha=0.9, n=2000) == max(rows)
+    rows = [omega3_partition_gap(segment_cover(seq, [sq]), C0=2.0, alpha=0.9, n=2000) for sq in squares]
+    assert omega3_partition_gap(segment_cover(seq, squares), C0=2.0, alpha=0.9, n=2000) == max(rows)
 
 
 def test_omega3_partition_check_needs_an_admissible_cube():
@@ -472,9 +472,9 @@ def test_omega3_partition_check_needs_an_admissible_cube():
     seq, _ = demo_rect()
     assert WhitneySquare(cx=0.75, cy=0.7265625, k=-8).satisfies(2.0)
     rect = segment_cover(seq, [(0.75, 0.7265625, -8)])
-    assert omega3_partition_check(rect, C0=2.0, alpha=0.9) <= 1e-8
+    assert omega3_partition_gap(rect, C0=2.0, alpha=0.9) <= 1e-8
     with pytest.raises(ValueError, match="no admissible"):
-        omega3_partition_check(rect, C0=16.0, alpha=0.9)
+        omega3_partition_gap(rect, C0=16.0, alpha=0.9)
 
 
 PARTITION_CASES = [(-3, 2), (-2, 2), (-1, 2), (-1, 3)]
@@ -607,7 +607,7 @@ class TestModelSum:
         chi = np.zeros_like(xs)
         for shift in range(-64, 65):
             chi = chi + chi_values(xs + shift * self.L, (m * ell, (m + 1) * ell), t.j, 2)
-        prod = f.upsample(M).samples * g.upsample(M).samples * h.upsample(M).samples
+        prod = np.prod([_synthesize(_pad(fn.coeffs(), M)) for fn in (f, g, h)], axis=0)
         direct = np.sum(chi * prod) * (self.L / M)
         assert abs(res["model_value"] - direct) <= 1e-8 * max(1.0, abs(direct))
 

@@ -519,12 +519,12 @@ def probe_reports(sym: SymbolSpec, triples: Sequence[ExponentTriple], trials: in
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    resolutions = sorted(int(N) for N in resolutions)
-    if not resolutions:
+    if not len(resolutions):
         raise ValueError("resolutions must name at least one N")
     for N in resolutions:
-        if not _is_pow2(N):
+        if N != int(N) or not _is_pow2(int(N)):
             raise ValueError(f"resolution {N} is not a power of two >= 2")
+    resolutions = sorted(int(N) for N in resolutions)
     reports = [ProbeReport(e, list(resolutions), trials, seed, float(L)) for e in triples]
     for ri, N in enumerate(resolutions):
         act = _bilinear_action(sym, _freq_grid(N, L))

@@ -753,9 +753,10 @@ def square_function_ratio(f, coll, p):
     base = lp_norm(f, p)
     if base == 0:
         raise ValueError("f must be nonzero")
-    rows = sharp_projections(f, coll, f.N)
+    masks = np.stack([iv.contains(f.freqs()) for iv in coll])
+    rows = masked_synthesis_padded(f.coeffs(), masks, f.N)
     upper = mixed_norm([SampledFunction(r, f.L) for r in rows], p, "l2") / base
-    covers = bool(np.all(np.any([iv.contains(f.freqs()) for iv in coll], axis=0)))
+    covers = bool(np.all(np.any(masks, axis=0)))
     return {"upper_ratio": upper, "lower_ratio": upper if covers else None, "covers_band": covers}
 
 

@@ -461,11 +461,13 @@ def test_norm_probe_trial_validation():
 
 
 @pytest.mark.parametrize("resolutions, bad", [([], "at least one"), ([0], "resolution 0 "),
-                                              ([3], "resolution 3 "), ([64, 6], "resolution 6 ")],
-                         ids=["empty", "zero", "three", "six"])
+                                              ([3], "resolution 3 "), ([64, 6], "resolution 6 "),
+                                              ([64.5], "resolution 64.5 ")],
+                         ids=["empty", "zero", "three", "six", "fraction"])
 def test_norm_probe_resolution_validation(resolutions, bad):
     # the grid layout and the exact carriers need a power of two; an empty or
-    # zero list once ended in IndexError and [3] returned wrong rows
+    # zero list once ended in IndexError, [3] returned wrong rows and 64.5
+    # ran as 64
     with pytest.raises(ValueError, match=bad):
         norm_probe(constant_symbol(), ExponentTriple(3, 3, 3), trials=2, resolutions=resolutions, seed=1)
 

@@ -1,10 +1,11 @@
 """Convex curve families, dyadic-slope sequences, and sequence classifiers.
 
 A curve here is an increasing, strictly convex C^1 function gamma on an open
-(or half-open) interval, carried together with its derivative.  The central
-construction solves gamma'(a_j) = 2^-j by bisection and records b_j =
-gamma(a_j); the resulting pairs of strictly monotone sequences feed the
-interval combinatorics and the symbol builders.
+(or half-open) interval, carried together with its derivative and that
+derivative's closed-form inverse.  The central construction reads the points
+a_j with gamma'(a_j) = 2^-j off the inverse and records b_j = gamma(a_j);
+the resulting pairs of strictly decreasing sequences feed the interval
+combinatorics and the symbol builders.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "slope_band_check",
 ]
 
-BISECT_MAX_ITER = 200
 CLASSIFY_TOL = 1e-10
 SLOPE_BAND_SAMPLES = 10_000  # points at which slope_band_check samples gamma'
 
@@ -49,8 +49,11 @@ class TruncationError(ValueError):
 class CurveSpec:
     """An evaluable convex curve with derivative and working domain.
 
-    ``domain`` endpoints may be infinite; finite endpoints are treated as
-    evaluable (the families below extend continuously to them).  ``a_limit``
+    ``slope_inverse(t)`` is the x with gamma'(x) = t, in closed form; where no
+    point of the domain has slope t it may return any x outside the domain,
+    an infinity or NaN.  ``domain`` endpoints may be infinite; finite
+    endpoints are treated as evaluable (the families below extend
+    continuously to them).  ``a_limit``
     and ``b_limit`` record lim a_j and lim gamma at the flat end of the
     domain, when known.
     """
@@ -58,6 +61,7 @@ class CurveSpec:
     family: str
     gamma: Callable[[np.ndarray], np.ndarray]
     dgamma: Callable[[np.ndarray], np.ndarray]
+    slope_inverse: Callable[[float], float]
     domain: tuple[float, float]
     c: Optional[float] = None
     a_limit: Optional[float] = None
@@ -65,9 +69,6 @@ class CurveSpec:
 
     def __call__(self, xi):
         return self.gamma(np.asarray(xi, dtype=float))
-
-    def slope(self, xi):
-        return self.dgamma(np.asarray(xi, dtype=float))
 
 
 def power_law(c: float) -> CurveSpec:
@@ -78,6 +79,7 @@ def power_law(c: float) -> CurveSpec:
         family="power_law",
         gamma=lambda x: np.abs(x) ** (-c),
         dgamma=lambda x: c * np.abs(x) ** (-c - 1.0),
+        slope_inverse=lambda t: -(c ** (1.0 / (c + 1.0))) * t ** (-1.0 / (c + 1.0)),  # c / t overflows
         domain=(-math.inf, 0.0),
         c=c,
         a_limit=-math.inf,
@@ -91,6 +93,7 @@ def hyperboloid() -> CurveSpec:
         family="hyperboloid",
         gamma=lambda x: np.sqrt(1.0 + x * x),
         dgamma=lambda x: x / np.sqrt(1.0 + x * x),
+        slope_inverse=lambda t: t / np.sqrt(1.0 - t * t),
         domain=(0.0, 1.0 / math.sqrt(3.0)),
         a_limit=0.0,
         b_limit=1.0,
@@ -104,6 +107,7 @@ def exponential() -> CurveSpec:
         family="exponential",
         gamma=lambda x: np.exp2(x),
         dgamma=lambda x: ln2 * np.exp2(x),
+        slope_inverse=lambda t: np.log2(t) - math.log2(ln2),  # t / ln2 rounds off bits of a subnormal t
         domain=(-math.inf, math.inf),
         a_limit=-math.inf,
         b_limit=0.0,
@@ -118,6 +122,7 @@ def monomial(c: float) -> CurveSpec:
         family="monomial",
         gamma=lambda x: x**c / c,
         dgamma=lambda x: x ** (c - 1.0),
+        slope_inverse=lambda t: t ** (1.0 / (c - 1.0)),
         domain=(0.0, 1.0),
         c=c,
         a_limit=0.0,
@@ -131,6 +136,7 @@ def circle_arc() -> CurveSpec:
         family="circle_arc",
         gamma=lambda x: -np.sqrt(1.0 - x * x),
         dgamma=lambda x: x / np.sqrt(1.0 - x * x),
+        slope_inverse=lambda t: t / np.sqrt(1.0 + t * t),
         domain=(0.0, 1.0 / math.sqrt(2.0)),
         a_limit=0.0,
         b_limit=-1.0,
@@ -145,6 +151,7 @@ def rational(c: float) -> CurveSpec:
         family="rational",
         gamma=lambda x: x / (x + c),
         dgamma=lambda x: c / (x + c) ** 2,
+        slope_inverse=lambda t: -c - np.sqrt(c / t),
         domain=(-math.inf, -c),
         c=c,
         a_limit=-math.inf,
@@ -158,6 +165,7 @@ def arctan_curve() -> CurveSpec:
         family="arctan",
         gamma=np.arctan,
         dgamma=lambda x: 1.0 / (1.0 + x * x),
+        slope_inverse=lambda t: 0.0 - np.sqrt(1.0 / t - 1.0),  # +0.0, not -0.0, at t = 1
         domain=(-math.inf, 0.0),
         a_limit=-math.inf,
         b_limit=-math.pi / 2.0,
@@ -173,11 +181,10 @@ def renormalize(curve: CurveSpec, mode: str = "unit_slope_origin") -> CurveSpec:
     are unchanged.
     """
     if mode == "unit_slope_origin":
-        x0 = _bisect_slope(curve, 1.0)
-        if x0 is None:
+        dx = _slope_point(curve, 1.0)
+        if dx is None:
             raise ValueError("slope 1 is not attained on the curve domain")
-        y0 = float(curve.gamma(x0))
-        dx, dy = x0, y0
+        dy = float(curve.gamma(dx))
     elif mode == "vanishing_limits":
         limits = (curve.a_limit, curve.b_limit)
         if any(v is None or not math.isfinite(v) for v in limits):
@@ -186,12 +193,13 @@ def renormalize(curve: CurveSpec, mode: str = "unit_slope_origin") -> CurveSpec:
     else:
         raise ValueError(f"unknown renormalization mode: {mode}")
 
-    base_g, base_d = curve.gamma, curve.dgamma
+    base_g, base_d, base_s = curve.gamma, curve.dgamma, curve.slope_inverse
     lo, hi = curve.domain
     return CurveSpec(
         family=curve.family + "_shifted",
         gamma=lambda x, g=base_g, dx=dx, dy=dy: g(np.asarray(x, dtype=float) + dx) - dy,
         dgamma=lambda x, d=base_d, dx=dx: d(np.asarray(x, dtype=float) + dx),
+        slope_inverse=lambda t, s=base_s, dx=dx: s(t) - dx,
         domain=(lo - dx, hi - dx),
         c=curve.c,
         a_limit=None if curve.a_limit is None else curve.a_limit - dx,
@@ -271,125 +279,44 @@ class SequencePair:
         return replace(self, a=self.a[: J + 1], b=self.b[: J + 1])
 
 
-def _slope_at(curve: CurveSpec, x: float) -> float:
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return float(curve.dgamma(np.float64(x)))
-
-
-def _expand_bracket(curve: CurveSpec, target: float):
-    """Find [lo, hi] inside the domain with dgamma(lo) <= target <= dgamma(hi)."""
-    dlo, dhi = curve.domain
-    # interior anchor
-    if math.isfinite(dlo) and math.isfinite(dhi):
-        lo, hi = dlo + (dhi - dlo) * 1e-9, dhi
-    elif math.isfinite(dhi):
-        hi = dhi
-        lo = dhi - 1.0
-    elif math.isfinite(dlo):
-        lo = dlo + 1e-9
-        hi = dlo + 1.0
-    else:
-        lo, hi = -1.0, 1.0
-    for _ in range(2000):
-        if _slope_at(curve, lo) <= target:
-            break
-        if math.isfinite(dlo):
-            step = (lo - dlo) * 0.5
-            if step <= 0 or lo - step <= dlo:
-                lo = np.nextafter(dlo, dhi)
-                break
-            lo -= step
-        else:
-            lo = lo * 2.0 if lo < -1 else lo - max(1.0, abs(lo))
-    for _ in range(2000):
-        if _slope_at(curve, hi) >= target:
-            break
-        if math.isfinite(dhi):
-            step = (dhi - hi) * 0.5
-            if step <= 0 or hi + step >= dhi:
-                hi = dhi
-                break
-            hi += step
-        else:
-            hi = hi * 2.0 if hi > 1 else hi + max(1.0, abs(hi))
-    if _slope_at(curve, lo) > target or _slope_at(curve, hi) < target:
-        return None
-    return lo, hi
-
-
-def _bisect_slope(curve: CurveSpec, target: float) -> Optional[float]:
-    """Solve dgamma(x) = target by bisection; None if the slope is unattained."""
-    bracket = _expand_bracket(curve, target)
-    if bracket is None:
-        # a finite domain endpoint may attain the target up to rounding
-        for end in curve.domain:
-            if math.isfinite(end) and abs(_slope_at(curve, end) - target) <= 1e-12 * target:
-                return end
-        return None
-    lo, hi = bracket
-    flo = _slope_at(curve, lo) - target
-    if flo == 0.0:
-        return lo
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = _slope_at(curve, mid) - target
-        if fm == 0.0:
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _slope_point(curve: CurveSpec, t: float) -> Optional[float]:
+    """The x with gamma'(x) = t, or None when no point of the domain (finite
+    ends included) has slope t."""
+    with np.errstate(all="ignore"):  # an unattained slope may divide by zero or leave the reals
+        x = float(curve.slope_inverse(np.float64(t)))
+    lo, hi = curve.domain
+    return x if math.isfinite(x) and lo <= x <= hi else None
 
 
 def build_dyadic_slope_sequence(curve: CurveSpec, J: int) -> SequencePair:
-    """Solve gamma'(a_j) = 2^-j for J+1 consecutive indices and set b_j = gamma(a_j).
+    """Read a_j off gamma'(a_j) = 2^-j for J+1 consecutive indices and set b_j = gamma(a_j).
 
     Indices start at 0 when slope 1 is attained, otherwise at 1; a missing
-    slope deeper in the range raises :class:`TruncationError` carrying the
-    largest feasible J.
+    slope deeper in the range, or a point float64 cannot separate from the
+    one before, raises :class:`TruncationError` carrying the largest
+    feasible J.  Points are made one at a time, so a J far past that limit
+    costs no more than the limit itself.
     """
     if J < 1:
         raise ValueError("J must be positive")
-    j0 = 0
-    first = _bisect_slope(curve, 1.0)
-    if first is None:
-        j0 = 1
-        first = _bisect_slope(curve, 0.5)
-        if first is None:
-            raise TruncationError("truncation exceeds curve range (no feasible start)", 0)
-
-    def unseparated(a: np.ndarray, step: float) -> np.ndarray:
-        """Indices i at which float64 fails to order a[i], a[i+1] and their heights."""
-        b = np.asarray(curve.gamma(a), dtype=float)
-        flat = np.flatnonzero(~((step * np.diff(a) > 0) & (step * np.diff(b) > 0)))
-        if len(flat):  # deep slopes landed on float64-equal points: a resolution limit
-            raise TruncationError(f"float64 cannot separate the points of slopes 2^-{j0 + flat[0]} and "
-                                  f"2^-{j0 + flat[0] + 1}; largest feasible J is {flat[0]}", int(flat[0]))
-        return b
-
-    xs = [first]
-    for j in range(j0 + 1, j0 + J + 1):
-        x = _bisect_slope(curve, 2.0**-j)
+    j0, x = 0, _slope_point(curve, 1.0)
+    if x is None:
+        j0, x = 1, _slope_point(curve, 0.5)
         if x is None:
-            raise TruncationError(
-                f"truncation exceeds curve range at j={j}; largest feasible J is {j - 1 - j0}",
-                j - 1 - j0,
-            )
-        xs.append(x)
-        step = -1.0 if xs[1] < xs[0] else 1.0
-        try:  # stop at the first point float64 cannot separate from the one before
-            unseparated(np.array(xs[-2:]), step)
-        except TruncationError:
-            unseparated(np.array(xs), step)  # names it, as the full check below would
-    a = np.array(xs, dtype=float)
-    direction = "decreasing" if a[1] < a[0] else "increasing"
-    b = unseparated(a, 1.0 if direction == "increasing" else -1.0)
-    a_inf = curve.a_limit
-    b_inf = curve.b_limit
-    return SequencePair(a=a, b=b, direction=direction, j0=j0, a_inf=a_inf, b_inf=b_inf)
+            raise TruncationError("truncation exceeds curve range (no feasible start)", 0)
+    a, b = [x], [float(curve.gamma(np.float64(x)))]
+    for j in range(j0 + 1, j0 + J + 1):
+        x, feasible = _slope_point(curve, 2.0**-j), j - 1 - j0
+        if x is None:
+            raise TruncationError(f"truncation exceeds curve range at j={j}; largest feasible J is {feasible}",
+                                  feasible)
+        y = float(curve.gamma(np.float64(x)))
+        if not (x < a[-1] and y < b[-1]):  # deep slopes landed on float64-equal points: a resolution limit
+            raise TruncationError(f"float64 cannot separate the points of slopes 2^-{j - 1} and 2^-{j}; "
+                                  f"largest feasible J is {feasible}", feasible)
+        a.append(x)
+        b.append(y)
+    return SequencePair(a=np.array(a), b=np.array(b), j0=j0, a_inf=curve.a_limit, b_inf=curve.b_limit)
 
 
 # --- classification -----------------------------------------------------------

@@ -47,10 +47,6 @@ class HalfOpenInterval:
         if self.closure not in ("right_open", "left_open"):
             raise ValueError("closure must be 'right_open' ([lo,hi)) or 'left_open' ((lo,hi])")
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.closure == "right_open":
@@ -141,19 +137,6 @@ class ColoringResult:
     num_colors: int
     assignment: list[int]
     certificate: dict[int, list[HalfOpenInterval]]
-
-    def verify(self) -> bool:
-        """Re-scan each color class for pairwise disjointness and check that
-        the number of colors matches the maximum point overlap."""
-        for group in self.certificate.values():
-            ordered = sorted(group, key=lambda iv: (iv.lo, iv.hi))
-            for left, right in zip(ordered, ordered[1:]):
-                if left.overlaps(right):
-                    return False
-        universe = [iv for group in self.certificate.values() for iv in group]
-        lo_in = np.array([iv.closure == "right_open" for iv in universe], dtype=bool)
-        return self.num_colors == max_overlap([iv.lo for iv in universe], [iv.hi for iv in universe],
-                                              lo_in, ~lo_in)
 
 
 def max_overlap(lo, hi, lo_in=True, hi_in=True) -> int:

@@ -307,7 +307,8 @@ def piecewise_linear_curve(vertices) -> CurveSpec:
 
     Used to compare a vertex polygon against the generic epigraph machinery.
     The derivative is only weakly monotone, so this curve is not suitable for
-    dyadic slope solving.
+    dyadic slope solving; its slope inverse is the vertex whose one-sided
+    slopes bracket t.
     """
     pts = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
@@ -332,6 +333,7 @@ def piecewise_linear_curve(vertices) -> CurveSpec:
         family="piecewise_linear",
         gamma=gamma,
         dgamma=dgamma,
+        slope_inverse=lambda t: xs[np.searchsorted(slopes, t)],
         domain=(float(xs[0]), float(xs[-1])),
         a_limit=float(xs[0]),
         b_limit=float(ys[0]),
@@ -521,6 +523,17 @@ def max_point_overlap(intervals) -> int:
     ends = np.unique(np.array([v for iv in ivs for v in (iv.lo, iv.hi)], dtype=float))
     cand = np.concatenate([ends, 0.5 * (ends[:-1] + ends[1:])])
     return max(sum(bool(iv.contains(x)) for iv in ivs) for x in cand)
+
+
+def coloring_is_certified(res) -> bool:
+    """Re-scan each color class of a ``ColoringResult`` for pairwise
+    disjointness and check that the number of colors matches the maximum
+    point overlap."""
+    for group in res.certificate.values():
+        ordered = sorted(group, key=lambda iv: (iv.lo, iv.hi))
+        if any(left.overlaps(right) for left, right in zip(ordered, ordered[1:])):
+            return False
+    return res.num_colors == max_point_overlap(iv for group in res.certificate.values() for iv in group)
 
 
 def csv_text_by_rows(header, rows):

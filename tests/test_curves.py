@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,18 +117,43 @@ def test_lacunarity_ratio_exact(c):
     assert np.max(np.abs(ratios - 2.0 ** (1.0 / (c + 1.0)))) < 1e-12
 
 
-def test_bisection_budget_invariance(monkeypatch):
-    for curve in (curves.hyperboloid(), curves.rational(2.0)):
-        monkeypatch.setattr(curves, "BISECT_MAX_ITER", 200)
-        s1 = build_dyadic_slope_sequence(curve, 10)
-        monkeypatch.setattr(curves, "BISECT_MAX_ITER", 400)
-        s2 = build_dyadic_slope_sequence(curve, 10)
-        assert np.max(np.abs(s1.a - s2.a)) < 1e-10
+# gamma'^{-1}(t) of each family, written again for mpmath; c is the family's parameter
+EXACT_SLOPE_INVERSE = {
+    "power_law": lambda t, c: -((c / t) ** (1 / (c + 1))),
+    "hyperboloid": lambda t, c: t / mpmath.sqrt(1 - t * t),
+    "exponential": lambda t, c: mpmath.log(t / mpmath.log(2), 2),
+    "monomial": lambda t, c: t ** (1 / (c - 1)),
+    "circle_arc": lambda t, c: t / mpmath.sqrt(1 + t * t),
+    "rational": lambda t, c: -c - mpmath.sqrt(c / t),
+    "arctan": lambda t, c: -mpmath.sqrt(1 / t - 1),
+}
+
+
+@pytest.mark.parametrize("curve", ALL_FAMILIES, ids=lambda c: c.family + str(c.c or ""))
+def test_slope_points_match_a_200_bit_inverse(curve):
+    try:
+        seq = build_dyadic_slope_sequence(curve, 40)
+    except TruncationError as err:  # the hyperboloid and the circle arc stop near J = 26
+        seq = build_dyadic_slope_sequence(curve, err.max_feasible_j)
+    exact_inverse = EXACT_SLOPE_INVERSE[curve.family]
+    with mpmath.workprec(200):
+        for j in vertex_indices(seq):
+            exact = exact_inverse(mpmath.mpf(2) ** -j, None if curve.c is None else mpmath.mpf(curve.c))
+            assert abs(mpmath.mpf(seq.a_at(j)) - exact) <= 1e-14 * abs(exact), j
+
+
+def test_arctan_slope_one_sits_at_positive_zero():
+    # gamma' is flat at the origin: a search for slope 1 stops 7.45e-9 short of it
+    a0 = build_dyadic_slope_sequence(curves.arctan_curve(), 4).a_at(0)
+    assert a0 == 0.0 and math.copysign(1.0, a0) == 1.0
+    ren = renormalize(curves.arctan_curve(), "unit_slope_origin")
+    assert float(ren.gamma(-1.0)) == math.atan(-1.0)
 
 
 def test_truncation_error_reports_feasible_j():
     # slope range [0.25, 1] only: 2^-3 is out of reach
-    curve = CurveSpec("custom", lambda x: x * x / 2, lambda x: x, (0.25, 1.0))
+    curve = CurveSpec("custom", gamma=lambda x: x * x / 2, dgamma=lambda x: x, slope_inverse=lambda t: t,
+                      domain=(0.25, 1.0))
     with pytest.raises(TruncationError) as err:
         build_dyadic_slope_sequence(curve, 8)
     assert err.value.max_feasible_j == 2
@@ -197,7 +223,8 @@ def test_slope_band_two_octaves_fails(power1_seq):
 
 
 def test_slope_band_linear_segment():
-    line = CurveSpec("custom", lambda x: 0.375 * x, lambda x: np.full(np.shape(x), 0.375), (0.0, 4.0))
+    line = CurveSpec("custom", gamma=lambda x: 0.375 * x, dgamma=lambda x: np.full(np.shape(x), 0.375),
+                     slope_inverse=lambda t: math.nan, domain=(0.0, 4.0))  # no single point has slope t
     inf_s, sup_s, ok = slope_band_check(line, 1.0, 3.0)
     assert (inf_s, sup_s, ok) == (0.375, 0.375, True)
 

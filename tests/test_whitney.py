@@ -152,12 +152,17 @@ def test_polygon_rejects_non_convex_vertices(verts, message):
     ids=lambda c: c.family,
 )
 def test_corner_containment_matches_sampling_on_failing_covers(curve):
-    # at C0 = 0.5 some rectangles cross the next vertex and leave the epigraph
+    # at C0 = 0.25 most rectangles leave the epigraph, the deepest by 0.1 to
+    # 0.36 below the polygon; at C0 = 0.5 the rectangles that fail only touch
+    # it, a rounding below it decides them, and an ulp's move of a vertex can
+    # add or remove them, so there only agreement with sampling is asserted
     seq = curves.build_dyadic_slope_sequence(curve, 8)
-    rep = build_cover(seq, seq.j0, alpha=0.9, C0=0.5, samples=2000)
-    expect = containment_failures_by_sampling(seq, rep.rects)
-    assert expect and not rep.containment_ok
-    assert rep.containment_failures == expect
+    deep = build_cover(seq, seq.j0, alpha=0.9, C0=0.25, samples=2000)
+    expect = containment_failures_by_sampling(seq, deep.rects)
+    assert expect and not deep.containment_ok
+    assert deep.containment_failures == expect
+    touching = build_cover(seq, seq.j0, alpha=0.9, C0=0.5, samples=2000)
+    assert touching.containment_failures == containment_failures_by_sampling(seq, touching.rects)
 
 
 @pytest.mark.parametrize("J,segments", [(14, 7), (12, 4)], ids=["criterion-10", "cli-config"])

@@ -143,7 +143,8 @@ def test_slope_points_match_a_200_bit_inverse(curve):
 
 
 def test_arctan_slope_one_sits_at_positive_zero():
-    # gamma' is flat at the origin: a search for slope 1 stops 7.45e-9 short of it
+    # gamma' = 1 - x^2 + ... is flat at the origin, where a search of gamma' for
+    # slope 1 can miss by sqrt(eps) = 7.45e-9
     a0 = build_dyadic_slope_sequence(curves.arctan_curve(), 4).a_at(0)
     assert a0 == 0.0 and math.copysign(1.0, a0) == 1.0
     ren = renormalize(curves.arctan_curve(), "unit_slope_origin")

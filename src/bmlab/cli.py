@@ -1,6 +1,6 @@
 """Command-line front end: config-driven, deterministic, atomic outputs.
 
-Subcommands: analyze, check-hyp, symbol, apply, probe, whitney.  Exit codes:
+Subcommands: analyze, check-hyp, symbol, apply, probe, chain, whitney.  Exit codes:
 0 success, 2 invalid configuration, input file or value, 3 I/O failure, 4 a
 verification check failed (the report is still written).
 """
@@ -196,6 +196,37 @@ def cmd_probe(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
+def cmd_chain(cfg: RunConfig) -> int:
+    """``holder_chain_check`` on the curve's staircase, ``[probe] trials``
+    random (f, g, h) per triple and resolution as in acceptance criterion 8;
+    one row per (triple, N), and one failed check per (triple, N) with a call
+    that fails criterion 8's verdict."""
+    seq = cfg.sequence()
+    rows, ok = [], True
+    for ti, t in enumerate(cfg.triples):
+        e = engine.ExponentTriple(*t)
+        for N in cfg.resolutions:
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, N, ti)))
+            ratio = gap = margin = 0.0
+            failed = 0
+            for _ in range(cfg.trials):
+                f, g, h = (engine.SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), cfg.L)
+                           for _ in range(3))
+                rep = engine.holder_chain_check(seq, f, g, h, e)
+                ratio = max(ratio, rep.lhs / rep.rhs_product if rep.rhs_product > 0 else 0.0)
+                gap = max(gap, rep.identity_gap)
+                margin = max(margin, rep.carleson_margin)
+                failed += not (rep.satisfied and rep.carleson_ok
+                               and rep.identity_gap <= 1e-8 * max(1.0, rep.lhs))
+            rows.append({"p1": e.p1, "p2": e.p2, "p3": e.p3, "N": N, "calls": cfg.trials,
+                         "worst_lhs_over_rhs": ratio, "max_identity_gap": gap,
+                         "max_carleson_margin": margin, "violations": failed})
+            ok = verdict(f"chain {e.as_tuple()} N={N} violations", failed, failed == 0, "== 0") and ok
+    payload = {"family": cfg.family, "J": cfg.J, "L": cfg.L, "trials": cfg.trials, "seed": cfg.seed, "rows": rows}
+    reporting.write_json(os.path.join(cfg.out_dir, "chain.json"), _envelope(cfg, payload))
+    return EXIT_OK if ok else EXIT_CHECK
+
+
 def emit_witness(cfg: RunConfig, rep: engine.ProbeReport):
     """Write the trial pair (f, g) of the largest ratio at the last resolution
     of ``rep`` as ``witness_<family>_<N>_{f,g}.csv`` under ``cfg.out_dir``."""
@@ -312,6 +343,7 @@ def main(argv=None) -> int:
         ),
     )
     add("probe", "randomized operator-ratio probe across resolutions")
+    add("chain", "Hölder/Carleson chain on the staircase across resolutions")
     add("whitney", "tile geometry, covers, partition and model-form reports")
 
     args = parser.parse_args(argv)
@@ -340,6 +372,8 @@ def main(argv=None) -> int:
             return cmd_apply(cfg, args.f_file, args.g_file)
         if args.command == "probe":
             return cmd_probe(cfg)
+        if args.command == "chain":
+            return cmd_chain(cfg)
         if args.command == "whitney":
             return cmd_whitney(cfg)
         raise AssertionError(f"unhandled command {args.command}")

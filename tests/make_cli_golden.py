@@ -1,4 +1,4 @@
-"""Golden bytes for the CLI: run the six subcommands on a config and record
+"""Golden bytes for the CLI: run the seven subcommands on a config and record
 the sha256 of every file they write, with each subcommand's exit code,
 stdout and stderr.
 
@@ -37,7 +37,7 @@ from test_cli import BASE_CONFIG
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_PATH = DATA / "cli_golden.json"
-COMMANDS = ("analyze", "check-hyp", "symbol", "apply", "probe", "whitney")
+COMMANDS = ("analyze", "check-hyp", "symbol", "apply", "probe", "chain", "whitney")
 
 PIPELINE_CONFIG = """\
 [curve]
@@ -118,7 +118,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = run_subcommands(Path(tmp), which)
     record["note"] = (
-        f"sha256 of every file the six subcommands write on the {which!r} config of "
+        f"sha256 of every file the seven subcommands write on the {which!r} config of "
         "tests/make_cli_golden.py, with exit codes, stdout and stderr; made by it at "
         f"commit {source_commit()} with numpy {np.__version__} and scipy {scipy.__version__}"
     )

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from bmlab import cli, intervals, whitney
+from bmlab import cli, engine, intervals, whitney
 from bmlab.cli import main
 from bmlab.config import ConfigError, RunConfig
 
@@ -142,6 +142,9 @@ def test_probe_determinism(tmp_path):
     b1 = (tmp_path / "o1" / "probe.csv").read_bytes()
     b2 = (tmp_path / "o2" / "probe.csv").read_bytes()
     assert b1 == b2
+    lines = b1.decode().splitlines()
+    assert lines[0] == "p1,p2,p3,N,trial_family,max_ratio"
+    assert {line.split(",")[3] for line in lines[1:]} == {"64", "128"}
     rep = json.loads((tmp_path / "o1" / "probe.json").read_text())
     assert rep["worst_growth"] < 1.5
 
@@ -413,7 +416,9 @@ def test_probe_degenerate_symbol_fails(tmp_path, capsys):
     _edit_config(cfg, "L = 16.0", "L = 0.5")
     assert main(["probe", "--config", cfg]) == 4
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "growth_factor" in err[0] and "nan" in err[0] and "1.5" in err[0]
+    assert err == ["check failed: probe growth_factor (3.0, 3.0, 3.0) = nan, bound < 1.5"]
+    lines = (tmp_path / "out" / "probe.csv").read_text().splitlines()
+    assert {line.split(",")[3] for line in lines[1:]} == {"64", "128"}
     rep = _strict_json(tmp_path / "out" / "probe.json")
     assert rep["worst_growth"] is None and rep["reports"][0]["growth_factor"] is None
 
@@ -427,6 +432,48 @@ def test_probe_json_strict_on_infinite_growth(tmp_path):
     rep = _strict_json(tmp_path / "out" / "probe.json")
     assert rep["worst_growth"] == "inf" and rep["reports"][0]["growth_factor"] == "inf"
     assert list((tmp_path / "out").glob("witness_*_128_f.csv"))
+
+
+def test_chain_writes_one_row_per_triple_and_resolution(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "triples = 3,3,3", "triples = 3,3,3;2,4,4")
+    assert main(["chain", "--config", cfg]) == 0
+    assert capsys.readouterr() == ("", "")
+    rep = _strict_json(tmp_path / "out" / "chain.json")
+    assert [(r["p1"], r["p2"], r["p3"], r["N"], r["calls"], r["violations"]) for r in rep["rows"]] == [
+        (3.0, 3.0, 3.0, 64, 3, 0), (3.0, 3.0, 3.0, 128, 3, 0), (2.0, 4.0, 4.0, 64, 3, 0), (2.0, 4.0, 4.0, 128, 3, 0)]
+    assert all(0.0 < r["worst_lhs_over_rhs"] < 1.0 and r["max_identity_gap"] <= 1e-8
+               and r["max_carleson_margin"] == 0.0 for r in rep["rows"])
+    assert rep["seed"] == 7 and rep["config_sha256"]
+
+
+def test_chain_names_each_failing_triple_and_resolution(tmp_path, capsys, monkeypatch):
+    real = engine.holder_chain_check
+
+    def failing_at_128(seq, f, g, h, e):
+        rep = real(seq, f, g, h, e)
+        rep.satisfied = rep.satisfied and f.N != 128
+        return rep
+
+    monkeypatch.setattr(engine, "holder_chain_check", failing_at_128)
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "triples = 3,3,3", "triples = 3,3,3;2,4,4")
+    assert main(["chain", "--config", cfg]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "check failed: chain (3.0, 3.0, 3.0) N=128 violations = 3, bound == 0",
+        "check failed: chain (2.0, 4.0, 4.0) N=128 violations = 3, bound == 0",
+    ]
+    rep = json.loads((tmp_path / "out" / "chain.json").read_text())
+    assert [r["violations"] for r in rep["rows"]] == [0, 3, 0, 3]
+
+
+def test_chain_rejects_bad_triple(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "triples = 3,3,3", "triples = 2,2,2")
+    assert main(["chain", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [probe] triples entry (2.0, 2.0, 2.0)") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def _out_files(out):

@@ -10,10 +10,10 @@ Python, numpy, scipy), the seed and run length, and each side's git sha,
 ``src/bmlab`` sha256 and line count come from the runs' records.  Given
 each side's pytest log run with ``--durations``, it adds the Tier-1 wall
 time and the slowest tests.  ``--attach NAME FILE`` embeds a JSON file, such
-as a ``scripts/probe_sweep.py --chain`` sweep, under ``attached.NAME``.
+as the ``chain.json`` of ``bmlab chain``, under ``attached.NAME``.
 
     python3 scripts/bench_record.py base.log change.log --out BENCH_<n>.json \
-        --pytest base_tests.log change_tests.log --attach chain_sweep chain.json
+        --pytest base_tests.log change_tests.log --attach chain out/chain.json
 """
 
 from __future__ import annotations

@@ -167,20 +167,15 @@ def cmd_apply(cfg: RunConfig, f_file: str, g_file: str) -> int:
     return EXIT_OK
 
 
-def probe_growth_ok(rep: engine.ProbeReport) -> bool:
-    """The probe check: growth factor below ``GROWTH_THRESHOLD``, NaN (nothing
-    measured at any resolution) failing too."""
-    return verdict(f"probe growth_factor {rep.triple.as_tuple()}", rep.growth_factor,
-                   rep.growth_factor < GROWTH_THRESHOLD, f"< {GROWTH_THRESHOLD}")
-
-
 def cmd_probe(cfg: RunConfig) -> int:
     sym = cfg.symbol()
     triples = [engine.ExponentTriple(*t) for t in cfg.triples]
     reports = engine.probe_reports(sym, triples, cfg.trials, cfg.resolutions, cfg.seed, cfg.L)
     ok = True
     for rep in reports:
-        if not probe_growth_ok(rep):
+        # NaN (nothing measured at any resolution) fails too
+        if not verdict(f"probe growth_factor {rep.triple.as_tuple()}", rep.growth_factor,
+                       rep.growth_factor < GROWTH_THRESHOLD, f"< {GROWTH_THRESHOLD}"):
             ok = False
             if not math.isnan(rep.growth_factor):
                 emit_witness(cfg, rep)

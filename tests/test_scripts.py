@@ -18,59 +18,6 @@ def run_script(name, *args, cwd):
     )
 
 
-def test_probe_sweep_writes_csv(tmp_path):
-    # at the default L = 48 no grid frequency of N = 32 or 64 meets the
-    # staircase, so every ratio is 0 and the growth factor is NaN: the sweep
-    # fails the probe check, and still writes what it measured
-    out = tmp_path / "sweep.csv"
-    res = run_script(
-        "probe_sweep.py", "--resolutions", "32", "64", "--trials", "2", "--seed", "1",
-        "--out", str(out), cwd=tmp_path,
-    )
-    assert res.returncode == 4, res.stderr
-    err = res.stderr.strip().splitlines()
-    assert err == ["check failed: probe growth_factor (3.0, 3.0, 3.0) = nan, bound < 1.5"]
-    lines = out.read_text().splitlines()
-    assert lines[0] == "p1,p2,p3,N,trial_family,max_ratio"
-    assert {line.split(",")[3] for line in lines[1:]} == {"32", "64"}
-
-
-def test_probe_sweep_passes_on_bounded_growth(tmp_path):
-    out = tmp_path / "sweep.csv"
-    res = run_script(
-        "probe_sweep.py", "--L", "16", "--resolutions", "64", "128", "--trials", "2",
-        "--seed", "1", "--out", str(out), cwd=tmp_path,
-    )
-    assert res.returncode == 0, res.stderr
-    assert "growth 0.470" in res.stdout and res.stderr == ""
-    lines = out.read_text().splitlines()
-    assert {line.split(",")[3] for line in lines[1:]} == {"64", "128"}
-
-
-def test_probe_sweep_chain_mode_writes_rows_per_resolution(tmp_path):
-    # at L = 32 no B_j meets the N = 64 grid, so the form is 0 there
-    out = tmp_path / "chain.json"
-    res = run_script(
-        "probe_sweep.py", "--chain", "--triples", "3,3,3;2,4,4", "--resolutions", "64", "128",
-        "--trials", "3", "--seed", "1", "--L", "32", "--out", str(out), cwd=tmp_path,
-    )
-    assert res.returncode == 0, res.stderr
-    assert res.stderr == ""
-    rec = json.loads(out.read_text())
-    assert [(r["N"], r["calls"], r["violations"]) for r in rec["rows"]] == [(64, 6, 0), (128, 6, 0)]
-    assert rec["rows"][0]["worst_lhs_over_rhs"] == 0.0 < rec["rows"][1]["worst_lhs_over_rhs"] < 1.0
-    assert all(r["max_identity_gap"] <= 1e-8 and r["ms_per_call"] > 0 for r in rec["rows"])
-
-
-def test_probe_sweep_rejects_bad_triple(tmp_path):
-    res = run_script(
-        "probe_sweep.py", "--triples", "2,2,2", "--seed", "1",
-        "--out", str(tmp_path / "sweep.csv"), cwd=tmp_path,
-    )
-    assert res.returncode == 1
-    assert "config error" in res.stderr and "Traceback" not in res.stderr
-
-
 # sha256 of each file of ``symbol_gallery.py --n 16``
 GALLERY_SHA256 = {
     "exponential_paraproduct.pgm": "683883a85031b85410d149444d69bf31952cf6110b28669a0f655fbfe8eba3a3",
@@ -128,11 +75,11 @@ def test_bench_record_writes_medians_verdicts_and_tier1(tmp_path):
     durations = "2.00s call     tests/t.py::slow\n0.50s setup    tests/t.py::slow\n1.00s call     tests/t.py::quick\n"
     (tmp_path / "base_tests.log").write_text(durations + "==== 12 passed in 9.50s ====\n")
     (tmp_path / "change_tests.log").write_text(durations + "12 passed in 8.25s (0:00:08)\n")
-    (tmp_path / "sweep.json").write_text('{"rows": [{"N": 128, "violations": 0}]}\n')
+    (tmp_path / "chain.json").write_text('{"rows": [{"N": 128, "violations": 0}]}\n')
     out = tmp_path / "BENCH.json"
     res = run_script("bench_record.py", "base.log", "change.log", "--out", str(out),
                      "--pytest", "base_tests.log", "change_tests.log",
-                     "--attach", "chain_sweep", "sweep.json", cwd=tmp_path)
+                     "--attach", "chain", "chain.json", cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     rec = json.loads(out.read_text())
     assert rec["host"] == {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
@@ -145,7 +92,7 @@ def test_bench_record_writes_medians_verdicts_and_tier1(tmp_path):
     assert "verdict" not in rec["metrics"]["proof_chain"]["fail_frac"]
     assert rec["tier1"]["change"]["wall_s"] == 8.25 and rec["tier1"]["base"]["outcome"] == "12 passed"
     assert [t["test"] for t in rec["tier1"]["base"]["slowest"]] == ["tests/t.py::slow", "tests/t.py::quick"]
-    assert rec["attached"] == {"chain_sweep": {"rows": [{"N": 128, "violations": 0}]}}
+    assert rec["attached"] == {"chain": {"rows": [{"N": 128, "violations": 0}]}}
 
 
 def test_bench_record_rejects_mixed_trees(tmp_path):

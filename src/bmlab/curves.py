@@ -67,9 +67,6 @@ class CurveSpec:
     a_limit: Optional[float] = None
     b_limit: Optional[float] = None
 
-    def __call__(self, xi):
-        return self.gamma(np.asarray(xi, dtype=float))
-
 
 def power_law(c: float) -> CurveSpec:
     """gamma(xi) = |xi|^-c on xi < 0, c > 0."""

@@ -139,20 +139,11 @@ class ColoringResult:
     certificate: dict[int, list[HalfOpenInterval]]
 
 
-def max_overlap(lo, hi, lo_in=True, hi_in=True) -> int:
-    """Most intervals sharing a point (the clique number); 0 for none.
-
-    Interval i runs from lo[i] to hi[i], holds its left end when ``lo_in``
-    and its right end when ``hi_in`` (scalars, or arrays per interval), and
-    holds at least one float.  An excluded end moves one float inward, so
-    every interval is the closed set of floats it holds (a side whose flag
-    is the scalar True stays as it is); then at each left end, the left ends
-    <= it minus the right ends < it count the intervals.
+def max_overlap(lo, hi) -> int:
+    """Most of the closed intervals [lo[i], hi[i]] sharing a point (the clique
+    number); 0 for none.  At each left end, the left ends <= it minus the
+    right ends < it count the intervals.
     """
-    if lo_in is not True:
-        lo = np.where(lo_in, lo, np.nextafter(lo, np.inf))
-    if hi_in is not True:
-        hi = np.where(hi_in, hi, np.nextafter(hi, -np.inf))
     lo, hi = np.sort(lo), np.sort(hi)
     return int(np.max(np.searchsorted(lo, lo, side="right") - np.searchsorted(hi, lo, side="left"),
                       initial=0))

@@ -152,54 +152,22 @@ def test_coloring_certificate_detects_corruption():
     assert not coloring_is_certified(bad)
 
 
-def _overlap(ivs):
-    lo_in = np.array([iv.closure == "right_open" for iv in ivs], dtype=bool)
-    return max_overlap([iv.lo for iv in ivs], [iv.hi for iv in ivs], lo_in, ~lo_in)
-
-
 def test_max_point_overlap_half_open():
-    for count in (max_point_overlap, _overlap):
-        assert count([RO(0, 1), RO(1, 2)]) == 1
-        assert count([LO(0, 1), RO(1, 2)]) == 2
-        assert count([LO(0, 1), LO(1, 2)]) == 1
-    assert max_overlap([], []) == 0 == max_overlap([], [], [], [])
+    assert max_point_overlap([RO(0, 1), RO(1, 2)]) == 1
+    assert max_point_overlap([LO(0, 1), RO(1, 2)]) == 2
+    assert max_point_overlap([LO(0, 1), LO(1, 2)]) == 1
+    assert max_overlap([], []) == 0
     assert max_overlap([0.0, 1.0], [1.0, 1.0]) == 2  # touching closed ends, zero length
 
 
-# endpoints from a small pool, so families share endpoints and repeat intervals
-_END = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 1.5, 3.0])
-_CLOSURE = st.sampled_from(["right_open", "left_open"])
-
-
-@seed(17)
-@given(st.lists(st.tuples(_END, _END, _CLOSURE).filter(lambda t: t[0] < t[1]), max_size=30))
-@settings(max_examples=300, deadline=None)
-def test_max_overlap_matches_the_point_loop(family):
-    ivs = [HalfOpenInterval(lo, hi, closure) for lo, hi, closure in family]
-    assert _overlap(ivs) == max_point_overlap(ivs)
-
-
-
 @seed(23)
-@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 4), st.booleans(), st.booleans()), max_size=30))
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 4)), max_size=30))
 @settings(max_examples=300, deadline=None)
-def test_max_overlap_flags_match_the_sweep(family):
-    # integer ends: an excluded end is the closed end half a unit inward, so
-    # the closed sweep counts every closure; scalar flags (closed and both
-    # half-open kinds) and per-interval arrays take the same count
-    lo = np.array([float(a) for a, _, _, _ in family])
-    hi = np.array([float(a + n) for a, n, _, _ in family])
-    lo_in = np.array([flag for _, _, flag, _ in family], dtype=bool)
-    hi_in = np.array([flag for _, _, _, flag in family], dtype=bool)
-
-    def sweep(lo_in, hi_in):
-        lo_in, hi_in = np.broadcast_to(lo_in, lo.shape), np.broadcast_to(hi_in, hi.shape)
-        return max_overlap_sweep(list(zip(np.where(lo_in, lo, lo + 0.5), np.where(hi_in, hi, hi - 0.5))))
-
-    assert max_overlap(lo, hi) == sweep(True, True) == max_overlap(lo, hi, np.ones_like(lo_in), True)
-    assert max_overlap(lo, hi, True, False) == sweep(True, False)
-    assert max_overlap(lo, hi, False, True) == sweep(False, True)
-    assert max_overlap(lo, hi, lo_in, hi_in) == sweep(lo_in, hi_in)
+def test_max_overlap_matches_the_closed_sweep(family):
+    # integer ends, so families share endpoints and touch
+    lo = np.array([float(a) for a, _ in family])
+    hi = np.array([float(a + n) for a, n in family])
+    assert max_overlap(lo, hi) == max_overlap_sweep(list(zip(lo, hi)))
 
 
 def test_hyperboloid_hyp2_two_colors(hyperboloid_seq):

@@ -106,12 +106,7 @@ def cmd_symbol(cfg: RunConfig) -> int:
     bitmap = symbols.sample_symbol(sym, grid)
     base = os.path.join(cfg.out_dir, f"symbol_{cfg.symbol_kind}")
     reporting.atomic_write_text(base + ".pgm", symbols.bitmap_to_pgm(bitmap))
-    nx, ny = bitmap.shape
-    reporting.write_csv(
-        base + ".csv",
-        ["xi", "eta", "amplitude"],
-        [np.repeat(grid.xi_values(), ny), np.tile(grid.eta_values(), nx), bitmap.ravel()],
-    )
+    reporting.write_grid_csv(base + ".csv", ["xi", "eta", "amplitude"], grid.xi_values(), grid.eta_values(), bitmap)
     reporting.write_json(
         base + ".json",
         _envelope(

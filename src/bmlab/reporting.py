@@ -19,10 +19,11 @@ __all__ = [
     "json_dumps",
     "write_json",
     "write_csv",
+    "write_grid_csv",
     "rects_to_svg",
 ]
 
-CSV_BLOCK_ROWS = 1 << 13  # rows per joined block of write_csv; 4096-65536 measured alike
+CSV_BLOCK_ROWS = 1 << 13  # rows per joined block of the CSV writers; 4096-65536 measured alike
 SVG_PAD_FRAC = 0.05  # margin of rects_to_svg, a fraction of the drawing's larger extent
 
 
@@ -97,11 +98,23 @@ def _column_text(col) -> tuple[np.ndarray, np.ndarray]:
     return _texts_by_bits(col, repr if col.dtype.kind == "f" else str)
 
 
+def _columns_text(columns) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_column_text`` of each column, except that the float64 numpy columns
+    share one text table: each bit pattern among them is formatted once."""
+    shared = [i for i, c in enumerate(columns) if isinstance(c, np.ndarray) and c.dtype == np.float64]
+    cells = {}
+    if shared:
+        text, index = _texts_by_bits(np.concatenate([columns[i].ravel() for i in shared]), repr)
+        ends = np.cumsum([columns[i].size for i in shared])[:-1]
+        cells = {i: (text, part) for i, part in zip(shared, np.split(index, ends))}
+    return [cells[i] if i in cells else _column_text(c) for i, c in enumerate(columns)]
+
+
 def write_csv(path: str, header, columns):
     """CSV with one column per entry of ``columns`` (arrays or sequences of
     equal length).  Each block of ``CSV_BLOCK_ROWS`` rows is laid out as an
     object array of cells and separators and written with one join."""
-    cells = [_column_text(c) for c in columns]
+    cells = _columns_text(columns)
     if len({len(index) for _, index in cells}) > 1:
         raise ValueError("CSV columns differ in length")
     rows = len(cells[0][1]) if cells else 0
@@ -115,6 +128,35 @@ def write_csv(path: str, header, columns):
             for i, (text, row) in enumerate(cells):
                 part[:, 2 * i] = text[row[start : start + len(part)]]
             fh.write("".join(part.ravel().tolist()))
+
+
+def write_grid_csv(path: str, header, xi, eta, values):
+    """The CSV ``write_csv`` makes of the columns ``np.repeat(xi, ny)``,
+    ``np.tile(eta, nx)`` and ``values.ravel()`` for an (nx, ny) ``values``,
+    at the cost of its rows and distinct values: the text after an xi is
+    built once per (eta index, distinct value), each xi's rows are one join
+    with the xi's text as separator, and whole xi rows go out in blocks of
+    about ``CSV_BLOCK_ROWS`` rows."""
+    values = np.asarray(values)
+    nx, ny = values.shape
+    if (len(xi), len(eta)) != (nx, ny):
+        raise ValueError("grid axes differ from the values' shape")
+    (xi_text, xi_row), (eta_text, eta_row), (val_text, val_row) = map(_column_text, (xi, eta, values))
+    keys = val_row.reshape(nx, ny) + np.arange(ny) * len(val_text)
+    if len(val_text) <= nx:  # every (eta, value) pair: at most one text per cell
+        pairs = np.arange(ny * len(val_text))
+    else:
+        pairs, keys = np.unique(keys, return_inverse=True)
+        keys = keys.reshape(nx, ny)
+    eta_of, val_of = np.divmod(pairs, len(val_text))
+    tails = "," + eta_text[eta_row[eta_of]] + "," + val_text[val_of] + "\n"
+    prefixes = xi_text[xi_row].tolist()
+    step = max(1, CSV_BLOCK_ROWS // max(ny, 1))
+    with _atomic_file(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, nx if ny else 0, step):
+            block = tails[keys[start : start + step]].tolist()
+            fh.write("".join(p + p.join(row) for p, row in zip(prefixes[start : start + step], block)))
 
 
 def rects_to_svg(rects, curve_points) -> str:

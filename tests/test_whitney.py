@@ -386,6 +386,74 @@ def test_write_csv_across_block_boundaries(tmp_path, offset):
     assert path.read_text() == csv_text_by_rows(["i", "a", "b", "s"], zip(*columns))
 
 
+def test_write_csv_shares_one_table_across_float64_columns(tmp_path):
+    a = np.array([0.1, -0.0, 1.0 / 3.0, 2.5, np.nan])
+    b = np.array([2.5, 0.0, 0.1, 0.1, np.inf])  # shares 0.1 and 2.5 with a; 0.0 against a's -0.0
+    f64 = np.array([0.1, 0.0, 1.0 / 3.0, 2.5, np.inf])
+    f32 = f64.astype(np.float32)  # the same numbers, rounded to float32: other texts
+    columns = [a, b, f32, f64, np.arange(5)]
+    cells = reporting._columns_text(columns)
+    assert cells[0][0] is cells[1][0] is cells[3][0] and cells[2][0] is not cells[0][0]
+    bits = np.concatenate([c.view(np.uint64) for c in (a, b, f64)])
+    assert len(cells[0][0]) == len(np.unique(bits))  # one text per distinct bit pattern
+    path = tmp_path / "t.csv"
+    reporting.write_csv(str(path), ["a", "b", "f32", "f64", "i"], columns)
+    assert path.read_text() == csv_text_by_rows(["a", "b", "f32", "f64", "i"], zip(*columns))
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert (rows[1][0], rows[1][1]) == ("-0.0", "0.0")
+    assert [r[2] for r in rows[:3]] == ["0.10000000149011612", "0.0", "0.3333333432674408"]
+    assert [r[3] for r in rows[:3]] == ["0.1", "0.0", "0.3333333333333333"]
+
+
+def _grid_csv_by_cells(header, xi, eta, values):
+    nx, ny = values.shape
+    return csv_text_by_rows(header, zip(np.repeat(xi, ny), np.tile(eta, nx), values.ravel()))
+
+
+@pytest.mark.parametrize("nx, ny, kind", [
+    (1, 1, "normal"), (1, 9, "normal"), (9, 1, "normal"), (3, 40, "normal"), (24, 16, "bitmap"),
+    (7, 6, "edge"), (3, reporting.CSV_BLOCK_ROWS // 3 + 1, "bitmap"), (1, reporting.CSV_BLOCK_ROWS + 1, "edge"),
+    (0, 4, "bitmap"), (4, 0, "bitmap"),
+])
+def test_write_grid_csv_matches_per_cell_rows(tmp_path, nx, ny, kind):
+    rng = np.random.default_rng(nx * 1000 + ny)
+    xi, eta = rng.normal(size=nx), np.linspace(-1.0, 1.0, ny)
+    if kind == "normal":  # more distinct values than xi rows where ny > 1
+        values = rng.normal(size=(nx, ny))
+    elif kind == "bitmap":
+        values = (rng.random((nx, ny)) < 0.3).astype(float)
+    else:
+        edge = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0])
+        values = edge[rng.integers(len(edge), size=(nx, ny))]
+        eta[: min(ny, 2)] = [-0.0, 0.0][: min(ny, 2)]
+    path = tmp_path / "g.csv"
+    header = ["xi", "eta", "amplitude"]
+    reporting.write_grid_csv(str(path), header, xi, eta, values)
+    assert path.read_text() == _grid_csv_by_cells(header, xi, eta, values)
+
+
+def test_write_grid_csv_validation(tmp_path):
+    with pytest.raises(ValueError, match="shape"):
+        reporting.write_grid_csv(str(tmp_path / "g.csv"), ["a", "b", "c"], np.zeros(3), np.zeros(4), np.zeros((4, 3)))
+
+
+def test_write_grid_csv_memory_on_the_pipeline_bitmap(tmp_path):
+    # the cli_pipeline symbol's 512 x 512 grid; the (nx*ny,) repeat/tile columns
+    # that write_csv would take, with its sort of them, peak at about 18 MiB
+    nx = ny = 512
+    xi, eta = np.linspace(-2.0, 0.0, nx), np.linspace(0.0, 1.0, ny)
+    values = (np.add.outer(xi, eta) > -0.5).astype(float)
+    path = tmp_path / "g.csv"
+    tracemalloc.start()
+    try:
+        reporting.write_grid_csv(str(path), ["xi", "eta", "amplitude"], xi, eta, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == _grid_csv_by_cells(["xi", "eta", "amplitude"], xi, eta, values)
+    assert peak <= 12 * 2**20, peak / 2**20
+
+
 def test_cube_condition_variants():
     assert cube_condition((0.0, 0.5, 0.25), side=0.125, C0=2.0)
     assert not cube_condition((0.0, 0.1, 0.05), side=0.125, C0=2.0)  # too close

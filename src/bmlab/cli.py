@@ -311,12 +311,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options every subcommand shares
+    common.add_argument("--config", required=True, help="path to the run config file")
+    common.add_argument("--out", help="output directory override")
+    common.add_argument("--seed", type=int, help="seed override")
 
     def add(name, help_text, extra=()):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the run config file")
-        p.add_argument("--out", help="output directory override")
-        p.add_argument("--seed", type=int, help="seed override")
+        p = sub.add_parser(name, help=help_text, parents=[common])
         for arg, kw in extra:
             p.add_argument(arg, **kw)
         return p

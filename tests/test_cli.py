@@ -700,6 +700,33 @@ def test_apply_names_files_and_row_counts(tmp_path, capsys, f_rows, g_rows, mess
     assert not (tmp_path / "out" / "applied.csv").exists()
 
 
+SHARED_OPTIONS_HELP = """\
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  path to the run config file
+  --out OUT        output directory override
+  --seed SEED      seed override
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-hyp", "symbol", "apply", "probe", "chain", "whitney"])
+def test_every_subcommand_help_lists_the_shared_options(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = f"usage: bmlab {command} [-h] --config CONFIG [--out OUT] [--seed SEED]\n"
+    if command == "apply":
+        usage += """\
+                   f_file g_file
+
+positional arguments:
+  f_file           CSV of (re,im) samples for the first input
+  g_file           CSV of (re,im) samples for the second input
+"""
+    assert capsys.readouterr().out == usage + "\n" + SHARED_OPTIONS_HELP
+
+
 def test_cli_outputs_match_golden(tmp_path):
     # every output file of the six subcommands, with exit codes, stdout and
     # stderr, as recorded by tests/make_cli_golden.py

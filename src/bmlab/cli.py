@@ -246,15 +246,13 @@ def cmd_whitney(cfg: RunConfig) -> int:
         all_ok = all_ok and cover_ok and inside_ok
         ov = whitney.edge_interval_collections(rep.rects, cfg.alpha)["max_overlap"]
         overlap_rows.append({"j": j, "overlap": {str(k): v for k, v in ov.items()}})
-        (xlo, xhi), (elo, ehi), _ = rep.rects.edges()
-        rect_columns.append((np.full(len(xlo), j), rep.rects.k, rep.rects.cx, rep.rects.cy,
-                             xlo, xhi, elo, ehi))
+        rect_columns.append((np.full(len(rep.rects), j), rep.rects.k, *rep.rects.lattice()))
         if j == segs[0]:
             svg = reporting.rects_to_svg(rep.rects, curve_points=np.column_stack([seq.a, seq.b]))
             reporting.atomic_write_text(os.path.join(cfg.out_dir, "whitney_cover.svg"), svg)
     reporting.write_csv(
         os.path.join(cfg.out_dir, "whitney_rects.csv"),
-        ["j", "scale_k", "cx", "cy", "xi_lo", "xi_hi", "eta_lo", "eta_hi"],
+        ["j", "scale_k", "mx", "my"],
         [np.concatenate(column) for column in zip(*rect_columns)],
     )
 

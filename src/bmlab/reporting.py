@@ -98,23 +98,11 @@ def _column_text(col) -> tuple[np.ndarray, np.ndarray]:
     return _texts_by_bits(col, repr if col.dtype.kind == "f" else str)
 
 
-def _columns_text(columns) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``_column_text`` of each column, except that the float64 numpy columns
-    share one text table: each bit pattern among them is formatted once."""
-    shared = [i for i, c in enumerate(columns) if isinstance(c, np.ndarray) and c.dtype == np.float64]
-    cells = {}
-    if shared:
-        text, index = _texts_by_bits(np.concatenate([columns[i].ravel() for i in shared]), repr)
-        ends = np.cumsum([columns[i].size for i in shared])[:-1]
-        cells = {i: (text, part) for i, part in zip(shared, np.split(index, ends))}
-    return [cells[i] if i in cells else _column_text(c) for i, c in enumerate(columns)]
-
-
 def write_csv(path: str, header, columns):
     """CSV with one column per entry of ``columns`` (arrays or sequences of
     equal length).  Each block of ``CSV_BLOCK_ROWS`` rows is laid out as an
     object array of cells and separators and written with one join."""
-    cells = _columns_text(columns)
+    cells = [_column_text(c) for c in columns]
     if len({len(index) for _, index in cells}) > 1:
         raise ValueError("CSV columns differ in length")
     rows = len(cells[0][1]) if cells else 0

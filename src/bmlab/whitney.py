@@ -57,7 +57,7 @@ class RectCover:
     Row i is the pushforward (a_j, b_j) + (-I) x (-s_j Jn) of its square, so
     its xi-side has the square's length and its eta-side is shorter by the
     factor s_j.  ``edges``, ``omegas`` and ``k_interval`` return (lo, hi) array
-    pairs over the rows.
+    pairs over the rows; ``lattice`` the integer centers.
     """
 
     j: int
@@ -69,6 +69,13 @@ class RectCover:
 
     def __len__(self) -> int:
         return len(self.k)
+
+    def lattice(self) -> tuple[np.ndarray, np.ndarray]:
+        """The integers (mx, my) with (cx, cy) = (mx, my) 2^(k - LATTICE_EXP)."""
+        m = np.ldexp(np.stack([self.cx, self.cy]), LATTICE_EXP - self.k)
+        if np.any(m != np.round(m)):  # NaN fails too
+            raise ValueError("square centers off the 2^(k - LATTICE_EXP) lattice")
+        return tuple(m.astype(np.int64))
 
     def _sides(self):
         """The square sides I and Jn."""
@@ -124,6 +131,8 @@ class CoverReport:
     def as_dict(self):
         return {
             "j": self.j,
+            "anchor": list(self.rects.anchor),
+            "s_j": self.rects.s_j,
             "alpha": self.alpha,
             "C0": self.C0,
             "num_rects": len(self.rects),

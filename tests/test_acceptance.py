@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 
 from bmlab import curves
-from bmlab.cli import main
+from bmlab.cli import GROWTH_THRESHOLD, main
 from bmlab.engine import (
     ExponentTriple,
     SampledFunction,
     apply_bilinear,
     holder_chain_check,
+    lp_norm,
     norm_probe,
 )
-from bmlab.intervals import check_hypothesis
+from bmlab.intervals import check_hypothesis, neg_minkowski_sum, staircase_steps
 from bmlab.symbols import (
     FrequencyGrid,
     SymbolSpec,
@@ -222,6 +223,11 @@ def test_criterion_7_engine_oracle():
     verdict(7, "bilinear engine oracle", ok)
 
 
+def _chain_ok(rep) -> bool:
+    """Criterion 8's verdict on one Hölder chain report."""
+    return rep.satisfied and rep.carleson_ok and rep.identity_gap <= 1e-8 * max(1.0, rep.lhs)
+
+
 @pytest.mark.parametrize("triple", [(3, 3, 3), (2, 4, 4), (4, 4, 2), (2, 3, 6)])
 def test_criterion_8_proof_chain(triple):
     t0 = time.time()
@@ -235,9 +241,7 @@ def test_criterion_8_proof_chain(triple):
         f = SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L)
         g = SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L)
         h = SampledFunction(rng.normal(size=N) + 1j * rng.normal(size=N), L)
-        rep = holder_chain_check(seq, f, g, h, e)
-        if not (rep.satisfied and rep.carleson_ok
-                and rep.identity_gap <= 1e-8 * max(1.0, rep.lhs)):
+        if not _chain_ok(holder_chain_check(seq, f, g, h, e)):
             violations += 1
     elapsed = time.time() - t0
     ok = violations == 0 and elapsed < 300.0
@@ -285,6 +289,37 @@ def test_criterion_9_boundedness_probes(tmp_path):
         print(f"  probe {name}: growth {rep.growth_factor:.3f}")
         ok = ok and good
     verdict(9, "boundedness probes", ok)
+
+
+def test_chain_and_probe_ratio_are_uniform_in_the_number_of_steps():
+    # On (N, L) = (4 2^J, 2^J) every step of the J-step hyperboloid staircase
+    # meets the grid.  With coherent inputs (f^ = 1 on the A_j, g^ = 1 on the
+    # B_j, h^ = 1 on the -A_j - B_j) the chain's lhs/rhs stays near 0.6-0.4
+    # from J = 6 to 12, where random draws fall to about 0.01; and the
+    # operator ratio |B(f, g)|_p3' / (|f|_p1 |g|_p2) of the staircase and the
+    # polygon through its vertices holds steady in J.
+    ratios = {}
+    for J in (6, 8, 10, 12):
+        seq = curves.build_dyadic_slope_sequence(curves.hyperboloid(), J)
+        N, L = 4 * 2**J, float(2**J)
+        freqs = SampledFunction(np.zeros(N), L).freqs()
+        steps = staircase_steps(seq)
+        assert all(A.contains(freqs).any() and B.contains(freqs).any() for A, B in steps), J
+        f, g, h = (SampledFunction.from_coeffs(np.any([iv.contains(freqs) for iv in ivs], axis=0), L)
+                   for ivs in zip(*((A, B, neg_minkowski_sum(A, B)) for A, B in steps)))
+        for triple in ((3, 3, 3), (2, 4, 4), (4, 4, 2), (2, 3, 6)):
+            rep = holder_chain_check(seq, f, g, h, ExponentTriple(*triple))
+            assert rep.lhs > 0.0 and _chain_ok(rep), (J, triple, rep)
+        symbols = {"staircase": staircase_symbol(seq),
+                   "polygonal": polygonal_epigraph_symbol(np.column_stack([seq.a, seq.b]))}
+        for name, sym in symbols.items():
+            out = apply_bilinear(sym, f, g)
+            for triple in ((3, 3, 3), (6, 1.5, 6)):
+                e = ExponentTriple(*triple)
+                ratio = lp_norm(out, e.p3_dual) / (lp_norm(f, e.p1) * lp_norm(g, e.p2))
+                ratios.setdefault((name, triple), []).append(ratio)
+    for key, values in ratios.items():
+        assert max(values) / min(values) < GROWTH_THRESHOLD, (key, values)
 
 
 # -- 10: tile geometry ----------------------------------------------------------------

@@ -166,8 +166,41 @@ def test_whitney_report(tmp_path):
     svg = (tmp_path / "out" / "whitney_cover.svg").read_text()
     assert svg.startswith("<svg")
     rows = (tmp_path / "out" / "whitney_rects.csv").read_text().strip().split("\n")
-    assert rows[0] == "j,scale_k,cx,cy,xi_lo,xi_hi,eta_lo,eta_hi"
+    assert rows[0] == "j,scale_k,mx,my"
     assert len(rows) > 2
+    assert all(len(c["anchor"]) == 2 and 0.0 < c["s_j"] < 1.0 for c in rep["covers"])
+
+
+@pytest.mark.parametrize("which", ["small", "pipeline"])
+def test_whitney_rects_rebuild_the_covers_bit_for_bit(tmp_path, which):
+    # the integer squares of whitney_rects.csv, with each cover's anchor and
+    # s_j from whitney.json, give build_cover's rectangles: every edge, k and
+    # center to the bit
+    from make_cli_golden import GOLDENS
+
+    config = tmp_path / "run.ini"
+    config.write_text(GOLDENS[which][1])
+    assert main(["whitney", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    covers = json.loads((tmp_path / "out" / "whitney.json").read_text())["covers"]
+    lines = (tmp_path / "out" / "whitney_rects.csv").read_text().splitlines()
+    assert lines[0] == "j,scale_k,mx,my"
+    rows = np.array([[int(v) for v in line.split(",")] for line in lines[1:]], dtype=np.int64)
+    cfg = RunConfig.from_file(str(config))
+    seq = cfg.sequence(J=cfg.J + 4)
+    assert [c["j"] for c in covers] == list(seq.segments()[: cfg.whitney_segments])
+    for cover in covers:
+        want = whitney.build_cover(seq, cover["j"], alpha=cfg.alpha, C0=cfg.C0, samples=cfg.whitney_samples).rects
+        j, k, mx, my = rows[rows[:, 0] == cover["j"]].T
+        unit = 2.0 ** (k - whitney.LATTICE_EXP)
+        got = whitney.RectCover(cover["j"], tuple(cover["anchor"]), cover["s_j"], k, mx * unit, my * unit)
+        assert len(got) == cover["num_rects"] == len(want) > 0
+        assert got.anchor == want.anchor and got.s_j == want.s_j
+        assert k.tobytes() == want.k.astype(np.int64).tobytes()
+        assert got.cx.tobytes() == want.cx.tobytes() and got.cy.tobytes() == want.cy.tobytes()
+        for got_edge, want_edge in zip(got.edges(), want.edges()):
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got_edge, want_edge))
+        assert [m.tolist() for m in want.lattice()] == [mx.tolist(), my.tolist()]
+    assert len(rows) == sum(c["num_rects"] for c in covers)
 
 
 def test_whitney_default_base(tmp_path):

@@ -73,8 +73,8 @@ class RectCover:
     def lattice(self) -> tuple[np.ndarray, np.ndarray]:
         """The integers (mx, my) with (cx, cy) = (mx, my) 2^(k - LATTICE_EXP)."""
         m = np.ldexp(np.stack([self.cx, self.cy]), LATTICE_EXP - self.k)
-        if np.any(m != np.round(m)):  # NaN fails too
-            raise ValueError("square centers off the 2^(k - LATTICE_EXP) lattice")
+        if not np.all((m == np.round(m)) & (np.abs(m) < 2.0**63)):  # NaN and inf fail too
+            raise ValueError("square centers off the 2^(k - LATTICE_EXP) lattice or beyond int64")
         return tuple(m.astype(np.int64))
 
     def _sides(self):

@@ -52,6 +52,18 @@ def demo_rect():
     return seq, segment_cover(seq, [(0.75, 0.25, -3)])
 
 
+def test_lattice_gives_integer_centers_and_rejects_off_lattice_ones():
+    seq = dyadic_seq()
+    cover = segment_cover(seq, [(0.75, 0.25, -3), (-1.5, 2.0**-10, 0), (0.0, -2.0**-13, -3)])
+    mx, my = cover.lattice()  # the units are 2^-13, 2^-10 and 2^-13
+    assert mx.dtype == my.dtype == np.int64
+    assert (mx.tolist(), my.tolist()) == ([6144, -1536, 0], [2048, 1, -1])
+    for cx, cy, k in [(0.1, 0.25, -3), (0.75, 2.0**-14, -3), (math.nan, 0.25, -3), (0.75, math.inf, -3),
+                      (2.0**60, 0.25, -3)]:
+        with pytest.raises(ValueError, match="lattice"):
+            segment_cover(seq, [(cx, cy, k)]).lattice()
+
+
 @pytest.mark.parametrize(
     "d,expect", [(3.0, False), (4.0, False), (5.0, True), (16.0, True), (17.0, False)]
 )

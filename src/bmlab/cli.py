@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import math
 import os
 import sys
@@ -66,14 +67,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
             "direction": seq.direction,
             "a_inf": seq.a_inf,
             "b_inf": seq.b_inf,
-            "classification": {
-                "labels": cls.labels,
-                "lacunary_q": cls.lacunary_q,
-                "min_diff_ratio": cls.min_diff_ratio,
-                "max_diff_ratio": cls.max_diff_ratio,
-                "convex_failures": cls.convex_failures,
-                "concave_failures": cls.concave_failures,
-            },
+            "classification": dataclasses.asdict(cls),
             "slope_bands": bands,
         },
     )
@@ -218,13 +212,9 @@ def cmd_chain(cfg: RunConfig) -> int:
 
 
 def emit_witness(cfg: RunConfig, rep: engine.ProbeReport):
-    """Write the trial pair (f, g) of the largest ratio at the last resolution
-    of ``rep`` as ``witness_<family>_<N>_{f,g}.csv`` under ``cfg.out_dir``."""
-    ri, N = len(rep.resolutions) - 1, rep.resolutions[-1]
-    best = max((r for r in rep.rows if r["N"] == N), key=lambda r: r["max_ratio"])
-    fi = list(engine.PROBE_FAMILIES).index(best["family"])
-    f, g = engine.make_trial_pair(best["family"], (rep.seed, ri, fi, best["argmax_trial"]), N, rep.L)
-    tag = f"witness_{best['family']}_{N}"
+    """Write ``rep.witness()`` as ``witness_<family>_<N>_{f,g}.csv`` under ``cfg.out_dir``."""
+    family, N, f, g = rep.witness()
+    tag = f"witness_{family}_{N}"
     _write_function_csv(os.path.join(cfg.out_dir, tag + "_f.csv"), f)
     _write_function_csv(os.path.join(cfg.out_dir, tag + "_g.csv"), g)
 
@@ -343,14 +333,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         cfg.validate()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
         if args.command == "analyze":
             return cmd_analyze(cfg)
         if args.command == "check-hyp":

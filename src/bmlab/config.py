@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -42,34 +42,65 @@ def _require_c(c, family):
     return c
 
 
-# desk-scale ceilings of the size keys: a larger value asks for more memory
-# or time than a desk run has, and values past int64 broke numpy outright
-CEILINGS = {"[probe] resolutions": 1 << 20, "[probe] trials": 10_000, "[symbol] nx": 4096,
-            "[symbol] ny": 4096, "[whitney] samples": 1_000_000}
+def parse_triples(text: str) -> list[tuple[float, float, float]]:
+    """Exponent triples "p1,p2,p3; ..." (commas or blanks inside a triple)."""
+    out = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        parts = [float(v) for v in chunk.replace(",", " ").split()]
+        if len(parts) != 3:
+            raise ValueError(f"triple needs three exponents: {chunk!r}")
+        out.append(tuple(parts))
+    return out
+
+
+def _key(section: str, key: str, parse, default, least=None, most=None):
+    """A ``RunConfig`` field read from ``[section] key`` by ``parse`` (a
+    callable ``default`` is a factory).  An integer key also declares its
+    least value and, for a size key, its desk-scale ceiling: a larger value
+    asks for more memory or time than a desk run has, and values past int64
+    broke numpy outright."""
+    meta = {"section": section, "key": key, "name": f"[{section}] {key}", "parse": parse,
+            "least": least, "most": most}
+    if callable(default):
+        return field(default_factory=default, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+# the ceiling of each [probe] resolutions entry
+MAX_RESOLUTION = 1 << 20
 
 
 @dataclass
 class RunConfig:
-    family: str = "hyperboloid"
-    c: Optional[float] = None
-    renormalize: Optional[str] = None
-    J: int = 8
-    L: float = 32.0
-    triples: list[tuple[float, float, float]] = field(default_factory=lambda: [(3.0, 3.0, 3.0)])
-    trials: int = 50
-    seed: Optional[int] = None
-    resolutions: list[int] = field(default_factory=lambda: [128, 256])
-    hypothesis: str = "hyp2"
-    symbol_kind: str = "staircase"
-    bitmap_nx: int = 256
-    bitmap_ny: int = 256
-    window: Optional[tuple[float, float, float, float]] = None
-    C0: float = 16.0
-    alpha: float = 0.9
-    exponent_base: int = 8
-    whitney_segments: int = 4
-    whitney_samples: int = 10_000
-    out_dir: str = "out"
+    # in the order the keys are read and checked
+    family: str = _key("curve", "family", str, "hyperboloid")
+    c: Optional[float] = _key("curve", "c", float, None)
+    renormalize: Optional[str] = _key("curve", "renormalize", str, None)
+    J: int = _key("sequence", "J", int, 8, least=3)
+    hypothesis: str = _key("sequence", "hypothesis", str, "hyp2")
+    L: float = _key("grid", "L", float, 32.0)
+    trials: int = _key("probe", "trials", int, 50, least=1, most=10_000)
+    seed: Optional[int] = _key("probe", "seed", int, None, least=0)
+    resolutions: list[int] = _key("probe", "resolutions", lambda s: [int(v) for v in s.split()],
+                                  lambda: [128, 256])
+    triples: list[tuple[float, float, float]] = _key("probe", "triples", parse_triples,
+                                                     lambda: [(3.0, 3.0, 3.0)])
+    symbol_kind: str = _key("symbol", "kind", str, "staircase")
+    bitmap_nx: int = _key("symbol", "nx", int, 256, least=1, most=4096)
+    bitmap_ny: int = _key("symbol", "ny", int, 256, least=1, most=4096)
+    window: Optional[tuple[float, float, float, float]] = _key(
+        "symbol", "window", lambda s: tuple(float(v) for v in s.split()), None)
+    C0: float = _key("whitney", "C0", float, 16.0)
+    alpha: float = _key("whitney", "alpha", float, 0.9)
+    # at most 256, so the tile lengths B^(-j0) and the kernel radius 4^(-B)
+    # of the partition check stay in floating-point range
+    exponent_base: int = _key("whitney", "B", int, 8, least=2, most=256)
+    whitney_segments: int = _key("whitney", "segments", int, 4, least=1)
+    whitney_samples: int = _key("whitney", "samples", int, 10_000, least=1, most=1_000_000)
+    out_dir: str = _key("output", "dir", str, "out")
     config_sha256: str = ""
 
     def validate(self):
@@ -80,6 +111,8 @@ class RunConfig:
         if self.c is not None and not math.isfinite(self.c):
             raise ConfigError("[curve] c must be finite")
         if self.window is not None:
+            if len(self.window) != 4:
+                raise ConfigError("[symbol] window needs four numbers: xi_lo xi_hi eta_lo eta_hi")
             xlo, xhi, elo, ehi = self.window
             if not (all(math.isfinite(v) for v in self.window) and xlo < xhi and elo < ehi):
                 raise ConfigError("[symbol] window entries must be finite, "
@@ -95,9 +128,8 @@ class RunConfig:
                 raise ConfigError(f"[probe] resolutions entry {N} is not a power of two >= 2")
             if N in self.resolutions[:i]:
                 raise ConfigError(f"[probe] resolutions entry {N} is repeated")
-            if N > CEILINGS["[probe] resolutions"]:
-                raise ConfigError(f"[probe] resolutions entry {N} is above the ceiling "
-                                  f"{CEILINGS['[probe] resolutions']}")
+            if N > MAX_RESOLUTION:
+                raise ConfigError(f"[probe] resolutions entry {N} is above the ceiling {MAX_RESOLUTION}")
         for t in self.triples:
             try:
                 engine.ExponentTriple(*t)
@@ -107,20 +139,14 @@ class RunConfig:
             raise ConfigError("[sequence] hypothesis must be hyp1 or hyp2")
         if self.symbol_kind not in SYMBOL_KINDS:
             raise ConfigError(f"[symbol] kind: unknown symbol kind {self.symbol_kind}")
-        for key, value, least in (("[sequence] J", self.J, 3), ("[probe] seed", self.seed, 0),
-                                  ("[probe] trials", self.trials, 1), ("[symbol] nx", self.bitmap_nx, 1),
-                                  ("[symbol] ny", self.bitmap_ny, 1), ("[whitney] B", self.exponent_base, 2),
-                                  ("[whitney] segments", self.whitney_segments, 1),
-                                  ("[whitney] samples", self.whitney_samples, 1)):
-            if value < least:
-                raise ConfigError(f"{key} must be at least {least}")
-            if value > CEILINGS.get(key, value):
-                raise ConfigError(f"{key} must be at most {CEILINGS[key]}")
+        for f in fields(self):
+            least, most = f.metadata.get("least"), f.metadata.get("most")
+            if least is not None and getattr(self, f.name) < least:
+                raise ConfigError(f"{f.metadata['name']} must be at least {least}")
+            if most is not None and getattr(self, f.name) > most:
+                raise ConfigError(f"{f.metadata['name']} must be at most {most}")
         if not (math.isfinite(self.C0) and self.C0 > 0):
             raise ConfigError("[whitney] C0 must be finite and positive")
-        if self.exponent_base > 256:
-            raise ConfigError("[whitney] B must be at most 256, so the tile lengths B^(-j0) and "
-                              "the kernel radius 4^(-B) of the partition check stay in floating-point range")
         if not 0.8 <= self.alpha < 0.999:
             raise ConfigError("[whitney] alpha must lie in [0.8, 0.999)")
         if self.renormalize not in (None, "unit_slope_origin", "vanishing_limits"):
@@ -168,41 +194,13 @@ class RunConfig:
             raise ConfigError(f"cannot parse config: {exc}") from exc
         cfg = cls()
         cfg.config_sha256 = hashlib.sha256(raw).hexdigest()
-
-        def get(section, key, cast, default):
-            if parser.has_option(section, key):
+        for f in fields(cls):
+            meta = f.metadata
+            if meta and parser.has_option(meta["section"], meta["key"]):
                 try:
-                    return cast(parser.get(section, key))
+                    setattr(cfg, f.name, meta["parse"](parser.get(meta["section"], meta["key"])))
                 except ValueError as exc:
-                    raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
-            return default
-
-        cfg.family = get("curve", "family", str, cfg.family)
-        cfg.c = get("curve", "c", float, cfg.c)
-        cfg.renormalize = get("curve", "renormalize", str, cfg.renormalize)
-        cfg.J = get("sequence", "J", int, cfg.J)
-        cfg.hypothesis = get("sequence", "hypothesis", str, cfg.hypothesis)
-        cfg.L = get("grid", "L", float, cfg.L)
-        cfg.trials = get("probe", "trials", int, cfg.trials)
-        cfg.seed = get("probe", "seed", int, cfg.seed)
-        cfg.resolutions = get(
-            "probe", "resolutions", lambda s: [int(v) for v in s.split()], cfg.resolutions
-        )
-        cfg.triples = get("probe", "triples", parse_triples, cfg.triples)
-        cfg.symbol_kind = get("symbol", "kind", str, cfg.symbol_kind)
-        cfg.bitmap_nx = get("symbol", "nx", int, cfg.bitmap_nx)
-        cfg.bitmap_ny = get("symbol", "ny", int, cfg.bitmap_ny)
-        cfg.window = get(
-            "symbol", "window", lambda s: tuple(float(v) for v in s.split()), cfg.window
-        )
-        if cfg.window is not None and len(cfg.window) != 4:
-            raise ConfigError("[symbol] window needs four numbers: xi_lo xi_hi eta_lo eta_hi")
-        cfg.C0 = get("whitney", "C0", float, cfg.C0)
-        cfg.alpha = get("whitney", "alpha", float, cfg.alpha)
-        cfg.exponent_base = get("whitney", "B", int, cfg.exponent_base)
-        cfg.whitney_segments = get("whitney", "segments", int, cfg.whitney_segments)
-        cfg.whitney_samples = get("whitney", "samples", int, cfg.whitney_samples)
-        cfg.out_dir = get("output", "dir", str, cfg.out_dir)
+                    raise ConfigError(f"bad value for {meta['name']}: {exc}") from exc
         return cfg
 
 
@@ -224,17 +222,3 @@ SYMBOL_KINDS = {
     "exponential_paraproduct": lambda cfg: symbols.exponential_paraproduct_sum(cfg.J),
     "constant": lambda cfg: symbols.constant_symbol(),
 }
-
-
-def parse_triples(text: str) -> list[tuple[float, float, float]]:
-    """Exponent triples "p1,p2,p3; ..." (commas or blanks inside a triple)."""
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [float(v) for v in chunk.replace(",", " ").split()]
-        if len(parts) != 3:
-            raise ValueError(f"triple needs three exponents: {chunk!r}")
-        out.append(tuple(parts))
-    return out

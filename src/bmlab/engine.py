@@ -33,7 +33,6 @@ __all__ = [
     "holder_chain_check",
     "norm_probe",
     "probe_reports",
-    "make_trial_pair",
     "PROBE_FAMILIES",
 ]
 
@@ -238,8 +237,10 @@ class HolderChainReport:
 
 # Samples per stacked array: one block of a Hölder chain call (whole steps, at
 # least one) or one (trials, N) batch of the probe (at least one trial).
-# 128 KiB of complex samples, glibc's default mmap threshold, so the arrays of
-# a batch come from the heap instead of fresh pages each call.
+# 128 KiB of complex samples, glibc's default mmap threshold.  Against 2^16 it
+# cut a warm probe call's minor page faults by 60-75% below N = 4096; at
+# N = 4096 a warm 16-trial call took about 10,200 faults at every cap from
+# 2^13 to 2^16.
 BATCH_SAMPLES = 2**13
 
 
@@ -441,10 +442,11 @@ def _trial_batch(family: str, seed_keys, N: int, L: float) -> tuple[_Trial, _Tri
     return gen(rngs, N, L), gen(rngs, N, L)
 
 
-def make_trial_pair(family: str, seed_key, N: int, L: float):
-    """Deterministic (f, g) pair for a probe trial, keyed by integers."""
-    (fs, _), (gs, _) = _trial_batch(family, [seed_key], N, L)
-    return SampledFunction(fs[0], L), SampledFunction(gs[0], L)
+def _trial_keys(seed: int, ri: int, family: str, ts) -> list[tuple[int, int, int, int]]:
+    """The integer seed keys of the probe's trials ``ts`` of ``family`` at its
+    ``ri``-th resolution."""
+    fi = list(PROBE_FAMILIES).index(family)
+    return [(seed, ri, fi, t) for t in ts]
 
 
 def _batch_ratios(act, family: str, seed_keys, N: int, L: float,
@@ -473,6 +475,15 @@ class ProbeReport:
 
     def max_ratio_at(self, N: int) -> float:
         return max(row["max_ratio"] for row in self.rows if row["N"] == N)
+
+    def witness(self) -> tuple[str, int, SampledFunction, SampledFunction]:
+        """The family, the resolution N and the trial pair (f, g) of the
+        largest ratio at the last resolution, drawn again from its seed key."""
+        ri, N = len(self.resolutions) - 1, self.resolutions[-1]
+        best = max((r for r in self.rows if r["N"] == N), key=lambda r: r["max_ratio"])
+        keys = _trial_keys(self.seed, ri, best["family"], [best["argmax_trial"]])
+        (fs, _), (gs, _) = _trial_batch(best["family"], keys, N, self.L)
+        return best["family"], N, SampledFunction(fs[0], self.L), SampledFunction(gs[0], self.L)
 
     def csv_rows(self):
         p1, p2, p3 = self.triple.as_tuple()
@@ -529,11 +540,11 @@ def probe_reports(sym: SymbolSpec, triples: Sequence[ExponentTriple], trials: in
     for ri, N in enumerate(resolutions):
         act = _bilinear_action(sym, _freq_grid(N, L))
         per_batch = max(1, BATCH_SAMPLES // N)
-        for fi, family in enumerate(PROBE_FAMILIES):
+        for family in PROBE_FAMILIES:
             best = [(0.0, -1)] * len(reports)
             for t0 in range(0, trials, per_batch):
                 ts = range(t0, min(trials, t0 + per_batch))
-                ratios = _batch_ratios(act, family, [(seed, ri, fi, t) for t in ts], N, L, triples)
+                ratios = _batch_ratios(act, family, _trial_keys(seed, ri, family, ts), N, L, triples)
                 for i, row in enumerate(ratios):
                     for t, ratio in zip(ts, row):
                         if ratio > best[i][0]:  # the first maximal trial wins; NaN never does

@@ -1,13 +1,17 @@
+import configparser
+import dataclasses
 import json
 import math
+import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from bmlab import cli, engine, intervals, whitney
 from bmlab.cli import main
-from bmlab.config import ConfigError, RunConfig
+from bmlab.config import MAX_RESOLUTION, ConfigError, RunConfig
 
 
 BASE_CONFIG = """
@@ -466,6 +470,23 @@ def test_probe_json_strict_on_infinite_growth(tmp_path):
     assert list((tmp_path / "out").glob("witness_*_128_f.csv"))
 
 
+
+@pytest.mark.parametrize("kind", ["staircase", "polygonal"])
+def test_witness_pair_has_the_reported_max_ratio(tmp_path, kind):
+    # the pair emit_witness writes, read back and applied on its own, measures
+    # the report's largest ratio at the last resolution
+    cfg = RunConfig(J=6, L=16.0, seed=7, symbol_kind=kind, out_dir=str(tmp_path)).validate()
+    sym = cfg.symbol()
+    triples = [engine.ExponentTriple(3, 3, 3), engine.ExponentTriple(4, 2, 4)]
+    for rep in engine.probe_reports(sym, triples, 5, [64, 128], cfg.seed, cfg.L):
+        cli.emit_witness(cfg, rep)
+        family, N, _, _ = rep.witness()
+        f, g = (cli._read_function_csv(str(tmp_path / f"witness_{family}_{N}_{x}.csv"), cfg.L) for x in "fg")
+        e = rep.triple
+        ratio = (engine.lp_norm(engine.apply_bilinear(sym, f, g), e.p3_dual)
+                 / (engine.lp_norm(f, e.p1) * engine.lp_norm(g, e.p2)))
+        assert ratio > 0 and abs(ratio - rep.max_ratio_at(N)) <= 1e-12 * ratio
+
 def test_chain_writes_one_row_per_triple_and_resolution(tmp_path, capsys):
     cfg = write_config(tmp_path)
     _edit_config(cfg, "triples = 3,3,3", "triples = 3,3,3;2,4,4")
@@ -779,3 +800,48 @@ def test_cli_pipeline_outputs_match_golden(tmp_path):
     got = run_subcommands(tmp_path, "pipeline")
     assert got["runs"] == golden["runs"]
     assert got["files_sha256"] == golden["files_sha256"]
+
+
+def bad_values(f: dataclasses.Field) -> list[str]:
+    """The fuzz's bad values for the key of field ``f``: degenerate numbers,
+    a non-number, and a value just above the key's ceiling."""
+    values = ["", "-1", "0", "nan", "inf", "1e400", "spiral"]
+    if f.metadata["most"] is not None:
+        values.append(str(f.metadata["most"] + 1))
+    if f.name == "resolutions":
+        values.append(str(2 * MAX_RESOLUTION))
+    return values
+
+
+FUZZ_CASES = [(f.metadata["section"], f.metadata["key"], value)
+              for f in dataclasses.fields(RunConfig) if f.metadata for value in bad_values(f)]
+
+
+@seed(32)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(FUZZ_CASES))
+def test_one_bad_key_ends_in_a_named_exit(tmp_path, capsys, monkeypatch, case):
+    # every subcommand on a config with one bad value ends in exit 0, a
+    # config error naming a key (a value can make another key required, as
+    # kind = epigraph does [symbol] window), or failed checks alone
+    section, key, value = case
+    monkeypatch.chdir(tmp_path)
+    parser = configparser.ConfigParser()
+    parser.read_string(BASE_CONFIG.format(family="hyperboloid", c_line="", J=6, hypothesis="hyp2",
+                                          symbol="staircase", out="out"))
+    parser.set(section, key, value)
+    with open(tmp_path / "run.ini", "w") as fh:
+        parser.write(fh)
+    for name in ("f.csv", "g.csv"):
+        (tmp_path / name).write_text("re,im\n" + "".join(f"{math.cos(n)!r},{math.sin(n)!r}\n" for n in range(64)))
+    for command in (["analyze"], ["check-hyp"], ["symbol"], ["apply", "f.csv", "g.csv"], ["probe"], ["chain"],
+                    ["whitney"]):
+        code = main([*command, "--config", "run.ini", "--out", "out"])
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 2, 4), (command, err)
+        if code == 0:
+            assert err == []
+        elif code == 2:
+            assert len(err) == 1 and err[0].startswith("config error: ") and re.search(r"\[\w+\] \w+", err[0])
+        else:
+            assert err and all(line.startswith("check failed: ") for line in err)

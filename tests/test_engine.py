@@ -17,7 +17,6 @@ from bmlab.engine import (
     apply_bilinear,
     holder_chain_check,
     lp_norm,
-    make_trial_pair,
     norm_probe,
 )
 from bmlab.intervals import HalfOpenInterval, build_hyp_collection, staircase_steps
@@ -428,6 +427,12 @@ def test_norm_probe_reproducible_and_bounded():
     assert list(r1.csv_rows())[0][:3] == (3.0, 3.0, 3.0)
 
 
+def trial_pair(family, key, N, L):
+    """The probe's (f, g) for one seed key: a batch of one."""
+    (fs, _), (gs, _) = engine._trial_batch(family, [key], N, L)
+    return SampledFunction(fs[0], L), SampledFunction(gs[0], L)
+
+
 def test_norm_probe_rank_one_cross_check():
     e = ExponentTriple(4.0, 4.0, 2.0)
     A = (-0.8, -0.1)
@@ -435,7 +440,7 @@ def test_norm_probe_rank_one_cross_check():
     sym = rectangle_symbol(A, B)
     N, L = 64, 8.0
     for t in range(20):
-        f, g = make_trial_pair("sparse_spectrum", (3, 0, 0, t), N, L)
+        f, g = trial_pair("sparse_spectrum", (3, 0, 0, t), N, L)
         out = apply_bilinear(sym, f, g)
         pf = project(f, HalfOpenInterval(*A))
         pg = project(g, HalfOpenInterval(*B))
@@ -482,7 +487,7 @@ def test_trial_batch_rows_are_the_single_trials(family, N):
     (fs, cf), (gs, cg) = engine._trial_batch(family, keys, N, L)
     assert fs.shape == gs.shape == cf.shape == cg.shape == (len(keys), N)
     for row, key in enumerate(keys):
-        f, g = make_trial_pair(family, key, N, L)
+        f, g = trial_pair(family, key, N, L)
         (f0, cf0), (g0, cg0) = trial_pair_by_scalar_draws(family, key, N, L)
         assert fs[row].tobytes() == f.samples.tobytes() == f0.samples.tobytes()
         assert gs[row].tobytes() == g.samples.tobytes() == g0.samples.tobytes()
@@ -505,7 +510,7 @@ def test_wave_packet_carriers_match_the_float_carrier(N):
     # against the carrier evaluated at the rounded phase 2 pi k0 x / L
     L = 48.0
     for t in range(20):
-        f, g = make_trial_pair("wave_packets", (9, 0, 0, t), N, L)
+        f, g = trial_pair("wave_packets", (9, 0, 0, t), N, L)
         rng = np.random.default_rng(np.random.SeedSequence((9, 0, 0, t)))
         for got in (f.samples, g.samples):
             want = wave_packets_float_carrier(rng, N, L)

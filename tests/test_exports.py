@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import bmlab
+from bmlab.cli import main
+from bmlab.config import RunConfig
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bmlab.__path__))
 ROOT = Path(__file__).resolve().parents[1]
@@ -112,20 +115,21 @@ def test_public_names_have_a_caller_outside_the_tests():
 
 
 def config_keys_read() -> set[tuple[str, str]]:
-    """The (section, key) pairs of every ``get("<section>", "<key>", ...)``
-    call in ``RunConfig.from_file``."""
-    tree = ast.parse((ROOT / "src" / "bmlab" / "config.py").read_text())
-    from_file = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "from_file")
-    return {(call.args[0].value, call.args[1].value) for call in ast.walk(from_file)
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "get"}
+    """The (section, key) pairs that ``RunConfig.from_file`` reads: one per
+    field declaration of ``RunConfig`` that names a key."""
+    return {(f.metadata["section"], f.metadata["key"]) for f in dataclasses.fields(RunConfig) if f.metadata}
+
+
+def readme_example() -> str:
+    """The README's example ``ini`` block."""
+    return (ROOT / "README.md").read_text().split("```ini\n", 1)[1].split("```", 1)[0]
 
 
 def readme_example_keys() -> set[tuple[str, str]]:
     """The (section, key) pairs of the README's example ``ini`` block, keys
     commented out with ``;`` included."""
-    block = (ROOT / "README.md").read_text().split("```ini\n", 1)[1].split("```", 1)[0]
     section, keys = None, set()
-    for line in block.splitlines():
+    for line in readme_example().splitlines():
         if header := re.match(r"\[(\w+)\]", line):
             section = header[1]
         elif key := re.match(r";?\s*(\w+)\s*=", line):
@@ -139,3 +143,13 @@ def test_readme_example_lists_exactly_the_config_keys():
     read = config_keys_read()
     assert ("whitney", "alpha") in read and ("output", "dir") in read
     assert readme_example_keys() == read
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-hyp", "symbol", "probe", "chain", "whitney"])
+def test_readme_example_runs(tmp_path, capsys, command):
+    # configparser strips only whole-line comments: a "; ..." after a value
+    # is part of the value, so the example keeps every comment on its own line
+    path = tmp_path / "run.ini"
+    path.write_text(readme_example())
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""

@@ -470,7 +470,6 @@ def test_probe_json_strict_on_infinite_growth(tmp_path):
     assert list((tmp_path / "out").glob("witness_*_128_f.csv"))
 
 
-
 @pytest.mark.parametrize("kind", ["staircase", "polygonal"])
 def test_witness_pair_has_the_reported_max_ratio(tmp_path, kind):
     # the pair emit_witness writes, read back and applied on its own, measures
@@ -486,6 +485,7 @@ def test_witness_pair_has_the_reported_max_ratio(tmp_path, kind):
         ratio = (engine.lp_norm(engine.apply_bilinear(sym, f, g), e.p3_dual)
                  / (engine.lp_norm(f, e.p1) * engine.lp_norm(g, e.p2)))
         assert ratio > 0 and abs(ratio - rep.max_ratio_at(N)) <= 1e-12 * ratio
+
 
 def test_chain_writes_one_row_per_triple_and_resolution(tmp_path, capsys):
     cfg = write_config(tmp_path)

@@ -244,18 +244,40 @@ class HolderChainReport:
 BATCH_SAMPLES = 2**13
 
 
+class _ChainBlock(NamedTuple):
+    """One stacked synthesis of the Hölder chain.  It synthesizes ``rows``
+    rows, one per distinct non-empty (owner, mask) of its plan rows, from
+    the flat positions ``fill`` in the block's FFT-order array and in the
+    (3, N) centered coefficients of f, g and h.  ``pick`` maps each of its
+    plan rows, the rows of its whole steps and then its prefix rows, to the
+    row it reads: -1 for an empty mask, which reads a zero row appended to
+    the magnitudes when ``empty``.  The rest is read from ``pick``: ``fh``
+    the f and h rows of each whole step, ``g`` and ``prefix`` the distinct
+    rows that the steps' g rows and the prefix rows read (enough for a
+    maximum), and ``fgh`` the f, g and h rows of the ``live`` steps (plan
+    step numbers), those with no empty row."""
+
+    rows: int
+    empty: bool
+    fill: tuple
+    pick: np.ndarray
+    fh: np.ndarray
+    g: np.ndarray
+    prefix: np.ndarray
+    live: np.ndarray
+    fgh: np.ndarray
+
+
 class _ChainPlan(NamedTuple):
     """What the Hölder chain needs of one staircase on one grid.  ``masks``
     holds, for each step j in turn, the frequency rows of A_j, B_j and
     -A_j - B_j, then the prefix rows: the grid slots below each cutoff that
     bounds a B_j (the empty prefix first).  ``owners`` names the input each
     row cuts: 0 for f, 1 for g, 2 for h.  ``blocks`` runs over the rows in
-    blocks of at most ``BATCH_SAMPLES`` samples on the 2N grid (but at
-    least one step): whole steps, the prefix rows filling the last block of
-    steps before they take blocks of their own.  Each block is (first row,
-    rows, fill): the flat positions of its kept coefficients in the block's
-    FFT-order array and in the (3, N) centered coefficients of f, g and h.
-    The arrays are read-only."""
+    ``_ChainBlock``s of at most ``BATCH_SAMPLES`` samples on the 2N grid (but
+    at least one step): whole steps, the prefix rows filling the last block
+    of steps before they take blocks of their own.  The arrays are
+    read-only."""
 
     masks: np.ndarray
     owners: np.ndarray
@@ -272,12 +294,23 @@ class _ChainPlan(NamedTuple):
         starts += range(starts[-1] + per_block if starts else 0, len(masks), per_block)
         blocks = []
         for r0, r1 in zip(starts, starts[1:] + [len(masks)]):
-            rows, slots = np.nonzero(masks[r0:r1])
+            first = {}  # (owner, mask) -> (its row in the block, its first plan row)
+            pick = np.array([first.setdefault((owners[r], masks[r].tobytes()), (len(first), r))[0]
+                             if masks[r].any() else -1 for r in range(r0, r1)], dtype=np.intp)
+            kept = np.array([r for _, r in first.values()], dtype=np.intp)
+            rows, slots = np.nonzero(masks[kept])
             # centered slot s holds frequency s - N/2, at (s - N/2) mod M in FFT order
-            fill = (rows * M + (slots - N // 2) % M, owners[r0 + rows] * N + slots)
-            blocks.append((r0, r1 - r0, fill))
-        for a in (masks, owners, *(a for _, _, fill in blocks for a in fill)):
-            a.flags.writeable = False
+            fill = (rows * M + (slots - N // 2) % M, owners[kept[rows]] * N + slots)
+            lead = max(0, min(r1, 3 * steps) - r0)  # the rows of whole steps lead the block
+            fgh = pick[:lead].reshape(-1, 3)
+            live = np.flatnonzero(np.all(fgh >= 0, axis=1))
+            g, prefix = (np.array(sorted(set(p.tolist())), dtype=np.intp) for p in (fgh[:, 1], pick[lead:]))
+            blk = _ChainBlock(len(first), bool(-1 in pick), fill, pick, fgh[:, ::2], g, prefix,
+                              r0 // 3 + live, fgh[live].T.copy())
+            for a in (*fill, *blk[3:]):
+                a.flags.writeable = False
+            blocks.append(blk)
+        masks.flags.writeable = owners.flags.writeable = False
         return cls(masks, owners, steps, act, tuple(blocks))
 
 
@@ -325,7 +358,11 @@ def holder_chain_check(
 
     Every projection, the partial sums included, comes from one stacked
     synthesis on the 2N grid, in blocks of whole steps of at most
-    ``BATCH_SAMPLES`` samples, each reduced before the next is built.
+    ``BATCH_SAMPLES`` samples, each reduced before the next is built.  A
+    block synthesizes each distinct non-empty row once.  The reductions keep
+    the bits of synthesizing every row: a step with an empty row has a zero
+    product, the f and h squares add in step order (an empty row adds 0.0,
+    a repeated row adds again), and the maxima read each distinct row once.
     """
     if not (f.N == g.N == h.N) or not (f.L == g.L == h.L):
         raise ValueError("common grid required")
@@ -338,24 +375,25 @@ def holder_chain_check(
     M = 2 * N  # triple products have bandwidth < 1.5 N, resolved at 2N
     coeffs = _analyze(np.array([f.samples, g.samples, h.samples / nh]))
     flat = coeffs.reshape(-1)
-    prod = np.empty((plan.steps, M), dtype=complex)  # the triple products, summed at the end
+    prod = np.zeros((plan.steps, M), dtype=complex)  # the triple products, summed at the end
     sq_fh = max_g = m_b = 0.0  # running reductions down the rows, pointwise
-    for r0, rows, (dst, src) in plan.blocks:
-        z = np.zeros((rows, M), dtype=complex)
+    for blk in plan.blocks:
+        dst, src = blk.fill
+        z = np.zeros((blk.rows, M), dtype=complex)
         z.reshape(-1)[dst] = flat[src]
         x = _synthesize_fft_order(z)
-        mag = np.abs(x)
-        k = min(rows, max(0, 3 * plan.steps - r0))  # the rows of whole steps lead the block
-        if k:
-            xs, ms = x[:k].reshape(-1, 3, M), mag[:k].reshape(-1, 3, M)  # per step: f, g, h
-            steps = prod[r0 // 3 : (r0 + k) // 3]
-            np.multiply(xs[:, 0], xs[:, 1], out=steps)
-            steps *= xs[:, 2]
-            sq_fh = _add_squares(sq_fh, ms[:, ::2])
-            max_g = np.maximum(max_g, np.maximum.reduce(ms[:, 1], axis=0))
-        if k < rows:
+        mag = np.zeros((blk.rows + blk.empty, M))  # an empty row reads row -1
+        np.abs(x, out=mag[: blk.rows])
+        xf, xg, xh = x[blk.fgh]  # a step with an empty row keeps a zero product
+        xf *= xg
+        xf *= xh
+        prod[blk.live] = xf
+        if len(blk.fh):
+            sq_fh = _add_squares(sq_fh, mag[blk.fh])  # per step: f, h
+            max_g = np.maximum(max_g, np.maximum.reduce(mag[blk.g], axis=0))
+        if len(blk.prefix):
             # every other sample at 2N is a partial sum on g's own grid
-            m_b = np.maximum(m_b, np.maximum.reduce(mag[k:, ::2], axis=0))
+            m_b = np.maximum(m_b, np.maximum.reduce(mag[blk.prefix, ::2], axis=0))
     lhs_sum = abs(np.add.reduce(prod, axis=None) * (L / M))
 
     # the 2N output slots N/2 + 1 .. 3N/2 pair with h's N slots in reverse

@@ -309,15 +309,17 @@ def test_chain_plan_cache_is_never_stale(rng, hyperboloid_seq, power1_seq):
 
 def test_cached_masks_and_phases_are_read_only(hyperboloid_seq):
     seq = hyperboloid_seq.truncate(8)
-    plan = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, 128, 32.0)
-    with pytest.raises(ValueError, match="read-only"):
-        plan.masks[0, 0] = not plan.masks[0, 0]
-    with pytest.raises(ValueError, match="read-only"):
-        plan.owners[0] = 2
-    for _, _, fill in plan.blocks:
-        for a in fill:
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0
+    for N in (128, 1024):
+        plan = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, 32.0)
+        with pytest.raises(ValueError, match="read-only"):
+            plan.masks[0, 0] = not plan.masks[0, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            plan.owners[0] = 2
+        for blk in plan.blocks:
+            for a in (*blk.fill, blk.pick, blk.fh, blk.g, blk.prefix, blk.live, blk.fgh):
+                if a.size:
+                    with pytest.raises(ValueError, match="read-only"):
+                        a.flat[0] = 0
 
 
 def test_mixed_norm_constants():
@@ -578,18 +580,52 @@ def test_holder_chain_matches_the_family_oracle(rng, hyperboloid_seq, power1_seq
 
 
 @pytest.mark.parametrize("N, sizes", [(128, [25]), (256, [15, 10]), (512, [6, 6, 6, 7]),
-                                      (1024, [3] * 6 + [4, 3]), (4096, [3] * 8 + [1])])
+                                      (1024, [3] * 6 + [4, 3]), (4096, [3] * 8 + [1]), (64, [22])])
 def test_chain_blocks_are_whole_steps_then_the_prefix_rows(hyperboloid_seq, N, sizes):
-    # 7 steps (21 rows) and 4 prefix rows: the prefix rows fill the last block
-    # of steps up to BATCH_SAMPLES before they take blocks of their own
+    # 7 steps (21 rows) and the prefix rows (4, or at N = 64 only the empty
+    # prefix): the prefix rows fill the last block of steps up to
+    # BATCH_SAMPLES before they take blocks of their own.  A block
+    # synthesizes each distinct non-empty (owner, mask) once: 22 rows -> 4
+    # at N = 64, 25 -> 13 at N = 128, 15 at 256, 21 at 1024 and 4096
+    synthesized = {64: [4], 128: [13], 256: [10, 5], 512: [6, 5, 2, 5], 1024: [3, 3, 3, 3, 2, 2, 2, 3],
+                   4096: [3, 3, 3, 3, 2, 2, 2, 2, 1]}[N]
     seq = hyperboloid_seq.truncate(8)
     plan = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, 32.0)
-    assert (plan.steps, len(plan.masks)) == (7, 25)
-    assert [rows for _, rows, _ in plan.blocks] == sizes
-    assert [r0 for r0, _, _ in plan.blocks] == list(np.cumsum([0] + sizes[:-1]))
-    for r0, rows, _ in plan.blocks:
-        assert rows * 2 * N <= max(3 * 2 * N, engine.BATCH_SAMPLES)
-        assert r0 >= 21 or r0 % 3 == 0 and (r0 + rows >= 21 or rows % 3 == 0)
+    steps = 3 * plan.steps
+    assert (plan.steps, len(plan.masks)) == (7, sum(sizes))
+    assert [len(blk.pick) for blk in plan.blocks] == sizes
+    assert [blk.rows for blk in plan.blocks] == synthesized
+    for r0, blk in zip(np.cumsum([0] + sizes[:-1]), plan.blocks):
+        rows = len(blk.pick)
+        assert r0 >= steps or r0 % 3 == 0 and (r0 + rows >= steps or rows % 3 == 0)
+        lead = max(0, min(rows, steps - r0))  # the rows of whole steps
+        by_step = blk.pick[:lead].reshape(-1, 3)
+        # the arrays a call allocates per block stay within BATCH_SAMPLES (or one step)
+        assert (blk.rows + blk.empty) * 2 * N <= max(3 * 2 * N, engine.BATCH_SAMPLES)
+        # a plan row reads the row of its (owner, mask), synthesized from its
+        # input's coefficients on its slots, or the zero row -1 when empty
+        masks, owners = plan.masks[r0 : r0 + rows], plan.owners[r0 : r0 + rows]
+        z = np.zeros((blk.rows, 2 * N))
+        z.reshape(-1)[blk.fill[0]] = 1.0 + blk.fill[1]  # tags each kept slot by its input and slot
+        first = {}
+        for i, (row, owner) in enumerate(zip(masks, owners)):
+            slots = np.flatnonzero(row)
+            if not len(slots):
+                assert blk.pick[i] == -1
+                continue
+            assert blk.pick[i] == blk.pick[first.setdefault((owner, row.tobytes()), i)]
+            assert np.array_equal(np.flatnonzero(z[blk.pick[i]]), np.sort((slots - N // 2) % (2 * N)))
+            assert np.array_equal(z[blk.pick[i], (slots - N // 2) % (2 * N)], 1.0 + owner * N + slots)
+        assert set(blk.pick.tolist()) - {-1} == set(range(blk.rows)) and blk.rows == len(first)
+        assert blk.empty == (-1 in blk.pick)
+        # the squares read every step's f and h rows; the maxima each distinct
+        # g and prefix row once; the products the steps with no empty row
+        assert blk.fh.tolist() == by_step[:, ::2].tolist()
+        assert blk.g.tolist() == sorted(set(by_step[:, 1].tolist()))
+        assert blk.prefix.tolist() == sorted(set(blk.pick[lead:].tolist()))
+        live = [j for j, fgh in enumerate(by_step) if min(fgh) >= 0]
+        assert blk.live.tolist() == [r0 // 3 + j for j in live]
+        assert blk.fgh.T.tolist() == by_step[live].tolist()
 
 
 def test_holder_chain_memory_at_large_n(hyperboloid_seq):

@@ -25,21 +25,18 @@ class ConfigError(ValueError):
     pass
 
 
+# [curve] family -> its curve
 CURVE_FAMILIES = {
-    "power_law": lambda c: curves.power_law(_require_c(c, "power_law")),
-    "hyperboloid": lambda c: curves.hyperboloid(),
-    "exponential": lambda c: curves.exponential(),
-    "monomial": lambda c: curves.monomial(_require_c(c, "monomial")),
-    "circle_arc": lambda c: curves.circle_arc(),
-    "rational": lambda c: curves.rational(_require_c(c, "rational")),
-    "arctan": lambda c: curves.arctan_curve(),
+    "power_law": curves.power_law,
+    "hyperboloid": curves.hyperboloid,
+    "exponential": curves.exponential,
+    "monomial": curves.monomial,
+    "circle_arc": curves.circle_arc,
+    "rational": curves.rational,
+    "arctan": curves.arctan_curve,
 }
-
-
-def _require_c(c, family):
-    if c is None:
-        raise ConfigError(f"curve family {family} needs the parameter c")
-    return c
+# the families whose curve takes the parameter [curve] c; the others reject one
+C_FAMILIES = ("power_law", "monomial", "rational")
 
 
 def parse_triples(text: str) -> list[tuple[float, float, float]]:
@@ -110,6 +107,9 @@ class RunConfig:
             raise ConfigError("[grid] L must be finite and in [1e-100, 1e100] (the probe squares lengths)")
         if self.c is not None and not math.isfinite(self.c):
             raise ConfigError("[curve] c must be finite")
+        if (self.c is None) == (self.family in C_FAMILIES):
+            need = "needs the parameter c" if self.c is None else f"takes no parameter, so c = {self.c} is not used"
+            raise ConfigError(f"[curve] c: curve family {self.family} {need}")
         if self.window is not None:
             if len(self.window) != 4:
                 raise ConfigError("[symbol] window needs four numbers: xi_lo xi_hi eta_lo eta_hi")
@@ -119,6 +119,8 @@ class RunConfig:
                                   "with xi_lo < xi_hi and eta_lo < eta_hi")
         if self.seed is None:
             raise ConfigError("[probe] seed is required (no wall-clock defaults)")
+        if not self.out_dir:
+            raise ConfigError("[output] dir is empty: name the output directory")
         if not self.resolutions:
             raise ConfigError("[probe] resolutions must list at least one resolution")
         if not self.triples:
@@ -163,7 +165,8 @@ class RunConfig:
         return "[curve] " + ", ".join(f"{k} = {v}" for k, v in keys.items() if v is not None)
 
     def curve(self) -> curves.CurveSpec:
-        cur = CURVE_FAMILIES[self.family](self.c)
+        make = CURVE_FAMILIES[self.family]
+        cur = make(self.c) if self.family in C_FAMILIES else make()
         if self.renormalize:
             cur = curves.renormalize(cur, self.renormalize)
         return cur

@@ -709,6 +709,39 @@ def test_curve_keys_are_named_at_load_time(tmp_path, capsys, family, lines, keys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("family", ["hyperboloid", "exponential", "circle_arc", "arctan"])
+@pytest.mark.parametrize("command", ["analyze", "chain"])
+def test_c_on_a_family_without_a_parameter_is_a_config_error(tmp_path, capsys, family, command):
+    # such a c used to be ignored while analyze.json recorded it as the run's c
+    cfg = write_config(tmp_path, family=family, c_line="c = -1")
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: [curve] c: curve family {family} takes no parameter, so c = -1.0 is not used\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_power_law_without_c_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, family="power_law")
+    assert main(["analyze", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: [curve] c: curve family power_law needs the parameter c\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "chain", "whitney"])
+def test_empty_output_dir_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    # with no --out, an empty [output] dir used to exit 0 and write into the
+    # current directory
+    (tmp_path / "cfg").mkdir()
+    cfg = write_config(tmp_path / "cfg", out="")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: [output] dir is empty: name the output directory\n"
+    assert list(work.iterdir()) == [] and sorted(p.name for p in (tmp_path / "cfg").iterdir()) == ["run.ini"]
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 4)
+
+
 def test_other_value_errors_are_not_called_config_errors(tmp_path, capsys, monkeypatch):
     def failing(*args, **kwargs):
         raise ValueError("no grid frequency left")

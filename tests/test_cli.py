@@ -709,21 +709,20 @@ def test_curve_keys_are_named_at_load_time(tmp_path, capsys, family, lines, keys
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("family", ["hyperboloid", "exponential", "circle_arc", "arctan"])
+@pytest.mark.parametrize(
+    "family,c_line,need",
+    [(family, "c = -1", "takes no parameter, so c = -1.0 is not used")
+     for family in ("hyperboloid", "exponential", "circle_arc", "arctan")]
+    + [("power_law", "", "needs the parameter c")],
+    ids=["hyperboloid", "exponential", "circle_arc", "arctan", "power_law"],
+)
 @pytest.mark.parametrize("command", ["analyze", "chain"])
-def test_c_on_a_family_without_a_parameter_is_a_config_error(tmp_path, capsys, family, command):
-    # such a c used to be ignored while analyze.json recorded it as the run's c
-    cfg = write_config(tmp_path, family=family, c_line="c = -1")
+def test_c_must_match_the_curve_family(tmp_path, capsys, family, c_line, need, command):
+    # a c on a family without a parameter used to be ignored while
+    # analyze.json recorded it as the run's c
+    cfg = write_config(tmp_path, family=family, c_line=c_line)
     assert main([command, "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err == f"config error: [curve] c: curve family {family} takes no parameter, so c = -1.0 is not used\n"
-    assert not (tmp_path / "out").exists()
-
-
-def test_power_law_without_c_is_a_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, family="power_law")
-    assert main(["analyze", "--config", cfg]) == 2
-    assert capsys.readouterr().err == "config error: [curve] c: curve family power_law needs the parameter c\n"
+    assert capsys.readouterr().err == f"config error: [curve] c: curve family {family} {need}\n"
     assert not (tmp_path / "out").exists()
 
 

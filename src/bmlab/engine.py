@@ -248,21 +248,17 @@ class _ChainBlock(NamedTuple):
     """One stacked synthesis of the Hölder chain.  It synthesizes ``rows``
     rows, one per distinct non-empty (owner, mask) of its plan rows, from
     the flat positions ``fill`` in the block's FFT-order array and in the
-    (3, N) centered coefficients of f, g and h.  ``pick`` maps each of its
-    plan rows, the rows of its whole steps and then its prefix rows, to the
-    row it reads: -1 for an empty mask, which reads a zero row appended to
-    the magnitudes when ``empty``.  The rest is read from ``pick``: ``fh``
-    the f and h rows of each whole step, ``g`` and ``prefix`` the distinct
-    rows that the steps' g rows and the prefix rows read (enough for a
-    maximum), and ``fgh`` the f, g and h rows of the ``live`` steps (plan
-    step numbers), those with no empty row."""
+    (3, N) centered coefficients of f, g and h.  Each plan row reads one of
+    those rows, or -1 for an empty mask, which reads a zero row appended to
+    the magnitudes when ``empty``: ``steps`` holds the f, g and h rows of
+    each whole step, ``prefix`` those of the prefix rows that follow them,
+    and ``fgh`` the f, g and h rows of the ``live`` steps (plan step
+    numbers), those with no empty row."""
 
     rows: int
     empty: bool
     fill: tuple
-    pick: np.ndarray
-    fh: np.ndarray
-    g: np.ndarray
+    steps: np.ndarray
     prefix: np.ndarray
     live: np.ndarray
     fgh: np.ndarray
@@ -304,8 +300,7 @@ class _ChainPlan(NamedTuple):
             lead = max(0, min(r1, 3 * steps) - r0)  # the rows of whole steps lead the block
             fgh = pick[:lead].reshape(-1, 3)
             live = np.flatnonzero(np.all(fgh >= 0, axis=1))
-            g, prefix = (np.array(sorted(set(p.tolist())), dtype=np.intp) for p in (fgh[:, 1], pick[lead:]))
-            blk = _ChainBlock(len(first), bool(-1 in pick), fill, pick, fgh[:, ::2], g, prefix,
+            blk = _ChainBlock(len(first), bool(-1 in pick), fill, fgh, pick[lead:],
                               r0 // 3 + live, fgh[live].T.copy())
             for a in (*fill, *blk[3:]):
                 a.flags.writeable = False
@@ -362,7 +357,7 @@ def holder_chain_check(
     block synthesizes each distinct non-empty row once.  The reductions keep
     the bits of synthesizing every row: a step with an empty row has a zero
     product, the f and h squares add in step order (an empty row adds 0.0,
-    a repeated row adds again), and the maxima read each distinct row once.
+    a repeated row adds again), and a repeated or zero row keeps a maximum.
     """
     if not (f.N == g.N == h.N) or not (f.L == g.L == h.L):
         raise ValueError("common grid required")
@@ -388,9 +383,9 @@ def holder_chain_check(
         xf *= xg
         xf *= xh
         prod[blk.live] = xf
-        if len(blk.fh):
-            sq_fh = _add_squares(sq_fh, mag[blk.fh])  # per step: f, h
-            max_g = np.maximum(max_g, np.maximum.reduce(mag[blk.g], axis=0))
+        if len(blk.steps):
+            sq_fh = _add_squares(sq_fh, mag[blk.steps[:, ::2]])  # per step: f, h
+            max_g = np.maximum(max_g, np.maximum.reduce(mag[blk.steps[:, 1]], axis=0))
         if len(blk.prefix):
             # every other sample at 2N is a partial sum on g's own grid
             m_b = np.maximum(m_b, np.maximum.reduce(mag[blk.prefix, ::2], axis=0))

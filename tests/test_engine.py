@@ -307,16 +307,16 @@ def test_chain_plan_cache_is_never_stale(rng, hyperboloid_seq, power1_seq):
     assert all("lhs=0.0," not in r for r in cached)  # every case meets the staircase
 
 
-def test_cached_masks_and_phases_are_read_only(hyperboloid_seq):
-    seq = hyperboloid_seq.truncate(8)
-    for N in (128, 1024):
+def test_cached_masks_and_phases_are_read_only(hyperboloid_seq, power1_seq):
+    cases = [(hyperboloid_seq, 128), (hyperboloid_seq, 1024), (power1_seq, 1024)]
+    for seq, N in ((seq.truncate(8), N) for seq, N in cases):
         plan = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, 32.0)
         with pytest.raises(ValueError, match="read-only"):
             plan.masks[0, 0] = not plan.masks[0, 0]
         with pytest.raises(ValueError, match="read-only"):
             plan.owners[0] = 2
         for blk in plan.blocks:
-            for a in (*blk.fill, blk.pick, blk.fh, blk.g, blk.prefix, blk.live, blk.fgh):
+            for a in (*blk.fill, blk.steps, blk.prefix, blk.live, blk.fgh):
                 if a.size:
                     with pytest.raises(ValueError, match="read-only"):
                         a.flat[0] = 0
@@ -579,27 +579,37 @@ def test_holder_chain_matches_the_family_oracle(rng, hyperboloid_seq, power1_seq
         assert (got.satisfied, got.carleson_ok) == (want.satisfied, want.carleson_ok)
 
 
-@pytest.mark.parametrize("N, sizes", [(128, [25]), (256, [15, 10]), (512, [6, 6, 6, 7]),
-                                      (1024, [3] * 6 + [4, 3]), (4096, [3] * 8 + [1]), (64, [22])])
-def test_chain_blocks_are_whole_steps_then_the_prefix_rows(hyperboloid_seq, N, sizes):
-    # 7 steps (21 rows) and the prefix rows (4, or at N = 64 only the empty
-    # prefix): the prefix rows fill the last block of steps up to
-    # BATCH_SAMPLES before they take blocks of their own.  A block
-    # synthesizes each distinct non-empty (owner, mask) once: 22 rows -> 4
-    # at N = 64, 25 -> 13 at N = 128, 15 at 256, 21 at 1024 and 4096
-    synthesized = {64: [4], 128: [13], 256: [10, 5], 512: [6, 5, 2, 5], 1024: [3, 3, 3, 3, 2, 2, 2, 3],
-                   4096: [3, 3, 3, 3, 2, 2, 2, 2, 1]}[N]
-    seq = hyperboloid_seq.truncate(8)
+@pytest.mark.parametrize(
+    "curve, N, sizes, synthesized",
+    [
+        pytest.param("hyperboloid", 128, [25], [13], id="128-sizes0"),
+        pytest.param("hyperboloid", 256, [15, 10], [10, 5], id="256-sizes1"),
+        pytest.param("hyperboloid", 512, [6, 6, 6, 7], [6, 5, 2, 5], id="512-sizes2"),
+        pytest.param("hyperboloid", 1024, [3] * 6 + [4, 3], [3, 3, 3, 3, 2, 2, 2, 3], id="1024-sizes3"),
+        pytest.param("hyperboloid", 4096, [3] * 8 + [1], [3, 3, 3, 3, 2, 2, 2, 2, 1], id="4096-sizes4"),
+        pytest.param("hyperboloid", 64, [22], [4], id="64-sizes5"),
+        pytest.param("power1", 1024, [3] * 6 + [4] * 3, [3] * 7 + [4, 4], id="power1-1024"),
+    ],
+)
+def test_chain_blocks_are_whole_steps_then_the_prefix_rows(hyperboloid_seq, power1_seq, curve, N, sizes,
+                                                           synthesized):
+    # 7 steps (21 rows) and the prefix rows (on the hyperboloid 4, or at
+    # N = 64 only the empty prefix; on power_law(1) 9): the prefix rows fill
+    # the last block of steps up to BATCH_SAMPLES before they take blocks of
+    # their own.  A block synthesizes each distinct non-empty (owner, mask)
+    # once: on the hyperboloid 22 rows -> 4 at N = 64, 25 -> 13 at N = 128,
+    # 15 at 256, 21 at 1024 and 4096
+    seq = {"hyperboloid": hyperboloid_seq, "power1": power1_seq}[curve].truncate(8)
     plan = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, 32.0)
     steps = 3 * plan.steps
     assert (plan.steps, len(plan.masks)) == (7, sum(sizes))
-    assert [len(blk.pick) for blk in plan.blocks] == sizes
+    assert [3 * len(blk.steps) + len(blk.prefix) for blk in plan.blocks] == sizes
     assert [blk.rows for blk in plan.blocks] == synthesized
     for r0, blk in zip(np.cumsum([0] + sizes[:-1]), plan.blocks):
-        rows = len(blk.pick)
+        pick = np.concatenate([blk.steps.reshape(-1), blk.prefix])  # the row each plan row reads
+        rows = len(pick)
         assert r0 >= steps or r0 % 3 == 0 and (r0 + rows >= steps or rows % 3 == 0)
-        lead = max(0, min(rows, steps - r0))  # the rows of whole steps
-        by_step = blk.pick[:lead].reshape(-1, 3)
+        assert blk.steps.shape == (max(0, min(rows, steps - r0)) // 3, 3)  # the rows of whole steps lead
         # the arrays a call allocates per block stay within BATCH_SAMPLES (or one step)
         assert (blk.rows + blk.empty) * 2 * N <= max(3 * 2 * N, engine.BATCH_SAMPLES)
         # a plan row reads the row of its (owner, mask), synthesized from its
@@ -611,21 +621,17 @@ def test_chain_blocks_are_whole_steps_then_the_prefix_rows(hyperboloid_seq, N, s
         for i, (row, owner) in enumerate(zip(masks, owners)):
             slots = np.flatnonzero(row)
             if not len(slots):
-                assert blk.pick[i] == -1
+                assert pick[i] == -1
                 continue
-            assert blk.pick[i] == blk.pick[first.setdefault((owner, row.tobytes()), i)]
-            assert np.array_equal(np.flatnonzero(z[blk.pick[i]]), np.sort((slots - N // 2) % (2 * N)))
-            assert np.array_equal(z[blk.pick[i], (slots - N // 2) % (2 * N)], 1.0 + owner * N + slots)
-        assert set(blk.pick.tolist()) - {-1} == set(range(blk.rows)) and blk.rows == len(first)
-        assert blk.empty == (-1 in blk.pick)
-        # the squares read every step's f and h rows; the maxima each distinct
-        # g and prefix row once; the products the steps with no empty row
-        assert blk.fh.tolist() == by_step[:, ::2].tolist()
-        assert blk.g.tolist() == sorted(set(by_step[:, 1].tolist()))
-        assert blk.prefix.tolist() == sorted(set(blk.pick[lead:].tolist()))
-        live = [j for j, fgh in enumerate(by_step) if min(fgh) >= 0]
+            assert pick[i] == pick[first.setdefault((owner, row.tobytes()), i)]
+            assert np.array_equal(np.flatnonzero(z[pick[i]]), np.sort((slots - N // 2) % (2 * N)))
+            assert np.array_equal(z[pick[i], (slots - N // 2) % (2 * N)], 1.0 + owner * N + slots)
+        assert set(pick.tolist()) - {-1} == set(range(blk.rows)) and blk.rows == len(first)
+        assert blk.empty == (-1 in pick)
+        # the products are those of the steps with no empty row
+        live = [j for j, fgh in enumerate(blk.steps) if min(fgh) >= 0]
         assert blk.live.tolist() == [r0 // 3 + j for j in live]
-        assert blk.fgh.T.tolist() == by_step[live].tolist()
+        assert blk.fgh.T.tolist() == blk.steps[live].tolist()
 
 
 def test_holder_chain_memory_at_large_n(hyperboloid_seq):

@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config)
-        if args.out:
+        if args.out is not None:
             cfg.out_dir = args.out
         if args.seed is not None:
             cfg.seed = args.seed

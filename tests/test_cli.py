@@ -728,17 +728,20 @@ def test_c_must_match_the_curve_family(tmp_path, capsys, family, c_line, need, c
 
 @pytest.mark.parametrize("command", ["analyze", "chain", "whitney"])
 def test_empty_output_dir_is_a_config_error(tmp_path, capsys, monkeypatch, command):
-    # with no --out, an empty [output] dir used to exit 0 and write into the
-    # current directory
+    # an empty [output] dir with no --out used to exit 0 and write into the
+    # current directory; an empty --out, to exit 0 and write into [output] dir
     (tmp_path / "cfg").mkdir()
-    cfg = write_config(tmp_path / "cfg", out="")
+    empty = write_config(tmp_path / "cfg", out="")
+    named = write_config(tmp_path)
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
-    assert main([command, "--config", cfg]) == 2
-    assert capsys.readouterr().err == "config error: [output] dir is empty: name the output directory\n"
-    assert list(work.iterdir()) == [] and sorted(p.name for p in (tmp_path / "cfg").iterdir()) == ["run.ini"]
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 4)
+    for argv in ([command, "--config", empty], [command, "--config", named, "--out", ""]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: [output] dir is empty: name the output directory\n"
+        assert list(work.iterdir()) == [] and not (tmp_path / "out").exists()
+    assert sorted(p.name for p in (tmp_path / "cfg").iterdir()) == ["run.ini"]
+    assert main([command, "--config", empty, "--out", str(tmp_path / "out")]) in (0, 4)
 
 
 def test_other_value_errors_are_not_called_config_errors(tmp_path, capsys, monkeypatch):

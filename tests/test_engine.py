@@ -308,8 +308,8 @@ def test_chain_plan_cache_is_never_stale(rng, hyperboloid_seq, power1_seq):
 
 
 def test_cached_masks_and_phases_are_read_only(hyperboloid_seq, power1_seq):
-    cases = [(hyperboloid_seq, 128), (hyperboloid_seq, 1024), (power1_seq, 1024)]
-    for seq, N in ((seq.truncate(8), N) for seq, N in cases):
+    for seq, N in [(hyperboloid_seq, 128), (hyperboloid_seq, 1024), (power1_seq, 1024)]:
+        seq = seq.truncate(8)
         plan = engine._chain_plan(seq.a.tobytes(), seq.b.tobytes(), seq.direction, N, 32.0)
         with pytest.raises(ValueError, match="read-only"):
             plan.masks[0, 0] = not plan.masks[0, 0]

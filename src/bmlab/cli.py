@@ -222,6 +222,9 @@ def emit_witness(cfg: RunConfig, rep: engine.ProbeReport):
 def cmd_whitney(cfg: RunConfig) -> int:
     seq = cfg.sequence(J=cfg.J + 4)  # vertex margin beyond tested triangles
     segs = seq.segments()[: cfg.whitney_segments]
+    if len(segs) < cfg.whitney_segments:
+        raise ConfigError(f"[whitney] segments = {cfg.whitney_segments} is more than the {len(segs)} "
+                          f"segments of the J + 4 = {cfg.J + 4} sequence")
     covers = []
     all_ok = True
     rect_columns = []

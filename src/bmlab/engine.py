@@ -78,9 +78,7 @@ def _synthesize(c: np.ndarray) -> np.ndarray:
 
 def _analyze(x: np.ndarray) -> np.ndarray:
     """Centered coefficients of period-grid samples (last axis)."""
-    z = np.fft.fft(x, axis=-1)
-    z /= x.shape[-1]  # the bits of fft(x) / N, with no third array
-    return _swap_halves(z)
+    return _swap_halves(np.fft.fft(x, axis=-1, norm="forward"))  # the bits of fft(x) / N
 
 
 def _period_pairing(u_hat: np.ndarray, v_hat: np.ndarray, L: float) -> complex:
@@ -100,7 +98,7 @@ def _masks(intervals, freqs: np.ndarray) -> np.ndarray:
 def _synthesize_fft_order(z: np.ndarray) -> np.ndarray:
     """Samples on the period grid of coefficients in FFT order (last axis)."""
     x = np.fft.ifft(z, axis=-1)  # out=z is slower: numpy copies an overlapping input
-    x *= z.shape[-1]  # the bits of ifft(z) * M, with no third array
+    x *= z.shape[-1]  # the bits of ifft(z) * M, which norm="forward" does not keep at M = 6
     return x
 
 
@@ -185,6 +183,13 @@ def _bilinear_action(sym: SymbolSpec, freqs: np.ndarray):
     return by_blocks
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_action(sym: SymbolSpec, N: int, L: float) -> Callable:
+    """``_bilinear_action`` of ``sym`` on the (N, L) grid.  Symbols compare by their
+    ``eta_bounds`` object, so a freshly built one is never served another's action."""
+    return _bilinear_action(sym, _freq_grid(N, L))
+
+
 def apply_bilinear(sym: SymbolSpec, f: SampledFunction, g: SampledFunction) -> SampledFunction:
     """Apply the symbol as a bilinear multiplier; output has 2N samples.
 
@@ -193,7 +198,7 @@ def apply_bilinear(sym: SymbolSpec, f: SampledFunction, g: SampledFunction) -> S
     """
     if f.N != g.N or f.L != g.L:
         raise ValueError("mismatched grids: f and g must share N and L")
-    act = _bilinear_action(sym, f.freqs())
+    act = _grid_action(sym, f.N, f.L)
     return SampledFunction.from_coeffs(act(f.coeffs(), g.coeffs()), f.L)
 
 
@@ -428,21 +433,42 @@ def holder_chain_check(
 # each generator in turn; the draws and the arithmetic of a row do not depend
 # on the other rows.  A family that draws a spectrum hands it out as drawn.
 _Trial = tuple[np.ndarray, np.ndarray]
+_SIGNS = np.array([-1.0, 1.0], dtype=complex)  # _SIGNS[integers(0, 2)] draws as choice([-1.0, 1.0])
+
+
+@functools.lru_cache(maxsize=8)
+def _packet_grid(N: int, L: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points nL/N, the slot numbers n and the roots e^(2 pi i n / N) of the (N, L)
+    grid, read-only: the carrier e^(2 pi i k0 x / L) at x = nL/N is roots[k0 n mod N]."""
+    x, n = _x_grid(N, L), np.arange(N)
+    roots = np.exp(2j * np.pi * n / N)
+    x.flags.writeable = n.flags.writeable = roots.flags.writeable = False
+    return x, n, roots
 
 
 def _trial_wave_packets(rngs: list[np.random.Generator], N: int, L: float) -> _Trial:
-    x, n = _x_grid(N, L), np.arange(N)
-    roots = np.exp(2j * np.pi * n / N)  # the carrier e^(2 pi i k0 x / L) at x = nL/N is roots[k0 n mod N]
-    # per generator, three packets of (center, 2 sigma^2, k0, amplitude)
-    draws = [[(rng.uniform(0, L), 2 * rng.uniform(L / 64, L / 8) ** 2,
+    x, n, roots = _packet_grid(N, L)
+    # per generator, three packets of (center, 2 sigma^2, k0, amplitude); uniform(a, b) as a + (b - a) * random()
+    draws = [[(L * rng.random(), 2 * (L / 64 + (L / 8 - L / 64) * rng.random()) ** 2,
                rng.integers(-N // 3, N // 3 + 1), rng.normal() + 1j * rng.normal())
               for _ in range(3)] for rng in rngs]
     out = np.zeros((len(rngs), N), dtype=complex)
+    d, wave = np.empty(out.shape), np.empty_like(out)
     for packet in zip(*draws):
         x0, two_var, k0, amp = (np.array(column)[:, None] for column in zip(*packet))
-        t = x - x0 + L / 2  # in (-L/2, 3L/2): one period's shift lands it in [0, L), exactly
-        d = np.where(t < 0, t + L, np.where(t >= L, t - L, t)) - L / 2
-        out += amp * np.exp(-(d**2) / two_var) * roots[(k0 * n) & (N - 1)]
+        np.subtract(x, x0, out=d)
+        d += L / 2  # in (-L/2, 3L/2): one period's shift lands it in [0, L), exactly
+        below, above = d < 0, d >= L
+        np.add(d, L, out=d, where=below)
+        np.subtract(d, L, out=d, where=above)
+        d -= L / 2
+        np.square(d, out=d)
+        np.negative(d, out=d)
+        d /= two_var  # exp(-d^2 / 2 sigma^2) next
+        np.exp(d, out=d)
+        np.multiply(amp, d, out=wave)
+        wave *= roots[(k0 * n) & (N - 1)]
+        out += wave
     return out, _analyze(out)
 
 
@@ -456,7 +482,7 @@ def _trial_sparse_spectrum(rngs: list[np.random.Generator], N: int, L: float) ->
 
 
 def _trial_random_sign(rngs: list[np.random.Generator], N: int, L: float) -> _Trial:
-    c = np.array([rng.choice([-1.0, 1.0], size=N) for rng in rngs], dtype=complex)
+    c = np.array([_SIGNS[rng.integers(0, 2, size=N)] for rng in rngs])
     return _synthesize(c), c
 
 
@@ -571,7 +597,7 @@ def probe_reports(sym: SymbolSpec, triples: Sequence[ExponentTriple], trials: in
     resolutions = sorted(int(N) for N in resolutions)
     reports = [ProbeReport(e, list(resolutions), trials, seed, float(L)) for e in triples]
     for ri, N in enumerate(resolutions):
-        act = _bilinear_action(sym, _freq_grid(N, L))
+        act = _grid_action(sym, N, L)
         per_batch = max(1, BATCH_SAMPLES // N)
         for family in PROBE_FAMILIES:
             best = [(0.0, -1)] * len(reports)

@@ -640,6 +640,27 @@ def test_whitney_rejects_degenerate_keys(tmp_path, capsys, old, new, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("segments", [11, 1000000])
+def test_whitney_rejects_more_segments_than_the_sequence_has(tmp_path, capsys, segments):
+    # J = 6 draws covers on the 10 segments of the J + 4 sequence; more were
+    # cut to 10 without a word (segments = 1000000 at J = 8 exited 0 with 12 covers)
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "segments = 2\n", f"segments = {segments}\n")
+    assert main(["whitney", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (f"config error: [whitney] segments = {segments} is more than the 10 "
+                                       "segments of the J + 4 = 10 sequence\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_whitney_accepts_every_segment_of_the_sequence(tmp_path):
+    cfg = write_config(tmp_path)
+    _edit_config(cfg, "segments = 2\n", "segments = 10\n")
+    _edit_config(cfg, "samples = 1500\n", "samples = 1\n")
+    assert main(["whitney", "--config", cfg]) == 0
+    covers = json.loads((tmp_path / "out" / "whitney.json").read_text())["covers"]
+    assert [c["j"] for c in covers] == list(RunConfig.from_file(cfg).sequence(J=10).segments())
+
+
 def test_symbol_of_unbounded_support_needs_a_window(tmp_path, capsys):
     # an epigraph has no bounding box, so only [symbol] window can bound the bitmap
     cfg = write_config(tmp_path, symbol="epigraph")

@@ -23,6 +23,7 @@ from bmlab.intervals import HalfOpenInterval, build_hyp_collection, staircase_st
 from bmlab.symbols import SymbolSpec, constant_symbol, rectangle_symbol, staircase_symbol
 
 from oracles import (
+    SCALAR_TRIAL_FAMILIES,
     analyze_shifted,
     bilinear_dense_table,
     bilinear_double_sum,
@@ -322,6 +323,40 @@ def test_cached_masks_and_phases_are_read_only(hyperboloid_seq, power1_seq):
                         a.flat[0] = 0
 
 
+def test_grid_action_is_built_once_per_symbol_and_grid(monkeypatch, hyperboloid_seq):
+    sym = staircase_symbol(hyperboloid_seq.truncate(8))
+    assert engine._grid_action(sym, 128, 32.0) is engine._grid_action(sym, 128, 32.0)
+    assert engine._grid_action.cache_info().maxsize == engine._chain_plan.cache_info().maxsize == 8
+    args = dict(e=ExponentTriple(3, 3, 3), trials=3, resolutions=[64, 256], seed=4, L=16.0)
+    first = norm_probe(sym, **args)
+    real, calls = engine._bilinear_action, []
+    monkeypatch.setattr(engine, "_bilinear_action", lambda *a: calls.append(a) or real(*a))
+    assert repr(norm_probe(sym, **args)) == repr(first)
+    assert calls == []
+
+
+def test_a_fresh_symbol_never_gets_another_symbols_action(rng, hyperboloid_seq, power1_seq):
+    # fresh symbols of two staircases, built and dropped in turn until the
+    # cache has evicted and the ids of dropped symbols may be reused: each
+    # applies as its own action built from scratch does, to the bit
+    N, L = 64, 16.0
+    c, d = (rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(2))
+    seqs = [hyperboloid_seq.truncate(8), power1_seq.truncate(8)]
+    want = [engine._bilinear_action(staircase_symbol(seq), engine._freq_grid(N, L))(c, d) for seq in seqs]
+    assert want[0].tobytes() != want[1].tobytes()
+    for i in range(40):
+        sym = staircase_symbol(seqs[i % 2])
+        assert engine._grid_action(sym, N, L)(c, d).tobytes() == want[i % 2].tobytes()
+        assert sym != staircase_symbol(seqs[i % 2])  # equal values, yet another symbol
+
+
+def test_cached_packet_grids_are_read_only():
+    for N, L in [(2, 48.0), (256, 48.0), (2048, 32.0)]:
+        for a in engine._packet_grid(N, L):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[-1]
+
+
 def test_mixed_norm_constants():
     N, L = 64, 8.0
     c = 3.0 - 4.0j
@@ -494,6 +529,26 @@ def test_trial_batch_rows_are_the_single_trials(family, N):
         assert fs[row].tobytes() == f.samples.tobytes() == f0.samples.tobytes()
         assert gs[row].tobytes() == g.samples.tobytes() == g0.samples.tobytes()
         assert cf[row].tobytes() == cf0.tobytes() and cg[row].tobytes() == cg0.tobytes()
+
+
+@pytest.mark.parametrize("N", [2**k for k in range(1, 13)])
+@pytest.mark.parametrize("family", list(engine.PROBE_FAMILIES))
+def test_probe_families_draw_as_the_scalar_families(family, N):
+    # row by row, the batched family draws the samples, the coefficients and
+    # the generator state after f and after g of its scalar oracle, in bytes
+    L = 48.0
+    for trials in (1, 3, 64):
+        keys = [(8, 3, 1, t) for t in range(trials)]
+        rngs = [np.random.default_rng(np.random.SeedSequence(key)) for key in keys]
+        scalar = [np.random.default_rng(np.random.SeedSequence(key)) for key in keys]
+        for _ in ("f", "g"):
+            samples, coeffs = engine.PROBE_FAMILIES[family](rngs, N, L)
+            assert samples.shape == coeffs.shape == (trials, N)
+            for row, rng in enumerate(scalar):
+                want_samples, want_coeffs = SCALAR_TRIAL_FAMILIES[family](rng, N, L)
+                assert samples[row].tobytes() == want_samples.tobytes()
+                assert coeffs[row].tobytes() == want_coeffs.tobytes()
+                assert rngs[row].bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("N", [2, 4, 64, 1024, 4096])

@@ -97,10 +97,11 @@ def cmd_symbol(cfg: RunConfig) -> int:
     sym = cfg.symbol()
     window = _symbol_window(cfg, sym)
     grid = symbols.FrequencyGrid(window=window, nx=cfg.bitmap_nx, ny=cfg.bitmap_ny)
+    xi, eta = grid.xi_values(), grid.eta_values()
     bitmap = symbols.sample_symbol(sym, grid)
     base = os.path.join(cfg.out_dir, f"symbol_{cfg.symbol_kind}")
     reporting.atomic_write_text(base + ".pgm", symbols.bitmap_to_pgm(bitmap))
-    reporting.write_grid_csv(base + ".csv", ["xi", "eta", "amplitude"], grid.xi_values(), grid.eta_values(), bitmap)
+    reporting.write_grid_csv(base + ".csv", ["xi", "eta", "amplitude"], xi, eta, *sym.columns(xi, eta))
     reporting.write_json(
         base + ".json",
         _envelope(
@@ -307,26 +308,29 @@ def main(argv=None) -> int:
     common.add_argument("--out", help="output directory override")
     common.add_argument("--seed", type=int, help="seed override")
 
-    def add(name, help_text, extra=()):
+    def add(name, help_text, run, extra=()):
+        # ``run`` names its cmd_* function at call time, so a rebound module attribute is the one called
         p = sub.add_parser(name, help=help_text, parents=[common])
         for arg, kw in extra:
             p.add_argument(arg, **kw)
-        return p
+        p.set_defaults(run=run)
 
-    add("analyze", "curve report: sequences, classification, slope bands")
-    add("check-hyp", "interval-splitting report for the configured hypothesis")
-    add("symbol", "render the configured symbol as PGM/CSV/JSON")
+    add("analyze", "curve report: sequences, classification, slope bands", lambda cfg, args: cmd_analyze(cfg))
+    add("check-hyp", "interval-splitting report for the configured hypothesis",
+        lambda cfg, args: cmd_check_hyp(cfg))
+    add("symbol", "render the configured symbol as PGM/CSV/JSON", lambda cfg, args: cmd_symbol(cfg))
     add(
         "apply",
         "apply the configured symbol to two function files",
+        lambda cfg, args: cmd_apply(cfg, args.f_file, args.g_file),
         extra=(
             ("f_file", {"help": "CSV of (re,im) samples for the first input"}),
             ("g_file", {"help": "CSV of (re,im) samples for the second input"}),
         ),
     )
-    add("probe", "randomized operator-ratio probe across resolutions")
-    add("chain", "Hölder/Carleson chain on the staircase across resolutions")
-    add("whitney", "tile geometry, covers, partition and model-form reports")
+    add("probe", "randomized operator-ratio probe across resolutions", lambda cfg, args: cmd_probe(cfg))
+    add("chain", "Hölder/Carleson chain on the staircase across resolutions", lambda cfg, args: cmd_chain(cfg))
+    add("whitney", "tile geometry, covers, partition and model-form reports", lambda cfg, args: cmd_whitney(cfg))
 
     args = parser.parse_args(argv)
     try:
@@ -336,21 +340,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         cfg.validate()
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        if args.command == "check-hyp":
-            return cmd_check_hyp(cfg)
-        if args.command == "symbol":
-            return cmd_symbol(cfg)
-        if args.command == "apply":
-            return cmd_apply(cfg, args.f_file, args.g_file)
-        if args.command == "probe":
-            return cmd_probe(cfg)
-        if args.command == "chain":
-            return cmd_chain(cfg)
-        if args.command == "whitney":
-            return cmd_whitney(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -118,33 +118,26 @@ def write_csv(path: str, header, columns):
             fh.write("".join(part.ravel().tolist()))
 
 
-def write_grid_csv(path: str, header, xi, eta, values):
+def write_grid_csv(path: str, header, xi, eta, lo, hi):
     """The CSV ``write_csv`` makes of the columns ``np.repeat(xi, ny)``,
-    ``np.tile(eta, nx)`` and ``values.ravel()`` for an (nx, ny) ``values``,
-    at the cost of its rows and distinct values: the text after an xi is
-    built once per (eta index, distinct value), each xi's rows are one join
-    with the xi's text as separator, and whole xi rows go out in blocks of
-    about ``CSV_BLOCK_ROWS`` rows."""
-    values = np.asarray(values)
-    nx, ny = values.shape
-    if (len(xi), len(eta)) != (nx, ny):
-        raise ValueError("grid axes differ from the values' shape")
-    (xi_text, xi_row), (eta_text, eta_row), (val_text, val_row) = map(_column_text, (xi, eta, values))
-    keys = val_row.reshape(nx, ny) + np.arange(ny) * len(val_text)
-    if len(val_text) <= nx:  # every (eta, value) pair: at most one text per cell
-        pairs = np.arange(ny * len(val_text))
-    else:
-        pairs, keys = np.unique(keys, return_inverse=True)
-        keys = keys.reshape(nx, ny)
-    eta_of, val_of = np.divmod(pairs, len(val_text))
-    tails = "," + eta_text[eta_row[eta_of]] + "," + val_text[val_of] + "\n"
-    prefixes = xi_text[xi_row].tolist()
+    ``np.tile(eta, nx)`` and the ravelled (nx, ny) indicator that is 1.0
+    exactly at the eta indices lo[i] <= k < hi[i] of row i (a grid profile,
+    lo <= hi, as ``SymbolSpec.columns`` gives).  The text after an xi is
+    built once per (eta index, value), each xi's rows are one join with the
+    xi's text as separator, and whole xi rows go out in blocks of about
+    ``CSV_BLOCK_ROWS`` rows."""
+    xi, eta = np.asarray(xi), np.asarray(eta)
+    if not len(xi) == len(lo) == len(hi):
+        raise ValueError(f"the profile has {len(lo)} lo and {len(hi)} hi entries for {len(xi)} xi rows")
+    ny = len(eta)
+    eta_text = [_fmt(v) for v in eta.tolist()]
+    off, on = [f",{t},0.0\n" for t in eta_text], [f",{t},1.0\n" for t in eta_text]
+    rows = list(zip(map(_fmt, xi.tolist()), np.asarray(lo).tolist(), np.asarray(hi).tolist()))
     step = max(1, CSV_BLOCK_ROWS // max(ny, 1))
     with _atomic_file(path) as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, nx if ny else 0, step):
-            block = tails[keys[start : start + step]].tolist()
-            fh.write("".join(p + p.join(row) for p, row in zip(prefixes[start : start + step], block)))
+        for start in range(0, len(rows) if ny else 0, step):
+            fh.write("".join(p + p.join(off[:a] + on[a:b] + off[b:]) for p, a, b in rows[start : start + step]))
 
 
 def rects_to_svg(rects, curve_points) -> str:

@@ -43,12 +43,13 @@ class SymbolSpec:
     """A multiplier symbol: the indicator of a set that meets every xi-column
     in one eta-interval.
 
-    ``eta_bounds`` maps xi to (lo, hi), the column's interval, closed at
-    ``lo`` when ``eta_lo_closed`` (open otherwise) and open at ``hi``; an
-    empty column has lo = +inf.  The symbol is 1 on that set and 0 off it.
-    Pointwise evaluation (``__call__``) and the grid profile (``columns``)
-    both derive from ``eta_bounds`` with the same comparisons, so they cannot
-    disagree.
+    ``eta_bounds`` maps xi to (lo, hi), the column's interval [lo, hi); an
+    empty column has lo = +inf.  A column open at some b stores lo =
+    ``np.nextafter(b, np.inf)``, which holds the same floats, since none lies
+    strictly between b and its successor.  The symbol is 1 on that set and 0
+    off it.  Pointwise evaluation (``__call__``) and the grid profile
+    (``columns``) both derive from ``eta_bounds`` with the same comparisons,
+    so they cannot disagree.
 
     ``bbox`` is (xi_lo, xi_hi, eta_lo, eta_hi) outside which the symbol
     vanishes, or None for unbounded support.
@@ -57,7 +58,6 @@ class SymbolSpec:
     eta_bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     bbox: Optional[tuple[float, float, float, float]] = None
     label: str = ""
-    eta_lo_closed: bool = True
 
     def _bounds(self, xi):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -66,14 +66,13 @@ class SymbolSpec:
     def __call__(self, xi, eta):
         lo, hi = self._bounds(np.asarray(xi, dtype=float))
         eta = np.asarray(eta, dtype=float)
-        above = eta >= lo if self.eta_lo_closed else eta > lo
-        return np.where(above & (eta < hi), 1.0, 0.0)
+        return np.where((eta >= lo) & (eta < hi), 1.0, 0.0)
 
     def columns(self, xi, eta_sorted) -> tuple[np.ndarray, np.ndarray]:
         """Grid profile on xi x eta_sorted (eta ascending): column i is
         nonzero exactly at the eta indices lo_idx[i] <= k < hi_idx[i]."""
         lo, hi = self._bounds(np.asarray(xi, dtype=float))
-        lo_idx = np.searchsorted(eta_sorted, lo, side="left" if self.eta_lo_closed else "right")
+        lo_idx = np.searchsorted(eta_sorted, lo)
         return lo_idx, np.maximum(lo_idx, np.searchsorted(eta_sorted, hi, side="left"))
 
 
@@ -304,6 +303,7 @@ def hyp2_rewrite_pair(seq: SequencePair):
     if seq.b_inf is None or not math.isfinite(seq.b_inf):
         raise ValueError("limit required: rewrite needs a finite b_inf")
     b_inf = float(seq.b_inf)
+    above = np.nextafter(b_inf, np.inf)  # the eta-intervals are open at b_inf
     a = seq.a
     b = seq.b
     b_top = float(b[0])
@@ -314,19 +314,17 @@ def hyp2_rewrite_pair(seq: SequencePair):
         inside = (xi > a_lo) & (xi < a[0])
         if tail_truncated:
             inside = inside & (xi >= a[-1])
-        return _column(inside, b_inf, b_top)
+        return _column(inside, above, b_top)
 
     # complement step k = 0 .. len(a) - 2 is [a[k+1], a[k]) x (b_inf, b[k])
     edges, highs = a[::-1], b[-2::-1]
     rect = SymbolSpec(
         eta_bounds=rect_bounds,
-        eta_lo_closed=False,
         bbox=(a_lo, float(a[0]), b_inf, b_top),
         label="rewrite_rect" + ("_tail_truncated" if tail_truncated else ""),
     )
     comp = SymbolSpec(
-        eta_bounds=lambda xi: _step_bounds(xi, edges, b_inf, highs),
-        eta_lo_closed=False,
+        eta_bounds=lambda xi: _step_bounds(xi, edges, above, highs),
         bbox=(float(a[-1]), float(a[0]), b_inf, b_top),
         label="rewrite_complement",
     )
@@ -354,10 +352,12 @@ class FrequencyGrid:
 
 
 def sample_symbol(sym: SymbolSpec, grid: FrequencyGrid) -> np.ndarray:
-    """Row-major bitmap: entry [i, k] is the symbol at (xi_i, eta_k)."""
-    xi = grid.xi_values()[:, None]
-    eta = grid.eta_values()[None, :]
-    return sym(xi, eta)
+    """Row-major bitmap: entry [i, k] is the symbol at (xi_i, eta_k), read
+    off the grid profile ``sym.columns``."""
+    eta = grid.eta_values()
+    lo, hi = sym.columns(grid.xi_values(), eta)
+    k = np.arange(len(eta))
+    return ((k >= lo[:, None]) & (k < hi[:, None])).astype(float)
 
 
 def bitmap_to_pgm(bitmap: np.ndarray) -> str:

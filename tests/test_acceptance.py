@@ -189,10 +189,11 @@ def test_criterion_6_rewrite_identity():
 def test_criterion_7_engine_oracle():
     rng = np.random.default_rng(901)
     L = 16.0
-    # the half-plane of half_plane_evaluator as a column profile
+    # the half-plane of half_plane_evaluator as a column profile, open at
+    # its lower bound: the next float above the line
     sym = SymbolSpec(
-        eta_bounds=lambda xi: (np.where(xi < 0.8, xi * 0.4 - 0.3, np.inf), np.full_like(xi, np.inf)),
-        eta_lo_closed=False,
+        eta_bounds=lambda xi: (np.where(xi < 0.8, np.nextafter(xi * 0.4 - 0.3, np.inf), np.inf),
+                               np.full_like(xi, np.inf)),
     )
     ok = True
     for case in range(100):

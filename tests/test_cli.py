@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from bmlab import cli, engine, intervals, whitney
+from bmlab import cli, engine, intervals, symbols, whitney
 from bmlab.cli import main
-from bmlab.config import MAX_RESOLUTION, ConfigError, RunConfig
+from bmlab.config import MAX_RESOLUTION, SYMBOL_KINDS, ConfigError, RunConfig
+from oracles import csv_text_by_rows
 
 
 BASE_CONFIG = """
@@ -680,6 +681,37 @@ def test_symbol_rejects_empty_grid(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+# [symbol] window per kind over the J = 6 hyperboloid (a in (0, 0.58], b in
+# [1, 1.16)); None keeps the staircase's bounding box
+SYMBOL_WINDOWS = {
+    "staircase": None,
+    "epigraph": "0 0.6 0.95 1.2",
+    "polygonal": "-0.05 0.65 0.98 1.18",
+    "exponential_paraproduct": "-7.5 6.5 -4 132",
+    "constant": "-1 1 -1 1",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SYMBOL_KINDS))
+def test_symbol_files_are_the_pointwise_bitmap(tmp_path, kind):
+    # only the staircase is in the CLI goldens: every kind's PGM and CSV are
+    # the bytes of its pointwise bitmap sym(xi, eta) at the cell centres
+    cfg = write_config(tmp_path, symbol=kind)
+    if SYMBOL_WINDOWS[kind] is not None:
+        _edit_config(cfg, "ny = 32\n", f"ny = 32\nwindow = {SYMBOL_WINDOWS[kind]}\n")
+    assert main(["symbol", "--config", cfg]) == 0
+    run = RunConfig.from_file(cfg)
+    sym = run.symbol()
+    grid = symbols.FrequencyGrid(window=run.window or sym.bbox, nx=32, ny=32)
+    xi, eta = grid.xi_values(), grid.eta_values()
+    bitmap = sym(xi[:, None], eta[None, :])
+    assert bitmap.any() and (kind == "constant" or not bitmap.all())
+    base = tmp_path / "out" / f"symbol_{kind}"
+    assert (base.with_suffix(".pgm")).read_text() == symbols.bitmap_to_pgm(bitmap)
+    cells = zip(np.repeat(xi, 32), np.tile(eta, 32), bitmap.ravel())
+    assert (base.with_suffix(".csv")).read_text() == csv_text_by_rows(["xi", "eta", "amplitude"], cells)
+
+
 @pytest.mark.parametrize(
     "old,new,key",
     [
@@ -834,6 +866,21 @@ positional arguments:
   g_file           CSV of (re,im) samples for the second input
 """
     assert capsys.readouterr().out == usage + "\n" + SHARED_OPTIONS_HELP
+
+
+def test_main_calls_each_subcommand_through_its_module_attribute(tmp_path, monkeypatch):
+    # main names cli.cmd_* at call time, so a rebound attribute (as the span
+    # tracer installs) is the function that runs, with the parsed files
+    cfg = write_config(tmp_path)
+    calls = []
+    commands = {"analyze": [], "check_hyp": [], "symbol": [], "apply": ["f.csv", "g.csv"], "probe": [],
+                "chain": [], "whitney": []}
+    for name in commands:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda run, *files, name=name: calls.append((name, run, files)) or 5)
+    for name, files in commands.items():
+        assert main([name.replace("_", "-"), *files, "--config", cfg]) == 5
+    assert [(name, files) for name, _, files in calls] == [(name, tuple(files)) for name, files in commands.items()]
+    assert all(isinstance(run, RunConfig) for _, run, _ in calls)
 
 
 def test_cli_outputs_match_golden(tmp_path):

@@ -5,15 +5,20 @@ step-by-step evaluator from ``oracles.py`` (pointwise, through its grid
 profile and through ``sample_symbol``), and its profile-based application is
 checked against the direct double sum.  The dyadic sequences put the step
 edges a_j, b_j on the frequency lattice 1/L, so grid frequencies land exactly
-on the boundaries where the closure conventions matter.
+on the boundaries where the closure conventions matter.  ``sample_symbol``
+reads the profile, so it is also checked against pointwise evaluation on
+grids whose eta cell centres are column bounds.
 """
 
+import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from bmlab import curves
+from bmlab.config import SYMBOL_KINDS, RunConfig
 from bmlab.engine import SampledFunction, apply_bilinear
 from bmlab.symbols import (
     FrequencyGrid,
@@ -129,3 +134,99 @@ def test_profile_apply_memory_at_large_N(kind):
         tracemalloc.stop()
     assert out.N == 2 * N and np.any(out.samples != 0)
     assert peak < 16 * 2**20
+
+
+# the rewrite pair at b_inf = 0.0 (power law) and 1.0 (hyperboloid), beside
+# the dyadic b_inf = 3/8 of CASES
+CURVED_REWRITES = [(curves.build_dyadic_slope_sequence(curves.power_law(1.0), 6), "power_law"),
+                   (HYPER, "hyperboloid")]
+REWRITE_SEQUENCES = [(DYADIC, "truncated"), (DYADIC_FINITE_TAIL, "finite_tail"), *CURVED_REWRITES]
+
+
+def _exactness_cases():
+    for name, sym, _, (N, L) in CASES:
+        yield name, sym, (-N / (2 * L), N / (2 * L))
+    for seq, tag in CURVED_REWRITES:
+        window = (float(seq.a[-1]) - 1 / 8, float(seq.a[0]) + 1 / 8)
+        for sym in hyp2_rewrite_pair(seq):
+            yield f"{sym.label}_{tag}", sym, window
+    for family, c in (("hyperboloid", None), ("power_law", 1.0)):
+        cfg = RunConfig(family=family, c=c, J=6)
+        a = cfg.sequence().a
+        pad = 0.25 * float(np.ptp(a))
+        for kind, build in SYMBOL_KINDS.items():
+            xi_window = ((-cfg.J - 1.5, cfg.J + 0.5) if kind == "exponential_paraproduct"
+                         else (float(a.min()) - pad, float(a.max()) + pad))
+            yield f"{kind}-{family}", build(cfg), xi_window
+
+
+EXACT_CASES = list(_exactness_cases())
+
+
+def _finite_bounds(sym, xi_window, nx=64):
+    """The finite column bounds of ``sym`` at the xi cell centres of
+    ``xi_window``, ascending."""
+    xi = FrequencyGrid(window=(*xi_window, 0.0, 1.0), nx=nx, ny=1).xi_values()
+    with np.errstate(all="ignore"):
+        bounds = np.unique(np.concatenate(sym.eta_bounds(xi)))
+    return bounds[np.isfinite(bounds)]
+
+
+def _grid_on(v, xi_window, nx=64):
+    """A 32-row grid with an eta cell centre exactly at ``v``: the width is a
+    power of two near |v|/32, so the window ends and the centres are exact
+    unless the window crosses into a coarser binade."""
+    width = 2.0 ** (math.frexp(v)[1] - 5) if v else 1.0
+    for k in (16, 31, 0):  # near the middle, or clear of the binade above or below v
+        lo = v - width * (2 * k + 1) / 64
+        grid = FrequencyGrid(window=(*xi_window, lo, lo + width), nx=nx, ny=32)
+        if v in grid.eta_values():
+            return grid
+    raise AssertionError(f"no grid centres {v!r}")
+
+
+@pytest.mark.parametrize("name,sym,xi_window", EXACT_CASES, ids=[case[0] for case in EXACT_CASES])
+def test_sample_symbol_is_the_pointwise_bitmap(name, sym, xi_window):
+    # sample_symbol reads sym.columns; sym(xi, eta) compares each pixel with
+    # the column bounds, so the two must agree on every pixel, and most of
+    # all on the grids with a cell centre on a bound
+    bounds = _finite_bounds(sym, xi_window)
+    eta_window = (bounds[0] - 1 / 8, bounds[-1] + 1 / 8) if len(bounds) else (-1.0, 1.0)
+    wide = FrequencyGrid(window=(*xi_window, *eta_window), nx=64, ny=257)
+    for grid in [wide, *(_grid_on(v, xi_window) for v in bounds.tolist())]:
+        want = sym(grid.xi_values()[:, None], grid.eta_values()[None, :])
+        assert np.array_equal(sample_symbol(sym, grid), want)
+        assert grid is not wide or want.any()
+
+
+@dataclass(frozen=True)
+class AxesGrid:
+    """A grid given by its two axes, for eta values that no uniform window
+    has as cell centres (a float and its neighbours)."""
+
+    xi: np.ndarray
+    eta: np.ndarray
+
+    def xi_values(self):
+        return self.xi
+
+    def eta_values(self):
+        return self.eta
+
+
+@pytest.mark.parametrize("seq,tag", REWRITE_SEQUENCES, ids=[tag for _, tag in REWRITE_SEQUENCES])
+def test_rewrite_pair_is_open_at_b_inf(seq, tag):
+    # the pair stores its open lower bound b_inf as the next float above it;
+    # on eta axes holding b_inf, its two neighbours and +-0.0 the sampled
+    # bitmap, pointwise evaluation and the literal evaluator (eta > b_inf) agree
+    b_inf = float(seq.b_inf)
+    xi = np.sort(np.concatenate([seq.a, np.linspace(float(seq.a[-1]) - 1 / 8, float(seq.a[0]) + 1 / 8, 48)]))
+    near = [np.nextafter(b_inf, -np.inf), b_inf, np.nextafter(b_inf, np.inf), -0.0, 0.0]
+    eta = np.sort(np.concatenate([near, seq.b, np.linspace(b_inf - 1 / 4, float(seq.b[0]) + 1 / 4, 40)]))
+    grid = AxesGrid(xi, eta)
+    for sym, ev in zip(hyp2_rewrite_pair(seq), oracles.hyp2_rewrite_evaluators(seq)):
+        want = ev(xi[:, None], eta[None, :])
+        assert np.array_equal(sym(xi[:, None], eta[None, :]), want)
+        assert np.array_equal(sample_symbol(sym, grid), want)
+        column = want[np.argmax(want.any(axis=1))]
+        assert column[eta == b_inf].max() == 0.0 and column[eta == near[2]].max() == 1.0

@@ -215,7 +215,8 @@ def test_sample_symbol_all_ones_and_half_plane():
     assert np.array_equal(ones, np.ones((64, 64)))
     from bmlab.symbols import SymbolSpec
 
-    half = SymbolSpec(eta_bounds=lambda xi: (xi, np.full_like(xi, np.inf)), eta_lo_closed=False)
+    # open at eta = xi: the lower bound is the next float above xi
+    half = SymbolSpec(eta_bounds=lambda xi: (np.nextafter(xi, np.inf), np.full_like(xi, np.inf)))
     bitmap = sample_symbol(half, grid)
     off_diag = 64 * 64 - 64  # symmetric window: centers pair off across the diagonal
     assert int(bitmap.sum()) == off_diag // 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from bmlab import cli, curves, reporting, whitney
+from bmlab import cli, curves, reporting, symbols, whitney
 from bmlab.config import RunConfig
 from bmlab.bumps import fejer_sq_spectrum
 from bmlab.engine import SampledFunction, _freq_grid, _pad, _period_pairing, _synthesize
@@ -437,48 +437,77 @@ def test_write_csv_memory_follows_one_column_at_a_time(tmp_path):
     assert peak <= 22 * 2**20, peak / 2**20
 
 
-def _grid_csv_by_cells(header, xi, eta, values):
-    nx, ny = values.shape
-    return csv_text_by_rows(header, zip(np.repeat(xi, ny), np.tile(eta, nx), values.ravel()))
+def _grid_csv_by_cells(header, xi, eta, lo, hi):
+    k = np.arange(len(eta))
+    values = ((k >= lo[:, None]) & (k < hi[:, None])).astype(float)
+    return csv_text_by_rows(header, zip(np.repeat(xi, len(eta)), np.tile(eta, len(xi)), values.ravel()))
 
 
+def _random_profile(rng, nx, ny):
+    """Eta-index ranges lo <= hi of nx columns over ny slots: each column
+    drawn at random, empty (at a random index), full or one slot wide."""
+    lo, hi = np.sort(rng.integers(ny + 1, size=(2, nx)), axis=0)
+    shape = rng.integers(4, size=nx)
+    hi = np.where(shape == 1, lo, hi)
+    lo, hi = np.where(shape == 2, 0, lo), np.where(shape == 2, ny, hi)
+    if ny:
+        one = shape == 3
+        lo = np.where(one, np.minimum(lo, ny - 1), lo)
+        hi = np.where(one, lo + 1, hi)
+    return lo, hi
+
+
+EDGE_FLOATS = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0])
+
+
+# kind names the axes: "bitmap" cell centres of a window, "normal" floats
+# drawn from a normal law, "edge" xi from EDGE_FLOATS and eta starting -0.0, 0.0
 @pytest.mark.parametrize("nx, ny, kind", [
     (1, 1, "normal"), (1, 9, "normal"), (9, 1, "normal"), (3, 40, "normal"), (24, 16, "bitmap"),
     (7, 6, "edge"), (3, reporting.CSV_BLOCK_ROWS // 3 + 1, "bitmap"), (1, reporting.CSV_BLOCK_ROWS + 1, "edge"),
-    (0, 4, "bitmap"), (4, 0, "bitmap"),
+    (0, 4, "bitmap"), (4, 0, "bitmap"), (0, 0, "bitmap"), (1, 0, "bitmap"), (0, 1, "bitmap"),
+    (2, reporting.CSV_BLOCK_ROWS // 2, "bitmap"), (3, reporting.CSV_BLOCK_ROWS // 2, "bitmap"),
+    (reporting.CSV_BLOCK_ROWS, 1, "normal"), (reporting.CSV_BLOCK_ROWS + 1, 1, "edge"),
 ])
 def test_write_grid_csv_matches_per_cell_rows(tmp_path, nx, ny, kind):
     rng = np.random.default_rng(nx * 1000 + ny)
-    xi, eta = rng.normal(size=nx), np.linspace(-1.0, 1.0, ny)
-    if kind == "normal":  # more distinct values than xi rows where ny > 1
-        values = rng.normal(size=(nx, ny))
-    elif kind == "bitmap":
-        values = (rng.random((nx, ny)) < 0.3).astype(float)
+    if kind == "bitmap":
+        grid = symbols.FrequencyGrid(window=(-2.0, 0.0, 0.0, 1.0), nx=nx, ny=ny)
+        xi, eta = grid.xi_values(), grid.eta_values()
+    elif kind == "normal":
+        xi, eta = rng.normal(size=nx), np.sort(rng.normal(size=ny))
     else:
-        edge = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0])
-        values = edge[rng.integers(len(edge), size=(nx, ny))]
+        xi, eta = EDGE_FLOATS[rng.integers(len(EDGE_FLOATS), size=nx)], np.linspace(-1.0, 1.0, ny)
         eta[: min(ny, 2)] = [-0.0, 0.0][: min(ny, 2)]
+    lo, hi = _random_profile(rng, nx, ny)
     path = tmp_path / "g.csv"
     header = ["xi", "eta", "amplitude"]
-    reporting.write_grid_csv(str(path), header, xi, eta, values)
-    assert path.read_text() == _grid_csv_by_cells(header, xi, eta, values)
+    reporting.write_grid_csv(str(path), header, xi, eta, lo, hi)
+    # compared line by line: pytest would diff a failing pair of whole texts for minutes
+    assert path.read_text().split("\n") == _grid_csv_by_cells(header, xi, eta, lo, hi).split("\n")
 
 
 def test_write_grid_csv_validation(tmp_path):
-    with pytest.raises(ValueError, match="shape"):
-        reporting.write_grid_csv(str(tmp_path / "g.csv"), ["a", "b", "c"], np.zeros(3), np.zeros(4), np.zeros((4, 3)))
+    path = tmp_path / "g.csv"
+    for n_lo, n_hi in ((2, 3), (3, 4)):
+        with pytest.raises(ValueError, match=f"{n_lo} lo and {n_hi} hi entries for 3 xi rows"):
+            reporting.write_grid_csv(str(path), ["a", "b", "c"], np.zeros(3), np.zeros(4),
+                                     np.zeros(n_lo, int), np.zeros(n_hi, int))
+    assert not path.exists()
 
 
 def test_write_grid_csv_memory_on_the_pipeline_bitmap(tmp_path):
-    # the cli_pipeline symbol's 512 x 512 grid; the (nx*ny,) repeat/tile columns
-    # that write_csv would take, with its sort of them, peak at about 18 MiB
+    # the cli_pipeline symbol's 512 x 512 grid, whose columns are eta-suffixes;
+    # the (nx*ny,) repeat/tile columns that write_csv would take, with its sort
+    # of them, peak at about 18 MiB
     nx = ny = 512
     xi, eta = np.linspace(-2.0, 0.0, nx), np.linspace(0.0, 1.0, ny)
     values = (np.add.outer(xi, eta) > -0.5).astype(float)
+    lo, hi = ny - values.sum(axis=1).astype(int), np.full(nx, ny)
     path = tmp_path / "g.csv"
     tracemalloc.start()
     try:
-        reporting.write_grid_csv(str(path), ["xi", "eta", "amplitude"], xi, eta, values)
+        reporting.write_grid_csv(str(path), ["xi", "eta", "amplitude"], xi, eta, lo, hi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -306,7 +306,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)  # the options every subcommand shares
     common.add_argument("--config", required=True, help="path to the run config file")
     common.add_argument("--out", help="output directory override")
-    common.add_argument("--seed", type=int, help="seed override")
 
     def add(name, help_text, run, extra=()):
         # ``run`` names its cmd_* function at call time, so a rebound module attribute is the one called
@@ -337,8 +336,6 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_file(args.config)
         if args.out is not None:
             cfg.out_dir = args.out
-        if args.seed is not None:
-            cfg.seed = args.seed
         cfg.validate()
         return args.run(cfg, args)
     except ConfigError as exc:

@@ -3,7 +3,7 @@
 The format is INI as read by :mod:`configparser`.  Everything that affects a
 run lives in the file (the seed included; there are no wall-clock defaults),
 so identical config bytes reproduce identical outputs.  The only override
-hooks are the output directory and the seed, both exposed as CLI flags.
+hook is the output directory, exposed as the CLI flag ``--out``.
 """
 
 from __future__ import annotations

@@ -87,49 +87,41 @@ def neg_minkowski_sum(A: HalfOpenInterval, B: HalfOpenInterval) -> HalfOpenInter
     return HalfOpenInterval(lo=lo, hi=hi, closure=closure)
 
 
-def staircase_steps(seq: SequencePair) -> list[tuple[HalfOpenInterval, HalfOpenInterval]]:
-    """The steps (A_j, B_j) = ([a_{j+1}, a_j), [b_j, b_0)) of a decreasing
-    pair's staircase over its segments j but the first, which pairs with the
-    empty column [b_0, b_0) and is skipped."""
-    b0 = seq.b_at(seq.j0)
-    return [
-        (HalfOpenInterval(seq.a_at(j + 1), seq.a_at(j)), HalfOpenInterval(seq.b_at(j), b0))
-        for j in seq.segments()[1:]
-    ]
-
-
-def build_hyp_collection(seq: SequencePair, which: str) -> tuple[HalfOpenInterval, ...]:
-    """The negated Minkowski-sum family attached to a sequence pair.
+def staircase_steps(seq: SequencePair, which: str = "hyp1") -> list[tuple[HalfOpenInterval, HalfOpenInterval]]:
+    """The steps (A_j, B_j) of a sequence pair's interval family.
 
     For decreasing pairs, ``hyp1`` pairs the step [a_{j+1}, a_j) with the
-    column [b_j, b_0) and ``hyp2`` pairs it with (b_inf, b_j), represented
-    here as [b_inf, b_j) so that the two-closure algebra stays exact (the
-    representation is a superset by one endpoint, conservative for
-    disjointness).  For increasing pairs ``hyp1`` builds the nested family
-    -(u_0, u_j] - [v_j, v_{j+1}).  Item k is segment j = j0 + 1 + k of a
-    ``hyp1`` family and j = j0 + k of ``hyp2``.
+    column [b_j, b_0) over the segments j but the first (which pairs with the
+    empty column [b_0, b_0)), and ``hyp2`` pairs it with (b_inf, b_j) over
+    every segment, represented here as [b_inf, b_j) so that the two-closure
+    algebra stays exact (a superset by one endpoint, conservative for
+    disjointness).  For increasing pairs ``hyp1`` builds the nested steps
+    ((u_0, u_j], [v_j, v_{j+1})) over the segments but the first.
     """
     if which not in ("hyp1", "hyp2"):
         raise ValueError("which must be 'hyp1' or 'hyp2'")
-    items = []
+    js = seq.segments()
     if seq.direction == "increasing":
         if which != "hyp1":
             raise ValueError("increasing pairs support only the hyp1-style family")
         u0 = seq.a_at(seq.j0)
-        for j in seq.segments()[1:]:
-            A = HalfOpenInterval(u0, seq.a_at(j), closure="left_open")
-            B = HalfOpenInterval(seq.b_at(j), seq.b_at(j + 1), closure="right_open")
-            items.append(neg_minkowski_sum(A, B))
-        return tuple(items)
+        return [(HalfOpenInterval(u0, seq.a_at(j), closure="left_open"),
+                 HalfOpenInterval(seq.b_at(j), seq.b_at(j + 1))) for j in js[1:]]
     if which == "hyp1":
-        return tuple(neg_minkowski_sum(A, B) for A, B in staircase_steps(seq))
+        b0 = seq.b_at(seq.j0)
+        return [(HalfOpenInterval(seq.a_at(j + 1), seq.a_at(j)), HalfOpenInterval(seq.b_at(j), b0))
+                for j in js[1:]]
     if seq.b_inf is None or not math.isfinite(seq.b_inf):
         raise ValueError("limit required: hyp2 needs a finite b_inf")
-    for j in seq.segments():
-        A = HalfOpenInterval(seq.a_at(j + 1), seq.a_at(j), closure="right_open")
-        B = HalfOpenInterval(seq.b_inf, seq.b_at(j), closure="right_open")
-        items.append(neg_minkowski_sum(A, B))
-    return tuple(items)
+    return [(HalfOpenInterval(seq.a_at(j + 1), seq.a_at(j)), HalfOpenInterval(seq.b_inf, seq.b_at(j)))
+            for j in js]
+
+
+def build_hyp_collection(seq: SequencePair, which: str) -> tuple[HalfOpenInterval, ...]:
+    """The negated Minkowski sums -A_j - B_j of ``staircase_steps(seq, which)``.
+    Item k is segment j = j0 + 1 + k of a ``hyp1`` family and j = j0 + k of
+    ``hyp2``."""
+    return tuple(neg_minkowski_sum(A, B) for A, B in staircase_steps(seq, which))
 
 
 @dataclass

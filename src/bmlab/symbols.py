@@ -44,7 +44,7 @@ class SymbolSpec:
     in one eta-interval.
 
     ``eta_bounds`` maps xi to (lo, hi), the column's interval [lo, hi); an
-    empty column has lo = +inf.  A column open at some b stores lo =
+    empty column has lo >= hi.  A column open at some b stores lo =
     ``np.nextafter(b, np.inf)``, which holds the same floats, since none lies
     strictly between b and its successor.  The symbol is 1 on that set and 0
     off it.  Pointwise evaluation (``__call__``) and the grid profile
@@ -81,6 +81,15 @@ def _column(inside, lo, hi):
     return np.where(inside, lo, np.inf), np.where(inside, hi, np.inf)
 
 
+def _steps(seq: SequencePair):
+    """The steps of a decreasing pair in ascending xi: step i spans
+    [edges[i], edges[i+1]) and its column has the b of its right edge,
+    edges = a_last .. a_first and b = b_{last-1} .. b_first."""
+    if seq.direction != "decreasing":
+        raise ValueError("steps are built from decreasing pairs")
+    return seq.a[::-1], seq.b[-2::-1]
+
+
 def _step_bounds(xi, edges, lo, hi):
     """Column bounds of xi-disjoint steps: step i spans [edges[i], edges[i+1])
     in xi (edges ascending) and has eta-bounds lo[i], hi[i]."""
@@ -113,17 +122,15 @@ def rectangle_symbol(xi_iv, eta_iv) -> SymbolSpec:
 def staircase_symbol(seq: SequencePair) -> SymbolSpec:
     """Sum over j of 1_[a_{j+1}, a_j)(xi) * 1_[b_j, b_top)(eta), decreasing pairs.
 
-    b_top is the first stored b; the leading step is empty and the sum runs
-    from the next index through the truncation.
+    b_top is the first stored b, so the leading step's column [b_top, b_top)
+    is empty.
     """
     if seq.direction != "decreasing":
         raise ValueError("use increasing_staircase_symbol for increasing pairs")
     a = seq.a
     b = seq.b
     b_top = float(b[0])
-    # stored step k = 1 .. len(a) - 2 is [a[k+1], a[k]) x [b[k], b_top); in
-    # ascending xi order the edges are a[-1] .. a[1] and the lower bounds b[-2] .. b[1]
-    edges, lows = a[:0:-1], b[-2:0:-1]
+    edges, lows = _steps(seq)
     bbox = (float(a[-1]), float(a[1]), float(b[-1]), b_top)
     return SymbolSpec(
         eta_bounds=lambda xi: _step_bounds(xi, edges, lows, b_top), bbox=bbox, label="staircase"
@@ -250,9 +257,9 @@ def exponential_paraproduct_symbols(J: int):
     """
     if J < 1:
         raise ValueError("J must be positive")
-    # m1 in ascending xi order: step i = J - j spans [-(J+1-i), -(J-i))
-    edges1 = -np.arange(J + 1.0, -1.0, -1.0)
-    lows1 = 2.0 ** -np.arange(J, -1.0, -1.0)
+    # m1 is the staircase of the pair (-j, 2^-j), j = 0 .. J + 1
+    j = np.arange(J + 2.0)
+    edges1, lows1 = _steps(SequencePair(-j, 2.0**-j))
     js = np.arange(1.0, J + 1.0)
 
     def bounds2(xi):
@@ -296,7 +303,8 @@ def hyp2_rewrite_pair(seq: SequencePair):
     sum over j of 1_[a_{j+1}, a_j)(xi) * 1_(b_inf, b_j)(eta).  When a_inf is
     -infinity the rectangle's xi-side is truncated to [a_last, a_first) and
     flagged.  rect - complement equals the staircase pointwise for xi in the
-    resolved strip [a_last, a_first).
+    resolved strip [a_last, a_first).  An open end a_inf is stored as the
+    next float above it, as ``SymbolSpec`` stores open lower bounds.
     """
     if seq.direction != "decreasing":
         raise ValueError("rewrite applies to decreasing pairs")
@@ -305,22 +313,14 @@ def hyp2_rewrite_pair(seq: SequencePair):
     b_inf = float(seq.b_inf)
     above = np.nextafter(b_inf, np.inf)  # the eta-intervals are open at b_inf
     a = seq.a
-    b = seq.b
-    b_top = float(b[0])
+    b_top = float(seq.b[0])
+    edges, highs = _steps(seq)
     tail_truncated = seq.a_inf is None or not math.isfinite(seq.a_inf)
-    a_lo = float(a[-1]) if tail_truncated else float(seq.a_inf)
-
-    def rect_bounds(xi):
-        inside = (xi > a_lo) & (xi < a[0])
-        if tail_truncated:
-            inside = inside & (xi >= a[-1])
-        return _column(inside, above, b_top)
-
-    # complement step k = 0 .. len(a) - 2 is [a[k+1], a[k]) x (b_inf, b[k])
-    edges, highs = a[::-1], b[-2::-1]
+    a_end = float(a[-1]) if tail_truncated else float(seq.a_inf)
+    xi_lo = a_end if tail_truncated else np.nextafter(a_end, np.inf)
     rect = SymbolSpec(
-        eta_bounds=rect_bounds,
-        bbox=(a_lo, float(a[0]), b_inf, b_top),
+        eta_bounds=lambda xi: _step_bounds(xi, (xi_lo, a[0]), above, b_top),
+        bbox=(a_end, float(a[0]), b_inf, b_top),
         label="rewrite_rect" + ("_tail_truncated" if tail_truncated else ""),
     )
     comp = SymbolSpec(

@@ -71,6 +71,26 @@ def bilinear_dense_table(ev, f, g):
     return SampledFunction.from_coeffs(out, f.L).samples
 
 
+def bilinear_integer_sum(sym, c, d, N, L):
+    """The bilinear action of the pointwise symbol ``sym`` on the (N, L) grid
+    in int64 arithmetic: the dense indicator sym(xi_k, xi_l) times c_k d_l,
+    summed along each anti-diagonal k + l into output slot k + l of the 2N
+    grid.  c and d must be Gaussian integers; the result is exact as complex
+    while its parts stay below 2^53."""
+    parts = [np.asarray(v) for v in (c.real, c.imag, d.real, d.imag)]
+    if not all(np.array_equal(v, np.round(v)) for v in parts):
+        raise ValueError("c and d must be Gaussian integers")
+    cr, ci, dr, di = (v.astype(np.int64) for v in parts)
+    freqs = _freq_grid(N, L)
+    M = sym(freqs[:, None], freqs[None, :]).astype(np.int64)
+    k = np.arange(N)
+    slot = (k[:, None] + k[None, :]).ravel()
+    out = np.zeros((2, 2 * N), dtype=np.int64)
+    np.add.at(out[0], slot, (M * (np.outer(cr, dr) - np.outer(ci, di))).ravel())
+    np.add.at(out[1], slot, (M * (np.outer(cr, di) + np.outer(ci, dr))).ravel())
+    return out[0] + 1j * out[1]
+
+
 # --- the centered layout through numpy's shift routines ----------------------------
 # The engine's layout helpers as first written, with np.fft.fftshift/ifftshift,
 # np.roll and a padded np.where; the engine swaps halves with slices instead.
@@ -449,13 +469,11 @@ def hyp2_rewrite_evaluators(seq):
     a, b = seq.a, seq.b
     b_inf, b_top = float(seq.b_inf), float(b[0])
     truncated = seq.a_inf is None or not np.isfinite(seq.a_inf)
-    a_lo = float(a[-1]) if truncated else float(seq.a_inf)
 
     def ev_rect(xi, eta):
-        inside = (xi > a_lo) & (xi < a[0]) & (eta > b_inf) & (eta < b_top)
-        if truncated:
-            inside = inside & (xi >= a[-1])
-        return inside.astype(float)
+        # a truncated tail closes the rectangle at a_last, as the staircase is
+        left = (xi >= a[-1]) if truncated else (xi > float(seq.a_inf))
+        return (left & (xi < a[0]) & (eta > b_inf) & (eta < b_top)).astype(float)
 
     def ev_comp(xi, eta):
         out = np.zeros(np.broadcast(xi, eta).shape)

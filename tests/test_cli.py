@@ -4,6 +4,7 @@ import json
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,11 +155,20 @@ def test_probe_determinism(tmp_path):
     assert rep["worst_growth"] < 1.5
 
 
-def test_seed_override_changes_probe(tmp_path):
+def test_seed_is_read_only_from_the_config(tmp_path):
+    # no flag overrides the seed, so a run's config_sha256 names its seed
     cfg = write_config(tmp_path)
-    assert main(["probe", "--config", cfg, "--out", str(tmp_path / "o1")]) == 0
-    assert main(["probe", "--config", cfg, "--out", str(tmp_path / "o3"), "--seed", "8"]) == 0
-    assert (tmp_path / "o1" / "probe.csv").read_bytes() != (tmp_path / "o3" / "probe.csv").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--config", cfg, "--seed", "8"])
+    assert exc.value.code == 2
+    other = tmp_path / "seed8.ini"
+    other.write_text(Path(cfg).read_text().replace("seed = 7", "seed = 8"))
+    runs = []
+    for path, out in ((cfg, "o1"), (str(other), "o3")):
+        assert main(["probe", "--config", path, "--out", str(tmp_path / out)]) == 0
+        runs.append(((tmp_path / out / "probe.csv").read_bytes(),
+                     json.loads((tmp_path / out / "probe.json").read_text())["config_sha256"]))
+    assert runs[0][0] != runs[1][0] and runs[0][1] != runs[1][1]
 
 
 def test_whitney_report(tmp_path):
@@ -361,9 +371,10 @@ def test_deep_J_stops_at_the_first_unseparated_point(tmp_path, capsys, J):
         "the points of slopes 2^-26 and 2^-27; largest feasible J is 25\n")
 
 
-def test_negative_seed_override_is_named(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    assert main(["probe", "--config", cfg, "--seed", "-1"]) == 2
+def test_negative_seed_is_named(tmp_path, capsys):
+    cfg = tmp_path / "negative_seed.ini"
+    cfg.write_text(Path(write_config(tmp_path)).read_text().replace("seed = 7", "seed = -1"))
+    assert main(["probe", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == "config error: [probe] seed must be at least 0\n"
 
 
@@ -846,7 +857,6 @@ options:
   -h, --help       show this help message and exit
   --config CONFIG  path to the run config file
   --out OUT        output directory override
-  --seed SEED      seed override
 """
 
 
@@ -856,11 +866,10 @@ def test_every_subcommand_help_lists_the_shared_options(capsys, monkeypatch, com
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
-    usage = f"usage: bmlab {command} [-h] --config CONFIG [--out OUT] [--seed SEED]\n"
+    files = " f_file g_file" if command == "apply" else ""
+    usage = f"usage: bmlab {command} [-h] --config CONFIG [--out OUT]{files}\n"
     if command == "apply":
-        usage += """\
-                   f_file g_file
-
+        usage += """
 positional arguments:
   f_file           CSV of (re,im) samples for the first input
   g_file           CSV of (re,im) samples for the second input

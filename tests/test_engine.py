@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmlab import curves, engine
+from bmlab.config import SYMBOL_KINDS, RunConfig
 from bmlab.engine import (
     ExponentTriple,
     SampledFunction,
@@ -20,13 +21,15 @@ from bmlab.engine import (
     norm_probe,
 )
 from bmlab.intervals import HalfOpenInterval, build_hyp_collection, staircase_steps
-from bmlab.symbols import SymbolSpec, constant_symbol, rectangle_symbol, staircase_symbol
+from bmlab.symbols import (SymbolSpec, constant_symbol, exponential_paraproduct_sum, hyp2_rewrite_pair,
+                           rectangle_symbol, staircase_symbol)
 
 from oracles import (
     SCALAR_TRIAL_FAMILIES,
     analyze_shifted,
     bilinear_dense_table,
     bilinear_double_sum,
+    bilinear_integer_sum,
     carleson_maximal_dense,
     holder_chain_by_families,
     half_plane_evaluator,
@@ -206,6 +209,49 @@ def test_dense_table_matches_double_sum(rng):
     dense = bilinear_dense_table(half_plane_evaluator, f, g)
     slow = bilinear_double_sum(half_plane_evaluator, f, g)
     assert np.max(np.abs(dense - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+def gaussian_integers(rng, N):
+    """N coefficients with integer parts, |Re|, |Im| < 1000: every product
+    and partial sum of the block action is an integer below 2^53, so exact."""
+    return rng.integers(-999, 1000, N) + 1j * rng.integers(-999, 1000, N)
+
+
+def _integer_cases():
+    for family, c in (("hyperboloid", None), ("power_law", 1.0)):
+        cfg = RunConfig(family=family, c=c)
+        for kind, build in SYMBOL_KINDS.items():
+            yield f"{kind}-{family}", build(cfg), cfg.L
+        for sym in hyp2_rewrite_pair(cfg.sequence()):
+            yield f"{sym.label}-{family}", sym, cfg.L
+    yield "exponential_paraproduct_sum(8)", exponential_paraproduct_sum(8), 32.0
+
+
+INTEGER_CASES = list(_integer_cases())
+
+
+@pytest.mark.parametrize("name,sym,L", INTEGER_CASES, ids=[case[0] for case in INTEGER_CASES])
+def test_block_action_is_the_integer_sum_exactly(rng, name, sym, L):
+    # on Gaussian-integer inputs the block action has no rounding, so it must
+    # equal the int64 anti-diagonal sums of the dense indicator in every slot
+    live = False
+    for N in (32, 64, 128, 256):
+        c, d = gaussian_integers(rng, N), gaussian_integers(rng, N)
+        want = bilinear_integer_sum(sym, c, d, N, L)
+        assert np.array_equal(engine._bilinear_action(sym, engine._freq_grid(N, L))(c, d), want)
+        live = live or want.any()
+    assert live
+
+
+@pytest.mark.parametrize("N", [512, 1024, 2048])
+def test_rewrite_action_is_the_staircase_action_exactly(rng, power1_seq, N):
+    # at L = 32 from N = 1024 on, a_last = -16 of power_law(1) at J = 8 is a
+    # grid slot, where the rectangle must be closed as the staircase is
+    seq = power1_seq.truncate(8)
+    freqs = engine._freq_grid(N, 32.0)
+    c, d = gaussian_integers(rng, N), gaussian_integers(rng, N)
+    rect, comp = (engine._bilinear_action(sym, freqs)(c, d) for sym in hyp2_rewrite_pair(seq))
+    assert np.array_equal(rect - comp, engine._bilinear_action(staircase_symbol(seq), freqs)(c, d))
 
 
 def test_mismatched_grids_rejected(rng):

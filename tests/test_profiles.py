@@ -19,7 +19,7 @@ import pytest
 
 from bmlab import curves
 from bmlab.config import SYMBOL_KINDS, RunConfig
-from bmlab.engine import SampledFunction, apply_bilinear
+from bmlab.engine import SampledFunction, _freq_grid, apply_bilinear
 from bmlab.symbols import (
     FrequencyGrid,
     boundary_piece_symbol,
@@ -230,3 +230,29 @@ def test_rewrite_pair_is_open_at_b_inf(seq, tag):
         assert np.array_equal(sample_symbol(sym, grid), want)
         column = want[np.argmax(want.any(axis=1))]
         assert column[eta == b_inf].max() == 0.0 and column[eta == near[2]].max() == 1.0
+
+
+STRIP_CURVES = [("power_law", curves.power_law(1.0)), ("rational", curves.rational(1.0)),
+                ("arctan", curves.arctan_curve()), ("hyperboloid", curves.hyperboloid())]
+
+
+@pytest.mark.parametrize("name,curve", STRIP_CURVES, ids=[name for name, _ in STRIP_CURVES])
+def test_rewrite_is_the_staircase_on_the_whole_strip(name, curve):
+    # rect - comp = staircase at every point of [a_last, a_first), a_last
+    # included: on frequency grids where a_last = -16 of power_law(1) is a
+    # slot, with every a_j, b_j and their float neighbours added to both axes
+    seq = curves.build_dyadic_slope_sequence(curve, 8)
+    rect, comp = hyp2_rewrite_pair(seq)
+    stair = staircase_symbol(seq)
+    ends = np.concatenate([seq.a, seq.b])
+    near = np.concatenate([np.nextafter(ends, -np.inf), ends, np.nextafter(ends, np.inf)])
+    for N, L in ((1024, 32.0), (2048, 64.0), (4096, 16.0)):
+        eta = np.union1d(_freq_grid(N, L), near)
+        xi = eta[(eta >= seq.a[-1]) & (eta < seq.a[0])]
+        assert xi[0] == seq.a[-1]
+        grid = AxesGrid(xi, eta)
+        want = sample_symbol(stair, grid)
+        assert want.any()
+        assert np.array_equal(sample_symbol(rect, grid) - sample_symbol(comp, grid), want)
+        xx, ee = xi[:, None], eta[None, :]
+        assert np.array_equal(rect(xx, ee) - comp(xx, ee), stair(xx, ee))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -297,7 +298,9 @@ def _demo_model_sum(cfg: RunConfig) -> dict:
     return whitney.model_sum_eval(mk(), mk(), mk(), tiles)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bmlab", description="bilinear multiplier laboratory"
     )
@@ -330,8 +333,11 @@ def main(argv=None) -> int:
     add("probe", "randomized operator-ratio probe across resolutions", lambda cfg, args: cmd_probe(cfg))
     add("chain", "Hölder/Carleson chain on the staircase across resolutions", lambda cfg, args: cmd_chain(cfg))
     add("whitney", "tile geometry, covers, partition and model-form reports", lambda cfg, args: cmd_whitney(cfg))
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config)
         if args.out is not None:

@@ -76,6 +76,14 @@ def _synthesize(c: np.ndarray) -> np.ndarray:
     return _synthesize_fft_order(_swap_halves(c))
 
 
+def _magnitudes(c: np.ndarray) -> np.ndarray:
+    """|samples| on the period grid of centered coefficients (last axis,
+    power-of-two length M), the bits of np.abs(_synthesize(c)): read in FFT
+    order, centered slot s is slot s - M/2, which only flips the sign of every
+    other sample, and at power-of-two M the unscaled inverse is ifft(z) * M."""
+    return np.abs(np.fft.ifft(c, axis=-1, norm="forward"))
+
+
 def _analyze(x: np.ndarray) -> np.ndarray:
     """Centered coefficients of period-grid samples (last axis)."""
     return _swap_halves(np.fft.fft(x, axis=-1, norm="forward"))  # the bits of fft(x) / N
@@ -158,26 +166,64 @@ class ExponentTriple:
 
 def _bilinear_action(sym: SymbolSpec, freqs: np.ndarray):
     """The map (c, d) -> centered 2N output coefficients of ``sym`` applied on
-    the grid ``freqs``; build it once per grid and call it per input pair.
+    the grid ``freqs``, for one pair of (N,) coefficient arrays or row by row
+    for two (T, N) stacks; build it once per grid.
 
     The symbol is applied by rectangles: consecutive columns with equal
     eta-index range [l0, l1) form a block [k0, k1) x [l0, l1), which adds the
-    linear convolution of c[k0:k1] and d[l0:l1] at output slot k0 + l0.  Work
-    is O(support), memory O(N).
+    linear convolution of c[k0:k1] and d[l0:l1] at output slot k0 + l0.  Every
+    block is one ``np.convolve`` per row, but a thin one, narrow side n and
+    long side m with n^2 < m: it sums its n shifted products of the long side
+    over the whole stack in one scratch run, after the convolved blocks.  Each
+    row's bits do not depend on the other rows.  Work is O(support), memory
+    O(T N).
     """
     N = len(freqs)
     lo, hi = sym.columns(freqs, freqs)
     cut = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
-    blocks = [
-        (k0, k1, lo[k0], hi[k0])
-        for k0, k1 in zip(np.r_[0, cut], np.r_[cut, N])
-        if hi[k0] > lo[k0]
-    ]
+    convolved, thin = [], []  # thin: (c holds the narrow side, its first slot, n, the long side's, m, output slot)
+    for k0, k1 in zip(np.r_[0, cut], np.r_[cut, N]):
+        k0, k1, l0, l1 = int(k0), int(k1), int(lo[k0]), int(hi[k0])
+        n, m = sorted((k1 - k0, l1 - l0))
+        if n < 1:
+            continue
+        if n * n >= m:
+            convolved.append((k0, k1, l0, l1))
+        elif n == k1 - k0:
+            thin.append((True, k0, n, l0, m, k0 + l0))
+        else:
+            thin.append((False, l0, n, k0, m, k0 + l0))
+    run = max((n + m - 1 for _, _, n, _, m, _ in thin), default=0)
 
     def by_blocks(c, d):
-        out = np.zeros(2 * N, dtype=complex)
-        for k0, k1, l0, l1 in blocks:
-            out[k0 + l0 : k1 + l1 - 1] += np.convolve(c[k0:k1], d[l0:l1])
+        if c.ndim == 1:
+            out = np.zeros(2 * N, dtype=complex)
+            rows = ((out, c, d),)
+        else:
+            out = np.zeros((len(c), 2 * N), dtype=complex)
+            rows = zip(out, c, d)
+        for o, ci, di in rows:
+            for k0, k1, l0, l1 in convolved:
+                o[k0 + l0 : k1 + l1 - 1] += np.convolve(ci[k0:k1], di[l0:l1])
+        if not thin:
+            return out
+        # the long side times each narrow value, shifted by its index, summed in one scratch run
+        scratch, prod = np.empty((2,) + c.shape[:-1] + (run,), dtype=complex)
+        with np.errstate():  # restores the buffer size on exit
+            # numpy copies a ufunc's operands through its buffer when they are 4 or
+            # more rows shorter than a quarter of it (8192 elements by default), at
+            # 3-4x the cost of reading them in place; a 16-element buffer reads them
+            # in place, so a stack of 4 rows is not slower than 4 pairs
+            np.setbufsize(16)
+            for c_narrow, s0, n, t0, m, o0 in thin:
+                short, long = (c, d[..., t0 : t0 + m]) if c_narrow else (d, c[..., t0 : t0 + m])
+                r, p = scratch[..., : n + m - 1], prod[..., :m]
+                np.multiply(short[..., s0, None], long, out=r[..., :m])
+                r[..., m:] = 0.0
+                for i in range(1, n):
+                    np.multiply(short[..., s0 + i, None], long, out=p)
+                    r[..., i : i + m] += p
+                out[..., o0 : o0 + n + m - 1] += r
         return out
 
     return by_blocks
@@ -511,13 +557,13 @@ def _trial_keys(seed: int, ri: int, family: str, ts) -> list[tuple[int, int, int
 def _batch_ratios(act, family: str, seed_keys, N: int, L: float,
                   triples: Sequence[ExponentTriple]) -> list[list[float]]:
     """Per triple, the ratio ||B(f,g)||_{p3'} / (||f||_{p1} ||g||_{p2}) of each
-    trial pair of the batch, B the bilinear action ``act``; NaN where the
-    denominator is 0."""
+    trial pair of the batch, B the bilinear action ``act`` applied to the
+    batch as one stack; NaN where the denominator is 0."""
     (fs, cf), (gs, cg) = _trial_batch(family, seed_keys, N, L)
     af, ag = np.abs(fs), np.abs(gs)
     denoms = [[nf * ng for nf, ng in zip(_outer_lp(af, e.p1, L), _outer_lp(ag, e.p2, L))] for e in triples]
     del fs, gs, af, ag  # so one trial per batch holds no more than the per-trial loop did
-    out = np.abs(_synthesize(np.stack([act(c, d) for c, d in zip(cf, cg)])))
+    out = _magnitudes(act(cf, cg))
     return [[num / denom if denom != 0 else math.nan
              for num, denom in zip(_outer_lp(out, e.p3_dual, L), row)] for e, row in zip(triples, denoms)]
 

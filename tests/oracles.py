@@ -7,8 +7,9 @@ code that shares little of their structure.  What they do share with bmlab:
 * the centered-layout helpers ``_analyze``, ``_synthesize``, ``_freq_grid``,
   ``_x_grid`` and ``_period_pairing`` (their numpy-shift twins below are
   checked against them bitwise) and ``lp_norm``;
-* ``_bilinear_action``, which ``probe_reports_by_trial`` applies, so that
-  oracle checks the probe's batching and draws, not the action;
+* ``_bilinear_action``, which ``probe_reports_by_trial`` applies one pair at
+  a time, so that oracle checks the probe's batching, its draws and its
+  stacked application (each row as its pair alone), not the block arithmetic;
 * ``_tile_projections``, on which ``model_value_by_tile`` builds, so that
   oracle checks the tile sum, not the projections;
 * ``whitney._rows``, ``_omega3_family`` and ``_omega3_weights``, on which
@@ -75,20 +76,22 @@ def bilinear_integer_sum(sym, c, d, N, L):
     """The bilinear action of the pointwise symbol ``sym`` on the (N, L) grid
     in int64 arithmetic: the dense indicator sym(xi_k, xi_l) times c_k d_l,
     summed along each anti-diagonal k + l into output slot k + l of the 2N
-    grid.  c and d must be Gaussian integers; the result is exact as complex
-    while its parts stay below 2^53."""
+    grid, for one (N,) pair or row by row for two (T, N) stacks.  c and d
+    must be Gaussian integers; the result is exact as complex while its parts
+    stay below 2^53."""
     parts = [np.asarray(v) for v in (c.real, c.imag, d.real, d.imag)]
     if not all(np.array_equal(v, np.round(v)) for v in parts):
         raise ValueError("c and d must be Gaussian integers")
-    cr, ci, dr, di = (v.astype(np.int64) for v in parts)
     freqs = _freq_grid(N, L)
     M = sym(freqs[:, None], freqs[None, :]).astype(np.int64)
     k = np.arange(N)
     slot = (k[:, None] + k[None, :]).ravel()
-    out = np.zeros((2, 2 * N), dtype=np.int64)
-    np.add.at(out[0], slot, (M * (np.outer(cr, dr) - np.outer(ci, di))).ravel())
-    np.add.at(out[1], slot, (M * (np.outer(cr, di) + np.outer(ci, dr))).ravel())
-    return out[0] + 1j * out[1]
+    rows = np.stack([v.astype(np.int64).reshape(-1, N) for v in parts], axis=1)
+    out = np.zeros((len(rows), 2, 2 * N), dtype=np.int64)
+    for (cr, ci, dr, di), o in zip(rows, out):
+        np.add.at(o[0], slot, (M * (np.outer(cr, dr) - np.outer(ci, di))).ravel())
+        np.add.at(o[1], slot, (M * (np.outer(cr, di) + np.outer(ci, dr))).ravel())
+    return (out[:, 0] + 1j * out[:, 1]).reshape(np.shape(c)[:-1] + (2 * N,))
 
 
 # --- the centered layout through numpy's shift routines ----------------------------

@@ -155,6 +155,15 @@ def test_probe_determinism(tmp_path):
     assert rep["worst_growth"] < 1.5
 
 
+def test_two_calls_build_one_parser(tmp_path):
+    # the argparse tree is built once per process, then reused by every call
+    cli._parser.cache_clear()
+    cfg = write_config(tmp_path)
+    assert main(["analyze", "--config", cfg]) == 0
+    assert main(["check-hyp", "--config", cfg]) == 0
+    assert cli._parser.cache_info().misses == 1 and cli._parser.cache_info().hits == 1
+
+
 def test_seed_is_read_only_from_the_config(tmp_path):
     # no flag overrides the seed, so a run's config_sha256 names its seed
     cfg = write_config(tmp_path)

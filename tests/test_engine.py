@@ -22,7 +22,7 @@ from bmlab.engine import (
 )
 from bmlab.intervals import HalfOpenInterval, build_hyp_collection, staircase_steps
 from bmlab.symbols import (SymbolSpec, constant_symbol, exponential_paraproduct_sum, hyp2_rewrite_pair,
-                           rectangle_symbol, staircase_symbol)
+                           polygonal_epigraph_symbol, rectangle_symbol, staircase_symbol)
 
 from oracles import (
     SCALAR_TRIAL_FAMILIES,
@@ -100,6 +100,19 @@ def test_half_swap_layout_equals_numpy_shifts_bitwise(rng, N):
     u, v = (rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(2))
     pairings = (_period_pairing(u, v, 24.0), period_pairing_rolled(u, v, 24.0))
     assert np.asarray(pairings[0]).tobytes() == np.asarray(pairings[1]).tobytes()
+
+
+@pytest.mark.parametrize("N", [2**k for k in range(1, 17)])
+def test_magnitudes_are_the_synthesized_magnitudes_bitwise(rng, N):
+    # the centered layout read in FFT order flips every other sample's sign,
+    # and at power-of-two N the unscaled inverse is ifft(z) * N exactly
+    for T in (1, 3, 17):
+        sparse = np.zeros((T, N), dtype=complex)
+        for row in sparse:
+            slots = rng.choice(N, size=max(1, N // 16), replace=False)
+            row[slots] = rng.normal(size=len(slots)) + 1j * rng.normal(size=len(slots))
+        for c in (rng.normal(size=(T, N)) + 1j * rng.normal(size=(T, N)), gaussian_integers(rng, (T, N)), sparse):
+            assert engine._magnitudes(c).tobytes() == np.abs(_synthesize(c)).tobytes()
 
 
 def test_chain_reports_match_golden():
@@ -211,10 +224,20 @@ def test_dense_table_matches_double_sum(rng):
     assert np.max(np.abs(dense - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
-def gaussian_integers(rng, N):
-    """N coefficients with integer parts, |Re|, |Im| < 1000: every product
-    and partial sum of the block action is an integer below 2^53, so exact."""
-    return rng.integers(-999, 1000, N) + 1j * rng.integers(-999, 1000, N)
+def gaussian_integers(rng, shape):
+    """Coefficients of the given shape with integer parts, |Re|, |Im| < 1000:
+    every product and partial sum of the block action is an integer below
+    2^53, so exact."""
+    return rng.integers(-999, 1000, shape) + 1j * rng.integers(-999, 1000, shape)
+
+
+def block_sides(sym, N, L):
+    """(narrow, long) sides of each non-empty block of ``sym`` on the (N, L)
+    grid: runs of consecutive columns with equal eta-index ranges."""
+    lo, hi = sym.columns(engine._freq_grid(N, L), engine._freq_grid(N, L))
+    cut = np.flatnonzero((lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])) + 1
+    return [tuple(sorted((int(k1 - k0), int(hi[k0] - lo[k0]))))
+            for k0, k1 in zip(np.r_[0, cut], np.r_[cut, N]) if hi[k0] > lo[k0]]
 
 
 def _integer_cases():
@@ -232,15 +255,29 @@ INTEGER_CASES = list(_integer_cases())
 
 @pytest.mark.parametrize("name,sym,L", INTEGER_CASES, ids=[case[0] for case in INTEGER_CASES])
 def test_block_action_is_the_integer_sum_exactly(rng, name, sym, L):
-    # on Gaussian-integer inputs the block action has no rounding, so it must
-    # equal the int64 anti-diagonal sums of the dense indicator in every slot
+    # on Gaussian-integer inputs the block action has no rounding, so a pair
+    # and every row of a (T, N) stack must equal the int64 anti-diagonal sums
+    # of the dense indicator in every slot
     live = False
     for N in (32, 64, 128, 256):
+        act = engine._bilinear_action(sym, engine._freq_grid(N, L))
         c, d = gaussian_integers(rng, N), gaussian_integers(rng, N)
         want = bilinear_integer_sum(sym, c, d, N, L)
-        assert np.array_equal(engine._bilinear_action(sym, engine._freq_grid(N, L))(c, d), want)
+        assert np.array_equal(act(c, d), want)
+        for T in (1, 3, 64):
+            cs, ds = gaussian_integers(rng, (T, N)), gaussian_integers(rng, (T, N))
+            assert np.array_equal(act(cs, ds), bilinear_integer_sum(sym, cs, ds, N, L))
         live = live or want.any()
     assert live
+
+
+def test_integer_cases_take_both_block_paths():
+    # a thin block (narrow side n, long side m, n^2 < m) takes the shifted
+    # runs, every other block np.convolve; the exact cases must reach both
+    sides = [side for _, sym, L in INTEGER_CASES for N in (32, 64, 128, 256) for side in block_sides(sym, N, L)]
+    assert any(n * n < m for n, m in sides) and any(n * n >= m for n, m in sides)
+    polygonal = SYMBOL_KINDS["polygonal"](RunConfig(family="hyperboloid"))
+    assert any(n * n < m for n, m in block_sides(polygonal, 128, 32.0))
 
 
 @pytest.mark.parametrize("N", [512, 1024, 2048])
@@ -621,12 +658,16 @@ def test_wave_packet_carriers_match_the_float_carrier(N):
 
 
 def test_probe_reports_match_the_per_trial_loop_across_batches():
-    # 40 trials at N = 512 run as batches of 16, 16 and 8
+    # 40 trials at N = 512 run as batches of 16, 16 and 8; the staircase's
+    # blocks are all convolved, the polygonal epigraph's mostly thin
     assert engine.BATCH_SAMPLES // 512 == 16
-    sym = staircase_symbol(curves.build_dyadic_slope_sequence(curves.hyperboloid(), 8))
+    seq = curves.build_dyadic_slope_sequence(curves.hyperboloid(), 8)
     triples = [ExponentTriple(3, 3, 3), ExponentTriple(4, 2, 4)]
-    args = (sym, triples, 40, [512, 64], 3, 48.0)
-    assert repr(engine.probe_reports(*args)) == repr(probe_reports_by_trial(*args))
+    for sym, thin in ((staircase_symbol(seq), False),
+                      (polygonal_epigraph_symbol(np.column_stack([seq.a, seq.b])), True)):
+        assert any(n * n < m for n, m in block_sides(sym, 512, 48.0)) == thin
+        args = (sym, triples, 40, [512, 64], 3, 48.0)
+        assert repr(engine.probe_reports(*args)) == repr(probe_reports_by_trial(*args))
 
 
 def _constant_rows(keep):

@@ -547,22 +547,38 @@ def _trial_batch(family: str, seed_keys, N: int, L: float) -> tuple[_Trial, _Tri
     return gen(rngs, N, L), gen(rngs, N, L)
 
 
-def _trial_keys(seed: int, ri: int, family: str, ts) -> list[tuple[int, int, int, int]]:
+def _trial_keys(seed: int, ri: int, family: str, ts) -> tuple[tuple[int, int, int, int], ...]:
     """The integer seed keys of the probe's trials ``ts`` of ``family`` at its
     ``ri``-th resolution."""
     fi = list(PROBE_FAMILIES).index(family)
-    return [(seed, ri, fi, t) for t in ts]
+    return tuple((seed, ri, fi, t) for t in ts)
 
 
-def _batch_ratios(act, family: str, seed_keys, N: int, L: float,
+@functools.lru_cache(maxsize=16)
+def _trial_stacks(family: str, seed_keys: tuple, N: int, L: float) -> tuple[np.ndarray, ...]:
+    """|f|, the coefficients of f, |g| and the coefficients of g of
+    ``_trial_batch``, read-only.  A trial's draws depend on its seed key, N
+    and L alone, so every symbol and triple probed on one seed shares them.
+    16 entries: a sweep over four resolutions and three families reuses a
+    batch 12 entries later."""
+    (fs, cf), (gs, cg) = _trial_batch(family, seed_keys, N, L)
+    stacks = (np.abs(fs), cf, np.abs(gs), cg)
+    for a in stacks:
+        a.flags.writeable = False
+    return stacks
+
+
+def _batch_ratios(act, family: str, seed_keys: tuple, N: int, L: float,
                   triples: Sequence[ExponentTriple]) -> list[list[float]]:
     """Per triple, the ratio ||B(f,g)||_{p3'} / (||f||_{p1} ||g||_{p2}) of each
     trial pair of the batch, B the bilinear action ``act`` applied to the
-    batch as one stack; NaN where the denominator is 0."""
-    (fs, cf), (gs, cg) = _trial_batch(family, seed_keys, N, L)
-    af, ag = np.abs(fs), np.abs(gs)
+    batch as one stack; NaN where the denominator is 0.  A batch of at most
+    ``BATCH_SAMPLES`` samples is drawn through the cache, so it holds at most
+    16 x 48 B x ``BATCH_SAMPLES``; a larger one (one trial at N above it) is
+    drawn afresh."""
+    draw = _trial_stacks if len(seed_keys) * N <= BATCH_SAMPLES else _trial_stacks.__wrapped__
+    af, cf, ag, cg = draw(family, seed_keys, N, L)
     denoms = [[nf * ng for nf, ng in zip(_outer_lp(af, e.p1, L), _outer_lp(ag, e.p2, L))] for e in triples]
-    del fs, gs, af, ag  # so one trial per batch holds no more than the per-trial loop did
     out = _magnitudes(act(cf, cg))
     return [[num / denom if denom != 0 else math.nan
              for num, denom in zip(_outer_lp(out, e.p3_dual, L), row)] for e, row in zip(triples, denoms)]
@@ -630,11 +646,13 @@ def probe_reports(sym: SymbolSpec, triples: Sequence[ExponentTriple], trials: in
     recorded; the growth factor compares the largest against the smallest
     resolution.  Each trial pair is drawn and applied once for all triples.
     Trials run in batches of max(1, ``BATCH_SAMPLES`` // N), each
-    row drawn and measured as it would be alone.  Fully deterministic for a
-    fixed seed.
+    row drawn and measured as it would be alone; a batch is drawn once per
+    process (``_trial_stacks``).  Fully deterministic for a fixed seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"period L = {L!r} must be finite and > 0")
     if not len(resolutions):
         raise ValueError("resolutions must name at least one N")
     for N in resolutions:

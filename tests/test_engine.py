@@ -414,6 +414,8 @@ def test_grid_action_is_built_once_per_symbol_and_grid(monkeypatch, hyperboloid_
     first = norm_probe(sym, **args)
     real, calls = engine._bilinear_action, []
     monkeypatch.setattr(engine, "_bilinear_action", lambda *a: calls.append(a) or real(*a))
+    engine._trial_stacks.cache_clear()  # the second call draws again, the third reads the draws
+    assert repr(norm_probe(sym, **args)) == repr(first)
     assert repr(norm_probe(sym, **args)) == repr(first)
     assert calls == []
 
@@ -541,8 +543,11 @@ def test_square_function_zero_rejected():
 def test_norm_probe_reproducible_and_bounded():
     e = ExponentTriple(3.0, 3.0, 3.0)
     r1 = norm_probe(constant_symbol(), e, trials=6, resolutions=[64, 128], seed=11, L=8.0)
+    engine._trial_stacks.cache_clear()  # r2 draws again, r3 reads the draws of r2
     r2 = norm_probe(constant_symbol(), e, trials=6, resolutions=[64, 128], seed=11, L=8.0)
+    r3 = norm_probe(constant_symbol(), e, trials=6, resolutions=[64, 128], seed=11, L=8.0)
     assert r1.as_dict() == r2.as_dict()
+    assert repr(r1) == repr(r2) == repr(r3)
     assert max(row["max_ratio"] for row in r1.rows) <= 1.0 + 1e-6
     assert list(r1.csv_rows())[0][:3] == (3.0, 3.0, 3.0)
 
@@ -667,7 +672,89 @@ def test_probe_reports_match_the_per_trial_loop_across_batches():
                       (polygonal_epigraph_symbol(np.column_stack([seq.a, seq.b])), True)):
         assert any(n * n < m for n, m in block_sides(sym, 512, 48.0)) == thin
         args = (sym, triples, 40, [512, 64], 3, 48.0)
-        assert repr(engine.probe_reports(*args)) == repr(probe_reports_by_trial(*args))
+        want = repr(probe_reports_by_trial(*args))
+        engine._trial_stacks.cache_clear()
+        assert repr(engine.probe_reports(*args)) == want
+        assert repr(engine.probe_reports(*args)) == want  # every batch from the cache
+
+
+def _probe_symbols():
+    seq = curves.build_dyadic_slope_sequence(curves.hyperboloid(), 8)
+    return {"staircase": staircase_symbol(seq), "constant": constant_symbol(),
+            "polygonal": polygonal_epigraph_symbol(np.column_stack([seq.a, seq.b]))}
+
+
+@pytest.mark.parametrize("name", ["staircase", "polygonal", "constant"])
+def test_probe_reports_are_the_same_cold_and_warm(name):
+    # the cached draws give the rows of fresh draws, for every symbol and
+    # triple that reads them, and the rows of the per-trial loop
+    sym = _probe_symbols()[name]
+    args = (sym, [ExponentTriple(3, 3, 3), ExponentTriple(4, 2, 4)], 20, [256, 64], 7, 32.0)
+    engine._trial_stacks.cache_clear()
+    cold = repr(engine.probe_reports(*args))
+    assert cold == repr(probe_reports_by_trial(*args))
+    misses = engine._trial_stacks.cache_info().misses
+    assert misses == 6  # one batch per resolution and family
+    assert repr(engine.probe_reports(*args)) == cold
+    assert engine._trial_stacks.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("change", [dict(L=32.0), dict(resolutions=[128]), dict(seed=2)], ids=["L", "N", "seed"])
+def test_probes_that_differ_in_l_n_or_seed_share_no_draws(change):
+    args = dict(sym=_probe_symbols()["staircase"], triples=[ExponentTriple(3, 3, 3)], trials=4, resolutions=[256],
+                seed=1, L=48.0)
+    engine._trial_stacks.cache_clear()
+    first = engine.probe_reports(**args)
+    engine.probe_reports(**{**args, **change})
+    info = engine._trial_stacks.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 6, 6)
+    assert repr(engine.probe_reports(**args)) == repr(first)
+    assert engine._trial_stacks.cache_info().hits == 3
+
+
+def test_cached_trial_stacks_are_read_only():
+    keys = engine._trial_keys(1, 0, "wave_packets", range(3))
+    for a in engine._trial_stacks("wave_packets", keys, 64, 48.0):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0
+
+
+def test_a_batch_above_the_sample_cap_is_not_cached():
+    # one trial per batch at N = 2 BATCH_SAMPLES: drawn afresh, never stored
+    N = 2 * engine.BATCH_SAMPLES
+    before = engine._trial_stacks.cache_info()
+    report = norm_probe(_probe_symbols()["staircase"], ExponentTriple(3, 3, 3), trials=2, resolutions=[N], seed=1,
+                        L=48.0)
+    after = engine._trial_stacks.cache_info()
+    assert after.currsize == before.currsize and after.misses == before.misses
+    assert len(report.rows) == len(engine.PROBE_FAMILIES)
+
+
+def test_the_draw_cache_holds_at_most_sixteen_capped_batches():
+    # criterion 9's sweep, 200 trials at N = 128, 256 and 512, is 72 batches;
+    # the cache keeps the last 16, each at most BATCH_SAMPLES samples of |f|,
+    # f's coefficients, |g| and g's coefficients: 48 bytes a sample
+    sym = _probe_symbols()["staircase"]
+    engine._trial_stacks.cache_clear()
+    tracemalloc.start()
+    try:
+        engine.probe_reports(sym, [ExponentTriple(3, 3, 3)], 200, [128, 256, 512], 17, 48.0)
+        held = tracemalloc.get_traced_memory()[0]
+        assert engine._trial_stacks.cache_info().currsize == 16
+        engine._trial_stacks.cache_clear()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < freed <= 16 * engine.BATCH_SAMPLES * 48
+
+
+@pytest.mark.parametrize("L", [0.0, -48.0, float("nan"), float("inf")], ids=["zero", "negative", "nan", "inf"])
+def test_probe_rejects_a_bad_period_before_any_draw(L):
+    # 0, NaN and inf once gave all-zero rows and a NaN growth; -48 ended in a TypeError
+    before = engine._trial_stacks.cache_info()
+    with pytest.raises(ValueError, match="period L"):
+        norm_probe(constant_symbol(), ExponentTriple(3, 3, 3), trials=2, resolutions=[64], seed=1, L=L)
+    assert engine._trial_stacks.cache_info() == before
 
 
 def _constant_rows(keep):
